@@ -3,6 +3,8 @@
 // Common flags:
 //   --quick          smoke-test scale (fewer steps; noisier numbers)
 //   --threads N      grid-runner worker count (default: hardware)
+//                    (numeric flags must be whole integers; anything else
+//                    exits 2 with a usage message)
 //   --legacy-gate    route sampling through the pre-optimization gate
 //   --workload NAME  workload scenario from the catalog (default:
 //                    pretrain-steady; see gate/logit_process.h)
@@ -21,6 +23,8 @@
 #ifndef FLEXMOE_BENCH_BENCH_COMMON_H_
 #define FLEXMOE_BENCH_BENCH_COMMON_H_
 
+#include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -46,6 +50,33 @@ inline const char* FlagValue(int argc, char** argv, const char* flag,
   return fallback;
 }
 
+/// Value of "`flag` N" as an int, or `fallback` when the flag is absent.
+/// The whole value must be a base-10 integer: "abc", "4x", "" or a missing
+/// value is a usage error (message on stderr, exit 2), never a silent
+/// default.
+inline int IntFlagValue(int argc, char** argv, const char* flag,
+                        int fallback) {
+  if (!HasFlag(argc, argv, flag)) return fallback;
+  const char* text = FlagValue(argc, argv, flag, nullptr);
+  bool ok = text != nullptr &&
+            (text[0] == '-' || text[0] == '+' ||
+             (text[0] >= '0' && text[0] <= '9'));
+  long value = 0;
+  if (ok) {
+    char* end = nullptr;
+    errno = 0;
+    value = std::strtol(text, &end, 10);
+    ok = end != text && *end == '\0' && errno == 0 && value >= INT_MIN &&
+         value <= INT_MAX;
+  }
+  if (!ok) {
+    std::fprintf(stderr, "usage: %s expects an integer value, got '%s'\n",
+                 flag, text == nullptr ? "" : text);
+    std::exit(2);
+  }
+  return static_cast<int>(value);
+}
+
 /// True if "--quick" was passed: benches then shrink step counts to smoke-
 /// test scale (used by CI-style runs; numbers become noisier).
 inline bool QuickMode(int argc, char** argv) {
@@ -54,7 +85,7 @@ inline bool QuickMode(int argc, char** argv) {
 
 /// Worker count for grid benches: "--threads N", default 0 (hardware).
 inline int GridThreads(int argc, char** argv) {
-  return std::atoi(FlagValue(argc, argv, "--threads", "0"));
+  return IntFlagValue(argc, argv, "--threads", 0);
 }
 
 /// True if "--legacy-gate" was passed: run the pre-optimization sampler.
@@ -79,7 +110,7 @@ inline const char* AdmissionPolicy(int argc, char** argv) {
 
 /// Forward pipelining depth: "--pipeline-chunks K", default 1 (serial).
 inline int PipelineChunks(int argc, char** argv) {
-  return std::atoi(FlagValue(argc, argv, "--pipeline-chunks", "1"));
+  return IntFlagValue(argc, argv, "--pipeline-chunks", 1);
 }
 
 /// The flag set every grid bench shares, parsed once (previously each

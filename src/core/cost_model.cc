@@ -201,9 +201,12 @@ double CostModel::A2ASecondsHierarchical(const RoutedAssignment& routed,
 }
 
 double CostModel::SyncSeconds(const Placement& placement, int expert) const {
-  const std::vector<GpuId> group = placement.HostGpus(expert);
-  if (group.size() < 2) return 0.0;
-  return profile_->AllReduceSeconds(shape_.grad_bytes, group);
+  return GroupSyncSeconds(placement.HostGpus(expert));
+}
+
+double CostModel::GroupSyncSeconds(const std::vector<GpuId>& hosts) const {
+  if (hosts.size() < 2) return 0.0;
+  return profile_->AllReduceSeconds(shape_.grad_bytes, hosts);
 }
 
 LayerCostEstimate CostModel::EstimateLayer(const RoutedAssignment& routed,

@@ -137,6 +137,10 @@ class CostModel {
   /// Eq. 9 for one expert under `placement`.
   double SyncSeconds(const Placement& placement, int expert) const;
 
+  /// Eq. 9 for an expert hosted on `hosts` (ascending, distinct) — the
+  /// allocation-free form for callers that keep the host list themselves.
+  double GroupSyncSeconds(const std::vector<GpuId>& hosts) const;
+
   /// Eq. 5 evaluated on an explicit routing. `include_sync` = false drops
   /// the Eq. 9 replica-sync term — the serving objective, where no
   /// gradients exist and replication costs only its one-time transfer.

@@ -389,6 +389,9 @@ StepMetrics FlexMoESystem::RunStepImpl(
       if (decision.candidates_evaluated > 0) {
         m->Add("policy.candidates_evaluated", decision.candidates_evaluated);
       }
+      if (decision.candidates_pruned > 0) {
+        m->Add("policy.candidates_pruned", decision.candidates_pruned);
+      }
       if (decision.plan_rounds > 0) {
         m->Add("policy.plan_rounds", decision.plan_rounds);
       }

@@ -1,6 +1,7 @@
 #include "core/policy_maker.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 #include <set>
@@ -8,6 +9,16 @@
 #include "core/balance.h"
 
 namespace flexmoe {
+
+namespace {
+
+/// Relative margin of the pruning test: 8 ulps. pow is accurate to well
+/// under 2 ulps, so with pow's error on both the bound and the candidate's
+/// score, plus the rounding of best_score * (1 + margin), a bound above the
+/// threshold still proves score > best_score.
+constexpr double kPruneMargin = 8 * std::numeric_limits<double>::epsilon();
+
+}  // namespace
 
 Status PolicyMakerOptions::Validate() const {
   if (min_improvement_frac < 0.0 || min_improvement_frac >= 1.0) {
@@ -91,68 +102,94 @@ std::vector<ModOp> PolicyMaker::PlanOnState(LayerCostState* state,
   }
   if (cold_candidates.empty()) return {};
 
-  // Candidate placements differ from the incumbent only in experts `hot`
-  // and `cold`, and every expert routes independently (Alg. 3 state is
-  // per-expert) — so the state's Apply/Undo evaluates a candidate in
-  // O(|affected GPUs| * G) with no placement or routing copies at all,
-  // integer-exact, hence bit-identical to a from-scratch route + Eq. 5.
-  const Topology& topo = cost_model_->profile().topology();
+  // Hot experts with tokens, hottest first (the first token-less expert
+  // ends the list: nothing colder can be worth expanding).
+  std::vector<int> hots;
   for (int hi = 0; hi < hot_count; ++hi) {
     const int hot = order[static_cast<size_t>(hi)];
     if (assignment.ExpertTotal(hot) == 0) break;
+    hots.push_back(hot);
+  }
 
-    // Nodes already hosting the hot expert: expanding there keeps the
-    // replica group node-local, whose AllReduce is an order of magnitude
-    // cheaper than a cross-node group (NVLink vs IB ring bottleneck).
-    // Depends only on `hot` (the state is back at entry depth here, and
-    // every candidate op below is undone), so it hoists out of the
-    // cold/shrink loops.
-    std::set<NodeId> hot_nodes;
-    for (GpuId h : placement.HostGpus(hot)) {
-      hot_nodes.insert(topo.NodeOf(h));
+  // Nodes already hosting each hot expert: expanding there keeps the
+  // replica group node-local, whose AllReduce is an order of magnitude
+  // cheaper than a cross-node group (NVLink vs IB ring bottleneck). Read
+  // at entry depth; the shrinks below touch only cold experts, and cold
+  // != hot for every candidate, so the hot experts' hosts never change.
+  const Topology& topo = cost_model_->profile().topology();
+  std::vector<std::set<NodeId>> hot_nodes(hots.size());
+  for (size_t hi = 0; hi < hots.size(); ++hi) {
+    for (GpuId h : placement.HostGpus(hots[hi])) {
+      hot_nodes[hi].insert(topo.NodeOf(h));
+    }
+  }
+
+  // The search visits (cold, shrink) pairs in the outer loops so each
+  // shrink is applied once and shared by every hot expert's expands. The
+  // result is defined by the (hot, cold, shrink, dst) order, though: the
+  // winner is the lowest score, ties going to the candidate first in that
+  // order. Comparing (score, order key) lexicographically keeps the
+  // winner identical whatever the visiting order. Candidate placements
+  // differ from the incumbent only in experts `hot` and `cold`, and every
+  // expert routes independently (Alg. 3 state is per-expert) — so the
+  // state's Apply/Undo evaluates a candidate in O(Δ) with no placement or
+  // routing copies at all, integer-exact, hence bit-identical to a
+  // from-scratch route + Eq. 5.
+  using OrderKey = std::array<size_t, 4>;  // (hot, cold, shrink, dst)
+  OrderKey best_key{};
+  std::vector<GpuId> free_gpus;
+  std::vector<GpuId> candidates;
+  for (size_t ci = 0; ci < cold_candidates.size(); ++ci) {
+    const int cold = cold_candidates[ci];
+    // The shrink is worth applying only if some hot expert can use it.
+    if (hots.empty() || (hots.size() == 1 && hots[0] == cold)) continue;
+
+    // Shrink-host candidates: hosts of the cold expert, least-loaded
+    // first (the freed slot usually becomes the hot expert's new home).
+    std::vector<GpuId> shrink_candidates;
+    for (const auto& [gpu, count] : placement.Replicas(cold)) {
+      shrink_candidates.push_back(gpu);
+    }
+    std::sort(shrink_candidates.begin(), shrink_candidates.end(),
+              [&](GpuId a, GpuId b) {
+                // Replicas on degraded devices go first — shrinking them
+                // is the cheap half of migrate-away.
+                const bool da = !Expandable(a);
+                const bool db = !Expandable(b);
+                if (da != db) return da;
+                return gpu_loads[static_cast<size_t>(a)] <
+                       gpu_loads[static_cast<size_t>(b)];
+              });
+    constexpr size_t kMaxShrinkCandidates = 2;
+    if (shrink_candidates.size() > kMaxShrinkCandidates) {
+      shrink_candidates.resize(kMaxShrinkCandidates);
     }
 
-    for (int cold : cold_candidates) {
-      if (cold == hot) continue;
+    for (size_t si = 0; si < shrink_candidates.size(); ++si) {
+      const GpuId shrink_gpu = shrink_candidates[si];
+      if (!state->Apply(MakeShrink(cold, shrink_gpu))) continue;
 
-      // Shrink-host candidates: hosts of the cold expert, least-loaded
-      // first (the freed slot usually becomes the hot expert's new home).
-      std::vector<GpuId> shrink_candidates;
-      for (const auto& [gpu, count] : placement.Replicas(cold)) {
-        shrink_candidates.push_back(gpu);
-      }
-      std::sort(shrink_candidates.begin(), shrink_candidates.end(),
-                [&](GpuId a, GpuId b) {
-                  // Replicas on degraded devices go first — shrinking them
-                  // is the cheap half of migrate-away.
-                  const bool da = !Expandable(a);
-                  const bool db = !Expandable(b);
-                  if (da != db) return da;
-                  return gpu_loads[static_cast<size_t>(a)] <
-                         gpu_loads[static_cast<size_t>(b)];
-                });
-      constexpr size_t kMaxShrinkCandidates = 2;
-      if (shrink_candidates.size() > kMaxShrinkCandidates) {
-        shrink_candidates.resize(kMaxShrinkCandidates);
-      }
-
-      for (GpuId shrink_gpu : shrink_candidates) {
-        if (!state->Apply(MakeShrink(cold, shrink_gpu))) continue;
-
-        // Expand destinations: GPUs with a free slot; node-local to the
-        // hot expert's replicas first, then cheapest loads. `placement`
-        // reflects the shrink here — exactly the after_shrink view.
-        std::vector<GpuId> candidates;
-        for (GpuId g = 0; g < placement.num_gpus(); ++g) {
-          if (placement.FreeSlots(g) > 0 && Expandable(g)) {
-            candidates.push_back(g);
-          }
+      // Expand destinations: GPUs with a free slot. `placement` reflects
+      // the shrink here — exactly the after_shrink view.
+      free_gpus.clear();
+      for (GpuId g = 0; g < placement.num_gpus(); ++g) {
+        if (placement.FreeSlots(g) > 0 && Expandable(g)) {
+          free_gpus.push_back(g);
         }
+      }
+      for (size_t hi = 0; hi < hots.size(); ++hi) {
+        const int hot = hots[hi];
+        if (hot == cold) continue;
+        const std::set<NodeId>& local_nodes = hot_nodes[hi];
+
+        // Node-local to the hot expert's replicas first, then cheapest
+        // loads.
+        candidates = free_gpus;
         if (options_.topology_aware_expansion) {
           std::sort(candidates.begin(), candidates.end(),
                     [&](GpuId a, GpuId b) {
-                      const bool la = hot_nodes.count(topo.NodeOf(a)) > 0;
-                      const bool lb = hot_nodes.count(topo.NodeOf(b)) > 0;
+                      const bool la = local_nodes.count(topo.NodeOf(a)) > 0;
+                      const bool lb = local_nodes.count(topo.NodeOf(b)) > 0;
                       if (la != lb) return la;
                       // With the max-link objective, the heaviest single
                       // inbound link ranks first: one saturated link
@@ -184,8 +221,8 @@ std::vector<ModOp> PolicyMaker::PlanOnState(LayerCostState* state,
         } else {
           std::sort(candidates.begin(), candidates.end(),
                     [&](GpuId a, GpuId b) {
-                      const bool la = hot_nodes.count(topo.NodeOf(a)) > 0;
-                      const bool lb = hot_nodes.count(topo.NodeOf(b)) > 0;
+                      const bool la = local_nodes.count(topo.NodeOf(a)) > 0;
+                      const bool lb = local_nodes.count(topo.NodeOf(b)) > 0;
                       if (la != lb) return la;
                       return gpu_loads[static_cast<size_t>(a)] <
                              gpu_loads[static_cast<size_t>(b)];
@@ -197,22 +234,38 @@ std::vector<ModOp> PolicyMaker::PlanOnState(LayerCostState* state,
           candidates.resize(
               static_cast<size_t>(options_.max_expand_candidates));
         }
-        for (GpuId dst : candidates) {
-          // Mutate-undo on the incremental state: O(Δ) per candidate.
-          if (!state->Apply(MakeExpand(hot, /*copy_from=*/-1, dst))) continue;
-          const double score = state->Score();
+        for (size_t di = 0; di < candidates.size(); ++di) {
+          const GpuId dst = candidates[di];
+          const ModOp expand = MakeExpand(hot, /*copy_from=*/-1, dst);
+          if (!state->CanApply(expand)) continue;
           ++stats->candidates_evaluated;
+          // Exact pruning: the GPUs the expand cannot touch keep their
+          // totals bitwise, so their 8-norm is a lower bound on the
+          // candidate's score. Beyond the incumbent by more than pow's
+          // error, the candidate can never be adopted (only a score at or
+          // below the incumbent's is), and skipping it changes nothing.
+          if (state->ExpandScoreLowerBound(hot, dst) >
+              best_score * (1.0 + kPruneMargin)) {
+            ++stats->candidates_pruned;
+            continue;
+          }
+          // Mutate-undo on the incremental state: O(Δ) per candidate.
+          FLEXMOE_CHECK(state->Apply(expand));
+          const double score = state->Score();
           state->Undo();
-          if (score < best_score) {
+          const OrderKey key{hi, ci, si, di};
+          if (score < best_score ||
+              (best_dst >= 0 && score == best_score && key < best_key)) {
             best_score = score;
+            best_key = key;
             best_hot = hot;
             best_cold = cold;
             best_shrink = shrink_gpu;
             best_dst = dst;
           }
         }
-        state->Undo();  // the shrink — back to entry depth
       }
+      state->Undo();  // the shrink — back to entry depth
     }
   }
   if (best_dst >= 0) stats->best_score = best_score;

@@ -78,8 +78,12 @@ struct PolicyMakerOptions {
 /// \brief What one MakeSchedulingPlan search did — the audit trail behind
 /// a policy decision (DESIGN.md Section 9).
 struct PlanSearchStats {
-  /// Candidate placements scored through the cost model (Eq. 5).
+  /// Candidate placements the search considered (Eq. 5), pruned or not.
   int64_t candidates_evaluated = 0;
+  /// Of those, candidates settled by the exact lower bound without being
+  /// applied: their score provably exceeds the incumbent best, so they
+  /// could never have been adopted.
+  int64_t candidates_pruned = 0;
   /// 8-norm plan score of the incumbent placement.
   double score_before = 0.0;
   /// Best candidate score found (== score_before when nothing was scored).

@@ -32,6 +32,33 @@ void RoutedAssignment::DisableNodeAggregation() {
   node_dispatch_to.assign(0, 0, 0);
 }
 
+void RoutedAssignment::Clear(int experts, int gpus) {
+  num_experts = experts;
+  num_gpus = gpus;
+  expert_gpu_tokens.assign(experts, gpus, 0);
+  dispatch_to.assign(gpus, gpus, 0);
+  if (!node_of.empty()) {
+    FLEXMOE_CHECK(static_cast<int>(node_of.size()) == gpus);
+    node_dispatch_to.assign(gpus, num_nodes, 0);
+  }
+}
+
+void RoutedAssignment::AddEntries(int expert, const RouteEntry* begin,
+                                  const RouteEntry* end, int sign) {
+  FLEXMOE_CHECK(expert >= 0 && expert < num_experts);
+  FLEXMOE_CHECK(sign == 1 || sign == -1);
+  int64_t* expert_row = expert_gpu_tokens.row(expert);
+  const bool aggregate = !node_of.empty();
+  for (const RouteEntry* it = begin; it != end; ++it) {
+    const int64_t t = sign * it->take;
+    expert_row[it->dst] += t;
+    dispatch_to(it->dst, it->src) += t;
+    if (aggregate) {
+      node_dispatch_to(it->dst, node_of[static_cast<size_t>(it->src)]) += t;
+    }
+  }
+}
+
 std::vector<int64_t> RoutedAssignment::PerGpuComputeTokens() const {
   std::vector<int64_t> loads;
   PerGpuComputeTokensInto(&loads);
@@ -107,12 +134,53 @@ RouteScratch& Scratch() {
   return scratch;
 }
 
-/// Routes one expert (Alg. 3 applied to expert `e` alone) and accumulates
-/// its contribution into `out` with the given sign. The token placement
-/// (`take` values) is a pure function of the expert's assignment row and
-/// placement row, so +1 followed by -1 cancels exactly.
+/// Route's sink: adds each cell straight into the routing matrices.
+class AccumulateSink {
+ public:
+  AccumulateSink(int expert, RoutedAssignment* out)
+      : expert_row_(out->expert_gpu_tokens.row(expert)),
+        out_(out),
+        aggregate_(!out->node_of.empty()) {}
+
+  void Add(GpuId dst, GpuId src, int64_t take) {
+    expert_row_[dst] += take;
+    out_->dispatch_to(dst, src) += take;
+    // Per-node aggregation rides along when enabled (integer adds only).
+    if (aggregate_) {
+      out_->node_dispatch_to(dst, out_->node_of[static_cast<size_t>(src)]) +=
+          take;
+    }
+  }
+
+ private:
+  int64_t* expert_row_;
+  RoutedAssignment* out_;
+  bool aggregate_;
+};
+
+/// RouteExpertInto's sink: accumulates each cell and records it.
+class RecordingSink {
+ public:
+  RecordingSink(int expert, RoutedAssignment* out,
+                std::vector<RouteEntry>* entries)
+      : accumulate_(expert, out), entries_(entries) {}
+
+  void Add(GpuId dst, GpuId src, int64_t take) {
+    accumulate_.Add(dst, src, take);
+    entries_->push_back(RouteEntry{dst, src, take});
+  }
+
+ private:
+  AccumulateSink accumulate_;
+  std::vector<RouteEntry>* entries_;
+};
+
+/// Routes one expert (Alg. 3 applied to expert `e` alone) and hands every
+/// positive (dst, src, take) cell to `sink`. The cells are a pure function
+/// of the expert's assignment row and placement row.
+template <class Sink>
 void RouteExpert(const Assignment& assignment, const Placement& placement,
-                 int e, int sign, RoutedAssignment* out) {
+                 int e, Sink* sink) {
   const int num_gpus = assignment.num_gpus();
   const int64_t total = assignment.ExpertTotal(e);
   if (total == 0) return;
@@ -124,12 +192,7 @@ void RouteExpert(const Assignment& assignment, const Placement& placement,
   RouteScratch& s = Scratch();
   s.Resize(num_gpus);
 
-  // Per-node aggregation rides along when enabled (integer adds only, so
-  // it cancels under +1/-1 exactly like the dispatch matrix itself).
-  const bool aggregate = !out->node_of.empty();
-
   // Locality-first claim (Alg. 3 line 5).
-  int64_t* expert_row = out->expert_gpu_tokens.row(e);
   const int64_t* assigned = assignment.row(e);
   const int* replicas = placement.CountsRow(e);
   int64_t spill_total = 0;
@@ -142,14 +205,7 @@ void RouteExpert(const Assignment& assignment, const Placement& placement,
     // Guarded: only hosts can claim locally (quota is 0 elsewhere), and the
     // unguarded += 0 would touch one fresh cacheline per GPU (the dispatch
     // diagonal) — measurably the whole routing cost at G = 512.
-    if (local != 0) {
-      expert_row[g] += sign * local;
-      out->dispatch_to(g, g) += sign * local;
-      if (aggregate) {
-        out->node_dispatch_to(g, out->node_of[static_cast<size_t>(g)]) +=
-            sign * local;
-      }
-    }
+    if (local != 0) sink->Add(g, g, local);
     s.avail[static_cast<size_t>(g)] = s.quota[static_cast<size_t>(g)] - local;
     s.spill[static_cast<size_t>(g)] = assigned[g] - local;
     spill_total += assigned[g] - local;
@@ -178,14 +234,10 @@ void RouteExpert(const Assignment& assignment, const Placement& placement,
   // to the general path — at a few scalar ops per spilling source.
   if (s.dsts.size() == 1) {
     const GpuId dst = s.dsts.front();
-    // Local avail copy (written back after the loop): the matrix writes
+    // Local avail copy (written back after the loop): the sink's writes
     // below could alias any int64_t in the compiler's view, which would
     // force a reload/spill of the counter every iteration.
     int64_t avail_dst = s.avail[static_cast<size_t>(dst)];
-    // Destination-major rows: the whole loop writes two contiguous rows.
-    int64_t* dispatch_row = out->dispatch_to.row(dst);
-    int64_t* agg_row =
-        aggregate ? out->node_dispatch_to.row(dst) : nullptr;
     for (GpuId src = 0; src < num_gpus; ++src) {
       const int64_t sp = s.spill[static_cast<size_t>(src)];
       if (sp <= 0) continue;
@@ -219,11 +271,7 @@ void RouteExpert(const Assignment& assignment, const Placement& placement,
         FLEXMOE_CHECK_MSG(leftover == 0, "router failed to place spill");
       }
       if (take > 0) {
-        expert_row[dst] += sign * take;
-        dispatch_row[src] += sign * take;
-        if (agg_row != nullptr) {
-          agg_row[out->node_of[static_cast<size_t>(src)]] += sign * take;
-        }
+        sink->Add(dst, src, take);
         avail_dst -= take;
       }
       total_avail -= sp;
@@ -244,10 +292,6 @@ void RouteExpert(const Assignment& assignment, const Placement& placement,
     // Local avail copies (written back after the loop) — see above.
     int64_t av1 = s.avail[static_cast<size_t>(d1)];
     int64_t av2 = s.avail[static_cast<size_t>(d2)];
-    int64_t* row1 = out->dispatch_to.row(d1);
-    int64_t* row2 = out->dispatch_to.row(d2);
-    int64_t* agg1 = aggregate ? out->node_dispatch_to.row(d1) : nullptr;
-    int64_t* agg2 = aggregate ? out->node_dispatch_to.row(d2) : nullptr;
     for (GpuId src = 0; src < num_gpus; ++src) {
       const int64_t sp = s.spill[static_cast<size_t>(src)];
       if (sp <= 0) continue;
@@ -279,13 +323,7 @@ void RouteExpert(const Assignment& assignment, const Placement& placement,
           FLEXMOE_CHECK_MSG(leftover == 0, "router failed to place spill");
         }
         if (take > 0) {
-          const GpuId dst = live1 ? d1 : d2;
-          expert_row[dst] += sign * take;
-          (live1 ? row1 : row2)[src] += sign * take;
-          if (aggregate) {
-            (live1 ? agg1 : agg2)[out->node_of[static_cast<size_t>(src)]] +=
-                sign * take;
-          }
+          sink->Add(live1 ? d1 : d2, src, take);
           (live1 ? av1 : av2) -= take;
         }
         total_avail -= sp;
@@ -326,19 +364,11 @@ void RouteExpert(const Assignment& assignment, const Placement& placement,
         FLEXMOE_CHECK_MSG(leftover == 0, "router failed to place spill");
       }
       if (t1 > 0) {
-        expert_row[d1] += sign * t1;
-        row1[src] += sign * t1;
-        if (agg1 != nullptr) {
-          agg1[out->node_of[static_cast<size_t>(src)]] += sign * t1;
-        }
+        sink->Add(d1, src, t1);
         av1 -= t1;
       }
       if (t2 > 0) {
-        expert_row[d2] += sign * t2;
-        row2[src] += sign * t2;
-        if (agg2 != nullptr) {
-          agg2[out->node_of[static_cast<size_t>(src)]] += sign * t2;
-        }
+        sink->Add(d2, src, t2);
         av2 -= t2;
       }
       total_avail -= sp;
@@ -411,14 +441,10 @@ void RouteExpert(const Assignment& assignment, const Placement& placement,
     // Destination-major writes: each dst's cell for this src sits at
     // column `src` of the dst row, so consecutive sources touch
     // consecutive bytes of the same few (|hosts|) rows.
-    const int src_node =
-        aggregate ? out->node_of[static_cast<size_t>(src)] : 0;
     for (const GpuId dst : s.dsts) {
       const int64_t t = s.take[static_cast<size_t>(dst)];
       if (t <= 0) continue;
-      expert_row[dst] += sign * t;
-      out->dispatch_to(dst, src) += sign * t;
-      if (aggregate) out->node_dispatch_to(dst, src_node) += sign * t;
+      sink->Add(dst, src, t);
       s.avail[static_cast<size_t>(dst)] -= t;
     }
     total_avail -= sp;
@@ -441,31 +467,25 @@ void FlexibleRouter::RouteInto(const Assignment& assignment,
   FLEXMOE_CHECK(assignment.num_experts() == placement.num_experts());
   FLEXMOE_CHECK(assignment.num_gpus() == placement.num_gpus());
   const int num_experts = assignment.num_experts();
-  const int num_gpus = assignment.num_gpus();
-
-  out->num_experts = num_experts;
-  out->num_gpus = num_gpus;
-  out->expert_gpu_tokens.assign(num_experts, num_gpus, 0);
-  out->dispatch_to.assign(num_gpus, num_gpus, 0);
-  if (!out->node_of.empty()) {
-    FLEXMOE_CHECK(static_cast<int>(out->node_of.size()) == num_gpus);
-    out->node_dispatch_to.assign(num_gpus, out->num_nodes, 0);
-  }
-
+  out->Clear(num_experts, assignment.num_gpus());
   for (int e = 0; e < num_experts; ++e) {
-    RouteExpert(assignment, placement, e, +1, out);
+    AccumulateSink sink(e, out);
+    RouteExpert(assignment, placement, e, &sink);
   }
 }
 
-void FlexibleRouter::AccumulateExpert(const Assignment& assignment,
-                                      const Placement& placement, int expert,
-                                      int sign, RoutedAssignment* out) {
-  FLEXMOE_CHECK(out != nullptr);
+void FlexibleRouter::RouteExpertInto(const Assignment& assignment,
+                                     const Placement& placement, int expert,
+                                     RoutedAssignment* out,
+                                     std::vector<RouteEntry>* entries) {
+  FLEXMOE_CHECK(out != nullptr && entries != nullptr);
   FLEXMOE_CHECK(assignment.num_experts() == placement.num_experts());
   FLEXMOE_CHECK(assignment.num_gpus() == placement.num_gpus());
+  FLEXMOE_CHECK(out->num_experts == assignment.num_experts() &&
+                out->num_gpus == assignment.num_gpus());
   FLEXMOE_CHECK(expert >= 0 && expert < assignment.num_experts());
-  FLEXMOE_CHECK(sign == 1 || sign == -1);
-  RouteExpert(assignment, placement, expert, sign, out);
+  RecordingSink sink(expert, out, entries);
+  RouteExpert(assignment, placement, expert, &sink);
 }
 
 }  // namespace flexmoe

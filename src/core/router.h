@@ -23,6 +23,15 @@
 
 namespace flexmoe {
 
+/// \brief One cell of an expert's routing contribution: `take` of the
+/// expert's tokens move from source GPU `src` to compute GPU `dst` (src ==
+/// dst for a local claim). int32 ids keep a recorded contribution compact.
+struct RouteEntry {
+  int32_t dst = 0;
+  int32_t src = 0;
+  int64_t take = 0;
+};
+
 /// \brief The routing outcome for one MoE layer at one step.
 struct RoutedAssignment {
   int num_experts = 0;
@@ -48,8 +57,8 @@ struct RoutedAssignment {
   /// `node_of` is non-empty (size num_gpus), routing additionally
   /// maintains node_dispatch_to[dst][n] == sum of dispatch(src, dst) over
   /// the sources on node n. Pure integer bookkeeping, so it commutes
-  /// exactly with FlexibleRouter::AccumulateExpert — the aggregates always
-  /// equal a from-scratch fold of the dispatch matrix.
+  /// exactly with AddEntries — the aggregates always equal a from-scratch
+  /// fold of the dispatch matrix.
   std::vector<int> node_of;
   int num_nodes = 0;
   Matrix<int64_t> node_dispatch_to;
@@ -63,6 +72,16 @@ struct RoutedAssignment {
   /// the next RouteInto sizes and fills them.
   void EnableNodeAggregation(const Topology& topo);
   void DisableNodeAggregation();
+
+  /// Sizes the matrices for an (experts x gpus) routing and zeroes them,
+  /// reusing their allocations and keeping the node aggregation setting.
+  void Clear(int experts, int gpus);
+
+  /// Adds (`sign` = +1) or retracts (`sign` = -1) one expert's recorded
+  /// contribution (FlexibleRouter::RouteExpertInto). Integer adds only,
+  /// so a retraction cancels its addition exactly.
+  void AddEntries(int expert, const RouteEntry* begin, const RouteEntry* end,
+                  int sign);
 
   /// Tokens of expert computation landing on each GPU.
   std::vector<int64_t> PerGpuComputeTokens() const;
@@ -90,18 +109,21 @@ class FlexibleRouter {
   static void RouteInto(const Assignment& assignment,
                         const Placement& placement, RoutedAssignment* out);
 
-  /// Adds (`sign` = +1) or removes (`sign` = -1) expert `e`'s routing
-  /// contribution to/from `out`. Each expert routes independently of the
-  /// others (its quota/avail/spill state is per-expert), so
+  /// Routes expert `expert` alone under `placement`: adds its cells into
+  /// `out` (sized by a Route or RoutedAssignment::Clear) and appends them
+  /// to `entries`. Each expert routes independently of the others (its
+  /// quota/avail/spill state is per-expert), and its cells are a pure
+  /// function of its assignment row and placement count row, so
   ///   Route(A, P')  ==  Route(A, P)
-  ///                     - contributions of changed experts under P
-  ///                     + contributions of changed experts under P'
-  /// holds EXACTLY (integer arithmetic). The Policy Maker uses this to
-  /// evaluate candidate placements that touch two experts without paying a
-  /// full O(E x G^2) re-route per candidate.
-  static void AccumulateExpert(const Assignment& assignment,
-                               const Placement& placement, int expert,
-                               int sign, RoutedAssignment* out);
+  ///                     - cells of changed experts under P
+  ///                     + cells of changed experts under P'
+  /// holds EXACTLY (integer arithmetic, RoutedAssignment::AddEntries).
+  /// LayerCostState records every expert's cells once and memoizes new
+  /// ones, so its candidate search never repeats a routing walk.
+  static void RouteExpertInto(const Assignment& assignment,
+                              const Placement& placement, int expert,
+                              RoutedAssignment* out,
+                              std::vector<RouteEntry>* entries);
 };
 
 }  // namespace flexmoe

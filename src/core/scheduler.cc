@@ -102,7 +102,11 @@ SchedulerDecision Scheduler::OnStep(int64_t step,
                                     int chunk_incumbent) {
   FLEXMOE_CHECK(target != nullptr);
   SchedulerDecision decision;
-  decision.metric_before = MetricOf(assignment, *target);
+  // The invocation's one routing walk: the trigger metric reads its loads,
+  // and a plan loop builds its costs on the same walk.
+  plan_state_.Route(assignment, *target);
+  plan_state_.routed().PerGpuComputeTokensInto(&tokens_scratch_);
+  decision.metric_before = MetricFromTokens(tokens_scratch_);
   decision.metric_after = decision.metric_before;
 
   // Capacity-change trigger: any health transition since the last
@@ -140,29 +144,38 @@ SchedulerDecision Scheduler::OnStep(int64_t step,
     }
   }
 
+  // One cost build per trigger (lazily, so a trigger that never needs the
+  // costs pays nothing); every later round and candidate runs O(Δ) on the
+  // incremental state. The walk above is reused unless evacuation moved
+  // the target since.
+  bool state_ready = false;
+  const auto ensure_costs = [&]() {
+    if (state_ready) return;
+    if (decision.evacuations > 0) {
+      plan_state_.Reset(assignment, *target);
+    } else {
+      plan_state_.BuildCosts();
+    }
+    state_ready = true;
+  };
+
   // Algorithm 1 lines 3-8: iterate Expand/Shrink planning while the metric
   // stays above threshold and the Policy Maker keeps finding improvements.
   const double stop_threshold = options_.metric == TriggerMetric::kMaxRatio
                                     ? options_.threshold
                                     : options_.variance_threshold;
   double metric = decision.metric_before;
-  bool state_ready = false;
   for (int round = 0; round < options_.max_plan_iterations; ++round) {
     if (options_.policy == TriggerPolicy::kDynamic &&
         metric <= stop_threshold) {
       break;
     }
-    // One full O(E*G + G^2) rebuild per trigger (lazily, so a trigger that
-    // never reaches the plan loop pays nothing); every later round and
-    // candidate runs O(Δ) on the incremental state.
-    if (!state_ready) {
-      plan_state_.Reset(assignment, *target);
-      state_ready = true;
-    }
+    ensure_costs();
     PlanSearchStats stats;
     const std::vector<ModOp> plan =
         policy_maker_->PlanOnState(&plan_state_, &stats);
     decision.candidates_evaluated += stats.candidates_evaluated;
+    decision.candidates_pruned += stats.candidates_pruned;
     if (round == 0) {
       decision.est_score_before = stats.score_before;
       decision.est_score_after = stats.score_before;
@@ -185,12 +198,9 @@ SchedulerDecision Scheduler::OnStep(int64_t step,
   // Eq. 5 estimate of the placement the plan loop just produced. Reuses
   // the plan loop's incremental state when a round ran; a trigger that
   // never reached the loop (dynamic policy already under threshold) pays
-  // the one Reset here — still once per trigger, never per step.
+  // the one cost build here — still once per trigger, never per step.
   if (options_.plan_chunk_depth) {
-    if (!state_ready) {
-      plan_state_.Reset(assignment, *target);
-      state_ready = true;
-    }
+    ensure_costs();
     decision.pipeline_chunks = plan_state_.BestChunkDepth(chunk_incumbent);
   }
 

@@ -69,6 +69,8 @@ struct SchedulerDecision {
   /// Candidate placements scored through the cost model across all plan
   /// rounds (the policy decision audit's search cost).
   int64_t candidates_evaluated = 0;
+  /// Of those, candidates the exact lower bound settled without scoring.
+  int64_t candidates_pruned = 0;
   /// Eq. 5 plan score of the incumbent placement at the first plan round
   /// (0 when the trigger never reached the plan loop).
   double est_score_before = 0.0;
@@ -127,8 +129,9 @@ class Scheduler {
   SchedulerOptions options_;
   const ClusterHealth* health_ = nullptr;
   /// Scratch for MetricOf (allocation-free steady state) and the
-  /// incremental planning state the plan loop amortizes its Reset over —
-  /// one Reset per trigger, O(Δ) per candidate afterwards.
+  /// incremental planning state OnStep routes once per invocation — the
+  /// trigger metric and the plan loop share that walk, and the plan loop
+  /// runs O(Δ) per candidate on it.
   mutable RoutedAssignment metric_scratch_;
   mutable std::vector<int64_t> tokens_scratch_;
   mutable std::vector<double> loads_scratch_;

@@ -7,6 +7,17 @@
 
 namespace flexmoe {
 
+namespace {
+
+/// First entry of the gpu-ascending `list` whose gpu is not below `gpu`.
+ReplicaList::iterator LowerBound(ReplicaList* list, GpuId gpu) {
+  return std::lower_bound(
+      list->begin(), list->end(), gpu,
+      [](const std::pair<GpuId, int>& r, GpuId g) { return r.first < g; });
+}
+
+}  // namespace
+
 int PlacementOptions::EffectiveSlotsPerGpu() const {
   if (slots_per_gpu > 0) return slots_per_gpu;
   const int experts_per_gpu =
@@ -104,7 +115,7 @@ std::vector<GpuId> Placement::HostGpus(int expert) const {
   return out;
 }
 
-const std::map<GpuId, int>& Placement::Replicas(int expert) const {
+const ReplicaList& Placement::Replicas(int expert) const {
   FLEXMOE_CHECK(expert >= 0 && expert < num_experts());
   return replicas_[static_cast<size_t>(expert)];
 }
@@ -143,7 +154,13 @@ Status Placement::AddVExpert(int expert, GpuId gpu) {
     return Status::ResourceExhausted(
         StrFormat("no free vExpert slot on GPU %d", gpu));
   }
-  ++replicas_[static_cast<size_t>(expert)][gpu];
+  ReplicaList& list = replicas_[static_cast<size_t>(expert)];
+  const auto it = LowerBound(&list, gpu);
+  if (it != list.end() && it->first == gpu) {
+    ++it->second;
+  } else {
+    list.insert(it, {gpu, 1});
+  }
   ++counts_(expert, gpu);
   ++vexperts_[static_cast<size_t>(expert)];
   ++used_slots_[static_cast<size_t>(gpu)];
@@ -157,9 +174,9 @@ Status Placement::RemoveVExpert(int expert, GpuId gpu) {
   if (gpu < 0 || gpu >= num_gpus()) {
     return Status::InvalidArgument("gpu out of range");
   }
-  auto& m = replicas_[static_cast<size_t>(expert)];
-  const auto it = m.find(gpu);
-  if (it == m.end() || it->second <= 0) {
+  ReplicaList& list = replicas_[static_cast<size_t>(expert)];
+  const auto it = LowerBound(&list, gpu);
+  if (it == list.end() || it->first != gpu) {
     return Status::FailedPrecondition(
         StrFormat("expert %d has no vExpert on GPU %d", expert, gpu));
   }
@@ -167,7 +184,7 @@ Status Placement::RemoveVExpert(int expert, GpuId gpu) {
     return Status::FailedPrecondition(
         StrFormat("cannot shrink expert %d below one vExpert", expert));
   }
-  if (--it->second == 0) m.erase(it);
+  if (--it->second == 0) list.erase(it);
   --counts_(expert, gpu);
   --vexperts_[static_cast<size_t>(expert)];
   --used_slots_[static_cast<size_t>(gpu)];

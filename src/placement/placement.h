@@ -12,6 +12,7 @@
 
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "topology/topology.h"
@@ -31,6 +32,12 @@ struct PlacementOptions {
   int EffectiveSlotsPerGpu() const;
   Status Validate() const;
 };
+
+/// One expert's replicas: (gpu, vExpert count) pairs, ascending by gpu,
+/// every count positive. A flat list rather than a std::map so that a
+/// mutation allocates only when a list outgrows its capacity — steady-state
+/// planning (add a host, remove it again) never touches the heap.
+using ReplicaList = std::vector<std::pair<GpuId, int>>;
 
 /// \brief The mutable expert-to-device mapping P.
 class Placement {
@@ -71,8 +78,8 @@ class Placement {
   /// GPUs hosting at least one vExpert of `expert`, ascending.
   std::vector<GpuId> HostGpus(int expert) const;
 
-  /// The per-expert replica map (gpu -> vExpert count).
-  const std::map<GpuId, int>& Replicas(int expert) const;
+  /// The per-expert replica list ((gpu, vExpert count), ascending gpu).
+  const ReplicaList& Replicas(int expert) const;
 
   /// Experts hosted on `gpu`, ascending (used for ordered synchronization).
   std::vector<int> ExpertsOn(GpuId gpu) const;
@@ -107,8 +114,9 @@ class Placement {
 
   PlacementOptions options_;
   int slots_per_gpu_ = 0;
-  /// replicas_[e]: gpu -> vExpert count (sparse source of truth).
-  std::vector<std::map<GpuId, int>> replicas_;
+  /// replicas_[e]: (gpu, vExpert count), ascending (sparse source of
+  /// truth).
+  std::vector<ReplicaList> replicas_;
   /// Flat [expert][gpu] mirror of replicas_ for O(1) hot-path reads.
   Matrix<int> counts_;
   /// vexperts_[e]: total vExperts of expert e (mirror of row sums).

@@ -92,6 +92,22 @@ std::vector<GpuId> Topology::GpusOnNode(NodeId node) const {
 }
 
 int Topology::NodesSpanned(const std::vector<GpuId>& gpus) const {
+  // Nodes own contiguous GPU blocks, so an ascending list (every host list
+  // the planner and the cost model pass) visits non-decreasing node ids and
+  // the distinct count is the number of node changes — no set needed.
+  int spanned = 0;
+  NodeId prev = -1;
+  bool ascending = true;
+  for (GpuId g : gpus) {
+    const NodeId n = NodeOf(g);
+    if (n < prev) {
+      ascending = false;
+      break;
+    }
+    if (n != prev) ++spanned;
+    prev = n;
+  }
+  if (ascending) return spanned;
   std::set<NodeId> nodes;
   for (GpuId g : gpus) nodes.insert(NodeOf(g));
   return static_cast<int>(nodes.size());

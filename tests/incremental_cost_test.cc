@@ -8,13 +8,42 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cstdlib>
+#include <new>
 
 #include "core/incremental_cost.h"
 #include "test_env.h"
 #include "util/rng.h"
 
+// Counts every global allocation so the steady-state test below can
+// assert that the planner's Apply/Undo cycle never reaches the heap. Kept
+// out of line: inlined into a caller, GCC pairs the malloc/free here with
+// the new/delete expression and reports a false mismatch.
+namespace {
+std::atomic<int64_t> g_allocations{0};
+}  // namespace
+
+__attribute__((noinline)) void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  void* p = std::malloc(size == 0 ? 1 : size);
+  if (p == nullptr) throw std::bad_alloc();
+  return p;
+}
+__attribute__((noinline)) void operator delete(void* p) noexcept {
+  std::free(p);
+}
+__attribute__((noinline)) void operator delete(void* p,
+                                               std::size_t) noexcept {
+  std::free(p);
+}
+
 namespace flexmoe {
 namespace {
+
+int64_t AllocationCount() {
+  return g_allocations.load(std::memory_order_relaxed);
+}
 
 Placement MakePlacement(int experts, int gpus, int slots) {
   PlacementOptions o;
@@ -88,6 +117,29 @@ void ExpectMatchesScratch(const CostModel& cost, const Assignment& a,
   ASSERT_EQ(mat.per_gpu_seconds, ref.per_gpu_seconds);
   ASSERT_EQ(mat.per_gpu_a2a, ref.per_gpu_a2a);
   ASSERT_EQ(mat.per_gpu_sync, ref.per_gpu_sync);
+
+  // The integer cross-node link bookkeeping (restored, not recomputed, by
+  // Undo) against a from-scratch recount of the dispatch matrix.
+  const Topology& topo = cost.profile().topology();
+  const int nodes = topo.num_nodes();
+  std::vector<int64_t> link(static_cast<size_t>(nodes * nodes), 0);
+  for (GpuId src = 0; src < routed.num_gpus; ++src) {
+    for (GpuId dst = 0; dst < routed.num_gpus; ++dst) {
+      link[static_cast<size_t>(topo.NodeOf(src) * nodes + topo.NodeOf(dst))] +=
+          routed.dispatch(src, dst);
+    }
+  }
+  for (NodeId node = 0; node < nodes; ++node) {
+    int64_t inflow = 0;
+    int64_t worst = 0;
+    for (NodeId from = 0; from < nodes; ++from) {
+      if (from == node) continue;
+      inflow += link[static_cast<size_t>(from * nodes + node)];
+      worst = std::max(worst, link[static_cast<size_t>(from * nodes + node)]);
+    }
+    ASSERT_EQ(state.cross_node_inflow(node), inflow) << "node " << node;
+    ASSERT_EQ(state.max_cross_link_into(node), worst) << "node " << node;
+  }
 }
 
 /// One randomized walk: Apply random ops (feasible and not), Undo at
@@ -170,6 +222,233 @@ TEST(LayerCostStateTest, RandomWalkTrainingObjectiveHierarchical) {
 
 TEST(LayerCostStateTest, RandomWalkServeObjectiveHierarchical) {
   RunRandomWalk(/*include_sync=*/false, /*hierarchical=*/true, 6);
+}
+
+/// The planner's access pattern, which is what the contribution memo
+/// serves: shrink a cold expert, try an expand of a hot one, undo both;
+/// re-apply ops just undone; reach the same expand from different shrinks.
+/// Every step is checked against the from-scratch oracle, and the walk
+/// must actually have hit the memo.
+void RunMemoWalk(bool include_sync, bool hierarchical, uint64_t seed) {
+  SCOPED_TRACE(testing::Message()
+               << "include_sync=" << include_sync
+               << " hierarchical=" << hierarchical << " seed=" << seed);
+  TestEnv env = TestEnv::MakeGrid(2, 4);
+  env.profile.set_hierarchical_a2a(hierarchical);
+  ModelConfig model = GptMoES();
+  model.num_experts = 12;
+  const CostModel cost(&env.profile, ShapeFromModel(model));
+
+  Rng rng(seed);
+  const Assignment a = RandomAssignment(rng, model.num_experts, 8);
+  Placement start = MakePlacement(model.num_experts, 8, /*slots=*/3);
+  for (int i = 0; i < 16; ++i) {
+    const Status ignored = ApplyOp(RandomOp(rng, start), &start);
+    (void)ignored;
+  }
+  LayerCostState state(&cost, include_sync);
+  state.Reset(a, start);
+
+  std::vector<Placement> mirror{start};
+  const auto apply = [&](const ModOp& op) {
+    Placement trial = mirror.back();
+    const bool feasible = ApplyOp(op, &trial).ok();
+    EXPECT_EQ(state.Apply(op), feasible) << op.ToString();
+    if (!feasible) return false;
+    mirror.push_back(std::move(trial));
+    ExpectMatchesScratch(cost, a, mirror.back(), include_sync, state);
+    return true;
+  };
+  const auto undo = [&]() {
+    state.Undo();
+    mirror.pop_back();
+    ExpectMatchesScratch(cost, a, mirror.back(), include_sync, state);
+  };
+
+  const int64_t hits_before = state.memo_hits();
+  int expands = 0;
+  for (int it = 0; it < 300; ++it) {
+    const int hot = static_cast<int>(rng.UniformInt(model.num_experts));
+    const GpuId gpu = static_cast<GpuId>(rng.UniformInt(8));
+    // The same expand (hot onto `gpu`) reached from two different shrinks
+    // that each free a slot on `gpu`.
+    int shrinks = 0;
+    for (const int cold : mirror.back().ExpertsOn(gpu)) {
+      if (cold == hot || shrinks == 2) continue;
+      if (!apply(MakeShrink(cold, gpu))) continue;
+      ++shrinks;
+      if (apply(MakeExpand(hot, /*copy_from=*/-1, gpu))) {
+        ++expands;
+        // Undo, then re-apply the op just undone: a guaranteed memo hit.
+        undo();
+        ASSERT_TRUE(apply(MakeExpand(hot, /*copy_from=*/-1, gpu)));
+        undo();
+      }
+      undo();
+    }
+    // Occasionally commit an op, so later candidates start from a
+    // placement the Reset never saw.
+    if (rng.UniformInt(8) == 0 && state.depth() < 6) {
+      apply(RandomOp(rng, mirror.back()));
+    }
+  }
+  EXPECT_GT(expands, 50);
+  EXPECT_GT(state.memo_hits() - hits_before, expands);
+  while (state.depth() > 0) undo();
+  ExpectMatchesScratch(cost, a, start, include_sync, state);
+}
+
+TEST(LayerCostStateTest, MemoHitsMatchScratchFlat) {
+  RunMemoWalk(/*include_sync=*/true, /*hierarchical=*/false, 21);
+  RunMemoWalk(/*include_sync=*/false, /*hierarchical=*/false, 22);
+}
+
+TEST(LayerCostStateTest, MemoHitsMatchScratchHierarchical) {
+  RunMemoWalk(/*include_sync=*/true, /*hierarchical=*/true, 23);
+  RunMemoWalk(/*include_sync=*/false, /*hierarchical=*/true, 24);
+}
+
+// Reset onto a new assignment with the SAME placement: every memoized
+// contribution belongs to the old assignment, so the memo must not carry
+// over — the same ops must now agree with the new assignment's oracle.
+TEST(LayerCostStateTest, ResetOntoNewAssignmentDropsMemo) {
+  TestEnv env = TestEnv::MakeGrid(2, 4);
+  ModelConfig model = GptMoES();
+  model.num_experts = 12;
+  const CostModel cost(&env.profile, ShapeFromModel(model));
+  Rng rng(31);
+  const Assignment a1 = RandomAssignment(rng, model.num_experts, 8);
+  const Assignment a2 = RandomAssignment(rng, model.num_experts, 8);
+  const Placement p = MakePlacement(model.num_experts, 8, /*slots=*/3);
+
+  // Feasible single ops on p, found once and replayed against both
+  // assignments.
+  std::vector<ModOp> ops;
+  while (ops.size() < 40) {
+    const ModOp op = RandomOp(rng, p);
+    Placement trial = p;
+    if (ApplyOp(op, &trial).ok()) ops.push_back(op);
+  }
+  LayerCostState state(&cost, /*include_sync=*/true);
+  for (const Assignment* a : {&a1, &a2, &a1}) {
+    state.Reset(*a, p);
+    for (int pass = 0; pass < 2; ++pass) {  // the second pass hits the memo
+      for (const ModOp& op : ops) {
+        ASSERT_TRUE(state.Apply(op)) << op.ToString();
+        Placement after = p;
+        ASSERT_TRUE(ApplyOp(op, &after).ok());
+        ExpectMatchesScratch(cost, *a, after, /*include_sync=*/true, state);
+        state.Undo();
+      }
+    }
+    ExpectMatchesScratch(cost, *a, p, /*include_sync=*/true, state);
+  }
+}
+
+// Route + BuildCosts is Reset split in two: the routed matrices are valid
+// after the walk alone, and building the costs afterwards gives the
+// from-scratch state.
+TEST(LayerCostStateTest, RouteThenBuildCostsEqualsReset) {
+  TestEnv env = TestEnv::MakeGrid(2, 4);
+  env.profile.set_hierarchical_a2a(true);
+  ModelConfig model = GptMoES();
+  model.num_experts = 12;
+  const CostModel cost(&env.profile, ShapeFromModel(model));
+  Rng rng(41);
+  const Assignment a = RandomAssignment(rng, model.num_experts, 8);
+  const Placement p = MakePlacement(model.num_experts, 8, /*slots=*/3);
+  const RoutedAssignment want = FlexibleRouter::Route(a, p);
+
+  LayerCostState state(&cost, /*include_sync=*/true);
+  state.Route(a, p);
+  EXPECT_FALSE(state.initialized());
+  for (int e = 0; e < a.num_experts(); ++e) {
+    for (GpuId g = 0; g < 8; ++g) {
+      ASSERT_EQ(state.routed().expert_gpu_tokens(e, g),
+                want.expert_gpu_tokens(e, g));
+    }
+  }
+  for (GpuId dst = 0; dst < 8; ++dst) {
+    for (GpuId src = 0; src < 8; ++src) {
+      ASSERT_EQ(state.routed().dispatch(src, dst), want.dispatch(src, dst));
+    }
+  }
+  state.BuildCosts();
+  ExpectMatchesScratch(cost, a, p, /*include_sync=*/true, state);
+}
+
+// The pruning bound never exceeds the score of the candidate it bounds.
+TEST(LayerCostStateTest, ExpandScoreLowerBoundNeverExceedsScore) {
+  TestEnv env = TestEnv::MakeGrid(2, 4);
+  ModelConfig model = GptMoES();
+  model.num_experts = 12;
+  const CostModel cost(&env.profile, ShapeFromModel(model));
+  Rng rng(51);
+  const Assignment a = RandomAssignment(rng, model.num_experts, 8);
+  const Placement p = MakePlacement(model.num_experts, 8, /*slots=*/4);
+  LayerCostState state(&cost, /*include_sync=*/true);
+  state.Reset(a, p);
+  // The planner's shape: a shrink frees a slot, then every expand that
+  // fits is a candidate.
+  int checked = 0;
+  for (int cold = 0; cold < model.num_experts; ++cold) {
+    for (GpuId src = 0; src < 8; ++src) {
+      if (!state.Apply(MakeShrink(cold, src))) continue;
+      for (int hot = 0; hot < model.num_experts; ++hot) {
+        for (GpuId dst = 0; dst < 8; ++dst) {
+          const ModOp op = MakeExpand(hot, /*copy_from=*/-1, dst);
+          if (!state.CanApply(op)) continue;
+          const double bound = state.ExpandScoreLowerBound(hot, dst);
+          ASSERT_TRUE(state.Apply(op));
+          EXPECT_LE(bound, state.Score()) << op.ToString();
+          state.Undo();
+          ++checked;
+        }
+      }
+      state.Undo();
+    }
+  }
+  EXPECT_GT(checked, 0);
+}
+
+// Steady-state Apply/Undo never touches the heap: once a first pass has
+// grown the pools (contribution cache, memo table, undo stacks, replica
+// lists), a Reset keeps their capacity and the same search allocates
+// nothing — memo misses included.
+TEST(LayerCostStateTest, SteadyStateApplyUndoIsAllocationFree) {
+  for (const bool hierarchical : {false, true}) {
+    SCOPED_TRACE(testing::Message() << "hierarchical=" << hierarchical);
+    TestEnv env = TestEnv::MakeGrid(2, 4);
+    env.profile.set_hierarchical_a2a(hierarchical);
+    ModelConfig model = GptMoES();
+    model.num_experts = 12;
+    const CostModel cost(&env.profile, ShapeFromModel(model));
+    Rng rng(61);
+    const Assignment a = RandomAssignment(rng, model.num_experts, 8);
+    const Placement p = MakePlacement(model.num_experts, 8, /*slots=*/3);
+    std::vector<ModOp> ops;
+    for (int i = 0; i < 400; ++i) ops.push_back(RandomOp(rng, p));
+
+    LayerCostState state(&cost, /*include_sync=*/true);
+    const auto search = [&]() {
+      for (size_t i = 0; i + 1 < ops.size(); i += 2) {
+        if (!state.Apply(ops[i])) continue;
+        if (state.Apply(ops[i + 1])) state.Undo();
+        state.Undo();
+      }
+    };
+    // The first pass grows the pools — and proves the counter counts.
+    const int64_t warmup_before = AllocationCount();
+    state.Reset(a, p);
+    search();
+    EXPECT_GT(AllocationCount() - warmup_before, 0);
+    state.Reset(a, p);
+    const int64_t misses_before = state.memo_misses();
+    const int64_t allocs_before = AllocationCount();
+    search();
+    EXPECT_EQ(AllocationCount() - allocs_before, 0);
+    EXPECT_GT(state.memo_misses() - misses_before, 0);
+  }
 }
 
 TEST(LayerCostStateTest, CrossNodeInflowCountsOnlyCrossNodeTraffic) {

@@ -327,6 +327,7 @@ void RunPlanDifferential(const std::string& scenario, int experts, int gpus,
   auto gen = *TraceGenerator::Create(WorkloadOptions(scenario, experts, gpus));
   Placement p = StartPlacement(experts, gpus, /*slots=*/3);
   int accepted_steps = 0;
+  int64_t pruned = 0;
   for (int s = 0; s < steps; ++s) {
     const Assignment a = gen.Step()[0];
     PlanSearchStats want_stats;
@@ -338,6 +339,8 @@ void RunPlanDifferential(const std::string& scenario, int experts, int gpus,
     EXPECT_EQ(got_stats.score_before, want_stats.score_before);
     EXPECT_EQ(got_stats.best_score, want_stats.best_score);
     EXPECT_EQ(got_stats.accepted, want_stats.accepted);
+    EXPECT_LE(got_stats.candidates_pruned, got_stats.candidates_evaluated);
+    pruned += got_stats.candidates_pruned;
     for (const ModOp& op : want) {
       ASSERT_TRUE(ApplyOp(op, &p).ok()) << op.ToString();
     }
@@ -345,8 +348,10 @@ void RunPlanDifferential(const std::string& scenario, int experts, int gpus,
 
     ExpectSameOps(pm.PlanMigrations(p, 4), ref.PlanMigrations(p, 4));
   }
-  // The differential is vacuous if nothing ever got planned.
+  // The differential is vacuous if nothing ever got planned — or, for the
+  // exact pruning bound, if it never settled a candidate.
   EXPECT_GT(accepted_steps, 0) << "walk never accepted a plan";
+  EXPECT_GT(pruned, 0) << "walk never pruned a candidate";
 }
 
 TEST(PlannerDifferentialTest, CatalogScenariosTrainingObjective) {
@@ -410,6 +415,7 @@ TEST(PlannerDifferentialTest, SchedulerPlanLoopMatchesReference) {
       *TraceGenerator::Create(WorkloadOptions("bursty", experts, gpus));
   Placement p = StartPlacement(experts, gpus, /*slots=*/3);
   int triggered = 0;
+  int64_t pruned = 0;
   for (int s = 0; s < 40; ++s) {
     const Assignment a = gen.Step()[0];
 
@@ -447,6 +453,7 @@ TEST(PlannerDifferentialTest, SchedulerPlanLoopMatchesReference) {
     }
 
     const SchedulerDecision got = sched.OnStep(s, a, &p);
+    pruned += got.candidates_pruned;
     EXPECT_EQ(got.triggered, want_triggered);
     ExpectSameOps(got.ops, want_ops);
     if (got.triggered) {
@@ -455,6 +462,7 @@ TEST(PlannerDifferentialTest, SchedulerPlanLoopMatchesReference) {
     }
   }
   EXPECT_GT(triggered, 0) << "walk never triggered the scheduler";
+  EXPECT_GT(pruned, 0) << "walk never pruned a candidate";
 }
 
 }  // namespace
