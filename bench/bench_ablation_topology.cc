@@ -7,10 +7,10 @@
 #include <cstdio>
 #include <vector>
 
+#include "baselines/static_layout.h"
 #include "bench/bench_common.h"
 #include "collective/profiler.h"
 #include "core/flexmoe.h"
-#include "baselines/expert_parallel.h"
 #include "gate/trace_generator.h"
 #include "harness/grid_runner.h"
 #include "util/string_util.h"
@@ -61,11 +61,11 @@ RunResult RunAt(double inter_node_gbps, bool quick, bool legacy_gate,
     result.flex_ms = sys->stats().MeanStepSeconds(warm) * 1e3;
   }
   {
-    ExpertParallelOptions o;
+    StaticLayoutOptions o;
     o.model = model;
     o.num_gpus = 16;
     o.capacity_factor = 0.0;  // uncapped EP: the pure-imbalance baseline
-    auto sys = *ExpertParallelSystem::Create(o, &topo, &profile);
+    auto sys = *StaticLayoutSystem::Create(o, &topo, &profile);
     TraceGenerator gen = *TraceGenerator::Create(t);
     for (int s = 0; s < steps; ++s) sys->RunStep(gen.Step());
     result.ds_ms = sys->stats().MeanStepSeconds(warm) * 1e3;

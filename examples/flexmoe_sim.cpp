@@ -7,6 +7,10 @@
 //
 // Run with --help for all flags.
 
+#include <cerrno>
+#include <climits>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -53,6 +57,53 @@ bool ParseFlag(const char* arg, const char* name, std::string* out) {
   return false;
 }
 
+// Strict value parsing: the whole value must be a number (no trailing
+// characters), in range, and for floats finite. A bad value prints an
+// error line and returns false; it never falls back to a default.
+void PrintBadValue(const char* flag, const char* expected,
+                   const std::string& value) {
+  std::fprintf(stderr, "error: --%s expects %s, got '%s'\n", flag, expected,
+               value.c_str());
+}
+
+bool ParseInt(const char* flag, const std::string& value, int* out) {
+  char* end = nullptr;
+  errno = 0;
+  const long long v = std::strtoll(value.c_str(), &end, 10);
+  if (value.empty() || *end != '\0' || errno != 0 || v < INT_MIN ||
+      v > INT_MAX) {
+    PrintBadValue(flag, "an integer", value);
+    return false;
+  }
+  *out = static_cast<int>(v);
+  return true;
+}
+
+bool ParseSeed(const char* flag, const std::string& value, uint64_t* out) {
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long v = std::strtoull(value.c_str(), &end, 10);
+  // strtoull would silently negate a leading '-'.
+  if (value.empty() || value[0] == '-' || *end != '\0' || errno != 0) {
+    PrintBadValue(flag, "a non-negative integer", value);
+    return false;
+  }
+  *out = static_cast<uint64_t>(v);
+  return true;
+}
+
+bool ParseFinite(const char* flag, const std::string& value, double* out) {
+  char* end = nullptr;
+  errno = 0;
+  const double v = std::strtod(value.c_str(), &end);
+  if (value.empty() || *end != '\0' || errno != 0 || !std::isfinite(v)) {
+    PrintBadValue(flag, "a finite number", value);
+    return false;
+  }
+  *out = v;
+  return true;
+}
+
 }  // namespace
 
 int Main(int argc, char** argv) {
@@ -84,32 +135,51 @@ int Main(int argc, char** argv) {
       }
       options.model = *model;
     } else if (ParseFlag(arg, "gpus", &value)) {
-      options.num_gpus = std::atoi(value.c_str());
+      if (!ParseInt("gpus", value, &options.num_gpus)) return 1;
     } else if (ParseFlag(arg, "steps", &value)) {
-      options.measure_steps = std::atoi(value.c_str());
+      if (!ParseInt("steps", value, &options.measure_steps)) return 1;
     } else if (ParseFlag(arg, "warmup", &value)) {
-      options.warmup_steps = std::atoi(value.c_str());
+      if (!ParseInt("warmup", value, &options.warmup_steps)) return 1;
     } else if (ParseFlag(arg, "seed", &value)) {
-      options.seed = static_cast<uint64_t>(std::atoll(value.c_str()));
+      if (!ParseSeed("seed", value, &options.seed)) return 1;
     } else if (ParseFlag(arg, "balance-coef", &value)) {
-      options.balance_coef = std::atof(value.c_str());
+      if (!ParseFinite("balance-coef", value, &options.balance_coef)) {
+        return 1;
+      }
     } else if (ParseFlag(arg, "capacity", &value)) {
-      options.capacity_factor = std::atof(value.c_str());
+      if (!ParseFinite("capacity", value, &options.capacity_factor)) {
+        return 1;
+      }
     } else if (ParseFlag(arg, "slots", &value)) {
-      options.slots_per_gpu = std::atoi(value.c_str());
+      if (!ParseInt("slots", value, &options.slots_per_gpu)) return 1;
     } else if (ParseFlag(arg, "threshold", &value)) {
-      options.scheduler.threshold = std::atof(value.c_str());
+      if (!ParseFinite("threshold", value, &options.scheduler.threshold)) {
+        return 1;
+      }
     } else if (ParseFlag(arg, "metric", &value)) {
-      options.scheduler.metric = ToLower(value) == "variance"
-                                     ? TriggerMetric::kVariance
-                                     : TriggerMetric::kMaxRatio;
+      const std::string metric = ToLower(value);
+      if (metric == "max") {
+        options.scheduler.metric = TriggerMetric::kMaxRatio;
+      } else if (metric == "variance") {
+        options.scheduler.metric = TriggerMetric::kVariance;
+      } else {
+        PrintBadValue("metric", "max or variance", value);
+        return 1;
+      }
     } else if (ParseFlag(arg, "policy", &value)) {
-      if (ToLower(value) == "static") {
+      const std::string policy = ToLower(value);
+      if (policy == "static") {
         options.scheduler.policy = TriggerPolicy::kStaticInterval;
         options.executor.blocking = true;
+      } else if (policy != "dynamic") {
+        PrintBadValue("policy", "dynamic or static", value);
+        return 1;
       }
     } else if (ParseFlag(arg, "interval", &value)) {
-      options.scheduler.static_interval_steps = std::atoi(value.c_str());
+      if (!ParseInt("interval", value,
+                    &options.scheduler.static_interval_steps)) {
+        return 1;
+      }
     } else if (ParseFlag(arg, "csv", &value)) {
       csv_path = value;
     } else {

@@ -418,19 +418,7 @@ StepMetrics FlexMoESystem::RunStepImpl(
     }
   }
 
-  if (obs::MetricsRegistry* m = obs::MetricsOf(obs_); m != nullptr) {
-    m->Add(serving ? "serve.microbatches" : "train.steps");
-    m->Add("tokens.total", metrics.tokens_total);
-    if (metrics.tokens_dropped > 0) {
-      m->Add("tokens.dropped", metrics.tokens_dropped);
-    }
-    if (metrics.faults_applied > 0) {
-      m->Add("faults.applied", metrics.faults_applied);
-    }
-    m->Observe("step.seconds", metrics.step_seconds);
-    m->Observe("step.balance_ratio", metrics.balance_ratio);
-  }
-
+  RecordStepObservability(obs_, serving, metrics);
   ++step_;
   stats_.Add(metrics);
   return metrics;

@@ -1,5 +1,6 @@
 #include "core/metrics.h"
 
+#include "obs/observability.h"
 #include "util/status.h"
 #include "util/string_util.h"
 
@@ -37,6 +38,25 @@ StepMetrics MetricsFromTiming(int64_t step, double step_seconds,
   m.gpu_utilization =
       step_seconds > 0.0 ? (mean_c + non_moe_seconds) / step_seconds : 0.0;
   return m;
+}
+
+void RecordStepObservability(obs::Observability* obs, bool serving,
+                             const StepMetrics& metrics) {
+  obs::MetricsRegistry* m = obs::MetricsOf(obs);
+  if (m == nullptr) return;
+  m->Add(serving ? "serve.microbatches" : "train.steps");
+  m->Add("tokens.total", metrics.tokens_total);
+  if (metrics.tokens_dropped > 0) {
+    m->Add("tokens.dropped", metrics.tokens_dropped);
+  }
+  if (metrics.tokens_recirculated > 0) {
+    m->Add("tokens.recirculated", metrics.tokens_recirculated);
+  }
+  if (metrics.faults_applied > 0) {
+    m->Add("faults.applied", metrics.faults_applied);
+  }
+  m->Observe("step.seconds", metrics.step_seconds);
+  m->Observe("step.balance_ratio", metrics.balance_ratio);
 }
 
 void TrainingStats::Add(const StepMetrics& m) { steps_.push_back(m); }

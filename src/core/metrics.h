@@ -14,6 +14,10 @@
 
 namespace flexmoe {
 
+namespace obs {
+class Observability;
+}  // namespace obs
+
 /// \brief Metrics of one executed training step.
 struct StepMetrics {
   int64_t step = 0;
@@ -74,6 +78,14 @@ StepMetrics MetricsFromTiming(int64_t step, double step_seconds,
                               double balance_ratio, double token_efficiency,
                               int64_t tokens_total, int64_t tokens_dropped,
                               int num_alive_gpus = 0);
+
+/// \brief Records one step's registry counters (train.steps or
+/// serve.microbatches, tokens.*, faults.applied, step.* histograms); a
+/// no-op without an enabled metrics registry. Every system calls it once
+/// per step, so the keys mean the same thing for FlexMoE and the
+/// baselines.
+void RecordStepObservability(obs::Observability* obs, bool serving,
+                             const StepMetrics& metrics);
 
 /// \brief Accumulates StepMetrics over a run.
 class TrainingStats {

@@ -16,8 +16,15 @@ CapacityResult ApplyCapacity(const Assignment& assignment,
   CapacityResult result;
   result.total = assignment.Total();
   result.kept = Assignment(num_experts, num_gpus);
-  result.capacity_per_expert = static_cast<int64_t>(std::ceil(
-      capacity_factor * static_cast<double>(result.total) / num_experts));
+  // Clamped to the layer total before the cast: a capacity of at least the
+  // total already keeps every token, and a huge factor would otherwise
+  // overflow the double -> int64 conversion.
+  const double capacity = std::ceil(
+      capacity_factor * static_cast<double>(result.total) / num_experts);
+  result.capacity_per_expert =
+      capacity < static_cast<double>(result.total)
+          ? static_cast<int64_t>(capacity)
+          : result.total;
 
   for (int e = 0; e < num_experts; ++e) {
     const int64_t load = assignment.ExpertTotal(e);

@@ -2,9 +2,7 @@
 
 #include <cmath>
 
-#include "baselines/expert_parallel.h"
-#include "baselines/fastermoe.h"
-#include "baselines/swipe.h"
+#include "baselines/static_layout.h"
 #include "collective/profiler.h"
 #include "core/cost_model.h"
 #include "util/string_util.h"
@@ -14,8 +12,7 @@ namespace flexmoe {
 Status ExperimentOptions::Validate() const {
   FLEXMOE_RETURN_IF_ERROR(model.Validate());
   const std::string key = ToLower(system);
-  if (key != "flexmoe" && key != "deepspeed" && key != "fastermoe" &&
-      key != "swipe") {
+  if (key != "flexmoe" && !StaticAdmissionFor(key)) {
     return Status::InvalidArgument(
         StrFormat("unknown system '%s'", system.c_str()));
   }
@@ -119,35 +116,17 @@ Result<std::unique_ptr<MoESystem>> BuildSystem(
                              FlexMoESystem::Create(o, topo, profile));
     return std::unique_ptr<MoESystem>(std::move(sys));
   }
-  if (key == "deepspeed") {
-    ExpertParallelOptions o;
+  const std::optional<StaticAdmission> admission = StaticAdmissionFor(key);
+  if (admission) {
+    StaticLayoutOptions o;
     o.model = options.model;
     o.num_gpus = options.num_gpus;
+    o.admission = *admission;
     o.capacity_factor = options.capacity_factor;
     o.elastic = options.elastic;
     o.pipeline.chunks = options.pipeline_chunks;
     FLEXMOE_ASSIGN_OR_RETURN(auto sys,
-                             ExpertParallelSystem::Create(o, topo, profile));
-    return std::unique_ptr<MoESystem>(std::move(sys));
-  }
-  if (key == "fastermoe") {
-    FasterMoEOptions o;
-    o.model = options.model;
-    o.num_gpus = options.num_gpus;
-    o.elastic = options.elastic;
-    o.pipeline.chunks = options.pipeline_chunks;
-    FLEXMOE_ASSIGN_OR_RETURN(auto sys,
-                             FasterMoESystem::Create(o, topo, profile));
-    return std::unique_ptr<MoESystem>(std::move(sys));
-  }
-  if (key == "swipe") {
-    SwipeOptions o;
-    o.model = options.model;
-    o.num_gpus = options.num_gpus;
-    o.elastic = options.elastic;
-    o.pipeline.chunks = options.pipeline_chunks;
-    FLEXMOE_ASSIGN_OR_RETURN(auto sys,
-                             SwipeSystem::Create(o, topo, profile));
+                             StaticLayoutSystem::Create(o, topo, profile));
     return std::unique_ptr<MoESystem>(std::move(sys));
   }
   return Status::InvalidArgument(

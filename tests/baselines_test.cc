@@ -3,11 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <memory>
 
-#include "baselines/expert_parallel.h"
-#include "baselines/fastermoe.h"
-#include "baselines/swipe.h"
+#include "baselines/static_layout.h"
 #include "gate/trace_generator.h"
 #include "test_env.h"
 
@@ -50,11 +50,12 @@ TEST(FixedPlacementTest, OneVExpertPerExpert) {
 
 TEST(ExpertParallelTest, DropsTokensBeyondCapacity) {
   TestEnv f = TestEnv::Make();
-  ExpertParallelOptions o;
+  StaticLayoutOptions o;
+  o.admission = StaticAdmission::kCapacity;
   o.model = SmallModel();
   o.num_gpus = 8;
   o.capacity_factor = 1.0;
-  auto sys = *ExpertParallelSystem::Create(o, f.topo.get(), &f.profile);
+  auto sys = *StaticLayoutSystem::Create(o, f.topo.get(), &f.profile);
   const StepMetrics m = sys->RunStep(SkewedStep(o.model, 8));
   EXPECT_GT(m.tokens_dropped, 0);
   EXPECT_LT(m.token_efficiency, 1.0);
@@ -64,11 +65,12 @@ TEST(ExpertParallelTest, DropsTokensBeyondCapacity) {
 
 TEST(ExpertParallelTest, NoCapacityNoDrops) {
   TestEnv f = TestEnv::Make();
-  ExpertParallelOptions o;
+  StaticLayoutOptions o;
+  o.admission = StaticAdmission::kCapacity;
   o.model = SmallModel();
   o.num_gpus = 8;
   o.capacity_factor = 0.0;  // disabled
-  auto sys = *ExpertParallelSystem::Create(o, f.topo.get(), &f.profile);
+  auto sys = *StaticLayoutSystem::Create(o, f.topo.get(), &f.profile);
   const StepMetrics m = sys->RunStep(SkewedStep(o.model, 8));
   EXPECT_EQ(m.tokens_dropped, 0);
   EXPECT_DOUBLE_EQ(m.token_efficiency, 1.0);
@@ -79,25 +81,61 @@ TEST(ExpertParallelTest, CapacityCapsStepTime) {
   // capped step must be faster than the uncapped one.
   TestEnv f1 = TestEnv::Make();
   TestEnv f2 = TestEnv::Make();
-  ExpertParallelOptions capped;
+  StaticLayoutOptions capped;
+  capped.admission = StaticAdmission::kCapacity;
   capped.model = SmallModel();
   capped.num_gpus = 8;
   capped.capacity_factor = 1.0;
-  ExpertParallelOptions uncapped = capped;
+  StaticLayoutOptions uncapped = capped;
   uncapped.capacity_factor = 0.0;
-  auto sys_c = *ExpertParallelSystem::Create(capped, f1.topo.get(), &f1.profile);
-  auto sys_u = *ExpertParallelSystem::Create(uncapped, f2.topo.get(), &f2.profile);
+  auto sys_c =
+      *StaticLayoutSystem::Create(capped, f1.topo.get(), &f1.profile);
+  auto sys_u =
+      *StaticLayoutSystem::Create(uncapped, f2.topo.get(), &f2.profile);
   const StepMetrics mc = sys_c->RunStep(SkewedStep(capped.model, 8));
   const StepMetrics mu = sys_u->RunStep(SkewedStep(capped.model, 8));
   EXPECT_LT(mc.step_seconds, mu.step_seconds);
 }
 
-TEST(FasterMoETest, ShadowsHotExperts) {
+TEST(ExpertParallelTest, RejectsNonFiniteCapacity) {
   TestEnv f = TestEnv::Make();
-  FasterMoEOptions o;
+  StaticLayoutOptions o;
   o.model = SmallModel();
   o.num_gpus = 8;
-  auto sys = *FasterMoESystem::Create(o, f.topo.get(), &f.profile);
+  for (double factor : {std::numeric_limits<double>::quiet_NaN(),
+                        std::numeric_limits<double>::infinity(),
+                        -std::numeric_limits<double>::infinity()}) {
+    o.capacity_factor = factor;
+    const auto sys = StaticLayoutSystem::Create(o, f.topo.get(), &f.profile);
+    ASSERT_FALSE(sys.ok()) << factor;
+    EXPECT_EQ(sys.status().code(), StatusCode::kInvalidArgument) << factor;
+  }
+}
+
+TEST(ExpertParallelTest, HugeCapacityKeepsEveryToken) {
+  // A finite factor whose capacity overflows int64 keeps every token, in
+  // training and in serving.
+  TestEnv f = TestEnv::Make();
+  StaticLayoutOptions o;
+  o.model = SmallModel();
+  o.num_gpus = 8;
+  o.capacity_factor = 1e18;
+  auto sys = *StaticLayoutSystem::Create(o, f.topo.get(), &f.profile);
+  const StepMetrics train = sys->RunStep(SkewedStep(o.model, 8));
+  EXPECT_EQ(train.tokens_dropped, 0);
+  EXPECT_DOUBLE_EQ(train.token_efficiency, 1.0);
+  const StepMetrics serve = sys->ServeMicrobatch(SkewedStep(o.model, 8));
+  EXPECT_EQ(serve.tokens_dropped, 0);
+  EXPECT_EQ(serve.tokens_recirculated, 0);
+}
+
+TEST(FasterMoETest, ShadowsHotExperts) {
+  TestEnv f = TestEnv::Make();
+  StaticLayoutOptions o;
+  o.admission = StaticAdmission::kShadow;
+  o.model = SmallModel();
+  o.num_gpus = 8;
+  auto sys = *StaticLayoutSystem::Create(o, f.topo.get(), &f.profile);
   sys->RunStep(SkewedStep(o.model, 8));
   ASSERT_EQ(sys->last_shadows().size(), 2u);
   // The hot expert 0 must be shadowed in every layer.
@@ -110,10 +148,11 @@ TEST(FasterMoETest, ShadowsHotExperts) {
 
 TEST(FasterMoETest, NoShadowsWhenBalanced) {
   TestEnv f = TestEnv::Make();
-  FasterMoEOptions o;
+  StaticLayoutOptions o;
+  o.admission = StaticAdmission::kShadow;
   o.model = SmallModel();
   o.num_gpus = 8;
-  auto sys = *FasterMoESystem::Create(o, f.topo.get(), &f.profile);
+  auto sys = *StaticLayoutSystem::Create(o, f.topo.get(), &f.profile);
   std::vector<Assignment> balanced;
   for (int l = 0; l < o.model.num_moe_layers; ++l) {
     Assignment a(o.model.num_experts, 8);
@@ -132,15 +171,17 @@ TEST(FasterMoETest, NeverDropsAndBeatsUncappedEpOnSkew) {
   TestEnv f1 = TestEnv::Make();
   TestEnv f2 = TestEnv::Make();
   const ModelConfig model = SmallModel();
-  FasterMoEOptions fo;
+  StaticLayoutOptions fo;
+  fo.admission = StaticAdmission::kShadow;
   fo.model = model;
   fo.num_gpus = 8;
-  ExpertParallelOptions eo;
+  StaticLayoutOptions eo;
+  eo.admission = StaticAdmission::kCapacity;
   eo.model = model;
   eo.num_gpus = 8;
   eo.capacity_factor = 0.0;  // uncapped EP: no drops, full imbalance
-  auto faster = *FasterMoESystem::Create(fo, f1.topo.get(), &f1.profile);
-  auto ep = *ExpertParallelSystem::Create(eo, f2.topo.get(), &f2.profile);
+  auto faster = *StaticLayoutSystem::Create(fo, f1.topo.get(), &f1.profile);
+  auto ep = *StaticLayoutSystem::Create(eo, f2.topo.get(), &f2.profile);
   const StepMetrics mf = faster->RunStep(SkewedStep(model, 8));
   const StepMetrics me = ep->RunStep(SkewedStep(model, 8));
   EXPECT_EQ(mf.tokens_dropped, 0);
@@ -178,10 +219,11 @@ TEST(SwipeRebalanceTest, NoReassignmentWhenBalanced) {
 
 TEST(SwipeSystemTest, HighExpertEfficiencyLowTokenEfficiency) {
   TestEnv f = TestEnv::Make();
-  SwipeOptions o;
+  StaticLayoutOptions o;
+  o.admission = StaticAdmission::kStrictRebalance;
   o.model = SmallModel();
   o.num_gpus = 8;
-  auto sys = *SwipeSystem::Create(o, f.topo.get(), &f.profile);
+  auto sys = *StaticLayoutSystem::Create(o, f.topo.get(), &f.profile);
   const StepMetrics m = sys->RunStep(SkewedStep(o.model, 8));
   // Strict balance: near-perfect expert efficiency...
   EXPECT_GT(m.expert_efficiency, 0.9);
@@ -209,18 +251,21 @@ TEST(BaselineComparisonTest, EfficiencyQuadrantsOfFigure7a) {
   t.seed = 11;
   TraceGenerator gen = *TraceGenerator::Create(t);
 
-  ExpertParallelOptions eo;
+  StaticLayoutOptions eo;
+  eo.admission = StaticAdmission::kCapacity;
   eo.model = model;
   eo.num_gpus = 8;
-  SwipeOptions so;
+  StaticLayoutOptions so;
+  so.admission = StaticAdmission::kStrictRebalance;
   so.model = model;
   so.num_gpus = 8;
-  FasterMoEOptions fo;
+  StaticLayoutOptions fo;
+  fo.admission = StaticAdmission::kShadow;
   fo.model = model;
   fo.num_gpus = 8;
-  auto ds = *ExpertParallelSystem::Create(eo, fd.topo.get(), &fd.profile);
-  auto sw = *SwipeSystem::Create(so, fs.topo.get(), &fs.profile);
-  auto fm = *FasterMoESystem::Create(fo, ff.topo.get(), &ff.profile);
+  auto ds = *StaticLayoutSystem::Create(eo, fd.topo.get(), &fd.profile);
+  auto sw = *StaticLayoutSystem::Create(so, fs.topo.get(), &fs.profile);
+  auto fm = *StaticLayoutSystem::Create(fo, ff.topo.get(), &ff.profile);
 
   for (int s = 0; s < 10; ++s) {
     const auto step = gen.Step();

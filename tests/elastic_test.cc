@@ -7,7 +7,7 @@
 
 #include <memory>
 
-#include "baselines/expert_parallel.h"
+#include "baselines/static_layout.h"
 #include "core/flexmoe.h"
 #include "core/policy_maker.h"
 #include "core/scheduler.h"

@@ -8,9 +8,7 @@
 #include <string>
 #include <vector>
 
-#include "baselines/expert_parallel.h"
-#include "baselines/fastermoe.h"
-#include "baselines/swipe.h"
+#include "baselines/static_layout.h"
 #include "core/flexmoe.h"
 #include "elastic/recovery.h"
 #include "harness/golden.h"
@@ -50,22 +48,11 @@ class AllSystemsTest : public testing::TestWithParam<const char*> {
       o.num_gpus = env->topo->num_gpus();
       return *FlexMoESystem::Create(o, env->topo.get(), &env->profile);
     }
-    if (name == "deepspeed") {
-      ExpertParallelOptions o;
-      o.model = m;
-      o.num_gpus = env->topo->num_gpus();
-      return *ExpertParallelSystem::Create(o, env->topo.get(), &env->profile);
-    }
-    if (name == "fastermoe") {
-      FasterMoEOptions o;
-      o.model = m;
-      o.num_gpus = env->topo->num_gpus();
-      return *FasterMoESystem::Create(o, env->topo.get(), &env->profile);
-    }
-    SwipeOptions o;
+    StaticLayoutOptions o;
     o.model = m;
     o.num_gpus = env->topo->num_gpus();
-    return *SwipeSystem::Create(o, env->topo.get(), &env->profile);
+    o.admission = *StaticAdmissionFor(name);
+    return *StaticLayoutSystem::Create(o, env->topo.get(), &env->profile);
   }
 };
 

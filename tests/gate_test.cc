@@ -182,6 +182,18 @@ TEST(CapacityTest, LargeFactorDropsNothing) {
   EXPECT_EQ(r.kept.Total(), a.Total());
 }
 
+TEST(CapacityTest, HugeFactorClampsToLayerTotal) {
+  // Factors whose capacity overflows int64 clamp to the layer total, which
+  // already keeps every token.
+  const Assignment a = SkewedAssignment();
+  for (double factor : {1e18, 1e300}) {
+    const CapacityResult r = ApplyCapacity(a, factor);
+    EXPECT_EQ(r.capacity_per_expert, a.Total()) << factor;
+    EXPECT_EQ(r.dropped, 0) << factor;
+    EXPECT_EQ(r.kept.Total(), a.Total()) << factor;
+  }
+}
+
 TEST(CapacityTest, SmallFactorDropsAggressively) {
   const Assignment a = SkewedAssignment();
   const CapacityResult r = ApplyCapacity(a, 0.5);

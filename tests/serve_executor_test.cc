@@ -22,7 +22,6 @@
 #include <cmath>
 #include <memory>
 
-#include "baselines/expert_parallel.h"
 #include "core/cost_model.h"
 #include "core/flexmoe.h"
 #include "core/serve_executor.h"
