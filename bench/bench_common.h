@@ -12,8 +12,9 @@
 //                    (default both; see gate/request_source.h)
 //   --admission P    serving admission policy for sized cells: edf | sjf
 //                    (default edf; see core/serve_executor.h)
-//   --pipeline-chunks K  forward A2A/compute overlap depth (default 1 =
-//                    serial, byte-identical; see core/step_executor.h)
+//   --pipeline-chunks K  MoE-leg A2A/compute overlap depth in
+//                    [0, kMaxPipelineChunks] (default 1 = unpipelined,
+//                    byte-identical; 0 = auto-K; see core/step_executor.h)
 //   --trace-out F    export a Chrome trace-event JSON of the headline run
 //   --metrics-out F  export the metrics-registry JSON snapshot
 //   --decisions-out F  export the policy decision audit JSONL
@@ -29,6 +30,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+
+#include "core/step_executor.h"
 
 namespace flexmoe {
 namespace bench {
@@ -51,11 +54,11 @@ inline const char* FlagValue(int argc, char** argv, const char* flag,
 }
 
 /// Value of "`flag` N" as an int, or `fallback` when the flag is absent.
-/// The whole value must be a base-10 integer: "abc", "4x", "" or a missing
-/// value is a usage error (message on stderr, exit 2), never a silent
-/// default.
+/// The whole value must be a base-10 integer in [lo, hi]: "abc", "4x", "",
+/// a missing value or one out of range is a usage error (message on
+/// stderr, exit 2), never a silent default.
 inline int IntFlagValue(int argc, char** argv, const char* flag,
-                        int fallback) {
+                        int fallback, int lo = INT_MIN, int hi = INT_MAX) {
   if (!HasFlag(argc, argv, flag)) return fallback;
   const char* text = FlagValue(argc, argv, flag, nullptr);
   bool ok = text != nullptr &&
@@ -66,12 +69,19 @@ inline int IntFlagValue(int argc, char** argv, const char* flag,
     char* end = nullptr;
     errno = 0;
     value = std::strtol(text, &end, 10);
-    ok = end != text && *end == '\0' && errno == 0 && value >= INT_MIN &&
-         value <= INT_MAX;
+    ok = end != text && *end == '\0' && errno == 0 && value >= lo &&
+         value <= hi;
   }
   if (!ok) {
-    std::fprintf(stderr, "usage: %s expects an integer value, got '%s'\n",
-                 flag, text == nullptr ? "" : text);
+    if (lo == INT_MIN && hi == INT_MAX) {
+      std::fprintf(stderr, "usage: %s expects an integer value, got '%s'\n",
+                   flag, text == nullptr ? "" : text);
+    } else {
+      std::fprintf(stderr,
+                   "usage: %s expects an integer value in [%d, %d], got "
+                   "'%s'\n",
+                   flag, lo, hi, text == nullptr ? "" : text);
+    }
     std::exit(2);
   }
   return static_cast<int>(value);
@@ -108,9 +118,11 @@ inline const char* AdmissionPolicy(int argc, char** argv) {
   return FlagValue(argc, argv, "--admission", "edf");
 }
 
-/// Forward pipelining depth: "--pipeline-chunks K", default 1 (serial).
+/// MoE-leg pipelining depth: "--pipeline-chunks K" in
+/// [0, kMaxPipelineChunks], default 1 (unpipelined).
 inline int PipelineChunks(int argc, char** argv) {
-  return IntFlagValue(argc, argv, "--pipeline-chunks", 1);
+  return IntFlagValue(argc, argv, "--pipeline-chunks", 1, 0,
+                      kMaxPipelineChunks);
 }
 
 /// The flag set every grid bench shares, parsed once (previously each
@@ -122,7 +134,7 @@ struct CommonFlags {
   const char* workload = "pretrain-steady";
   const char* size_mix = "both";  ///< serving benches only
   const char* admission = "edf";  ///< serving benches only
-  int pipeline_chunks = 1;        ///< forward overlap depth (1 = serial)
+  int pipeline_chunks = 1;        ///< MoE-leg overlap depth (1 = unpipelined)
   /// Observability export paths ("" = not requested). Any non-empty path
   /// means the bench should run its designated headline cell with
   /// observability enabled and export the artifacts.

@@ -181,10 +181,12 @@ CollectiveResult ExecBackgroundCopy(ClusterState* cluster,
 
 double ExecCompute(ClusterState* cluster, const HardwareProfile& profile,
                    GpuId gpu, double tokens, double flops_per_token,
-                   double earliest) {
+                   double earliest, double* start_out) {
+  if (start_out != nullptr) *start_out = earliest;
   if (tokens <= 0.0) return earliest;
   const double duration = profile.ComputeSeconds(tokens, flops_per_token);
   const double start = cluster->compute(gpu).Reserve(earliest, duration);
+  if (start_out != nullptr) *start_out = start;
   return start + duration;
 }
 

@@ -72,10 +72,11 @@ CollectiveResult ExecBackgroundCopy(ClusterState* cluster,
                                     double earliest, double slowdown);
 
 /// \brief Executes expert compute of `tokens` tokens on `gpu`'s compute
-/// stream. Returns the completion time.
+/// stream. Returns the completion time; *start_out (optional) gets the
+/// reservation start (`earliest` when there is nothing to compute).
 double ExecCompute(ClusterState* cluster, const HardwareProfile& profile,
                    GpuId gpu, double tokens, double flops_per_token,
-                   double earliest);
+                   double earliest, double* start_out = nullptr);
 
 /// \brief Executes a pipelined ring broadcast of `bytes` from `root` to
 /// every GPU in `group` (FasterMoE-style shadow-parameter distribution).

@@ -4,31 +4,29 @@
 
 #include "collective/ordered_sync.h"
 #include "moe/transformer.h"
+#include "util/string_util.h"
 
 namespace flexmoe {
 
 namespace {
 
-/// Emits one span per GPU the collective kept busy past `start` (untouched
-/// GPUs keep their start time in per_gpu_finish and emit nothing).
-void TracePerGpuSpans(obs::Tracer* tr, const char* name, const char* category,
-                      double start, const CollectiveResult& result,
-                      int layer) {
-  if (tr == nullptr) return;
-  for (size_t g = 0; g < result.per_gpu_finish.size(); ++g) {
-    if (result.per_gpu_finish[g] > start) {
-      tr->Span(name, category, static_cast<int>(g), start,
-               result.per_gpu_finish[g], "layer", static_cast<double>(layer));
-    }
-  }
+/// Chunk k of K of a cell of v tokens: v*(k+1)/K - v*k/K. Integer-exact
+/// (the K pieces sum to v), and the last chunk is the ceil — the property
+/// the pipelined floor bound relies on (cost_model.cc, DESIGN.md Section
+/// 11). K = 1 returns v directly: the two 64-bit divisions would otherwise
+/// be most of the unpipelined leg's per-cell cost.
+int64_t ChunkShare(int64_t v, int k, int K) {
+  if (K == 1) return v;
+  return v * (k + 1) / K - v * k / K;
 }
 
 }  // namespace
 
 Status PipelineOptions::Validate() const {
-  if (chunks < 0) {
-    return Status::InvalidArgument(
-        "pipeline chunks must be >= 0 (0 = auto-K)");
+  if (chunks < 0 || chunks > kMaxPipelineChunks) {
+    return Status::InvalidArgument(StrFormat(
+        "pipeline chunks must be in [0, %d] (0 = auto-K), got %d",
+        kMaxPipelineChunks, chunks));
   }
   return Status::OK();
 }
@@ -75,7 +73,8 @@ std::vector<GpuId> StepExecutor::AliveGpus() const {
 }
 
 const ByteMatrix& StepExecutor::DispatchBytes(const RoutedAssignment& routed,
-                                              bool transpose) const {
+                                              bool transpose, int k,
+                                              int K) const {
   // Reusable scratch: one G x G matrix per executor, refilled per call
   // (callers consume the matrix before the next DispatchBytes call).
   dispatch_bytes_scratch_.assign(routed.num_gpus, routed.num_gpus, 0.0);
@@ -92,37 +91,7 @@ const ByteMatrix& StepExecutor::DispatchBytes(const RoutedAssignment& routed,
       // stretches the slow endpoint's port directly, so the stretch
       // applies exactly once instead of inflating both ports' bytes.
       if (!Alive(s)) continue;
-      const double payload = static_cast<double>(tokens) * token_bytes;
-      if (transpose) {
-        bytes(d, s) += payload;
-      } else {
-        bytes(s, d) += payload;
-      }
-    }
-  }
-  return bytes;
-}
-
-const ByteMatrix& StepExecutor::DispatchBytesChunk(
-    const RoutedAssignment& routed, bool transpose, int k, int K) const {
-  // Per-cell chunk split: cell v contributes v*(k+1)/K - v*k/K tokens to
-  // chunk k. Integer-exact (the K pieces sum to v), and the last chunk is
-  // the ceil — the property the pipelined floor bound relies on
-  // (cost_model.cc, DESIGN.md Section 11).
-  chunk_bytes_scratch_.assign(routed.num_gpus, routed.num_gpus, 0.0);
-  ByteMatrix& bytes = chunk_bytes_scratch_;
-  const double token_bytes = model_.token_bytes();
-  const int64_t k64 = k;
-  const int64_t K64 = K;
-  for (int d = 0; d < routed.num_gpus; ++d) {
-    if (!Alive(d)) continue;
-    const int64_t* row = routed.dispatch_to.row(d);
-    for (int s = 0; s < routed.num_gpus; ++s) {
-      const int64_t tokens = row[s];
-      if (tokens <= 0) continue;
-      if (!Alive(s)) continue;
-      const int64_t piece =
-          tokens * (k64 + 1) / K64 - tokens * k64 / K64;
+      const int64_t piece = ChunkShare(tokens, k, K);
       if (piece <= 0) continue;
       const double payload = static_cast<double>(piece) * token_bytes;
       if (transpose) {
@@ -136,9 +105,11 @@ const ByteMatrix& StepExecutor::DispatchBytesChunk(
 }
 
 double StepExecutor::RunExpertCompute(
-    const RoutedAssignment& routed, double flops_per_token,
+    const RoutedAssignment& routed, double flops_per_token, int k, int K,
     const std::vector<double>& per_gpu_earliest, StepTiming* timing,
     const char* span_name, int layer) {
+  // The same split rule as DispatchBytes, so the computed tokens are
+  // exactly the ones this chunk's dispatch delivered.
   obs::Tracer* tr = trace();
   double finish = 0.0;
   for (GpuId g = 0; g < routed.num_gpus; ++g) {
@@ -150,60 +121,26 @@ double StepExecutor::RunExpertCompute(
     int64_t gpu_tokens = 0;
     const double effective_flops = flops_per_token * ComputeScale(g);
     for (int e = 0; e < routed.num_experts; ++e) {
-      const int64_t tokens = routed.expert_gpu_tokens(e, g);
+      const int64_t cell = routed.expert_gpu_tokens(e, g);
+      if (cell <= 0) continue;
+      const int64_t tokens = ChunkShare(cell, k, K);
       if (tokens <= 0) continue;
-      const double before = gpu_finish;
+      // Busy time is the reservation, not the wall: a chunk may wait for
+      // the previous chunk's compute to drain, and that wait is overlap,
+      // not expert occupancy. At K = 1 the stream is idle when the
+      // dispatch lands, so this equals the wall interval bit for bit.
+      double start = gpu_finish;
       gpu_finish = ExecCompute(cluster_, *profile_, g,
                                static_cast<double>(tokens), effective_flops,
-                               gpu_finish);
+                               gpu_finish, &start);
       timing->per_gpu_expert_compute[static_cast<size_t>(g)] +=
-          gpu_finish - before;
+          gpu_finish - start;
       gpu_tokens += tokens;
     }
     if (tr != nullptr && gpu_finish > gpu_start) {
       tr->Span(span_name, "compute", g, gpu_start, gpu_finish, "layer",
-               static_cast<double>(layer), "tokens",
-               static_cast<double>(gpu_tokens));
-    }
-    finish = std::max(finish, gpu_finish);
-  }
-  return finish;
-}
-
-double StepExecutor::RunExpertComputeChunk(
-    const RoutedAssignment& routed, double flops_per_token, int k, int K,
-    const std::vector<double>& per_gpu_earliest, StepTiming* timing,
-    const char* span_name, int layer) {
-  // RunExpertCompute restricted to chunk k's share of every (expert, GPU)
-  // cell (same split rule as DispatchBytesChunk, so the computed tokens
-  // are exactly the ones this chunk's dispatch delivered).
-  obs::Tracer* tr = trace();
-  const int64_t k64 = k;
-  const int64_t K64 = K;
-  double finish = 0.0;
-  for (GpuId g = 0; g < routed.num_gpus; ++g) {
-    if (!Alive(g)) continue;
-    const double gpu_start = per_gpu_earliest[static_cast<size_t>(g)];
-    double gpu_finish = gpu_start;
-    const double effective_flops = flops_per_token * ComputeScale(g);
-    for (int e = 0; e < routed.num_experts; ++e) {
-      const int64_t cell = routed.expert_gpu_tokens(e, g);
-      if (cell <= 0) continue;
-      const int64_t tokens = cell * (k64 + 1) / K64 - cell * k64 / K64;
-      if (tokens <= 0) continue;
-      gpu_finish = ExecCompute(cluster_, *profile_, g,
-                               static_cast<double>(tokens), effective_flops,
-                               gpu_finish);
-      // Busy time, not wall: a chunk whose dispatch landed early may wait
-      // for the previous chunk's compute to drain, and that wait is the
-      // overlap working as intended — not expert occupancy.
-      timing->per_gpu_expert_compute[static_cast<size_t>(g)] +=
-          profile_->ComputeSeconds(static_cast<double>(tokens),
-                                   effective_flops);
-    }
-    if (tr != nullptr && gpu_finish > gpu_start) {
-      tr->Span(span_name, "compute", g, gpu_start, gpu_finish, "layer",
-               static_cast<double>(layer), "chunk", static_cast<double>(k));
+               static_cast<double>(layer), K > 1 ? "chunk" : "tokens",
+               static_cast<double>(K > 1 ? k : gpu_tokens));
     }
     finish = std::max(finish, gpu_finish);
   }
@@ -216,13 +153,13 @@ double StepExecutor::RunForwardLayers(const std::vector<LayerWork>& layers,
   obs::Tracer* tr = trace();
   const double fwd_flops = model_.expert_fwd_flops_per_token();
   const std::vector<double>* scales = BandwidthScales();
+  const LegSpans forward{"dispatch", "expert_compute", "combine", "a2a"};
+  const LegSpans recirculation{"recirc_dispatch", "recirc_expert_compute",
+                               "recirc_combine", "recirculation"};
   for (size_t l = 0; l < layers.size(); ++l) {
     const LayerWork& work = layers[l];
     FLEXMOE_CHECK(work.routed != nullptr);
     const int layer = static_cast<int>(l);
-    // Entries past the model's MoE layers are recirculation passes (the
-    // serving path's second pass for overflow/re-routed tokens).
-    const bool recirc = layer >= model_.num_moe_layers;
     // Shadow-parameter broadcasts (baseline FasterMoE) precede the layer.
     for (const ShadowBroadcast& bc : work.broadcasts) {
       if (!Alive(bc.root) || alive.size() < 2) continue;
@@ -236,179 +173,103 @@ double StepExecutor::RunForwardLayers(const std::vector<LayerWork>& layers,
       timing->sync_seconds += r.finish - frontier;
       frontier = r.finish;
     }
-
-    // Per-layer chunk-depth dispatch (auto-K plans a depth per layer);
-    // depth 1 falls through to the serial body below, which is the
-    // pre-pipelining code expression-for-expression.
-    const int chunks = EffectiveChunks(work);
-    if (chunks > 1) {
-      frontier = RunForwardLayerChunked(work, chunks, layer, recirc, scales,
-                                        frontier, timing);
-      continue;
-    }
-
-    const double phase0 = frontier;
-    const CollectiveResult dispatch = ExecAllToAll(
-        cluster_, *profile_, DispatchBytes(*work.routed, false), frontier,
-        scales);
-    TracePerGpuSpans(tr, recirc ? "recirc_dispatch" : "dispatch",
-                     recirc ? "recirculation" : "a2a", phase0, dispatch,
-                     layer);
-    timing->a2a_seconds += dispatch.finish - phase0;
-
-    const double compute_finish = RunExpertCompute(
-        *work.routed, fwd_flops, dispatch.per_gpu_finish, timing,
-        recirc ? "recirc_expert_compute" : "expert_compute", layer);
-    timing->compute_seconds += std::max(0.0, compute_finish - dispatch.finish);
-
-    const CollectiveResult combine = ExecAllToAll(
-        cluster_, *profile_, DispatchBytes(*work.routed, true),
-        compute_finish, scales);
-    TracePerGpuSpans(tr, recirc ? "recirc_combine" : "combine",
-                     recirc ? "recirculation" : "a2a", compute_finish,
-                     combine, layer);
-    timing->a2a_seconds += combine.finish - compute_finish;
-    frontier = combine.finish;
+    // Entries past the model's MoE layers are recirculation passes (the
+    // serving path's second pass for overflow/re-routed tokens).
+    frontier = RunLayerLeg(
+        work, layer,
+        layer >= model_.num_moe_layers ? recirculation : forward, fwd_flops,
+        scales, frontier, timing, /*sync=*/nullptr);
   }
   return frontier;
 }
 
-double StepExecutor::RunForwardLayerChunked(
-    const LayerWork& work, int chunks, int layer, bool recirc,
-    const std::vector<double>* scales, double frontier, StepTiming* timing) {
+double StepExecutor::RunLayerLeg(const LayerWork& work, int layer,
+                                 const LegSpans& spans,
+                                 double flops_per_token,
+                                 const std::vector<double>* scales,
+                                 double frontier, StepTiming* timing,
+                                 LegSync* sync) {
   obs::Tracer* tr = trace();
-  const double fwd_flops = model_.expert_fwd_flops_per_token();
-  const int K = chunks;
+  const RoutedAssignment& routed = *work.routed;
+  const int K = EffectiveChunks(work);
+  // One span per GPU an A2A kept busy past `start` (untouched GPUs keep
+  // their start time in per_gpu_finish and emit nothing). The chunk arg
+  // appears only when there are chunks to tell apart.
+  const auto trace_a2a = [&](const char* name, double start,
+                             const CollectiveResult& result, int k) {
+    if (tr == nullptr) return;
+    for (size_t g = 0; g < result.per_gpu_finish.size(); ++g) {
+      if (result.per_gpu_finish[g] > start) {
+        tr->Span(name, spans.a2a_category, static_cast<int>(g), start,
+                 result.per_gpu_finish[g], "layer",
+                 static_cast<double>(layer), K > 1 ? "chunk" : nullptr,
+                 static_cast<double>(k));
+      }
+    }
+  };
+  const auto launch_syncs = [&](double earliest) {
+    sync->finish = RunLayerSyncs(work, earliest, sync->group_cache, scales,
+                                 timing, sync->finish);
+  };
 
-  // Post every chunk's dispatch from the layer start: the NIC ports
-  // serialize them in chunk order, so chunk k+1's wire time hides
-  // behind chunk k's expert compute instead of extending the layer.
+  // Post every chunk's dispatch from the leg start: the NIC ports
+  // serialize them in chunk order, so chunk k+1's wire time hides behind
+  // chunk k's expert compute instead of extending the layer.
   const double phase0 = frontier;
   std::vector<CollectiveResult>& dispatches = chunk_dispatch_scratch_;
   dispatches.clear();
-  dispatches.reserve(static_cast<size_t>(K));
   double dispatch_all = phase0;
   for (int k = 0; k < K; ++k) {
-    CollectiveResult d = ExecAllToAll(
-        cluster_, *profile_, DispatchBytesChunk(*work.routed, false, k, K),
-        phase0, scales);
-    if (tr != nullptr) {
-      for (size_t g = 0; g < d.per_gpu_finish.size(); ++g) {
-        if (d.per_gpu_finish[g] > phase0) {
-          tr->Span(recirc ? "recirc_dispatch" : "dispatch",
-                   recirc ? "recirculation" : "a2a", static_cast<int>(g),
-                   phase0, d.per_gpu_finish[g], "layer",
-                   static_cast<double>(layer), "chunk",
-                   static_cast<double>(k));
-        }
-      }
-    }
-    dispatch_all = std::max(dispatch_all, d.finish);
-    dispatches.push_back(std::move(d));
+    dispatches.push_back(ExecAllToAll(
+        cluster_, *profile_, DispatchBytes(routed, false, k, K), phase0,
+        scales));
+    trace_a2a(spans.dispatch, phase0, dispatches.back(), k);
+    dispatch_all = std::max(dispatch_all, dispatches.back().finish);
   }
   timing->a2a_seconds += dispatch_all - phase0;
 
   // Each chunk computes as soon as its own dispatch lands per GPU (the
   // compute streams serialize chunks), and its combine launches at the
-  // chunk's global compute finish — draining behind later chunks'
-  // compute on the port streams.
+  // chunk's global compute finish — draining behind later chunks' compute
+  // on the port streams.
   double compute_all = phase0;
-  double layer_end = phase0;
+  double leg_end = phase0;
   for (int k = 0; k < K; ++k) {
-    const double chunk_compute = RunExpertComputeChunk(
-        *work.routed, fwd_flops, k, K, dispatches[static_cast<size_t>(k)]
-            .per_gpu_finish,
-        timing, recirc ? "recirc_expert_compute" : "expert_compute", layer);
+    const double chunk_compute = RunExpertCompute(
+        routed, flops_per_token, k, K,
+        dispatches[static_cast<size_t>(k)].per_gpu_finish, timing,
+        spans.compute, layer);
     compute_all = std::max(compute_all, chunk_compute);
-    const CollectiveResult combine = ExecAllToAll(
-        cluster_, *profile_, DispatchBytesChunk(*work.routed, true, k, K),
-        chunk_compute, scales);
-    if (tr != nullptr) {
-      for (size_t g = 0; g < combine.per_gpu_finish.size(); ++g) {
-        if (combine.per_gpu_finish[g] > chunk_compute) {
-          tr->Span(recirc ? "recirc_combine" : "combine",
-                   recirc ? "recirculation" : "a2a", static_cast<int>(g),
-                   chunk_compute, combine.per_gpu_finish[g], "layer",
-                   static_cast<double>(layer), "chunk",
-                   static_cast<double>(k));
-        }
-      }
-    }
-    layer_end = std::max(layer_end, combine.finish);
+    // Sync hook, K = 1 order: before the combine (see the header).
+    if (sync != nullptr && K == 1) launch_syncs(compute_all);
+    const CollectiveResult combine =
+        ExecAllToAll(cluster_, *profile_, DispatchBytes(routed, true, k, K),
+                     chunk_compute, scales);
+    trace_a2a(spans.combine, chunk_compute, combine, k);
+    leg_end = std::max(leg_end, combine.finish);
   }
-  // Phase attribution mirrors the serial path's accounting: A2A gets the
-  // leading dispatch window plus the combine tail past compute; compute
-  // gets its exposed (non-overlapped) stretch.
+  if (sync != nullptr && K > 1) launch_syncs(compute_all);
+  // A2A gets the leading dispatch window plus the combine tail past
+  // compute; compute gets its exposed (non-overlapped) stretch.
   timing->compute_seconds += std::max(0.0, compute_all - dispatch_all);
-  timing->a2a_seconds += std::max(0.0, layer_end - compute_all);
-  return std::max(layer_end, compute_all);
+  timing->a2a_seconds += std::max(0.0, leg_end - compute_all);
+  return std::max(leg_end, compute_all);
 }
 
-double StepExecutor::RunBackwardLayerChunked(
-    const LayerWork& work, int chunks, int layer,
-    const std::vector<double>* scales, double frontier, StepTiming* timing,
-    double* compute_all_out) {
-  // The forward leg's overlap shape at backward FLOPs: grad-dispatch
-  // chunks posted at the leg start, per-chunk backward compute at that
-  // chunk's per-GPU dispatch finish, per-chunk grad combine at the
-  // chunk's global compute finish. The caller launches this layer's
-  // expert syncs at *compute_all_out — an expert's gradient is final only
-  // once the last chunk's contribution is reduced.
-  obs::Tracer* tr = trace();
-  const double bwd_flops =
-      model_.expert_fwdbwd_flops_per_token() - model_.expert_fwd_flops_per_token();
-  const int K = chunks;
-
-  const double phase0 = frontier;
-  std::vector<CollectiveResult>& dispatches = chunk_dispatch_scratch_;
-  dispatches.clear();
-  dispatches.reserve(static_cast<size_t>(K));
-  double dispatch_all = phase0;
-  for (int k = 0; k < K; ++k) {
-    CollectiveResult d = ExecAllToAll(
-        cluster_, *profile_, DispatchBytesChunk(*work.routed, false, k, K),
-        phase0, scales);
-    if (tr != nullptr) {
-      for (size_t g = 0; g < d.per_gpu_finish.size(); ++g) {
-        if (d.per_gpu_finish[g] > phase0) {
-          tr->Span("grad_dispatch", "a2a", static_cast<int>(g), phase0,
-                   d.per_gpu_finish[g], "layer", static_cast<double>(layer),
-                   "chunk", static_cast<double>(k));
-        }
-      }
-    }
-    dispatch_all = std::max(dispatch_all, d.finish);
-    dispatches.push_back(std::move(d));
+double StepExecutor::RunNonMoECompute(double seconds, double frontier,
+                                      StepTiming* timing) {
+  double phase_finish = frontier;
+  for (GpuId g = 0; g < cluster_->num_gpus(); ++g) {
+    if (!Alive(g)) continue;
+    const double scaled = seconds * ComputeScale(g);
+    const double start = cluster_->compute(g).Reserve(frontier, scaled);
+    phase_finish = std::max(phase_finish, start + scaled);
   }
-  timing->a2a_seconds += dispatch_all - phase0;
-
-  double compute_all = phase0;
-  double layer_end = phase0;
-  for (int k = 0; k < K; ++k) {
-    const double chunk_compute = RunExpertComputeChunk(
-        *work.routed, bwd_flops, k, K,
-        dispatches[static_cast<size_t>(k)].per_gpu_finish, timing,
-        "expert_compute_bwd", layer);
-    compute_all = std::max(compute_all, chunk_compute);
-    const CollectiveResult combine = ExecAllToAll(
-        cluster_, *profile_, DispatchBytesChunk(*work.routed, true, k, K),
-        chunk_compute, scales);
-    if (tr != nullptr) {
-      for (size_t g = 0; g < combine.per_gpu_finish.size(); ++g) {
-        if (combine.per_gpu_finish[g] > chunk_compute) {
-          tr->Span("grad_combine", "a2a", static_cast<int>(g), chunk_compute,
-                   combine.per_gpu_finish[g], "layer",
-                   static_cast<double>(layer), "chunk",
-                   static_cast<double>(k));
-        }
-      }
-    }
-    layer_end = std::max(layer_end, combine.finish);
+  if (obs::Tracer* tr = trace(); tr != nullptr) {
+    tr->Span("non_moe", "compute", obs::kControlLane, frontier, phase_finish);
   }
-  timing->compute_seconds += std::max(0.0, compute_all - dispatch_all);
-  timing->a2a_seconds += std::max(0.0, layer_end - compute_all);
-  *compute_all_out = compute_all;
-  return std::max(layer_end, compute_all);
+  timing->non_moe_seconds += phase_finish - frontier;
+  return phase_finish;
 }
 
 StepTiming StepExecutor::ExecuteForward(const std::vector<LayerWork>& layers) {
@@ -425,25 +286,11 @@ StepTiming StepExecutor::ExecuteForward(const std::vector<LayerWork>& layers) {
   // Non-MoE forward compute (attention, dense FFNs, gate), scaled to the
   // forward share of the full-step cost by the same fwd/fwdbwd ratio the
   // expert networks exhibit. No optimizer, no gradient AllReduce.
-  {
-    const double fwd_fraction = model_.expert_fwd_flops_per_token() /
-                                model_.expert_fwdbwd_flops_per_token();
-    const double non_moe =
-        NonMoEComputeSeconds(model_, *profile_) * fwd_fraction;
-    double phase_finish = frontier;
-    for (GpuId g = 0; g < cluster_->num_gpus(); ++g) {
-      if (!Alive(g)) continue;
-      const double scaled = non_moe * ComputeScale(g);
-      const double start = cluster_->compute(g).Reserve(frontier, scaled);
-      phase_finish = std::max(phase_finish, start + scaled);
-    }
-    if (obs::Tracer* tr = trace(); tr != nullptr) {
-      tr->Span("non_moe", "compute", obs::kControlLane, frontier,
-               phase_finish);
-    }
-    timing.non_moe_seconds += phase_finish - frontier;
-    frontier = phase_finish;
-  }
+  const double fwd_fraction = model_.expert_fwd_flops_per_token() /
+                              model_.expert_fwdbwd_flops_per_token();
+  frontier = RunNonMoECompute(
+      NonMoEComputeSeconds(model_, *profile_) * fwd_fraction, frontier,
+      &timing);
 
   timing.end = frontier;
   if (obs::Tracer* tr = trace(); tr != nullptr) {
@@ -462,30 +309,26 @@ double StepExecutor::RunLayerSyncs(const LayerWork& work, double earliest_base,
   // deadlock-free, and disjoint groups overlap through the stream model.
   obs::Tracer* tr = trace();
   std::vector<SyncOp> ops;
-  if (work.placement != nullptr) {
-    for (int e = 0; e < work.placement->num_experts(); ++e) {
-      std::vector<GpuId> group = work.placement->HostGpus(e);
-      if (health_ != nullptr) {
-        group.erase(std::remove_if(group.begin(), group.end(),
-                                   [this](GpuId g) { return !Alive(g); }),
-                    group.end());
-      }
-      if (group.size() >= 2) {
-        ops.push_back({e, std::move(group), model_.expert_grad_bytes()});
-      }
-    }
-  }
-  int extra_id = work.routed->num_experts;
-  for (std::vector<GpuId> group : work.extra_sync_groups) {
+  // Dead members take no part; a group left with fewer than two live
+  // members has nothing to reduce. Returns whether the op was kept.
+  const auto add_op = [&](int logical_id, std::vector<GpuId> group) {
     if (health_ != nullptr) {
       group.erase(std::remove_if(group.begin(), group.end(),
                                  [this](GpuId g) { return !Alive(g); }),
                   group.end());
     }
-    if (group.size() >= 2) {
-      ops.push_back({extra_id++, std::move(group),
-                     model_.expert_grad_bytes()});
+    if (group.size() < 2) return false;
+    ops.push_back({logical_id, std::move(group), model_.expert_grad_bytes()});
+    return true;
+  };
+  if (work.placement != nullptr) {
+    for (int e = 0; e < work.placement->num_experts(); ++e) {
+      add_op(e, work.placement->HostGpus(e));
     }
+  }
+  int extra_id = work.routed->num_experts;
+  for (const std::vector<GpuId>& group : work.extra_sync_groups) {
+    if (add_op(extra_id, group)) ++extra_id;
   }
   for (const SyncOp& op : ops) {
     double earliest = earliest_base;
@@ -513,8 +356,8 @@ StepTiming StepExecutor::ExecuteStep(const std::vector<LayerWork>& layers,
   timing.start = Frontier();
   double frontier = timing.start;
 
-  const double fwd_flops = model_.expert_fwd_flops_per_token();
-  const double bwd_flops = model_.expert_fwdbwd_flops_per_token() - fwd_flops;
+  const double bwd_flops = model_.expert_fwdbwd_flops_per_token() -
+                           model_.expert_fwd_flops_per_token();
 
   // Membership is fixed for the duration of a step (the elastic controller
   // mutates health only at step boundaries), so the alive list is computed
@@ -525,22 +368,8 @@ StepTiming StepExecutor::ExecuteStep(const std::vector<LayerWork>& layers,
   frontier = RunForwardLayers(layers, alive, frontier, &timing);
 
   // ---- Non-MoE compute (attention, dense FFNs, gate, optimizer) --------
-  {
-    const double non_moe = NonMoEComputeSeconds(model_, *profile_);
-    double phase_finish = frontier;
-    for (GpuId g = 0; g < cluster_->num_gpus(); ++g) {
-      if (!Alive(g)) continue;
-      const double scaled = non_moe * ComputeScale(g);
-      const double start = cluster_->compute(g).Reserve(frontier, scaled);
-      phase_finish = std::max(phase_finish, start + scaled);
-    }
-    if (obs::Tracer* tr = trace(); tr != nullptr) {
-      tr->Span("non_moe", "compute", obs::kControlLane, frontier,
-               phase_finish);
-    }
-    timing.non_moe_seconds += phase_finish - frontier;
-    frontier = phase_finish;
-  }
+  frontier = RunNonMoECompute(NonMoEComputeSeconds(model_, *profile_),
+                              frontier, &timing);
 
   // ---- Backward pass in reverse order -----------------------------------
   // A layer's expert gradients are final right after its backward compute,
@@ -548,53 +377,21 @@ StepTiming StepExecutor::ExecuteStep(const std::vector<LayerWork>& layers,
   // remaining (shallower) layers' backward work — the standard bucketed-
   // overlap of DDP, applied per expert. The step only stretches if syncs
   // outlast the backward pass.
-  double sync_finish = frontier;
   obs::Tracer* tr = trace();
   const std::vector<double>* scales = BandwidthScales();
+  const LegSpans backward{"grad_dispatch", "expert_compute_bwd",
+                          "grad_combine", "a2a"};
+  LegSync sync{group_cache, frontier};
   for (auto it = layers.rbegin(); it != layers.rend(); ++it) {
-    const LayerWork& work = *it;
     const int layer = static_cast<int>(layers.rend() - it) - 1;
-
-    // Per-layer chunk-depth dispatch, mirroring the forward leg; depth 1
-    // is the pre-pipelining serial body, expression-for-expression.
-    const int chunks = EffectiveChunks(work);
-    if (chunks > 1) {
-      double compute_all = frontier;
-      frontier = RunBackwardLayerChunked(work, chunks, layer, scales,
-                                         frontier, &timing, &compute_all);
-      sync_finish = RunLayerSyncs(work, compute_all, group_cache, scales,
-                                  &timing, sync_finish);
-      continue;
-    }
-
-    const double phase0 = frontier;
-    const CollectiveResult dispatch = ExecAllToAll(
-        cluster_, *profile_, DispatchBytes(*work.routed, false), frontier,
-        scales);
-    TracePerGpuSpans(tr, "grad_dispatch", "a2a", phase0, dispatch, layer);
-    timing.a2a_seconds += dispatch.finish - phase0;
-
-    const double compute_finish =
-        RunExpertCompute(*work.routed, bwd_flops, dispatch.per_gpu_finish,
-                         &timing, "expert_compute_bwd", layer);
-    timing.compute_seconds += std::max(0.0, compute_finish - dispatch.finish);
-
-    sync_finish = RunLayerSyncs(work, compute_finish, group_cache, scales,
-                                &timing, sync_finish);
-
-    const CollectiveResult combine = ExecAllToAll(
-        cluster_, *profile_, DispatchBytes(*work.routed, true),
-        compute_finish, scales);
-    TracePerGpuSpans(tr, "grad_combine", "a2a", compute_finish, combine,
-                     layer);
-    timing.a2a_seconds += combine.finish - compute_finish;
-    frontier = combine.finish;
+    frontier = RunLayerLeg(*it, layer, backward, bwd_flops, scales, frontier,
+                           &timing, &sync);
   }
 
   // The step ends when both the backward pass and the slowest expert sync
   // are done; only the non-overlapped tail counts as sync time.
-  timing.sync_seconds += std::max(0.0, sync_finish - frontier);
-  frontier = std::max(frontier, sync_finish);
+  timing.sync_seconds += std::max(0.0, sync.finish - frontier);
+  frontier = std::max(frontier, sync.finish);
 
   // ---- Data-parallel AllReduce of non-MoE gradients ----------------------
   // (every system pays it; tracked separately from the Eq. 9 expert sync).

@@ -11,6 +11,10 @@
 //   sync:     per replicated expert, AllReduce in ascending logical-id
 //             order (deadlock-free posting), NCCL groups via LRU cache;
 //             then the data-parallel AllReduce of non-MoE gradients.
+//
+// Every dispatch -> compute -> combine leg (forward, recirculation,
+// backward) runs through one K-chunk body, RunLayerLeg; the unpipelined
+// leg is its K = 1 case, not a separate code path (DESIGN.md §11.1).
 
 #ifndef FLEXMOE_CORE_STEP_EXECUTOR_H_
 #define FLEXMOE_CORE_STEP_EXECUTOR_H_
@@ -33,19 +37,24 @@ struct ShadowBroadcast {
   double bytes = 0.0;
 };
 
-/// \brief Forward-pass pipelining configuration (DESIGN.md Section 11).
+/// Deepest pipeline chunk split the executor accepts. The auto-K
+/// planner's candidates top out at 8; past that every extra chunk only adds
+/// kernel launches, and the per-chunk state must stay small.
+inline constexpr int kMaxPipelineChunks = 64;
+
+/// \brief MoE-leg pipelining configuration (DESIGN.md Sections 11 and 12).
 ///
-/// With chunks > 1, each MoE layer's routed tokens split into `chunks`
-/// per-cell pieces (cell v contributes v*(k+1)/chunks - v*k/chunks tokens
-/// to chunk k — integer-exact, sums to v, last chunk is the ceil) and the
-/// per-chunk dispatch A2A, expert compute, and combine A2A overlap through
-/// the per-GPU stream reservations: chunk k+1's dispatch occupies the NIC
-/// while chunk k computes, and combines drain behind compute. Both MoE
-/// legs pipeline: the backward grad dispatch/compute/grad combine chunk
-/// the same way (DESIGN.md Section 12). chunks == 1 is the serial path,
+/// Each MoE leg (forward and backward) splits its routed tokens into K
+/// per-cell pieces (cell v contributes v*(k+1)/K - v*k/K tokens to chunk k
+/// — integer-exact, sums to v, last chunk is the ceil), and the per-chunk
+/// dispatch A2A, expert compute, and combine A2A overlap through the
+/// per-GPU stream reservations: chunk k+1's dispatch occupies the NIC
+/// while chunk k computes, and combines drain behind compute. chunks == 1
+/// is the same leg at K = 1 (one piece per cell, nothing to overlap),
 /// byte-identical to the pre-pipelining executor. chunks == 0 is auto-K:
 /// the depth is planned per layer and arrives via LayerWork::chunks;
-/// layers with no planned depth yet run serial.
+/// layers with no planned depth yet run at K = 1. Validate() accepts
+/// [0, kMaxPipelineChunks].
 struct PipelineOptions {
   int chunks = 1;
 
@@ -119,9 +128,10 @@ class StepExecutor {
   void set_cluster_health(const ClusterHealth* health) { health_ = health; }
   const ClusterHealth* cluster_health() const { return health_; }
 
-  /// Installs the pipelining configuration (chunks must be >= 0;
-  /// chunks == 1 keeps the serial, byte-identical path; chunks == 0 is
-  /// auto-K — per-layer depths come from LayerWork::chunks).
+  /// Installs the pipelining configuration (chunks in
+  /// [0, kMaxPipelineChunks]; chunks == 1 runs every leg at K = 1,
+  /// byte-identical to the pre-pipelining executor; chunks == 0 is auto-K
+  /// — per-layer depths come from LayerWork::chunks).
   void set_pipeline(const PipelineOptions& pipeline) { pipeline_ = pipeline; }
   const PipelineOptions& pipeline() const { return pipeline_; }
 
@@ -144,80 +154,90 @@ class StepExecutor {
   const std::vector<double>* BandwidthScales() const;
   /// All currently alive GPUs, ascending.
   std::vector<GpuId> AliveGpus() const;
-  /// Builds the dispatch byte matrix (optionally transposed for combine)
-  /// into a reusable scratch buffer. The returned reference is valid until
-  /// the next DispatchBytes call on this executor.
-  const ByteMatrix& DispatchBytes(const RoutedAssignment& routed,
-                                  bool transpose) const;
-  /// Chunk k of K of the dispatch byte matrix (per-cell split rule of
-  /// PipelineOptions) into a second scratch; valid until the next call.
-  const ByteMatrix& DispatchBytesChunk(const RoutedAssignment& routed,
-                                       bool transpose, int k, int K) const;
 
-  /// Runs expert compute for one layer with the given FLOPs/token; returns
-  /// the phase finish time. `span_name` labels the per-GPU trace spans
-  /// (must be a string literal); `layer` is their arg.
+  /// Trace span names of one MoE leg (string literals).
+  struct LegSpans {
+    const char* dispatch;
+    const char* compute;
+    const char* combine;
+    const char* a2a_category;
+  };
+  /// The backward leg's expert-sync state: the group cache and the running
+  /// max of every launched sync's finish.
+  struct LegSync {
+    NcclGroupCache* group_cache;
+    double finish;
+  };
+
+  /// Chunk k of K of the dispatch byte matrix (optionally transposed for
+  /// combine; the per-cell split rule of PipelineOptions, K = 1 is the
+  /// whole matrix) into a reusable scratch buffer. The returned reference
+  /// is valid until the next DispatchBytes call on this executor.
+  const ByteMatrix& DispatchBytes(const RoutedAssignment& routed,
+                                  bool transpose, int k, int K) const;
+
+  /// Runs chunk k of K of one layer's expert compute with the given
+  /// FLOPs/token, each GPU starting at its `per_gpu_earliest`; returns the
+  /// chunk's finish time. Busy time charged per GPU is each kernel's
+  /// reservation interval (finish - reserved start), never the wait for
+  /// the compute stream. `span_name` labels the per-GPU trace spans (must
+  /// be a string literal); their args are the layer and, at K = 1, the
+  /// GPU's token count, else the chunk index.
   double RunExpertCompute(const RoutedAssignment& routed,
-                          double flops_per_token,
+                          double flops_per_token, int k, int K,
                           const std::vector<double>& per_gpu_earliest,
                           StepTiming* timing, const char* span_name,
                           int layer);
 
   /// The chunk depth one layer actually runs at: LayerWork::chunks when
-  /// planned (> 0), else PipelineOptions::chunks, else serial.
+  /// planned (> 0), else PipelineOptions::chunks, else 1.
   int EffectiveChunks(const LayerWork& work) const {
     if (work.chunks > 0) return work.chunks;
     return pipeline_.chunks > 1 ? pipeline_.chunks : 1;
   }
 
-  /// The forward pass over `layers` — [shadow broadcasts] -> dispatch A2A
-  /// -> expert compute at forward FLOPs -> combine A2A, per layer —
-  /// shared verbatim by ExecuteStep and ExecuteForward so the two paths
-  /// can never diverge in dispatch/broadcast semantics. Returns the new
-  /// frontier. Each layer dispatches to the chunked variant when its
-  /// effective depth is > 1; the serial body is the pre-pipelining code.
+  /// The forward pass over `layers` — [shadow broadcasts] -> the MoE leg
+  /// at forward FLOPs, per layer — shared verbatim by ExecuteStep and
+  /// ExecuteForward so the two paths can never diverge in dispatch or
+  /// broadcast semantics. Returns the new frontier.
   double RunForwardLayers(const std::vector<LayerWork>& layers,
                           const std::vector<GpuId>& alive, double frontier,
                           StepTiming* timing);
 
-  /// The chunked-overlap forward leg for one layer (PipelineOptions,
-  /// DESIGN.md Section 11): all K dispatch chunks are posted from the
-  /// layer's start (the NIC ports serialize them), each chunk's expert
-  /// compute starts at that chunk's per-GPU dispatch finish, and each
-  /// chunk's combine launches at that chunk's global compute finish — so
-  /// chunk k+1's dispatch overlaps chunk k's compute and combines drain
-  /// behind compute on the port streams. Broadcasts have already run.
-  double RunForwardLayerChunked(const LayerWork& work, int chunks, int layer,
-                                bool recirc, const std::vector<double>* scales,
-                                double frontier, StepTiming* timing);
+  /// One layer's dispatch -> expert compute -> combine leg at
+  /// K = EffectiveChunks(work) (DESIGN.md Sections 11.1 and 12.1): all K
+  /// dispatch chunks are posted from `frontier` (the NIC ports serialize
+  /// them), each chunk's compute starts at that chunk's per-GPU dispatch
+  /// finish, and each chunk's combine launches at that chunk's global
+  /// compute finish — so chunk k+1's dispatch overlaps chunk k's compute
+  /// and combines drain behind compute. Returns the leg's end.
+  ///
+  /// `sync` (backward leg only; nullptr elsewhere) launches the layer's
+  /// expert syncs at the all-chunk compute finish, when every gradient
+  /// contribution is in. At K = 1 they are posted before the combine, the
+  /// pre-pipelining order; at K > 1 after the last combine. Both launch
+  /// times are the same; the posting order decides which of the syncs and
+  /// the combine queue first on the shared NIC ports, and both orders are
+  /// pinned by pipelined_timing_test.
+  double RunLayerLeg(const LayerWork& work, int layer, const LegSpans& spans,
+                     double flops_per_token,
+                     const std::vector<double>* scales, double frontier,
+                     StepTiming* timing, LegSync* sync);
 
-  /// The chunked backward MoE leg for one layer (DESIGN.md Section 12):
-  /// same overlap shape as the forward leg at backward FLOPs — grad
-  /// dispatch chunks posted at the leg start, per-chunk backward compute,
-  /// per-chunk grad combine. Expert syncs are launched by the caller at
-  /// the returned all-chunk compute finish (`*compute_all`): an expert's
-  /// gradient is final only once every chunk's contribution is reduced.
-  double RunBackwardLayerChunked(const LayerWork& work, int chunks, int layer,
-                                 const std::vector<double>* scales,
-                                 double frontier, StepTiming* timing,
-                                 double* compute_all);
+  /// Reserves `seconds` of non-MoE compute (stretched per GPU by its
+  /// compute multiplier) on every live GPU from `frontier`; returns the
+  /// phase finish.
+  double RunNonMoECompute(double seconds, double frontier,
+                          StepTiming* timing);
 
   /// Builds and launches one layer's expert-replica syncs (placement
-  /// groups plus extra_sync_groups, ascending logical id) at `earliest`;
-  /// returns max(sync_finish, each collective's finish) and accumulates
-  /// sync_busy_seconds.
+  /// groups plus extra_sync_groups, ascending logical id, dead members
+  /// dropped) at `earliest`; returns max(sync_finish, each collective's
+  /// finish) and accumulates sync_busy_seconds.
   double RunLayerSyncs(const LayerWork& work, double earliest,
                        NcclGroupCache* group_cache,
                        const std::vector<double>* scales, StepTiming* timing,
                        double sync_finish);
-
-  /// RunExpertCompute for one chunk: tokens come from the per-chunk split
-  /// of routed.expert_gpu_tokens instead of the full matrix.
-  double RunExpertComputeChunk(const RoutedAssignment& routed,
-                               double flops_per_token, int k, int K,
-                               const std::vector<double>& per_gpu_earliest,
-                               StepTiming* timing, const char* span_name,
-                               int layer);
 
   ClusterState* cluster_;
   const HardwareProfile* profile_;
@@ -226,12 +246,12 @@ class StepExecutor {
   obs::Observability* obs_ = nullptr;
   PipelineOptions pipeline_;
   /// Per-call scratch owned by the executor (see DESIGN.md "Performance
-  /// architecture"); mutable because DispatchBytes is logically const.
+  /// architecture"); mutable because DispatchBytes and BandwidthScales are
+  /// logically const.
   mutable ByteMatrix dispatch_bytes_scratch_;
-  /// Chunked-path scratch (DispatchBytesChunk / BandwidthScales).
-  mutable ByteMatrix chunk_bytes_scratch_;
   mutable std::vector<double> port_scale_scratch_;
-  /// Per-chunk dispatch results for the layer in flight (K is small).
+  /// Per-chunk dispatch results for the layer in flight (K is bounded by
+  /// kMaxPipelineChunks).
   std::vector<CollectiveResult> chunk_dispatch_scratch_;
 };
 

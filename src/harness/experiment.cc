@@ -25,10 +25,7 @@ Status ExperimentOptions::Validate() const {
   if (warmup_steps < 0 || warmup_steps >= measure_steps) {
     return Status::InvalidArgument("warmup_steps out of range");
   }
-  if (pipeline_chunks < 0) {
-    return Status::InvalidArgument(
-        "pipeline_chunks must be >= 0 (0 = auto-K)");
-  }
+  FLEXMOE_RETURN_IF_ERROR(PipelineOptions{pipeline_chunks}.Validate());
   FLEXMOE_RETURN_IF_ERROR(elastic.Validate());
   FLEXMOE_RETURN_IF_ERROR(workload.scenario.Validate());
   FLEXMOE_RETURN_IF_ERROR(serving.Validate());

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <climits>
+
 #include "harness/experiment.h"
 #include "harness/reporters.h"
 
@@ -33,6 +35,21 @@ TEST(ExperimentOptionsTest, Validation) {
   o = SmallExperiment("flexmoe");
   o.warmup_steps = o.measure_steps;
   EXPECT_FALSE(o.Validate().ok());
+}
+
+// Chunk depth is bounded: an absurd depth is a validation error, not an
+// allocation failure or an unbounded run inside the executor.
+TEST(ExperimentOptionsTest, PipelineChunksRange) {
+  ExperimentOptions o = SmallExperiment("flexmoe");
+  for (const int chunks : {0, 1, kMaxPipelineChunks}) {
+    o.pipeline_chunks = chunks;
+    EXPECT_TRUE(o.Validate().ok()) << chunks;
+  }
+  for (const int chunks : {-1, kMaxPipelineChunks + 1, INT_MAX}) {
+    o.pipeline_chunks = chunks;
+    EXPECT_EQ(o.Validate().code(), StatusCode::kInvalidArgument) << chunks;
+  }
+  EXPECT_EQ(kMaxPipelineChunks, 64);
 }
 
 TEST(ExperimentTest, AllSystemsRun) {

@@ -3,7 +3,8 @@
 //
 //  1. chunks == 1 is BYTE-IDENTICAL to the pre-pipelining executor — the
 //     StepTiming doubles below were captured from the unmodified serial
-//     code and are compared with ==, not near;
+//     code and are compared with ==, not near; K = 2 and K = 4, and the
+//     expert-sync launch point at K = 1 and K = 4, are pinned the same way;
 //  2. chunks > 1 never makes a step slower, and a dispatch-heavy forward
 //     pass gets strictly faster;
 //  3. the pipelined wall time respects the phase bounds (max-of-phases
@@ -24,6 +25,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <map>
 #include <vector>
 
 #include "core/incremental_cost.h"
@@ -143,6 +145,127 @@ TEST(PipelinedTimingTest, SerialPathMatchesPrePipeliningFingerprintsGrid2x4) {
   EXPECT_EQ(run.step.dp_sync_seconds, 0.010709646080000003);
   EXPECT_EQ(run.step.non_moe_seconds, 0.027042547751384618);
   EXPECT_EQ(PerGpuComputeSum(run.step), 0.013471283987692345);
+}
+
+// ---- 1b. chunked-leg and sync-launch fingerprints -------------------------
+
+struct TimingPin {
+  double start, end, a2a, compute, sync, sync_busy, dp_sync, non_moe;
+  double busy_sum;
+};
+
+// Every timing field compares with ==. Busy time is each kernel's
+// reservation interval (finish - start), which equals its duration only up
+// to rounding at K > 1, so the per-GPU busy sum compares to 1e-12.
+void ExpectPinned(const StepTiming& t, const TimingPin& pin) {
+  EXPECT_EQ(t.start, pin.start);
+  EXPECT_EQ(t.end, pin.end);
+  EXPECT_EQ(t.a2a_seconds, pin.a2a);
+  EXPECT_EQ(t.compute_seconds, pin.compute);
+  EXPECT_EQ(t.sync_seconds, pin.sync);
+  EXPECT_EQ(t.sync_busy_seconds, pin.sync_busy);
+  EXPECT_EQ(t.dp_sync_seconds, pin.dp_sync);
+  EXPECT_EQ(t.non_moe_seconds, pin.non_moe);
+  EXPECT_NEAR(PerGpuComputeSum(t), pin.busy_sum, 1e-12 * pin.busy_sum);
+}
+
+// The chunked legs at K = 2 and K = 4, printed (%.17g) by the executor
+// that still ran them as separate bodies beside the serial ones.
+TEST(PipelinedTimingTest, ChunkedPathMatchesFingerprints) {
+  struct Case {
+    bool grid;
+    int chunks;
+    TimingPin fwd;
+    TimingPin step;
+  };
+  const Case cases[] = {
+      {false, 2,
+       {0.0, 0.0096627624566153845, 8.6914560000000014e-05,
+        0.0005616653128205128, 0.0, 0.0, 0.0, 0.0090141825837948709,
+        0.0046610946625641027},
+       {0.0096627624566153845, 0.039475910626461552, 0.0001738291200000068,
+        0.0016739674584615484, 0.0, 0.0, 0.00092280383999999993,
+        0.027042547751384614, 0.013727283987692308}},
+      {false, 4,
+       {0.0, 0.009673790936615384, 7.6428799999999887e-05,
+        0.00058317955282051297, 0.0, 0.0, 0.0, 0.0090141825837948709,
+        0.0049170946625641037},
+       {0.009673790936615384, 0.039508996066461535, 0.00015285760000001772,
+        0.0017169959384615192, 0.0, 0.0, 0.00092280383999999993,
+        0.027042547751384614, 0.01423928398769231}},
+      {true, 2,
+       {0.0, 0.010180135896615384, 0.0008349747200000002,
+        0.00033097859282051273, 0.0, 0.0, 0.0, 0.0090141825837948709,
+        0.0046610946625641027},
+       {0.010180135896615384, 0.050814873186461558, 0.0016699494400000056,
+        0.0012125940184615491, 0.0, 0.0, 0.010709646080000003,
+        0.027042547751384614, 0.013727283987692308}},
+      {true, 4,
+       {0.0, 0.0099604776566153842, 0.00070914560000000021,
+        0.00023714947282051297, 0.0, 0.0, 0.0, 0.0090141825837948709,
+        0.0049170946625641037},
+       {0.0099604776566153842, 0.050155898466461547, 0.0014182912000000429,
+        0.0010249357784615047, 0.0, 0.0, 0.010709646080000003,
+        0.027042547751384614, 0.01423928398769231}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(::testing::Message()
+                 << "grid=" << c.grid << " chunks=" << c.chunks);
+    const TestEnv env = c.grid ? TestEnv::MakeGrid(2, 4) : TestEnv::Make(8);
+    const ForwardRun run = RunProbe(env, c.chunks);
+    ExpectPinned(run.fwd, c.fwd);
+    ExpectPinned(run.step, c.step);
+  }
+}
+
+/// Experts 0-3 replicated on GPUs e and e+4, experts 4-7 single-homed:
+/// four two-GPU replica syncs per layer.
+Placement Replicated8() {
+  PlacementOptions po;
+  po.num_experts = 8;
+  po.num_gpus = 8;
+  po.slots_per_gpu = 2;
+  std::vector<std::map<GpuId, int>> replicas(8);
+  for (int e = 0; e < 8; ++e) {
+    replicas[static_cast<size_t>(e)][e] = 1;
+    if (e < 4) replicas[static_cast<size_t>(e)][e + 4] = 1;
+  }
+  return *Placement::FromReplicaMap(po, replicas);
+}
+
+// A layer's expert syncs share the NIC ports with its grad combine, so the
+// point in the backward leg where they are posted decides which queues
+// first. K = 1 posts them before the combine, K > 1 after the last
+// combine; moving either launch point moves these doubles.
+TEST(PipelinedTimingTest, ExpertSyncLaunchPointFingerprints) {
+  struct Case {
+    int chunks;
+    double end, sync, sync_busy;
+  };
+  const Case cases[] = {
+      {1, 0.03085784133907692, 0.0, 0.00029986303999998687},
+      {4, 0.030859611899076919, 3.4482879999998828e-05,
+       0.00036580607999997516},
+  };
+  const TestEnv env = TestEnv::Make(8);
+  const Placement p = Replicated8();
+  const Assignment a = SkewedAssignment(8, 8, 4096);
+  const RoutedAssignment r = FlexibleRouter::Route(a, p);
+  LayerWork work;
+  work.routed = &r;
+  work.placement = &p;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(::testing::Message() << "chunks=" << c.chunks);
+    ClusterState cluster(env.topo.get());
+    StepExecutor exec(&cluster, &env.profile, ProbeModel());
+    PipelineOptions pipeline;
+    pipeline.chunks = c.chunks;
+    exec.set_pipeline(pipeline);
+    const StepTiming t = exec.ExecuteStep({work, work}, nullptr);
+    EXPECT_EQ(t.end, c.end);
+    EXPECT_EQ(t.sync_seconds, c.sync);
+    EXPECT_EQ(t.sync_busy_seconds, c.sync_busy);
+  }
 }
 
 // ---- 2./3. overlap speedup and phase bounds -------------------------------
