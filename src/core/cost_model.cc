@@ -392,31 +392,52 @@ void ForwardFloorEstimator::set_num_gpus(int num_gpus) {
   FLEXMOE_CHECK(num_gpus > 0);
   if (num_gpus == num_gpus_) return;
   num_gpus_ = num_gpus;
-  for (Slot& slot : slots_) slot = Slot{};
+  Clear();
 }
 
 void ForwardFloorEstimator::set_chunks(int chunks) {
   FLEXMOE_CHECK(chunks >= 0);
   if (chunks == chunks_) return;
   chunks_ = chunks;
-  for (Slot& slot : slots_) slot = Slot{};
+  Clear();
+}
+
+void ForwardFloorEstimator::Clear() {
+  std::fill(slots_.begin(), slots_.end(), Slot{});
+  entries_ = 0;
 }
 
 double ForwardFloorEstimator::Seconds(int64_t tokens) const {
-  // Fibonacci-hash the token count into the direct-mapped cache; on a
-  // collision the newer entry simply wins (the estimate itself is the
-  // source of truth, the cache only skips the O(G^2) A2A scan).
-  const size_t idx =
-      (static_cast<uint64_t>(tokens) * 0x9e3779b97f4a7c15ULL) >> 32 &
-      (kSlots - 1);
-  Slot& slot = slots_[idx];
-  if (slot.tokens != tokens) {
-    slot.tokens = tokens;
-    slot.seconds = EstimateForwardMicrobatchSeconds(*profile_, model_,
-                                                    num_gpus_, tokens,
-                                                    chunks_);
+  if (tokens <= 0) {
+    return EstimateForwardMicrobatchSeconds(*profile_, model_, num_gpus_,
+                                            tokens, chunks_);
   }
-  return slot.seconds;
+  if (slots_.empty()) slots_.resize(kSlots);
+  // Fibonacci hash: the top kSlotBits bits of the product.
+  const size_t home = static_cast<size_t>(
+      (static_cast<uint64_t>(tokens) * 0x9e3779b97f4a7c15ULL) >>
+      (64 - kSlotBits));
+  size_t idx = home;
+  while (slots_[idx].tokens != 0) {
+    if (slots_[idx].tokens == tokens) return slots_[idx].seconds;
+    idx = (idx + 1) & (kSlots - 1);
+  }
+  // Miss. Below the fill bound the count takes the empty slot that ended
+  // the probe. At the bound it replaces the occupant of its home slot,
+  // which leaves the set of occupied slots — and so every other count's
+  // probe chain — unchanged; when its home slot is empty it is not stored.
+  const double seconds = EstimateForwardMicrobatchSeconds(
+      *profile_, model_, num_gpus_, tokens, chunks_);
+  ++computes_;
+  if (entries_ < kMaxEntries) {
+    ++entries_;
+  } else if (idx == home) {
+    return seconds;
+  } else {
+    idx = home;
+  }
+  slots_[idx] = Slot{tokens, seconds};
+  return seconds;
 }
 
 }  // namespace flexmoe

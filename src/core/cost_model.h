@@ -13,6 +13,8 @@
 #ifndef FLEXMOE_CORE_COST_MODEL_H_
 #define FLEXMOE_CORE_COST_MODEL_H_
 
+#include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "core/router.h"
@@ -206,13 +208,27 @@ double EstimateForwardMicrobatchSeconds(const HardwareProfile& profile,
 
 /// \brief Memoizing wrapper around EstimateForwardMicrobatchSeconds for
 /// the serving admission/shedding hot path. Admission probes the floor for
-/// every queued request every batch window, and the probed token counts
-/// come from a small working set (requests are chunked to cap-sized
-/// pieces, sizes repeat across windows), so a tiny direct-mapped cache
-/// makes the steady state O(1) and allocation-free while returning values
-/// bitwise identical to the direct call.
+/// every queued request every batch window, so one serving run makes
+/// hundreds of thousands of probes, but over a working set of only a few
+/// thousand distinct token counts (sizes repeat across windows and
+/// oversized requests are cut to cap-sized chunks). The memo is a flat
+/// open-addressing table (linear probing, Fibonacci hash) of kSlots slots
+/// that holds that working set whole, so after its first sighting a count
+/// costs one hash and a short probe instead of the O(G^2) A2A scan. The
+/// table is allocated on the first Seconds() call — 128 KB, never grown —
+/// so an estimator that is built but never probed costs nothing. Once it
+/// holds kMaxEntries counts, a new count evicts the count in its home slot
+/// (or, when that slot is empty, is not stored), which keeps the table
+/// bounded and every probe chain intact. Every value it returns is bitwise
+/// identical to the direct call (DESIGN.md Section 11.3).
 class ForwardFloorEstimator {
  public:
+  /// Memo slots (a power of two, for mask indexing) and the fill bound
+  /// (3/4 load) past which new counts evict instead of being added.
+  static constexpr int kSlotBits = 13;
+  static constexpr size_t kSlots = size_t{1} << kSlotBits;
+  static constexpr size_t kMaxEntries = kSlots / 4 * 3;
+
   ForwardFloorEstimator(const HardwareProfile* profile,
                         const ModelConfig& model, int num_gpus,
                         int chunks = 1);
@@ -220,33 +236,41 @@ class ForwardFloorEstimator {
   double Seconds(int64_t tokens) const;
 
   /// Re-targets the estimator at a new GPU count (the cluster-health
-  /// alive count after a failure or recovery). Invalidates every cached
-  /// slot when the count actually changes — a memoized floor computed for
-  /// the old membership is stale, and serving it would let shedding admit
+  /// alive count after a failure or recovery). Clears the memo when the
+  /// count actually changes — a memoized floor computed for the old
+  /// membership is stale, and serving it would let shedding admit
   /// provably-unreachable requests after a failover.
   void set_num_gpus(int num_gpus);
   int num_gpus() const { return num_gpus_; }
 
   /// Re-targets the estimator at a new chunk depth (0 = auto-K).
-  /// Invalidates every cached slot when the depth actually changes — the
-  /// same staleness failure mode as membership: with auto-K varying the
+  /// Clears the memo when the depth actually changes — the same
+  /// staleness failure mode as membership: with auto-K varying the
   /// executor's depth between invocations, a floor memoized for the old K
   /// would silently over- or under-shed.
   void set_chunks(int chunks);
   int chunks() const { return chunks_; }
 
+  /// Memo misses so far: the number of Seconds() calls that ran
+  /// EstimateForwardMicrobatchSeconds (counts <= 0 are not memoized and
+  /// not counted).
+  int64_t computes() const { return computes_; }
+
  private:
   struct Slot {
-    int64_t tokens = -1;
+    int64_t tokens = 0;  ///< 0 marks an empty slot (counts are > 0)
     double seconds = 0.0;
   };
-  static constexpr size_t kSlots = 64;  // power of two (mask indexing)
+
+  void Clear();
 
   const HardwareProfile* profile_;
   ModelConfig model_;
   int num_gpus_;
   int chunks_;
-  mutable Slot slots_[kSlots];
+  mutable std::vector<Slot> slots_;  ///< empty until the first probe
+  mutable size_t entries_ = 0;
+  mutable int64_t computes_ = 0;
 };
 
 }  // namespace flexmoe

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <limits>
 #include <queue>
 
@@ -49,6 +50,8 @@ Assignment ScaleAssignmentTo(const Assignment& src, int64_t target_total) {
     int gpu;
   };
   std::vector<Remainder> remainders;
+  remainders.reserve(static_cast<size_t>(src.num_experts()) *
+                     static_cast<size_t>(src.num_gpus()));
   int64_t assigned = 0;
   for (int e = 0; e < src.num_experts(); ++e) {
     const int64_t* row = src.row(e);
@@ -73,15 +76,22 @@ Assignment ScaleAssignmentTo(const Assignment& src, int64_t target_total) {
   int64_t leftover = target_total - assigned;
   FLEXMOE_CHECK(leftover >= 0 &&
                 leftover <= static_cast<int64_t>(remainders.size()));
-  std::sort(remainders.begin(), remainders.end(),
-            [](const Remainder& a, const Remainder& b) {
-              if (a.rem != b.rem) return a.rem > b.rem;
-              if (a.expert != b.expert) return a.expert < b.expert;
-              return a.gpu < b.gpu;
-            });
-  for (int64_t i = 0; i < leftover; ++i) {
-    const Remainder& r = remainders[static_cast<size_t>(i)];
-    out.add(r.expert, r.gpu, 1);
+  // The order (rem desc, expert asc, gpu asc) is strict and total — no two
+  // cells share (expert, gpu) — so selecting the first `leftover` cells
+  // picks exactly the cells a full sort would put there, and the order in
+  // which they receive their unit does not matter.
+  const auto first_leftover =
+      remainders.begin() + static_cast<std::ptrdiff_t>(leftover);
+  if (leftover > 0 && first_leftover != remainders.end()) {
+    std::nth_element(remainders.begin(), first_leftover, remainders.end(),
+                     [](const Remainder& a, const Remainder& b) {
+                       if (a.rem != b.rem) return a.rem > b.rem;
+                       if (a.expert != b.expert) return a.expert < b.expert;
+                       return a.gpu < b.gpu;
+                     });
+  }
+  for (auto it = remainders.begin(); it != first_leftover; ++it) {
+    out.add(it->expert, it->gpu, 1);
   }
   return out;
 }

@@ -1,5 +1,7 @@
 #include "gate/trace_source.h"
 
+#include <array>
+
 namespace flexmoe {
 
 std::vector<Assignment> ReplayTraceSource::NextStep() {
@@ -18,21 +20,44 @@ std::vector<Assignment> RecordingTraceSource::NextStep() {
   return step;
 }
 
+namespace {
+
+constexpr uint64_t kFnvPrime = 1099511628211ULL;
+
+/// kFnvPowers[m] = kFnvPrime^m mod 2^64.
+constexpr std::array<uint64_t, 9> FnvPowers() {
+  std::array<uint64_t, 9> powers{};
+  uint64_t p = 1;
+  for (uint64_t& power : powers) {
+    power = p;
+    p *= kFnvPrime;
+  }
+  return powers;
+}
+constexpr std::array<uint64_t, 9> kFnvPowers = FnvPowers();
+
+}  // namespace
+
+uint64_t HashWord(uint64_t v, uint64_t h) {
+  // A zero byte only does h *= kFnvPrime, so the run of zero bytes above
+  // the word's top nonzero byte folds into one multiply by
+  // kFnvPrime^run.
+  int bytes = 0;
+  for (; v != 0; v >>= 8, ++bytes) {
+    h ^= v & 0xff;
+    h *= kFnvPrime;
+  }
+  return h * kFnvPowers[static_cast<size_t>(8 - bytes)];
+}
+
 uint64_t HashStep(const std::vector<Assignment>& step, uint64_t h) {
-  constexpr uint64_t kPrime = 1099511628211ULL;
-  auto mix = [&h](uint64_t v) {
-    for (int b = 0; b < 8; ++b) {
-      h ^= (v >> (8 * b)) & 0xff;
-      h *= kPrime;
-    }
-  };
   for (const Assignment& a : step) {
-    mix(static_cast<uint64_t>(a.num_experts()));
-    mix(static_cast<uint64_t>(a.num_gpus()));
+    h = HashWord(static_cast<uint64_t>(a.num_experts()), h);
+    h = HashWord(static_cast<uint64_t>(a.num_gpus()), h);
     for (int e = 0; e < a.num_experts(); ++e) {
       const int64_t* row = a.row(e);
       for (int g = 0; g < a.num_gpus(); ++g) {
-        mix(static_cast<uint64_t>(row[g]));
+        h = HashWord(static_cast<uint64_t>(row[g]), h);
       }
     }
   }

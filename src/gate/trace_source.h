@@ -82,6 +82,10 @@ class RecordingTraceSource : public TraceSource {
 constexpr uint64_t kTraceHashSeed = 1469598103934665603ULL;
 uint64_t HashStep(const std::vector<Assignment>& step, uint64_t h);
 
+/// \brief FNV-1a of one 64-bit word — its eight bytes, least significant
+/// first — chained from `h`. HashStep hashes every count as one word.
+uint64_t HashWord(uint64_t v, uint64_t h);
+
 }  // namespace flexmoe
 
 #endif  // FLEXMOE_GATE_TRACE_SOURCE_H_

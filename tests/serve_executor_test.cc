@@ -21,6 +21,8 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "core/cost_model.h"
 #include "core/flexmoe.h"
@@ -29,6 +31,7 @@
 #include "harness/experiment.h"
 #include "harness/golden.h"
 #include "test_env.h"
+#include "util/string_util.h"
 
 namespace flexmoe {
 namespace {
@@ -119,6 +122,100 @@ TEST(ScaleAssignmentTest, SurvivesOverflowBoundary) {
   const Assignment out2 = ScaleAssignmentTo(skew, odd_target);
   EXPECT_EQ(out2.Total(), odd_target);
   EXPECT_GT(out2.at(0, 0), out2.at(0, 1));
+}
+
+// Differential against the reference implementation: the original full
+// sort of every remainder. The serving path selects the leftover cells
+// instead of sorting them all, and must hand out exactly the same units.
+Assignment ScaleAssignmentToBySort(const Assignment& src,
+                                   int64_t target_total) {
+  const int64_t src_total = src.Total();
+  Assignment out(src.num_experts(), src.num_gpus());
+  if (src_total <= 0 || target_total == 0) return out;
+  struct Remainder {
+    int64_t rem;
+    int expert;
+    int gpu;
+  };
+  std::vector<Remainder> remainders;
+  int64_t assigned = 0;
+  for (int e = 0; e < src.num_experts(); ++e) {
+    for (int g = 0; g < src.num_gpus(); ++g) {
+      const int64_t count = src.at(e, g);
+      if (count <= 0) continue;
+      const __int128 numer =
+          static_cast<__int128>(count) * static_cast<__int128>(target_total);
+      const int64_t floor_share =
+          static_cast<int64_t>(numer / static_cast<__int128>(src_total));
+      const int64_t rem =
+          static_cast<int64_t>(numer % static_cast<__int128>(src_total));
+      if (floor_share > 0) out.set(e, g, floor_share);
+      assigned += floor_share;
+      if (rem > 0) remainders.push_back({rem, e, g});
+    }
+  }
+  std::sort(remainders.begin(), remainders.end(),
+            [](const Remainder& a, const Remainder& b) {
+              if (a.rem != b.rem) return a.rem > b.rem;
+              if (a.expert != b.expert) return a.expert < b.expert;
+              return a.gpu < b.gpu;
+            });
+  for (int64_t i = 0; i < target_total - assigned; ++i) {
+    const Remainder& r = remainders[static_cast<size_t>(i)];
+    out.add(r.expert, r.gpu, 1);
+  }
+  return out;
+}
+
+/// Compares every cell at the targets {0, 1, total - 1, total,
+/// 2 * total + 13} plus `extra_targets`.
+void ExpectSameAsSort(const Assignment& src, const std::string& what,
+                      std::vector<int64_t> extra_targets = {}) {
+  const int64_t total = src.Total();
+  std::vector<int64_t> targets = {0, 1, total - 1, total, 2 * total + 13};
+  targets.insert(targets.end(), extra_targets.begin(), extra_targets.end());
+  for (const int64_t target : targets) {
+    if (target < 0) continue;
+    const Assignment got = ScaleAssignmentTo(src, target);
+    const Assignment want = ScaleAssignmentToBySort(src, target);
+    for (int e = 0; e < src.num_experts(); ++e) {
+      for (int g = 0; g < src.num_gpus(); ++g) {
+        ASSERT_EQ(got.at(e, g), want.at(e, g))
+            << what << " target=" << target << " cell " << e << "," << g;
+      }
+    }
+  }
+}
+
+TEST(ScaleAssignmentTest, MatchesFullSortReferenceOnTiesAndZeros) {
+  Rng rng(41);
+  for (int trial = 0; trial < 200; ++trial) {
+    const int experts = 1 + static_cast<int>(rng.UniformInt(40));
+    const int gpus = 1 + static_cast<int>(rng.UniformInt(24));
+    // Counts from a small alphabet: many cells share a count, hence a
+    // remainder, so the expert/gpu tie-breaks decide who gets the units.
+    static constexpr int64_t kCounts[] = {0, 0, 0, 1, 1, 2, 3, 6, 7, 12};
+    Assignment src(experts, gpus);
+    for (int e = 0; e < experts; ++e) {
+      for (int g = 0; g < gpus; ++g) {
+        src.set(e, g, kCounts[rng.UniformInt(10)]);
+      }
+    }
+    ExpectSameAsSort(src, StrFormat("trial %d (%dx%d)", trial, experts, gpus));
+  }
+  ExpectSameAsSort(MakeSkewed(64, 8, 5), "skewed 64x8");
+  ExpectSameAsSort(Assignment(4, 4), "all zero");
+}
+
+TEST(ScaleAssignmentTest, MatchesFullSortReferenceAtOverflowBoundary) {
+  const int64_t g30 = int64_t{1} << 30;
+  Assignment src(2, 3);
+  src.set(0, 0, 5 * g30 + 1);
+  src.set(0, 1, 3 * g30 - 1);
+  src.set(1, 0, 6 * g30);
+  src.set(1, 2, 2 * g30 + 3);
+  // Targets near 2^32 and 2^33 push count * target past 2^64.
+  ExpectSameAsSort(src, "2^64 boundary", {4 * g30, 8 * g30 + 7});
 }
 
 // ---- RequestSource --------------------------------------------------------

@@ -15,16 +15,21 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
+#include <set>
 #include <string>
 #include <tuple>
+#include <vector>
 
+#include "core/cost_model.h"
 #include "core/flexmoe.h"
 #include "core/serve_executor.h"
 #include "core/step_executor.h"
 #include "gate/request_source.h"
 #include "gate/trace_source.h"
 #include "test_env.h"
+#include "util/rng.h"
 
 namespace flexmoe {
 namespace {
@@ -184,6 +189,70 @@ TEST(ServingFloorFailoverTest, RetargetedFloorBoundsDegradedForward) {
     EXPECT_GT(degraded_floor, full) << "chunks=" << chunks;
     EXPECT_LE(degraded_floor, measured) << "chunks=" << chunks;
   }
+}
+
+// The memo's working-set contract: a serving run probes a few thousand
+// distinct token counts over and over, and the memo must hold all of them
+// — each count computed once, every later probe a hit — while returning
+// values bitwise identical to the direct call.
+
+uint64_t Bits(double v) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+TEST(ForwardFloorMemoTest, HoldsWorkingSetAndComputesEachCountOnce) {
+  const TestEnv env = TestEnv::Make(8);
+  const ModelConfig model = ServeModel();
+  // 3,500 distinct counts spread over [1, 2^20), the top of the working
+  // set measured on the serving workloads.
+  Rng rng(29);
+  std::set<int64_t> distinct;
+  while (distinct.size() < 3500) {
+    distinct.insert(1 + static_cast<int64_t>(rng.UniformInt(1 << 20)));
+  }
+  const std::vector<int64_t> counts(distinct.begin(), distinct.end());
+  for (const int chunks : {1, 4, 0}) {
+    const ForwardFloorEstimator floor(&env.profile, model, 8, chunks);
+    for (int pass = 0; pass < 4; ++pass) {
+      for (const int64_t tokens : counts) {
+        ASSERT_EQ(Bits(floor.Seconds(tokens)),
+                  Bits(EstimateForwardMicrobatchSeconds(env.profile, model, 8,
+                                                        tokens, chunks)))
+            << "chunks=" << chunks << " pass=" << pass << " tokens=" << tokens;
+      }
+      EXPECT_EQ(floor.computes(), static_cast<int64_t>(counts.size()))
+          << "chunks=" << chunks << " pass=" << pass;
+    }
+  }
+}
+
+// Past the fill bound new counts evict older ones: the memo stays bounded
+// and every value stays exact, evicted counts included.
+TEST(ForwardFloorMemoTest, StaysExactWhenTheTableIsFull) {
+  const TestEnv env = TestEnv::Make(8);
+  const ModelConfig model = ServeModel();
+  const ForwardFloorEstimator floor(&env.profile, model, 8, 4);
+  const int64_t n = 2 * static_cast<int64_t>(ForwardFloorEstimator::kSlots);
+  for (int pass = 0; pass < 2; ++pass) {
+    for (int64_t tokens = 1; tokens <= n; ++tokens) {
+      ASSERT_EQ(Bits(floor.Seconds(tokens)),
+                Bits(EstimateForwardMicrobatchSeconds(env.profile, model, 8,
+                                                      tokens, 4)))
+          << "pass=" << pass << " tokens=" << tokens;
+    }
+  }
+  // The first pass computed every count; the second recomputed at least
+  // the counts the bound forced out.
+  EXPECT_GE(floor.computes(),
+            n + n - static_cast<int64_t>(ForwardFloorEstimator::kMaxEntries));
+  EXPECT_LE(floor.computes(), 2 * n);
+  // Non-positive counts bypass the memo and still match the direct call.
+  EXPECT_EQ(Bits(floor.Seconds(0)),
+            Bits(EstimateForwardMicrobatchSeconds(env.profile, model, 8, 0, 4)));
+  EXPECT_EQ(Bits(floor.Seconds(-5)),
+            Bits(EstimateForwardMicrobatchSeconds(env.profile, model, 8, -5, 4)));
 }
 
 }  // namespace

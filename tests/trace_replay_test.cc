@@ -4,10 +4,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "gate/trace_source.h"
 #include "harness/experiment.h"
+#include "util/rng.h"
 
 namespace flexmoe {
 namespace {
@@ -170,6 +175,99 @@ TEST(ReplayDeterminismTest, ScenarioRecordingsReplayIdentically) {
   EXPECT_EQ(live->trace_hash, replayed->trace_hash);
   EXPECT_EQ(live->mean_step_seconds, replayed->mean_step_seconds);
   EXPECT_EQ(live->mean_balance_ratio, replayed->mean_balance_ratio);
+}
+
+// HashWord folds each word's zero high bytes into one multiply; it, and
+// HashStep built on it, must equal the plain byte-wise FNV-1a loop.
+uint64_t HashWordByteWise(uint64_t v, uint64_t h) {
+  for (int b = 0; b < 8; ++b) {
+    h ^= (v >> (8 * b)) & 0xff;
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+uint64_t HashStepByteWise(const std::vector<Assignment>& step, uint64_t h) {
+  for (const Assignment& a : step) {
+    h = HashWordByteWise(static_cast<uint64_t>(a.num_experts()), h);
+    h = HashWordByteWise(static_cast<uint64_t>(a.num_gpus()), h);
+    for (int e = 0; e < a.num_experts(); ++e) {
+      for (int g = 0; g < a.num_gpus(); ++g) {
+        h = HashWordByteWise(static_cast<uint64_t>(a.at(e, g)), h);
+      }
+    }
+  }
+  return h;
+}
+
+const int64_t kEdgeWords[] = {0,
+                              1,
+                              255,
+                              256,
+                              int64_t{1} << 56,
+                              -1,
+                              std::numeric_limits<int64_t>::min(),
+                              std::numeric_limits<int64_t>::max()};
+
+/// A random word: an edge value, a full-width word, or a word of a random
+/// byte width.
+uint64_t RandomWord(Rng* rng) {
+  switch (rng->UniformInt(3)) {
+    case 0:
+      return static_cast<uint64_t>(kEdgeWords[rng->UniformInt(8)]);
+    case 1:
+      return rng->Next();
+    default:
+      return rng->Next() >> (8 * rng->UniformInt(8));
+  }
+}
+
+TEST(HashStepTest, HashWordMatchesByteWiseFnv1a) {
+  Rng rng(17);
+  for (const int64_t word : kEdgeWords) {
+    for (const uint64_t h : {kTraceHashSeed, uint64_t{0}, rng.Next()}) {
+      EXPECT_EQ(HashWord(static_cast<uint64_t>(word), h),
+                HashWordByteWise(static_cast<uint64_t>(word), h))
+          << "word " << word;
+    }
+  }
+  uint64_t h = kTraceHashSeed;
+  uint64_t want = kTraceHashSeed;
+  for (int i = 0; i < 100000; ++i) {
+    const uint64_t word = RandomWord(&rng);
+    h = HashWord(word, h);
+    want = HashWordByteWise(word, want);
+    ASSERT_EQ(h, want) << "word " << word << " at " << i;
+  }
+}
+
+TEST(HashStepTest, MatchesByteWiseFnv1a) {
+  EXPECT_EQ(HashStep({}, kTraceHashSeed),
+            HashStepByteWise({}, kTraceHashSeed));
+  Rng rng(19);
+  for (const auto& [experts, gpus] :
+       std::vector<std::pair<int, int>>{{1, 1}, {3, 5}, {16, 8}, {64, 16}}) {
+    std::vector<Assignment> step;
+    for (int layer = 0; layer < 3; ++layer) {
+      // Counts are non-negative, so the sign bit is masked off; the
+      // HashWord test above covers -1 and INT64_MIN.
+      Assignment a(experts, gpus);
+      for (int e = 0; e < experts; ++e) {
+        for (int g = 0; g < gpus; ++g) {
+          a.set(e, g, static_cast<int64_t>(RandomWord(&rng) & ~(1ULL << 63)));
+        }
+      }
+      step.push_back(std::move(a));
+    }
+    step.emplace_back(experts, gpus);  // an all-zero layer
+    uint64_t h = kTraceHashSeed;
+    uint64_t want = kTraceHashSeed;
+    for (int round = 0; round < 3; ++round) {
+      h = HashStep(step, h);
+      want = HashStepByteWise(step, want);
+      ASSERT_EQ(h, want) << experts << "x" << gpus << " round " << round;
+    }
+  }
 }
 
 }  // namespace
