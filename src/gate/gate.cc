@@ -110,14 +110,17 @@ namespace {
 /// Allocation-free: writes into `out` (size n; must not alias `probs`).
 void SecondChoiceMarginalInto(const double* probs, int n, double* out) {
   constexpr double kEps = 1e-12;
+  // out[e] holds the odds probs[e] / (1 - probs[e]) until it is replaced
+  // by the unnormalized marginal.
   double s = 0.0;
-  for (int e = 0; e < n; ++e) s += probs[e] / std::max(kEps, 1.0 - probs[e]);
+  for (int e = 0; e < n; ++e) {
+    out[e] = probs[e] / std::max(kEps, 1.0 - probs[e]);
+    s += out[e];
+  }
   double total = 0.0;
   for (int e = 0; e < n; ++e) {
-    const double q =
-        probs[e] * std::max(0.0, s - probs[e] / std::max(kEps, 1.0 - probs[e]));
-    out[e] = q;
-    total += q;
+    out[e] = probs[e] * std::max(0.0, s - out[e]);
+    total += out[e];
   }
   if (total <= 0.0) {
     for (int e = 0; e < n; ++e) out[e] = probs[e];

@@ -84,8 +84,9 @@ Result<std::unique_ptr<TraceSource>> BuildTraceSource(
         new ReplayTraceSource(std::move(trace)));
   }
   FLEXMOE_ASSIGN_OR_RETURN(TraceGenerator gen, BuildTraceGenerator(options));
+  // The run pulls exactly measure_steps steps: the helper makes no more.
   return std::unique_ptr<TraceSource>(
-      new GeneratorTraceSource(std::move(gen)));
+      new GeneratorTraceSource(std::move(gen), options.measure_steps));
 }
 
 Result<std::unique_ptr<MoESystem>> BuildSystem(

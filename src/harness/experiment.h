@@ -179,8 +179,9 @@ FaultPlanOptions ResolveFaultOptions(const ExperimentOptions& options);
 Result<TraceGenerator> BuildTraceGenerator(const ExperimentOptions& options);
 
 /// \brief Builds the experiment's assignment stream: a live generator for
-/// `workload.scenario`, or a replay of `workload.replay_path` (validated
-/// against the model shape and step budget).
+/// `workload.scenario` that prefetches at most `measure_steps` steps, or a
+/// replay of `workload.replay_path` (validated against the model shape and
+/// step budget).
 Result<std::unique_ptr<TraceSource>> BuildTraceSource(
     const ExperimentOptions& options);
 

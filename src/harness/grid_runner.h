@@ -45,6 +45,8 @@ int ResolveGridThreads(int requested);
 /// \brief Runs `fn(0) .. fn(n-1)` on `num_threads` workers (dynamic
 /// work-stealing over an atomic index). `fn` must be safe to call
 /// concurrently for distinct indices. Blocks until every index completed.
+/// Each worker holds a thread of the process budget (util/thread_budget.h)
+/// until the indices run out.
 void ParallelFor(int n, int num_threads, const std::function<void(int)>& fn);
 
 /// \brief Executes every cell (work-stealing over `num_threads` workers; 0

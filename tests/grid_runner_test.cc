@@ -7,6 +7,7 @@
 #include <atomic>
 #include <vector>
 
+#include "harness/golden.h"
 #include "harness/grid_runner.h"
 
 namespace flexmoe {
@@ -65,16 +66,25 @@ TEST(ResolveGridThreadsTest, Resolution) {
 }
 
 TEST(GridRunnerTest, ResultsIndependentOfThreadCount) {
-  const std::vector<GridCell> cells = SmallGrid();
+  // Training cells plus a serving cell. At 1 thread every cell's trace
+  // helper engages; at hardware threads the budget keeps them off while
+  // every core runs a cell. Neither may change a byte.
+  std::vector<GridCell> cells = SmallGrid();
+  GridCell serving;
+  serving.label = "serving/bursty/flexmoe";
+  serving.options = ServingSizeMixCell("bursty", "flexmoe");
+  cells.push_back(serving);
   const std::vector<GridCellResult> serial = RunExperimentGrid(cells, 1);
   const std::vector<GridCellResult> parallel4 = RunExperimentGrid(cells, 4);
   const std::vector<GridCellResult> parallel3 = RunExperimentGrid(cells, 3);
+  const std::vector<GridCellResult> hardware = RunExperimentGrid(cells, 0);
 
   ASSERT_EQ(serial.size(), cells.size());
-  ASSERT_EQ(parallel4.size(), cells.size());
-  ASSERT_EQ(parallel3.size(), cells.size());
+  for (const auto* run : {&parallel4, &parallel3, &hardware}) {
+    ASSERT_EQ(run->size(), cells.size());
+  }
   for (size_t i = 0; i < cells.size(); ++i) {
-    for (const auto* run : {&parallel4, &parallel3}) {
+    for (const auto* run : {&parallel4, &parallel3, &hardware}) {
       const GridCellResult& a = serial[i];
       const GridCellResult& b = (*run)[i];
       EXPECT_EQ(a.label, b.label);
@@ -90,8 +100,12 @@ TEST(GridRunnerTest, ResultsIndependentOfThreadCount) {
           << i;
       EXPECT_EQ(a.report.hours_to_target, b.report.hours_to_target) << i;
       EXPECT_EQ(a.report.stats.steps().size(), b.report.stats.steps().size());
+      EXPECT_EQ(FormatDigest(DigestFromReport(a.label, a.report)),
+                FormatDigest(DigestFromReport(b.label, b.report)))
+          << i;
     }
   }
+  EXPECT_TRUE(serial.back().report.serving);
 }
 
 TEST(GridRunnerTest, MoreThreadsThanCells) {

@@ -1,18 +1,25 @@
 // TraceSource and the replay contract: a recorded trace replayed into a
 // system must be indistinguishable from the live generator run — the
 // metrics of all four systems must be byte-identical between the two.
+// Also the pipelined GeneratorTraceSource: its helper thread must hand out
+// the bare generator's exact stream, respect its horizon, and never hang
+// on teardown.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
+#include "gate/logit_process.h"
 #include "gate/trace_source.h"
 #include "harness/experiment.h"
 #include "util/rng.h"
+#include "util/thread_budget.h"
 
 namespace flexmoe {
 namespace {
@@ -40,16 +47,97 @@ TraceGeneratorOptions SmallTrace() {
   return o;
 }
 
+/// Hash chain of `pulls` steps of a bare generator.
+uint64_t BareChain(const TraceGeneratorOptions& t, int pulls) {
+  auto gen = *TraceGenerator::Create(t);
+  uint64_t h = kTraceHashSeed;
+  for (int s = 0; s < pulls; ++s) h = HashStep(gen.Step(), h);
+  return h;
+}
+
+/// The helper engages at the first pull when the process has a hardware
+/// thread free, which a single-threaded test process has unless the
+/// machine has one thread only.
+bool HelperCanEngage() { return HardwareThreads() > 1; }
+
 TEST(TraceSourceTest, GeneratorSourceMatchesBareGenerator) {
-  auto bare = *TraceGenerator::Create(SmallTrace());
-  GeneratorTraceSource source(*TraceGenerator::Create(SmallTrace()));
-  EXPECT_EQ(source.StepsRemaining(), -1);
-  uint64_t h_bare = kTraceHashSeed, h_src = kTraceHashSeed;
-  for (int s = 0; s < 5; ++s) {
-    h_bare = HashStep(bare.Step(), h_bare);
-    h_src = HashStep(source.NextStep(), h_src);
+  constexpr int kPulls = 60;
+  for (const std::string& scenario : ScenarioCatalog()) {
+    TraceGeneratorOptions t = SmallTrace();
+    t.scenario.name = scenario;
+    GeneratorTraceSource source(*TraceGenerator::Create(t));
+    EXPECT_EQ(source.StepsRemaining(), -1);
+    uint64_t h = kTraceHashSeed;
+    for (int s = 0; s < kPulls; ++s) h = HashStep(source.NextStep(), h);
+    EXPECT_EQ(h, BareChain(t, kPulls)) << scenario;
+    if (HelperCanEngage()) {
+      EXPECT_GE(source.helper_steps(), kPulls) << scenario;
+    }
   }
-  EXPECT_EQ(h_bare, h_src);
+}
+
+TEST(TraceSourceTest, HorizonBoundsTheHelperAndLaterPullsRunInline) {
+  constexpr int kPulls = 50;
+  const uint64_t want = BareChain(SmallTrace(), kPulls);
+  for (const int64_t horizon : {int64_t{-1}, int64_t{0}, int64_t{1},
+                                int64_t{20}, int64_t{kPulls}}) {
+    GeneratorTraceSource source(*TraceGenerator::Create(SmallTrace()),
+                                horizon);
+    uint64_t h = kTraceHashSeed;
+    for (int s = 0; s < kPulls; ++s) {
+      if (horizon >= 0 && s == horizon) {
+        // Every step so far came from the helper, and it made no more:
+        // it is done, so the count is stable.
+        EXPECT_EQ(source.helper_steps(), HelperCanEngage() ? horizon : 0)
+            << "horizon " << horizon;
+      }
+      h = HashStep(source.NextStep(), h);
+    }
+    EXPECT_EQ(h, want) << "horizon " << horizon;
+    if (horizon >= 0) {
+      EXPECT_EQ(source.helper_steps(), HelperCanEngage() ? horizon : 0)
+          << "horizon " << horizon;
+    } else {
+      // Unbounded: the helper runs at most two steps ahead of the pulls.
+      EXPECT_LE(source.helper_steps(), kPulls + 2);
+    }
+  }
+}
+
+TraceGeneratorOptions SlowTrace() {
+  TraceGeneratorOptions o = SmallTrace();
+  o.num_experts = 64;
+  o.num_moe_layers = 4;
+  o.num_gpus = 32;
+  o.tokens_per_gpu = 8192;
+  return o;
+}
+
+TEST(TraceSourceTest, DestructionBeforeFirstPullDoesNotHang) {
+  GeneratorTraceSource source(*TraceGenerator::Create(SmallTrace()));
+  EXPECT_EQ(source.helper_steps(), 0);
+}
+
+TEST(TraceSourceTest, DestructionWithFullQueueDoesNotHang) {
+  auto source = std::make_unique<GeneratorTraceSource>(
+      *TraceGenerator::Create(SmallTrace()));
+  source->NextStep();
+  if (HelperCanEngage()) {
+    // One step handed out plus two queued: the helper now waits for room.
+    while (source->helper_steps() < 3) std::this_thread::yield();
+  }
+  source.reset();
+}
+
+TEST(TraceSourceTest, DestructionWithStepInFlightDoesNotHang) {
+  // Steps slow enough that the helper is still generating the next one
+  // when the source is destroyed right after the first pull.
+  for (int round = 0; round < 3; ++round) {
+    auto source = std::make_unique<GeneratorTraceSource>(
+        *TraceGenerator::Create(SlowTrace()));
+    source->NextStep();
+    source.reset();
+  }
 }
 
 TEST(TraceSourceTest, RecordingThenReplayYieldsIdenticalStream) {
