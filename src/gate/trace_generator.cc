@@ -5,7 +5,9 @@
 #include <cstring>
 #include <map>
 #include <mutex>
+#include <numeric>
 #include <tuple>
+#include <utility>
 
 #include "util/byte_io.h"
 #include "util/string_util.h"
@@ -24,6 +26,25 @@ Status TraceGeneratorOptions::Validate() const {
   if (top_k <= 0 || top_k > num_experts) {
     return Status::InvalidArgument("top_k out of range");
   }
+  if (skew_top_count > num_experts) {
+    return Status::InvalidArgument("skew_top_count > num_experts");
+  }
+  // NaN fails no range comparison below, so finiteness is checked first.
+  const std::pair<const char*, double> floats[] = {
+      {"skew_top_share", skew_top_share},
+      {"logit_sigma", logit_sigma},
+      {"ou_theta", ou_theta},
+      {"gpu_jitter_sigma", gpu_jitter_sigma},
+      {"gpu_jitter_theta", gpu_jitter_theta},
+      {"balance_coef", balance_coef},
+      {"balance_strength", balance_strength},
+      {"balance_tau_steps", balance_tau_steps},
+  };
+  for (const auto& [field, value] : floats) {
+    if (!std::isfinite(value)) {
+      return Status::InvalidArgument(StrFormat("%s is not finite", field));
+    }
+  }
   if (skew_top_share <= 0.0 || skew_top_share > 1.0) {
     return Status::InvalidArgument("skew_top_share must be in (0, 1]");
   }
@@ -31,7 +52,16 @@ Status TraceGeneratorOptions::Validate() const {
   if (ou_theta <= 0.0 || ou_theta > 1.0) {
     return Status::InvalidArgument("ou_theta must be in (0, 1]");
   }
+  if (gpu_jitter_sigma < 0.0) {
+    return Status::InvalidArgument("gpu_jitter_sigma < 0");
+  }
+  if (gpu_jitter_theta < 0.0 || gpu_jitter_theta > 1.0) {
+    return Status::InvalidArgument("gpu_jitter_theta must be in [0, 1]");
+  }
   if (balance_coef < 0.0) return Status::InvalidArgument("balance_coef < 0");
+  if (balance_strength < 0.0) {
+    return Status::InvalidArgument("balance_strength < 0");
+  }
   if (balance_tau_steps <= 0.0) {
     return Status::InvalidArgument("balance_tau_steps <= 0");
   }
@@ -84,17 +114,54 @@ double CalibrateLogitSigmaUncached(int num_experts, int top_count,
       static_cast<double>(top_count) / static_cast<double>(num_experts);
   if (target_share <= uniform_share) return 0.0;
 
+  // Every bisection step scores the same kTrials x E standard normals from
+  // Rng(seed), so they are drawn once, in the order a per-step re-seeded
+  // Rng would draw them. A step's logits are `0.0 + sigma * z`, the exact
+  // expression Rng::Normal(0.0, sigma) evaluates, so each probability keeps
+  // its bits (DESIGN.md Section 4).
+  constexpr int kTrials = 256;
+  const size_t n = static_cast<size_t>(num_experts);
+  std::vector<double> normals(kTrials * n);
+  Rng rng(seed);
+  for (double& z : normals) z = rng.Normal();
+
+  // sigma > 0 preserves the order of z, so each trial's experts are ranked
+  // once (descending, stable) and a step reads its probabilities in that
+  // order instead of sorting them.
+  std::vector<int> ranked(kTrials * n);
+  for (size_t t = 0; t < kTrials; ++t) {
+    int* order = &ranked[t * n];
+    const double* z = &normals[t * n];
+    std::iota(order, order + n, 0);
+    std::stable_sort(order, order + n,
+                     [z](int a, int b) { return z[a] > z[b]; });
+  }
+
+  std::vector<double> logits(n);
+  std::vector<double> probs(n);
   auto mean_topk_share = [&](double sigma) {
-    Rng rng(seed);
-    constexpr int kTrials = 256;
     double acc = 0.0;
-    std::vector<double> logits(static_cast<size_t>(num_experts));
-    for (int trial = 0; trial < kTrials; ++trial) {
-      for (double& z : logits) z = rng.Normal(0.0, sigma);
-      std::vector<double> probs = Softmax(logits);
-      std::sort(probs.begin(), probs.end(), std::greater<double>());
+    for (size_t t = 0; t < kTrials; ++t) {
+      const double* z = &normals[t * n];
+      for (size_t i = 0; i < n; ++i) logits[i] = 0.0 + sigma * z[i];
+      SoftmaxInto(logits.data(), num_experts, probs.data());
+      const int* order = &ranked[t * n];
+      // The ranked read equals the descending sort only if the gathered
+      // sequence never increases; otherwise (exp not monotone after
+      // rounding) sort, so the result never rests on that property.
+      bool descending = true;
+      for (size_t i = 1; i < n && descending; ++i) {
+        descending = probs[order[i]] <= probs[order[i - 1]];
+      }
       double share = 0.0;
-      for (int i = 0; i < top_count; ++i) share += probs[static_cast<size_t>(i)];
+      if (descending) {
+        for (int i = 0; i < top_count; ++i) share += probs[order[i]];
+      } else {
+        std::sort(probs.begin(), probs.end(), std::greater<double>());
+        for (int i = 0; i < top_count; ++i) {
+          share += probs[static_cast<size_t>(i)];
+        }
+      }
       acc += share;
     }
     return acc / kTrials;

@@ -3,11 +3,8 @@
 #include <algorithm>
 
 #include "util/status.h"
-#include "util/string_util.h"
 
 namespace flexmoe {
-
-Stream::Stream(std::string name) : name_(std::move(name)) {}
 
 double Stream::Reserve(double earliest, double duration) {
   FLEXMOE_CHECK(duration >= 0.0);
@@ -30,17 +27,11 @@ void Stream::Reset() {
 
 ClusterState::ClusterState(const Topology* topo) : topo_(topo) {
   FLEXMOE_CHECK(topo != nullptr);
-  const int n = topo->num_gpus();
-  compute_.reserve(n);
-  egress_.reserve(n);
-  ingress_.reserve(n);
-  adjust_.reserve(n);
-  for (int g = 0; g < n; ++g) {
-    compute_.emplace_back(StrFormat("gpu%d/compute", g));
-    egress_.emplace_back(StrFormat("gpu%d/egress", g));
-    ingress_.emplace_back(StrFormat("gpu%d/ingress", g));
-    adjust_.emplace_back(StrFormat("gpu%d/adjust", g));
-  }
+  const size_t n = static_cast<size_t>(topo->num_gpus());
+  compute_.resize(n);
+  egress_.resize(n);
+  ingress_.resize(n);
+  adjust_.resize(n);
 }
 
 double ClusterState::GpuFreeAt(GpuId g) const {

@@ -7,7 +7,6 @@
 #ifndef FLEXMOE_SIM_STREAM_H_
 #define FLEXMOE_SIM_STREAM_H_
 
-#include <string>
 #include <vector>
 
 #include "topology/topology.h"
@@ -17,8 +16,6 @@ namespace flexmoe {
 /// \brief A serialized resource timeline.
 class Stream {
  public:
-  explicit Stream(std::string name = "");
-
   /// Reserves `duration` seconds starting no earlier than `earliest` and no
   /// earlier than the end of the last reservation. Returns the start time.
   double Reserve(double earliest, double duration);
@@ -32,12 +29,10 @@ class Stream {
   double busy_until() const { return busy_until_; }
   /// Total reserved time; busy_time()/elapsed gives utilization.
   double busy_time() const { return busy_time_; }
-  const std::string& name() const { return name_; }
 
   void Reset();
 
  private:
-  std::string name_;
   double busy_until_ = 0.0;
   double busy_time_ = 0.0;
 };

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <climits>
+#include <cmath>
 
 #include "harness/experiment.h"
 #include "harness/reporters.h"
@@ -132,6 +133,20 @@ TEST(ExperimentTest, BuildTraceGeneratorDerivesFromModel) {
   EXPECT_EQ(gen->options().num_experts, o.model.num_experts);
   EXPECT_EQ(gen->options().num_gpus, o.num_gpus);
   EXPECT_EQ(gen->options().top_k, 2);
+}
+
+// Bad trace overrides come back as the generator's InvalidArgument instead
+// of aborting inside calibration or the first step.
+TEST(ExperimentTest, BadTraceOverridesReturnStatus) {
+  ExperimentOptions o = SmallExperiment("flexmoe");
+  const auto gen = BuildTraceGenerator(o);
+  ASSERT_TRUE(gen.ok());
+  o.use_trace_overrides = true;
+  o.trace = gen->options();
+  o.trace.ou_theta = std::nan("");
+  const auto report = RunExperiment(o);
+  EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument)
+      << report.status().ToString();
 }
 
 TEST(ReportersTest, SpeedupFormat) {

@@ -82,7 +82,7 @@ TEST(SimEngineTest, SchedulingInPastDies) {
 }
 
 TEST(StreamTest, SerializesReservations) {
-  Stream s("test");
+  Stream s;
   EXPECT_EQ(s.Reserve(0.0, 2.0), 0.0);  // starts immediately
   EXPECT_EQ(s.Reserve(0.0, 1.0), 2.0);  // queues behind the first
   EXPECT_EQ(s.Reserve(5.0, 1.0), 5.0);  // idle gap honoured

@@ -4,7 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <functional>
+#include <limits>
+#include <thread>
+#include <vector>
 
 #include "gate/routing_trace.h"
 #include "gate/trace_generator.h"
@@ -34,6 +40,154 @@ TEST(TraceGeneratorOptionsTest, Validation) {
   o = SmallOptions();
   o.balance_coef = -0.1;
   EXPECT_FALSE(o.Validate().ok());
+
+  // One case per field that used to reach an abort in Create or Step, or a
+  // silent default: each is an InvalidArgument that Create returns.
+  const double nan = std::nan("");
+  const double inf = std::numeric_limits<double>::infinity();
+  const auto rejects = [](const std::function<void(TraceGeneratorOptions*)>&
+                              mutate) {
+    TraceGeneratorOptions bad = SmallOptions();
+    mutate(&bad);
+    return bad.Validate().code() == StatusCode::kInvalidArgument &&
+           TraceGenerator::Create(bad).status().code() ==
+               StatusCode::kInvalidArgument;
+  };
+  EXPECT_TRUE(rejects([&](auto* b) { b->skew_top_share = nan; }));
+  EXPECT_TRUE(rejects([](auto* b) {
+    b->num_experts = 32;
+    b->skew_top_count = 40;
+  }));
+  EXPECT_TRUE(rejects([&](auto* b) { b->logit_sigma = nan; }));
+  EXPECT_TRUE(rejects([&](auto* b) { b->ou_theta = nan; }));
+  EXPECT_TRUE(rejects([&](auto* b) { b->gpu_jitter_sigma = inf; }));
+  EXPECT_TRUE(rejects([](auto* b) { b->gpu_jitter_sigma = -0.1; }));
+  EXPECT_TRUE(rejects([](auto* b) { b->gpu_jitter_theta = -0.5; }));
+  EXPECT_TRUE(rejects([](auto* b) { b->gpu_jitter_theta = 1.5; }));
+  EXPECT_TRUE(rejects([&](auto* b) { b->gpu_jitter_theta = nan; }));
+  EXPECT_TRUE(rejects([&](auto* b) { b->balance_coef = inf; }));
+  EXPECT_TRUE(rejects([](auto* b) { b->balance_strength = -1.0; }));
+  EXPECT_TRUE(rejects([&](auto* b) { b->balance_strength = nan; }));
+  EXPECT_TRUE(rejects([&](auto* b) { b->balance_tau_steps = inf; }));
+
+  // The closed ends of each range stay valid.
+  o = SmallOptions();
+  o.skew_top_count = o.num_experts;
+  o.gpu_jitter_sigma = 0.0;
+  o.gpu_jitter_theta = 1.0;
+  o.balance_strength = 0.0;
+  EXPECT_TRUE(o.Validate().ok());
+  o.gpu_jitter_theta = 0.0;
+  EXPECT_TRUE(o.Validate().ok());
+}
+
+// The calibration as it was before it drew its normals once: every
+// bisection step re-seeds Rng(seed), re-draws the kTrials x E logits and
+// sorts each trial's softmax. Kept verbatim as the bitwise reference.
+double ReferenceCalibrateLogitSigma(int num_experts, int top_count,
+                                    double target_share, uint64_t seed) {
+  const double uniform_share =
+      static_cast<double>(top_count) / static_cast<double>(num_experts);
+  if (target_share <= uniform_share) return 0.0;
+
+  auto mean_topk_share = [&](double sigma) {
+    Rng rng(seed);
+    constexpr int kTrials = 256;
+    double acc = 0.0;
+    std::vector<double> logits(static_cast<size_t>(num_experts));
+    for (int trial = 0; trial < kTrials; ++trial) {
+      for (double& z : logits) z = rng.Normal(0.0, sigma);
+      std::vector<double> probs = Softmax(logits);
+      std::sort(probs.begin(), probs.end(), std::greater<double>());
+      double share = 0.0;
+      for (int i = 0; i < top_count; ++i) share += probs[static_cast<size_t>(i)];
+      acc += share;
+    }
+    return acc / kTrials;
+  };
+
+  // Share is monotone in sigma: binary search.
+  double lo = 0.0, hi = 8.0;
+  for (int iter = 0; iter < 48; ++iter) {
+    const double mid = 0.5 * (lo + hi);
+    if (mean_topk_share(mid) < target_share) {
+      lo = mid;
+    } else {
+      hi = mid;
+    }
+  }
+  return 0.5 * (lo + hi);
+}
+
+struct CalibrationKey {
+  int num_experts;
+  int top_count;
+  double share;
+  uint64_t seed;
+};
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+TEST(CalibrateLogitSigmaTest, BitwiseEqualToPerStepBisection) {
+  const CalibrationKey keys[] = {
+      {32, 5, 0.75, 5},   {64, 10, 0.75, 11}, {8, 1, 0.75, 3},
+      {100, 7, 0.9, 123},
+      {512, 80, 0.75, 5},  // the large-ep preset's key
+      {64, 32, 0.5, 1},    // early out: target at the uniform share
+      {16, 16, 1.0, 2},    // early out: every expert in the top set
+  };
+  for (const CalibrationKey& k : keys) {
+    const double got =
+        CalibrateLogitSigma(k.num_experts, k.top_count, k.share, k.seed);
+    const double want = ReferenceCalibrateLogitSigma(k.num_experts,
+                                                     k.top_count, k.share,
+                                                     k.seed);
+    EXPECT_TRUE(SameBits(got, want))
+        << "E=" << k.num_experts << " top=" << k.top_count
+        << " share=" << k.share << " seed=" << k.seed << ": " << got
+        << " vs " << want;
+  }
+}
+
+// The process-wide memo under concurrent fills: four threads ask for a mix
+// of shared and per-thread keys (none used elsewhere in this binary, so the
+// threads race to fill them) and all read the serial bits.
+TEST(CalibrateLogitSigmaTest, ConcurrentMemoMatchesSerial) {
+  constexpr int kThreads = 4;
+  const auto reference = [](const CalibrationKey& k) {
+    return ReferenceCalibrateLogitSigma(k.num_experts, k.top_count, k.share,
+                                        k.seed);
+  };
+  const CalibrationKey shared[] = {{24, 4, 0.7, 901}, {40, 6, 0.8, 902}};
+  const double shared_bits[] = {reference(shared[0]), reference(shared[1])};
+  std::vector<CalibrationKey> own;
+  std::vector<double> own_bits;
+  for (int t = 0; t < kThreads; ++t) {
+    own.push_back({16 + 4 * t, 3, 0.75, 910u + t});
+    own_bits.push_back(reference(own.back()));
+  }
+
+  // Thread t asks for shared[t % 2], its own key, then the other shared key.
+  std::vector<std::vector<double>> results(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (const CalibrationKey& k :
+           {shared[t % 2], own[t], shared[(t + 1) % 2]}) {
+        results[t].push_back(
+            CalibrateLogitSigma(k.num_experts, k.top_count, k.share, k.seed));
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) {
+    ASSERT_EQ(results[t].size(), 3u);
+    EXPECT_TRUE(SameBits(results[t][0], shared_bits[t % 2])) << t;
+    EXPECT_TRUE(SameBits(results[t][1], own_bits[t])) << t;
+    EXPECT_TRUE(SameBits(results[t][2], shared_bits[(t + 1) % 2])) << t;
+  }
 }
 
 TEST(CalibrateLogitSigmaTest, HitsTargetShare) {
