@@ -17,7 +17,6 @@ namespace {
 int Run(const bench::CommonFlags& flags) {
   const bool quick = flags.quick;
   const int threads = flags.threads;
-  const bool legacy_gate = flags.legacy_gate;
   const char* workload = flags.workload;
   bench::PrintHeader(
       "Ablation — scheduler trigger threshold (balance ratio)",
@@ -39,7 +38,6 @@ int Run(const bench::CommonFlags& flags) {
     o.measure_steps = quick ? 40 : 80;
     o.warmup_steps = quick ? 10 : 25;
     o.seed = 59;
-    o.legacy_gate = legacy_gate;
     o.workload.scenario.name = workload;
     cells.push_back(std::move(cell));
   }

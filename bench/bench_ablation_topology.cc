@@ -24,8 +24,7 @@ struct RunResult {
   double ds_ms = 0.0;
 };
 
-RunResult RunAt(double inter_node_gbps, bool quick, bool legacy_gate,
-                const char* workload) {
+RunResult RunAt(double inter_node_gbps, bool quick, const char* workload) {
   TopologyOptions topt = AzureA100Options(16);
   topt.inter_node_bytes_per_sec = inter_node_gbps * 1e9 / 8.0;
   const Topology topo = *Topology::Create(topt);
@@ -44,7 +43,6 @@ RunResult RunAt(double inter_node_gbps, bool quick, bool legacy_gate,
   t.num_gpus = 16;
   t.tokens_per_gpu = model.tokens_per_gpu;
   t.balance_coef = 0.001;
-  t.legacy_gate = legacy_gate;
   t.scenario.name = workload;
   t.seed = 61;
 
@@ -76,7 +74,6 @@ RunResult RunAt(double inter_node_gbps, bool quick, bool legacy_gate,
 int Run(const bench::CommonFlags& flags) {
   const bool quick = flags.quick;
   const int threads = flags.threads;
-  const bool legacy_gate = flags.legacy_gate;
   const char* workload = flags.workload;
   bench::PrintHeader(
       "Ablation — inter-node bandwidth sensitivity",
@@ -88,7 +85,7 @@ int Run(const bench::CommonFlags& flags) {
   std::vector<RunResult> results(sweep.size());
   ParallelFor(static_cast<int>(sweep.size()), threads, [&](int i) {
     results[static_cast<size_t>(i)] =
-        RunAt(sweep[static_cast<size_t>(i)], quick, legacy_gate, workload);
+        RunAt(sweep[static_cast<size_t>(i)], quick, workload);
   });
 
   Table table({"inter-node link", "EP step (ms)", "FlexMoE step (ms)",

@@ -1,13 +1,12 @@
 // Shared helpers for the per-figure bench binaries.
 //
-// Common flags:
+// Every bench parses its command line with ParseCommonFlags, which accepts
+// the flags below (each bench reads the ones that apply to it):
 //   --quick          smoke-test scale (fewer steps; noisier numbers)
 //   --threads N      grid-runner worker count (default: hardware)
-//                    (numeric flags must be whole integers; anything else
-//                    exits 2 with a usage message)
-//   --legacy-gate    route sampling through the pre-optimization gate
 //   --workload NAME  workload scenario from the catalog (default:
-//                    pretrain-steady; see gate/logit_process.h)
+//                    pretrain-steady; the suite benches run every scenario
+//                    when absent; see gate/logit_process.h)
 //   --size-mix NAME  serving request-size mix: fixed | heavy | both
 //                    (default both; see gate/request_source.h)
 //   --admission P    serving admission policy for sized cells: edf | sjf
@@ -20,50 +19,49 @@
 //   --decisions-out F  export the policy decision audit JSONL
 //                    (any of the three enables observability for the runs
 //                    the bench designates; see src/obs/)
+//   --digests PATH   write per-cell digests (workload and serving suites)
+//   --out PATH       JSON output path (bench_micro_core)
+//   --large-ep       run the G = 512 large-EP cells (bench_micro_core)
+//   --extra NAME=X   record an external number X (bench_micro_core;
+//                    repeatable)
+// Anything else is a usage error: an unknown flag, a flag missing its
+// value, a number that is not a whole integer in range, an --extra that is
+// not NAME=<finite number>, or a --workload outside the catalog. Each
+// prints a usage line on stderr and exits 2 before the bench does any work.
 
 #ifndef FLEXMOE_BENCH_BENCH_COMMON_H_
 #define FLEXMOE_BENCH_BENCH_COMMON_H_
 
 #include <cerrno>
 #include <climits>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/step_executor.h"
+#include "gate/logit_process.h"
+#include "util/string_util.h"
 
 namespace flexmoe {
 namespace bench {
 
-/// True if `flag` (e.g. "--quick") was passed.
-inline bool HasFlag(int argc, char** argv, const char* flag) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) return true;
-  }
-  return false;
+/// Prints "usage: `what`" on stderr and exits 2.
+[[noreturn]] inline void UsageError(const std::string& what) {
+  std::fprintf(stderr, "usage: %s\n", what.c_str());
+  std::exit(2);
 }
 
-/// Value of "`flag` <value>" or `fallback` when absent.
-inline const char* FlagValue(int argc, char** argv, const char* flag,
-                             const char* fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) return argv[i + 1];
-  }
-  return fallback;
-}
-
-/// Value of "`flag` N" as an int, or `fallback` when the flag is absent.
-/// The whole value must be a base-10 integer in [lo, hi]: "abc", "4x", "",
-/// a missing value or one out of range is a usage error (message on
-/// stderr, exit 2), never a silent default.
-inline int IntFlagValue(int argc, char** argv, const char* flag,
-                        int fallback, int lo = INT_MIN, int hi = INT_MAX) {
-  if (!HasFlag(argc, argv, flag)) return fallback;
-  const char* text = FlagValue(argc, argv, flag, nullptr);
-  bool ok = text != nullptr &&
-            (text[0] == '-' || text[0] == '+' ||
-             (text[0] >= '0' && text[0] <= '9'));
+/// `text` as the value of integer flag `flag`. The whole value must be a
+/// base-10 integer in [lo, hi]: "abc", "4x", "" or one out of range is a
+/// usage error, never a silent default.
+inline int IntFlagValue(const char* flag, const char* text, int lo = INT_MIN,
+                        int hi = INT_MAX) {
+  bool ok = text[0] == '-' || text[0] == '+' ||
+            (text[0] >= '0' && text[0] <= '9');
   long value = 0;
   if (ok) {
     char* end = nullptr;
@@ -74,64 +72,21 @@ inline int IntFlagValue(int argc, char** argv, const char* flag,
   }
   if (!ok) {
     if (lo == INT_MIN && hi == INT_MAX) {
-      std::fprintf(stderr, "usage: %s expects an integer value, got '%s'\n",
-                   flag, text == nullptr ? "" : text);
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s expects an integer value in [%d, %d], got "
-                   "'%s'\n",
-                   flag, lo, hi, text == nullptr ? "" : text);
+      UsageError(StrFormat("%s expects an integer value, got '%s'", flag,
+                           text));
     }
-    std::exit(2);
+    UsageError(StrFormat("%s expects an integer value in [%d, %d], got '%s'",
+                         flag, lo, hi, text));
   }
   return static_cast<int>(value);
 }
 
-/// True if "--quick" was passed: benches then shrink step counts to smoke-
-/// test scale (used by CI-style runs; numbers become noisier).
-inline bool QuickMode(int argc, char** argv) {
-  return HasFlag(argc, argv, "--quick");
-}
-
-/// Worker count for grid benches: "--threads N", default 0 (hardware).
-inline int GridThreads(int argc, char** argv) {
-  return IntFlagValue(argc, argv, "--threads", 0);
-}
-
-/// True if "--legacy-gate" was passed: run the pre-optimization sampler.
-inline bool LegacyGate(int argc, char** argv) {
-  return HasFlag(argc, argv, "--legacy-gate");
-}
-
-/// Workload scenario name: "--workload NAME", default pretrain-steady.
-inline const char* WorkloadName(int argc, char** argv) {
-  return FlagValue(argc, argv, "--workload", "pretrain-steady");
-}
-
-/// Serving request-size mix: "--size-mix fixed|heavy|both", default both.
-inline const char* SizeMixName(int argc, char** argv) {
-  return FlagValue(argc, argv, "--size-mix", "both");
-}
-
-/// Serving admission policy: "--admission edf|sjf", default edf.
-inline const char* AdmissionPolicy(int argc, char** argv) {
-  return FlagValue(argc, argv, "--admission", "edf");
-}
-
-/// MoE-leg pipelining depth: "--pipeline-chunks K" in
-/// [0, kMaxPipelineChunks], default 1 (unpipelined).
-inline int PipelineChunks(int argc, char** argv) {
-  return IntFlagValue(argc, argv, "--pipeline-chunks", 1, 0,
-                      kMaxPipelineChunks);
-}
-
-/// The flag set every grid bench shares, parsed once (previously each
-/// bench's main() re-assembled the same four calls).
+/// The flags every bench shares, parsed in one strict pass.
 struct CommonFlags {
   bool quick = false;
   int threads = 0;       ///< grid-runner workers; 0 = hardware
-  bool legacy_gate = false;
   const char* workload = "pretrain-steady";
+  bool workload_given = false;    ///< suite benches: absent = all scenarios
   const char* size_mix = "both";  ///< serving benches only
   const char* admission = "edf";  ///< serving benches only
   int pipeline_chunks = 1;        ///< MoE-leg overlap depth (1 = unpipelined)
@@ -141,6 +96,11 @@ struct CommonFlags {
   const char* trace_out = "";
   const char* metrics_out = "";
   const char* decisions_out = "";
+  const char* digests = "";              ///< suite benches; "" = none
+  const char* out = "BENCH_micro.json";  ///< bench_micro_core
+  bool large_ep = false;                 ///< bench_micro_core
+  /// bench_micro_core: externally measured (name, value) pairs.
+  std::vector<std::pair<std::string, double>> extras;
 
   bool ObservabilityRequested() const {
     return trace_out[0] != '\0' || metrics_out[0] != '\0' ||
@@ -150,16 +110,64 @@ struct CommonFlags {
 
 inline CommonFlags ParseCommonFlags(int argc, char** argv) {
   CommonFlags flags;
-  flags.quick = QuickMode(argc, argv);
-  flags.threads = GridThreads(argc, argv);
-  flags.legacy_gate = LegacyGate(argc, argv);
-  flags.workload = WorkloadName(argc, argv);
-  flags.size_mix = SizeMixName(argc, argv);
-  flags.admission = AdmissionPolicy(argc, argv);
-  flags.pipeline_chunks = PipelineChunks(argc, argv);
-  flags.trace_out = FlagValue(argc, argv, "--trace-out", "");
-  flags.metrics_out = FlagValue(argc, argv, "--metrics-out", "");
-  flags.decisions_out = FlagValue(argc, argv, "--decisions-out", "");
+  const std::pair<const char*, const char**> text_flags[] = {
+      {"--workload", &flags.workload},
+      {"--size-mix", &flags.size_mix},
+      {"--admission", &flags.admission},
+      {"--trace-out", &flags.trace_out},
+      {"--metrics-out", &flags.metrics_out},
+      {"--decisions-out", &flags.decisions_out},
+      {"--digests", &flags.digests},
+      {"--out", &flags.out}};
+  for (int i = 1; i < argc; ++i) {
+    const std::string flag = argv[i];
+    if (flag == "--quick") {
+      flags.quick = true;
+      continue;
+    }
+    if (flag == "--large-ep") {
+      flags.large_ep = true;
+      continue;
+    }
+    const char** text_slot = nullptr;
+    for (const auto& [name, slot] : text_flags) {
+      if (flag == name) text_slot = slot;
+    }
+    if (text_slot == nullptr && flag != "--threads" &&
+        flag != "--pipeline-chunks" && flag != "--extra") {
+      UsageError(StrFormat("unknown flag '%s' (see bench/bench_common.h)",
+                           flag.c_str()));
+    }
+    // No flag value starts with "--": one that does is the next flag.
+    if (i + 1 == argc || std::strncmp(argv[i + 1], "--", 2) == 0) {
+      UsageError(StrFormat("%s expects a value", flag.c_str()));
+    }
+    const char* value = argv[++i];
+    if (text_slot != nullptr) {
+      *text_slot = value;
+      if (flag == "--workload") flags.workload_given = true;
+    } else if (flag == "--threads") {
+      flags.threads = IntFlagValue("--threads", value);
+    } else if (flag == "--pipeline-chunks") {
+      flags.pipeline_chunks =
+          IntFlagValue("--pipeline-chunks", value, 0, kMaxPipelineChunks);
+    } else {
+      const char* eq = std::strchr(value, '=');
+      char* end = nullptr;
+      const double x = eq == nullptr ? 0.0 : std::strtod(eq + 1, &end);
+      if (eq == nullptr || eq == value || end == eq + 1 || *end != '\0' ||
+          !std::isfinite(x)) {
+        UsageError(StrFormat("--extra expects NAME=<finite number>, got '%s'",
+                             value));
+      }
+      flags.extras.emplace_back(std::string(value, eq), x);
+    }
+  }
+  if (flags.workload_given && !IsKnownScenario(flags.workload)) {
+    UsageError(StrFormat("unknown --workload '%s' (scenarios: %s)",
+                         flags.workload,
+                         Join(ScenarioCatalog(), ", ").c_str()));
+  }
   return flags;
 }
 

@@ -38,8 +38,7 @@ constexpr PaperSpeedups kPanelL[] = {
 constexpr const char* kSystems[3] = {"deepspeed", "fastermoe", "flexmoe"};
 
 void AddPanelCells(const PaperSpeedups* rows, int n, int num_gpus, bool quick,
-                   bool legacy_gate, const char* workload,
-                   std::vector<GridCell>* cells) {
+                   const char* workload, std::vector<GridCell>* cells) {
   for (int i = 0; i < n; ++i) {
     for (int s = 0; s < 3; ++s) {
       GridCell cell;
@@ -52,7 +51,6 @@ void AddPanelCells(const PaperSpeedups* rows, int n, int num_gpus, bool quick,
       cell.options.measure_steps = quick ? 40 : 100;
       cell.options.warmup_steps = quick ? 5 : 25;
       cell.options.seed = 31;
-      cell.options.legacy_gate = legacy_gate;
       cell.options.workload.scenario.name = workload;
       cells->push_back(std::move(cell));
     }
@@ -85,7 +83,6 @@ void PrintPanel(const char* title, const PaperSpeedups* rows, int n,
 int Run(const bench::CommonFlags& flags) {
   const bool quick = flags.quick;
   const int threads = flags.threads;
-  const bool legacy_gate = flags.legacy_gate;
   const char* workload = flags.workload;
   bench::PrintHeader("Figure 5 — time to target quality",
                      "DeepSpeed / FasterMoE / FlexMoE on six models");
@@ -93,9 +90,9 @@ int Run(const bench::CommonFlags& flags) {
   // All 18 (panel x model x system) cells are independent; run them on the
   // grid runner and slice the results back into the two panels.
   std::vector<GridCell> cells;
-  AddPanelCells(kPanelS, 3, 32, quick, legacy_gate, workload, &cells);
+  AddPanelCells(kPanelS, 3, 32, quick, workload, &cells);
   const size_t panel_l_offset = cells.size();
-  AddPanelCells(kPanelL, 3, 64, quick, legacy_gate, workload, &cells);
+  AddPanelCells(kPanelL, 3, 64, quick, workload, &cells);
   const std::vector<GridCellResult> results =
       RunExperimentGrid(cells, threads);
 

@@ -77,5 +77,5 @@ int Run(bool quick) {
 }  // namespace flexmoe
 
 int main(int argc, char** argv) {
-  return flexmoe::Run(flexmoe::bench::QuickMode(argc, argv));
+  return flexmoe::Run(flexmoe::bench::ParseCommonFlags(argc, argv).quick);
 }

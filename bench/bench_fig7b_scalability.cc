@@ -33,7 +33,6 @@ constexpr double kPaperFlex[] = {6.7, 10.7, 19.8, 35.6};
 int Run(const bench::CommonFlags& flags) {
   const bool quick = flags.quick;
   const int threads = flags.threads;
-  const bool legacy_gate = flags.legacy_gate;
   const char* workload = flags.workload;
   bench::PrintHeader("Figure 7(b) — scalability on 8/16/32/64 GPUs",
                      "single MoE layer, 64 experts, speedup vs DeepSpeed-8");
@@ -55,7 +54,6 @@ int Run(const bench::CommonFlags& flags) {
       cell.options.measure_steps = quick ? 40 : 100;
       cell.options.warmup_steps = quick ? 5 : 25;
       cell.options.seed = 47;
-      cell.options.legacy_gate = legacy_gate;
       cell.options.workload.scenario.name = workload;
       cells.push_back(std::move(cell));
     }

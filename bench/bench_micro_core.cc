@@ -8,15 +8,14 @@
 // emits a machine-readable BENCH_micro.json so the perf trajectory is
 // tracked from PR to PR:
 //
-//   bench_micro_core [--quick] [--threads N] [--out PATH]
+//   bench_micro_core [--quick] [--threads N] [--out PATH] [--large-ep]
 //                    [--extra name=value]...
 //
 // --extra records externally measured numbers (e.g. the figure benches'
 // wall-clock vs the previous PR's binary) into the same JSON.
 //
-// Headline metrics: gate tokens/sec (exact + multinomial, optimized AND
-// legacy sampler, so the JSON carries the speedup the flat-buffer rewrite
-// bought), trace steps/sec, and end-to-end experiment cells/sec through
+// Headline metrics: gate tokens/sec (exact + multinomial), trace
+// steps/sec, and end-to-end experiment cells/sec through
 // RunExperimentGrid.
 
 #include <algorithm>
@@ -73,25 +72,23 @@ double Throughput(double min_seconds, double units_per_iter, Fn&& body) {
   return units_per_iter * static_cast<double>(iters) / elapsed;
 }
 
-TraceGeneratorOptions GateTraceOptions(bool exact, bool legacy,
-                                       int64_t tokens_per_gpu) {
+TraceGeneratorOptions GateTraceOptions(bool exact, int64_t tokens_per_gpu) {
   TraceGeneratorOptions t;
   t.num_experts = 64;
   t.num_moe_layers = 1;
   t.num_gpus = 8;
   t.tokens_per_gpu = tokens_per_gpu;
   t.exact_sampling = exact;
-  t.legacy_gate = legacy;
   t.seed = 7;
   return t;
 }
 
 /// Tokens/sec of the gate sampler (trace generator with one layer; the
 /// gate dominates its cost at these sizes).
-double GateTokensPerSec(bool exact, bool legacy, bool quick) {
+double GateTokensPerSec(bool exact, bool quick) {
   const int64_t tokens_per_gpu = exact ? (quick ? 1024 : 4096) : 8192;
   TraceGenerator gen =
-      *TraceGenerator::Create(GateTraceOptions(exact, legacy, tokens_per_gpu));
+      *TraceGenerator::Create(GateTraceOptions(exact, tokens_per_gpu));
   const double tokens_per_step =
       static_cast<double>(tokens_per_gpu) * gen.options().num_gpus;
   const double budget = quick ? 0.3 : 1.0;
@@ -226,8 +223,9 @@ bool WriteJson(const std::string& path, const std::vector<MetricRow>& rows) {
   return true;
 }
 
-int Run(bool quick, int threads, bool large_ep,
-        const std::string& out_path, const std::vector<MetricRow>& extras) {
+int Run(const bench::CommonFlags& flags) {
+  const bool quick = flags.quick;
+  const int threads = flags.threads;
   bench::PrintHeader("Microbenchmarks — scheduling-critical paths",
                      "gate / trace / router / cost model / policy maker");
   std::vector<MetricRow> rows;
@@ -237,17 +235,10 @@ int Run(bool quick, int threads, bool large_ep,
     std::printf("%-40s %14.4g %s\n", name.c_str(), value, unit.c_str());
   };
 
-  // --- Gate sampling (optimized vs legacy) -------------------------------
-  const double exact_fast = GateTokensPerSec(true, false, quick);
-  const double exact_legacy = GateTokensPerSec(true, true, quick);
-  add("gate_exact_tokens_per_sec", exact_fast, "tokens/s");
-  add("gate_exact_legacy_tokens_per_sec", exact_legacy, "tokens/s");
-  add("gate_exact_speedup_vs_legacy", exact_fast / exact_legacy, "x");
-  const double multi_fast = GateTokensPerSec(false, false, quick);
-  const double multi_legacy = GateTokensPerSec(false, true, quick);
-  add("gate_multinomial_tokens_per_sec", multi_fast, "tokens/s");
-  add("gate_multinomial_legacy_tokens_per_sec", multi_legacy, "tokens/s");
-  add("gate_multinomial_speedup_vs_legacy", multi_fast / multi_legacy, "x");
+  // --- Gate sampling -----------------------------------------------------
+  add("gate_exact_tokens_per_sec", GateTokensPerSec(true, quick), "tokens/s");
+  add("gate_multinomial_tokens_per_sec", GateTokensPerSec(false, quick),
+      "tokens/s");
 
   // --- Trace generation --------------------------------------------------
   add("trace_steps_per_sec", TraceStepsPerSec(quick), "steps/s");
@@ -516,7 +507,7 @@ int Run(bool quick, int threads, bool large_ep,
   // RunExperiment(LargeEPOptions(512)): one expert per GPU on 512 GPUs
   // through the full discrete-event engine — too heavy for the push CI
   // but exactly what the nightly's 2-hour budget is for.
-  if (large_ep) {
+  if (flags.large_ep) {
     const Result<ExperimentReport> report = RunExperiment(LargeEPOptions(512));
     FLEXMOE_CHECK_MSG(report.ok(), report.status().ToString());
     add("large_ep_g512_mean_step_seconds", report->mean_step_seconds, "s");
@@ -553,33 +544,16 @@ int Run(bool quick, int threads, bool large_ep,
                   autoed->mean_step_seconds, best_static));
   }
 
-  for (const MetricRow& extra : extras) {
-    add(extra.name, extra.value, extra.unit);
+  for (const auto& [name, value] : flags.extras) {
+    add(name, value, "recorded");
   }
 
-  return WriteJson(out_path, rows) ? 0 : 1;
+  return WriteJson(flags.out, rows) ? 0 : 1;
 }
 
 }  // namespace
 }  // namespace flexmoe
 
 int main(int argc, char** argv) {
-  std::vector<flexmoe::MetricRow> extras;
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--extra") != 0) continue;
-    const std::string spec = argv[i + 1];
-    const size_t eq = spec.find('=');
-    if (eq == std::string::npos) {
-      std::fprintf(stderr, "ignoring malformed --extra '%s'\n", spec.c_str());
-      continue;
-    }
-    extras.push_back({spec.substr(0, eq), std::atof(spec.c_str() + eq + 1),
-                      "recorded"});
-  }
-  return flexmoe::Run(
-      flexmoe::bench::QuickMode(argc, argv),
-      flexmoe::bench::GridThreads(argc, argv),
-      flexmoe::bench::HasFlag(argc, argv, "--large-ep"),
-      flexmoe::bench::FlagValue(argc, argv, "--out", "BENCH_micro.json"),
-      extras);
+  return flexmoe::Run(flexmoe::bench::ParseCommonFlags(argc, argv));
 }

@@ -19,7 +19,7 @@
 //    regimes. Every cell also audits the admission ledger: arrived ==
 //    completed + shed + queued, i.e. nothing is silently dropped.
 //
-// Flags (bench_common.h): --quick --threads N --legacy-gate
+// Flags (bench_common.h): --quick --threads N --pipeline-chunks K
 //   --workload NAME   run only one scenario
 //   --size-mix NAME   fixed | heavy | both (default both)
 //   --admission P     edf | sjf for the heavy suite (default edf)
@@ -95,7 +95,6 @@ int RunSuite(const std::vector<std::string>& scenarios, bool heavy,
                              scenario.c_str(), system);
       cell.options =
           ServingCell(scenario, system, heavy, flags.admission, flags.quick);
-      cell.options.legacy_gate = flags.legacy_gate;
       cell.options.pipeline_chunks = flags.pipeline_chunks;
       cells.push_back(std::move(cell));
     }
@@ -187,7 +186,6 @@ int RunTracedHeadline(const bench::CommonFlags& flags) {
   ExperimentOptions o = ServingCell("multi-tenant", "flexmoe",
                                     /*heavy=*/false, flags.admission,
                                     flags.quick);
-  o.legacy_gate = flags.legacy_gate;
   o.pipeline_chunks = flags.pipeline_chunks;
   o.observability.enabled = true;
   o.observability.trace_out = flags.trace_out;
@@ -240,10 +238,7 @@ int RunTracedHeadline(const bench::CommonFlags& flags) {
   return 0;
 }
 
-int Run(int argc, char** argv) {
-  const bench::CommonFlags flags = bench::ParseCommonFlags(argc, argv);
-  const char* only = bench::FlagValue(argc, argv, "--workload", "");
-  const char* digests_path = bench::FlagValue(argc, argv, "--digests", "");
+int Run(const bench::CommonFlags& flags) {
   const std::string mix = flags.size_mix;
   if (mix != "fixed" && mix != "heavy" && mix != "both") {
     std::fprintf(stderr, "unknown --size-mix '%s'\n", mix.c_str());
@@ -260,12 +255,14 @@ int Run(int argc, char** argv) {
 
   std::vector<std::string> scenarios;
   for (const char* name : kScenarios) {
-    if (only[0] == '\0' || std::string(name) == only) {
+    if (!flags.workload_given || std::string(name) == flags.workload) {
       scenarios.push_back(name);
     }
   }
   if (scenarios.empty()) {
-    std::fprintf(stderr, "unknown --workload '%s'\n", only);
+    // A catalog scenario the serving suite does not run (finetune-shift).
+    std::fprintf(stderr, "usage: --workload '%s' is not a serving scenario\n",
+                 flags.workload);
     return 2;
   }
 
@@ -283,10 +280,10 @@ int Run(int argc, char** argv) {
     violations += RunSuite(scenarios, /*heavy=*/true, flags, &digests);
   }
 
-  if (digests_path[0] != '\0') {
-    const Status s = SaveDigests(digests, digests_path);
+  if (flags.digests[0] != '\0') {
+    const Status s = SaveDigests(digests, flags.digests);
     FLEXMOE_CHECK_MSG(s.ok(), s.ToString());
-    std::printf("wrote %zu digests to %s\n", digests.size(), digests_path);
+    std::printf("wrote %zu digests to %s\n", digests.size(), flags.digests);
   }
   if (violations > 0) {
     std::fprintf(stderr,
@@ -304,4 +301,6 @@ int Run(int argc, char** argv) {
 }  // namespace
 }  // namespace flexmoe
 
-int main(int argc, char** argv) { return flexmoe::Run(argc, argv); }
+int main(int argc, char** argv) {
+  return flexmoe::Run(flexmoe::bench::ParseCommonFlags(argc, argv));
+}

@@ -6,7 +6,7 @@
 // balance against the imbalance-visible baselines) per scenario and exits
 // non-zero if any regime breaks it.
 //
-// Flags (bench_common.h): --quick --threads N --legacy-gate
+// Flags (bench_common.h): --quick --threads N --pipeline-chunks K
 //   --workload NAME   run only one scenario
 //   --digests PATH    write per-cell metrics digests (golden record mode)
 
@@ -49,25 +49,19 @@ double EffectiveThroughput(const ExperimentReport& r) {
   return r.throughput_tokens_per_sec * r.mean_effective_token_rate;
 }
 
-int Run(int argc, char** argv) {
-  const bench::CommonFlags flags = bench::ParseCommonFlags(argc, argv);
+int Run(const bench::CommonFlags& flags) {
   const bool quick = flags.quick;
   const int threads = flags.threads;
-  const bool legacy_gate = flags.legacy_gate;
-  // Unlike the figure benches, an absent --workload means "all scenarios".
-  const char* only = bench::FlagValue(argc, argv, "--workload", "");
-  const char* digests_path = bench::FlagValue(argc, argv, "--digests", "");
 
   bench::PrintHeader("Workload scenario suite — all systems x catalog",
                      "dynamic placement must win in every popularity regime");
 
+  // Unlike the figure benches, an absent --workload means "all scenarios".
   std::vector<std::string> scenarios;
   for (const std::string& name : ScenarioCatalog()) {
-    if (only[0] == '\0' || name == only) scenarios.push_back(name);
-  }
-  if (scenarios.empty()) {
-    std::fprintf(stderr, "unknown --workload '%s'\n", only);
-    return 2;
+    if (!flags.workload_given || name == flags.workload) {
+      scenarios.push_back(name);
+    }
   }
 
   std::vector<GridCell> cells;
@@ -76,7 +70,6 @@ int Run(int argc, char** argv) {
       GridCell cell;
       cell.label = StrFormat("%s/%s", scenario.c_str(), system);
       cell.options = SuiteCell(scenario, system, quick);
-      cell.options.legacy_gate = legacy_gate;
       cell.options.pipeline_chunks = flags.pipeline_chunks;
       cells.push_back(std::move(cell));
     }
@@ -140,7 +133,6 @@ int Run(int argc, char** argv) {
                        ? StrFormat("%s/flexmoe/K=auto", scenario.c_str())
                        : StrFormat("%s/flexmoe/K=%d", scenario.c_str(), depth);
       cell.options = SuiteCell(scenario, "flexmoe", quick);
-      cell.options.legacy_gate = legacy_gate;
       cell.options.pipeline_chunks = depth;
       autok_cells.push_back(std::move(cell));
     }
@@ -178,10 +170,10 @@ int Run(int argc, char** argv) {
     return 1;
   }
 
-  if (digests_path[0] != '\0') {
-    const Status s = SaveDigests(digests, digests_path);
+  if (flags.digests[0] != '\0') {
+    const Status s = SaveDigests(digests, flags.digests);
     FLEXMOE_CHECK_MSG(s.ok(), s.ToString());
-    std::printf("wrote %zu digests to %s\n", digests.size(), digests_path);
+    std::printf("wrote %zu digests to %s\n", digests.size(), flags.digests);
   }
   if (violations > 0) {
     std::fprintf(stderr,
@@ -198,4 +190,6 @@ int Run(int argc, char** argv) {
 }  // namespace
 }  // namespace flexmoe
 
-int main(int argc, char** argv) { return flexmoe::Run(argc, argv); }
+int main(int argc, char** argv) {
+  return flexmoe::Run(flexmoe::bench::ParseCommonFlags(argc, argv));
+}

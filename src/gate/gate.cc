@@ -7,7 +7,7 @@ namespace flexmoe {
 
 namespace {
 /// Largest top_k served by the alias-table exact sampler's fixed-size
-/// chosen-set array; beyond it the legacy Gumbel sweep is used.
+/// chosen-set array; beyond it the per-token Gumbel sweep is used.
 constexpr int kMaxFastTopK = 8;
 }  // namespace
 
@@ -20,8 +20,8 @@ void SoftmaxInto(const double* logits, int n, double* out) {
     out[i] = std::exp(logits[i] - m);
     total += out[i];
   }
-  // Division (not reciprocal-multiply): keeps results bit-identical to the
-  // pre-optimization softmax, which the --legacy-gate contract relies on.
+  // Division (not reciprocal-multiply): the goldens' trace hashes and the
+  // calibrated σ0 pin these bits.
   for (int i = 0; i < n; ++i) out[i] /= total;
 }
 
@@ -66,22 +66,16 @@ Assignment TopKGate::Sample(const Matrix<double>& gpu_logits,
   Assignment out(options_.num_experts, options_.num_gpus);
   // The alias-table exact path tracks chosen experts in a fixed-size
   // array; larger top_k (never used — the paper is Top-2 throughout)
-  // falls back to the legacy per-token Gumbel sweep.
-  const bool legacy_exact =
-      options_.legacy_sampling || options_.top_k > kMaxFastTopK;
+  // falls back to the per-token Gumbel sweep.
+  const bool gumbel_sweep = options_.top_k > kMaxFastTopK;
   for (int g = 0; g < options_.num_gpus; ++g) {
     const double* logits = gpu_logits.row(g);
     if (options_.exact_sampling) {
-      if (legacy_exact) {
-        const std::vector<double> copy(logits,
-                                       logits + options_.num_experts);
-        SampleExactLegacy(copy, g, rng, &out);
+      if (gumbel_sweep) {
+        SampleExactGumbel(logits, g, rng, &out);
       } else {
         SampleExact(logits, g, rng, &out);
       }
-    } else if (options_.legacy_sampling) {
-      const std::vector<double> copy(logits, logits + options_.num_experts);
-      SampleMultinomialLegacy(Softmax(copy), g, rng, &out);
     } else {
       SoftmaxInto(logits, options_.num_experts, probs_scratch_.data());
       SampleMultinomial(probs_scratch_.data(), g, rng, &out);
@@ -129,29 +123,6 @@ void SecondChoiceMarginalInto(const double* probs, int n, double* out) {
   for (int e = 0; e < n; ++e) out[e] /= total;
 }
 
-/// Conditional-binomial multinomial into a caller-provided buffer. Consumes
-/// the RNG stream exactly like Rng::Multinomial (the regression tests pin
-/// the optimized gate byte-identical to the legacy sampler).
-void MultinomialInto(Rng* rng, int64_t n, const double* probs, int k,
-                     int64_t* counts) {
-  double remaining_mass = 0.0;
-  for (int i = 0; i < k; ++i) {
-    FLEXMOE_CHECK(probs[i] >= 0.0);
-    remaining_mass += probs[i];
-  }
-  std::fill(counts, counts + k, 0);
-  int64_t remaining = n;
-  for (int i = 0; i + 1 < k && remaining > 0; ++i) {
-    if (remaining_mass <= 0.0) break;
-    const double p = std::min(1.0, probs[i] / remaining_mass);
-    const int64_t c = rng->Binomial(remaining, p);
-    counts[i] = c;
-    remaining -= c;
-    remaining_mass -= probs[i];
-  }
-  if (k > 0) counts[k - 1] += remaining;
-}
-
 }  // namespace
 
 void TopKGate::SampleMultinomial(const double* probs, int gpu, Rng* rng,
@@ -163,8 +134,8 @@ void TopKGate::SampleMultinomial(const double* probs, int gpu, Rng* rng,
   const int n = options_.num_experts;
   const double* current = probs;
   for (int round = 0; round < options_.top_k; ++round) {
-    MultinomialInto(rng, options_.tokens_per_gpu, current, n,
-                    counts_scratch_.data());
+    rng->MultinomialInto(options_.tokens_per_gpu, current, n,
+                         counts_scratch_.data());
     for (int e = 0; e < n; ++e) {
       const int64_t c = counts_scratch_[static_cast<size_t>(e)];
       if (c > 0) out->add(e, gpu, c);
@@ -184,8 +155,7 @@ void TopKGate::SampleExact(const double* logits, int gpu, Rng* rng,
   // token costs k alias-table draws (plus rejection of already-chosen
   // experts) instead of E Gumbel perturbations + a partial sort. The
   // distribution is exact — gate_sampler_test.cc chi-squares it against
-  // the legacy Gumbel implementation — but the RNG stream differs;
-  // `legacy_sampling` preserves the original draws byte-for-byte.
+  // the analytic top-2 marginal.
   const int k = options_.top_k;
   const int n = options_.num_experts;
   double* probs = probs_scratch_.data();
@@ -266,34 +236,14 @@ void TopKGate::SampleExact(const double* logits, int gpu, Rng* rng,
   }
 }
 
-void TopKGate::SampleMultinomialLegacy(const std::vector<double>& probs,
-                                       int gpu, Rng* rng,
-                                       Assignment* out) const {
-  // The pre-optimization sampler, verbatim: per-round vector allocations
-  // via Rng::Multinomial and full-vector copies of the round distribution.
-  std::vector<double> current = probs;
-  for (int round = 0; round < options_.top_k; ++round) {
-    const std::vector<int64_t> counts =
-        rng->Multinomial(options_.tokens_per_gpu, current);
-    for (int e = 0; e < options_.num_experts; ++e) {
-      out->add(e, gpu, counts[static_cast<size_t>(e)]);
-    }
-    if (round == 0 && options_.top_k > 1) {
-      std::vector<double> second(probs.size());
-      SecondChoiceMarginalInto(probs.data(),
-                               static_cast<int>(probs.size()), second.data());
-      current = std::move(second);
-    }
-  }
-}
-
-void TopKGate::SampleExactLegacy(const std::vector<double>& logits, int gpu,
-                                 Rng* rng, Assignment* out) const {
+void TopKGate::SampleExactGumbel(const double* logits, int gpu, Rng* rng,
+                                 Assignment* out) const {
   const int k = options_.top_k;
-  std::vector<double> perturbed(logits.size());
-  std::vector<int> order(logits.size());
+  const size_t n = static_cast<size_t>(options_.num_experts);
+  std::vector<double> perturbed(n);
+  std::vector<int> order(n);
   for (int64_t t = 0; t < options_.tokens_per_gpu; ++t) {
-    for (size_t e = 0; e < logits.size(); ++e) {
+    for (size_t e = 0; e < n; ++e) {
       perturbed[e] = logits[e] + rng->Gumbel();
     }
     // Partial selection of the k largest perturbed logits: the Gumbel-max

@@ -1,8 +1,11 @@
 // Top-K gate simulation: converts per-GPU expert logits into the routing
 // count matrix I[e][g]. Two sampling modes:
-//  * count-level multinomial (fast; used for full training runs), and
-//  * exact per-token Gumbel top-k (slow; used by tests to validate the
-//    multinomial approximation).
+//  * count-level multinomial (fast; used for full training runs): round 1
+//    draws Rng::MultinomialInto over the softmax, round 2 over the exact
+//    second-choice marginal of without-replacement top-k, and
+//  * exact per-token top-k (slow; used by tests to validate the
+//    multinomial approximation): alias-table Plackett-Luce sequential
+//    sampling, or a per-token Gumbel sweep when top_k > 8.
 //
 // The MoE system never inspects token values — only routing counts — so a
 // count-accurate gate exercises exactly the code paths the paper's system
@@ -11,12 +14,9 @@
 // Sampling is allocation-free per call: the gate owns scratch buffers that
 // are reused across Sample() invocations. A TopKGate instance is therefore
 // NOT safe for concurrent Sample() calls — give each thread (each grid
-// cell) its own gate, as the experiment harness does. The pre-optimization
-// sampler is preserved behind TopKGateOptions::legacy_sampling (the
-// `--legacy-gate` bench flag). The optimized multinomial path is
-// byte-identical to it (same RNG consumption); the optimized exact path
-// (alias-table Plackett-Luce sequential sampling) is distribution-exact
-// but consumes a different RNG stream — gate_sampler_test.cc pins both.
+// cell) its own gate, as the experiment harness does. gate_sampler_test.cc
+// checks both modes against the analytic top-2 marginal; the goldens'
+// trace hashes pin the multinomial stream bit-for-bit.
 
 #ifndef FLEXMOE_GATE_GATE_H_
 #define FLEXMOE_GATE_GATE_H_
@@ -43,11 +43,8 @@ struct TopKGateOptions {
   int num_gpus = 64;
   int top_k = 2;
   int64_t tokens_per_gpu = 8192;
-  /// Exact per-token Gumbel sampling instead of multinomial counts.
+  /// Exact per-token top-k sampling instead of multinomial counts.
   bool exact_sampling = false;
-  /// Route through the pre-optimization sampler (byte-identical reference
-  /// implementation; used by `--legacy-gate` and the regression tests).
-  bool legacy_sampling = false;
 
   Status Validate() const;
 };
@@ -73,11 +70,10 @@ class TopKGate {
 
   void SampleMultinomial(const double* probs, int gpu, Rng* rng,
                          Assignment* out) const;
-  void SampleMultinomialLegacy(const std::vector<double>& probs, int gpu,
-                               Rng* rng, Assignment* out) const;
   void SampleExact(const double* logits, int gpu, Rng* rng,
                    Assignment* out) const;
-  void SampleExactLegacy(const std::vector<double>& logits, int gpu, Rng* rng,
+  // Fallback for top_k > 8: the k largest Gumbel-perturbed logits.
+  void SampleExactGumbel(const double* logits, int gpu, Rng* rng,
                          Assignment* out) const;
 
   TopKGateOptions options_;

@@ -201,7 +201,6 @@ Result<TraceGenerator> TraceGenerator::Create(
   gate_opts.top_k = options.top_k;
   gate_opts.tokens_per_gpu = options.tokens_per_gpu;
   gate_opts.exact_sampling = options.exact_sampling;
-  gate_opts.legacy_sampling = options.legacy_gate;
   FLEXMOE_ASSIGN_OR_RETURN(TopKGate gate, TopKGate::Create(gate_opts));
 
   std::vector<std::unique_ptr<LogitProcess>> processes;

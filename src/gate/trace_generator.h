@@ -72,8 +72,6 @@ struct TraceGeneratorOptions {
   ScenarioOptions scenario;
 
   bool exact_sampling = false;
-  /// Route the gate through the pre-optimization sampler (`--legacy-gate`).
-  bool legacy_gate = false;
   uint64_t seed = 42;
 
   Status Validate() const;

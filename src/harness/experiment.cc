@@ -54,7 +54,6 @@ Result<TraceGenerator> BuildTraceGenerator(const ExperimentOptions& options) {
     t.top_k = options.model.top_k;
     t.balance_coef = options.balance_coef;
     t.seed = options.seed;
-    t.legacy_gate = options.legacy_gate;
     t.scenario = options.workload.scenario;
   }
   return TraceGenerator::Create(t);

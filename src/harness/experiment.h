@@ -52,11 +52,6 @@ struct ExperimentOptions {
   double balance_coef = 0.001;   ///< paper default for all systems
   double capacity_factor = 1.0;  ///< DeepSpeed only; <= 0 disables capacity
 
-  /// Route the trace generator's gate through the pre-optimization sampler
-  /// (`--legacy-gate`); single-threaded legacy runs reproduce pre-
-  /// optimization simulation outputs byte-identically.
-  bool legacy_gate = false;
-
   /// FlexMoE-specific knobs.
   SchedulerOptions scheduler;
   PolicyMakerOptions policy;

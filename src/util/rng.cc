@@ -140,16 +140,16 @@ int64_t Rng::Binomial(int64_t n, double p) {
   return std::clamp<int64_t>(v, 0, n);
 }
 
-std::vector<int64_t> Rng::Multinomial(int64_t n,
-                                      const std::vector<double>& probs) {
-  std::vector<int64_t> counts(probs.size(), 0);
+void Rng::MultinomialInto(int64_t n, const double* probs, int k,
+                          int64_t* counts) {
   double remaining_mass = 0.0;
-  for (double p : probs) {
-    FLEXMOE_CHECK(p >= 0.0);
-    remaining_mass += p;
+  for (int i = 0; i < k; ++i) {
+    FLEXMOE_CHECK(probs[i] >= 0.0);
+    remaining_mass += probs[i];
   }
+  std::fill(counts, counts + k, 0);
   int64_t remaining = n;
-  for (size_t i = 0; i + 1 < probs.size() && remaining > 0; ++i) {
+  for (int i = 0; i + 1 < k && remaining > 0; ++i) {
     if (remaining_mass <= 0.0) break;
     const double p = std::min(1.0, probs[i] / remaining_mass);
     const int64_t c = Binomial(remaining, p);
@@ -157,8 +157,7 @@ std::vector<int64_t> Rng::Multinomial(int64_t n,
     remaining -= c;
     remaining_mass -= probs[i];
   }
-  if (!probs.empty()) counts.back() += remaining;
-  return counts;
+  if (k > 0) counts[k - 1] += remaining;
 }
 
 size_t Rng::Categorical(const std::vector<double>& weights) {

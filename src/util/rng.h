@@ -51,9 +51,10 @@ class Rng {
   /// approximation beyond; adequate for workload synthesis).
   int64_t Binomial(int64_t n, double p);
 
-  /// Multinomial counts: distributes `n` trials over `probs` (need not be
-  /// normalized). Uses the conditional-binomial method: O(k) per call.
-  std::vector<int64_t> Multinomial(int64_t n, const std::vector<double>& probs);
+  /// Multinomial counts: distributes `n` trials over the `k` weights in
+  /// `probs` (need not be normalized) into `counts` (size k). Uses the
+  /// conditional-binomial method: O(k) per call, allocation-free.
+  void MultinomialInto(int64_t n, const double* probs, int k, int64_t* counts);
 
   /// Samples an index from an unnormalized weight vector.
   size_t Categorical(const std::vector<double>& weights);

@@ -115,9 +115,10 @@ TEST(RngTest, BinomialEdgeCases) {
 
 TEST(RngTest, MultinomialConservesTotal) {
   Rng rng(10);
-  const std::vector<double> probs = {0.1, 0.5, 0.25, 0.15};
+  const double probs[4] = {0.1, 0.5, 0.25, 0.15};
+  int64_t counts[4];
   for (int trial = 0; trial < 100; ++trial) {
-    const auto counts = rng.Multinomial(1000, probs);
+    rng.MultinomialInto(1000, probs, 4, counts);
     int64_t total = 0;
     for (int64_t c : counts) {
       EXPECT_GE(c, 0);
@@ -129,11 +130,12 @@ TEST(RngTest, MultinomialConservesTotal) {
 
 TEST(RngTest, MultinomialMeans) {
   Rng rng(11);
-  const std::vector<double> probs = {0.7, 0.2, 0.1};
+  const double probs[3] = {0.7, 0.2, 0.1};
   std::vector<double> sums(3, 0.0);
+  int64_t counts[3];
   const int trials = 2000;
   for (int t = 0; t < trials; ++t) {
-    const auto counts = rng.Multinomial(100, probs);
+    rng.MultinomialInto(100, probs, 3, counts);
     for (size_t i = 0; i < 3; ++i) sums[i] += static_cast<double>(counts[i]);
   }
   for (size_t i = 0; i < 3; ++i) {
@@ -143,7 +145,9 @@ TEST(RngTest, MultinomialMeans) {
 
 TEST(RngTest, MultinomialUnnormalizedWeights) {
   Rng rng(12);
-  const auto counts = rng.Multinomial(1000, {2.0, 2.0});  // sums to 4, not 1
+  const double weights[2] = {2.0, 2.0};  // sums to 4, not 1
+  int64_t counts[2];
+  rng.MultinomialInto(1000, weights, 2, counts);
   EXPECT_EQ(counts[0] + counts[1], 1000);
   EXPECT_NEAR(static_cast<double>(counts[0]), 500.0, 80.0);
 }
