@@ -3,7 +3,7 @@
 // Every bench parses its command line with ParseCommonFlags, which accepts
 // the flags below (each bench reads the ones that apply to it):
 //   --quick          smoke-test scale (fewer steps; noisier numbers)
-//   --threads N      grid-runner worker count (default: hardware)
+//   --threads N      grid-runner worker count; 0 (the default) = hardware
 //   --workload NAME  workload scenario from the catalog (default:
 //                    pretrain-steady; the suite benches run every scenario
 //                    when absent; see gate/logit_process.h)
@@ -20,27 +20,22 @@
 //                    (any of the three enables observability for the runs
 //                    the bench designates; see src/obs/)
 //   --digests PATH   write per-cell digests (workload and serving suites)
-//   --out PATH       JSON output path (bench_micro_core)
-//   --large-ep       run the G = 512 large-EP cells (bench_micro_core)
-//   --extra NAME=X   record an external number X (bench_micro_core;
-//                    repeatable)
 // Anything else is a usage error: an unknown flag, a flag missing its
-// value, a number that is not a whole integer in range, an --extra that is
-// not NAME=<finite number>, or a --workload outside the catalog. Each
-// prints a usage line on stderr and exits 2 before the bench does any work.
+// value, a number that is not a whole integer in range (--threads below 0
+// included), or a --workload, --size-mix or --admission outside its
+// documented set. Each prints a usage line on stderr and exits 2 before
+// the bench does any work.
 
 #ifndef FLEXMOE_BENCH_BENCH_COMMON_H_
 #define FLEXMOE_BENCH_BENCH_COMMON_H_
 
 #include <cerrno>
 #include <climits>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "core/step_executor.h"
 #include "gate/logit_process.h"
@@ -96,11 +91,7 @@ struct CommonFlags {
   const char* trace_out = "";
   const char* metrics_out = "";
   const char* decisions_out = "";
-  const char* digests = "";              ///< suite benches; "" = none
-  const char* out = "BENCH_micro.json";  ///< bench_micro_core
-  bool large_ep = false;                 ///< bench_micro_core
-  /// bench_micro_core: externally measured (name, value) pairs.
-  std::vector<std::pair<std::string, double>> extras;
+  const char* digests = "";  ///< suite benches; "" = none
 
   bool ObservabilityRequested() const {
     return trace_out[0] != '\0' || metrics_out[0] != '\0' ||
@@ -117,16 +108,11 @@ inline CommonFlags ParseCommonFlags(int argc, char** argv) {
       {"--trace-out", &flags.trace_out},
       {"--metrics-out", &flags.metrics_out},
       {"--decisions-out", &flags.decisions_out},
-      {"--digests", &flags.digests},
-      {"--out", &flags.out}};
+      {"--digests", &flags.digests}};
   for (int i = 1; i < argc; ++i) {
     const std::string flag = argv[i];
     if (flag == "--quick") {
       flags.quick = true;
-      continue;
-    }
-    if (flag == "--large-ep") {
-      flags.large_ep = true;
       continue;
     }
     const char** text_slot = nullptr;
@@ -134,7 +120,7 @@ inline CommonFlags ParseCommonFlags(int argc, char** argv) {
       if (flag == name) text_slot = slot;
     }
     if (text_slot == nullptr && flag != "--threads" &&
-        flag != "--pipeline-chunks" && flag != "--extra") {
+        flag != "--pipeline-chunks") {
       UsageError(StrFormat("unknown flag '%s' (see bench/bench_common.h)",
                            flag.c_str()));
     }
@@ -147,26 +133,26 @@ inline CommonFlags ParseCommonFlags(int argc, char** argv) {
       *text_slot = value;
       if (flag == "--workload") flags.workload_given = true;
     } else if (flag == "--threads") {
-      flags.threads = IntFlagValue("--threads", value);
-    } else if (flag == "--pipeline-chunks") {
+      flags.threads = IntFlagValue("--threads", value, 0);
+    } else {
       flags.pipeline_chunks =
           IntFlagValue("--pipeline-chunks", value, 0, kMaxPipelineChunks);
-    } else {
-      const char* eq = std::strchr(value, '=');
-      char* end = nullptr;
-      const double x = eq == nullptr ? 0.0 : std::strtod(eq + 1, &end);
-      if (eq == nullptr || eq == value || end == eq + 1 || *end != '\0' ||
-          !std::isfinite(x)) {
-        UsageError(StrFormat("--extra expects NAME=<finite number>, got '%s'",
-                             value));
-      }
-      flags.extras.emplace_back(std::string(value, eq), x);
     }
   }
   if (flags.workload_given && !IsKnownScenario(flags.workload)) {
     UsageError(StrFormat("unknown --workload '%s' (scenarios: %s)",
                          flags.workload,
                          Join(ScenarioCatalog(), ", ").c_str()));
+  }
+  const std::string size_mix = flags.size_mix;
+  if (size_mix != "fixed" && size_mix != "heavy" && size_mix != "both") {
+    UsageError(StrFormat("unknown --size-mix '%s' (fixed | heavy | both)",
+                         flags.size_mix));
+  }
+  const std::string admission = flags.admission;
+  if (admission != "edf" && admission != "sjf") {
+    UsageError(StrFormat("unknown --admission '%s' (edf | sjf)",
+                         flags.admission));
   }
   return flags;
 }

@@ -240,15 +240,6 @@ int RunTracedHeadline(const bench::CommonFlags& flags) {
 
 int Run(const bench::CommonFlags& flags) {
   const std::string mix = flags.size_mix;
-  if (mix != "fixed" && mix != "heavy" && mix != "both") {
-    std::fprintf(stderr, "unknown --size-mix '%s'\n", mix.c_str());
-    return 2;
-  }
-  const std::string admission = flags.admission;
-  if (admission != "edf" && admission != "sjf") {
-    std::fprintf(stderr, "unknown --admission '%s'\n", admission.c_str());
-    return 2;
-  }
 
   bench::PrintHeader("Serving SLO suite — all systems x serving scenarios",
                      "dynamic placement must win the tail where skew queues");

@@ -1,6 +1,6 @@
 // Shared engine-level execution of one training step. FlexMoE and every
-// baseline system express a step as a list of LayerWork items (routing +
-// placement + optional extras) and delegate the simulated execution here,
+// baseline system express a step as a list of LayerWork items (routing,
+// placement, optional syncs) and delegate the simulated execution here,
 // so all systems are timed by the identical machinery:
 //
 //   forward:  per layer — [shadow broadcasts] -> dispatch A2A -> expert

@@ -36,8 +36,8 @@ Table TimeToQualityTable(
       cells.push_back(
           FormatSpeedup(row[i].hours_to_target / flex_hours));
     }
-    // Header has (n-1) speedup columns; drop extras if baseline count
-    // differs (defensive).
+    // Header has (n-1) speedup columns; trim or pad the cells if the
+    // baseline count differs (defensive).
     while (cells.size() > t.num_cols()) cells.pop_back();
     while (cells.size() < t.num_cols()) cells.push_back("-");
     t.AddRow(std::move(cells));

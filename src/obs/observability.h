@@ -5,10 +5,10 @@
 // run and installs a raw pointer into the system under test via
 // MoESystem::SetObservability; the system forwards it to its StepExecutor,
 // ElasticController and (serving) ServeExecutor. Instrumented call sites
-// fetch the handle through a null-checked accessor, so the DISABLED path is
-// one predictable branch — and compiling with -DFLEXMOE_DISABLE_OBS turns
-// kObservabilityCompiledIn into a constant false that dead-code-eliminates
-// every instrumentation block outright.
+// fetch the handle through a null/enabled-checked accessor, so the DISABLED
+// path is one predictable branch that allocates nothing: a run with a
+// disabled handle makes exactly the heap allocations of a run with none
+// (observability_integration_test).
 //
 // Determinism contract: with observability enabled, every exported artifact
 // (Chrome trace, metrics snapshot, decision JSONL) is a pure function of
@@ -28,14 +28,6 @@
 
 namespace flexmoe {
 namespace obs {
-
-/// Compile-time master switch: build with -DFLEXMOE_DISABLE_OBS to compile
-/// every `if (kObservabilityCompiledIn && ...)` instrumentation block out.
-#if defined(FLEXMOE_DISABLE_OBS)
-inline constexpr bool kObservabilityCompiledIn = false;
-#else
-inline constexpr bool kObservabilityCompiledIn = true;
-#endif
 
 /// \brief Per-run observability configuration (ExperimentOptions.
 /// observability; bench flags --trace-out / --metrics-out /
@@ -96,19 +88,13 @@ class Observability {
 /// \brief Resolves the null-checked fast path in one place: the tracer to
 /// record into, or nullptr when `o` is absent or disabled.
 inline Tracer* TracerOf(Observability* o) {
-  return kObservabilityCompiledIn && o != nullptr && o->enabled()
-             ? &o->tracer()
-             : nullptr;
+  return o != nullptr && o->enabled() ? &o->tracer() : nullptr;
 }
 inline MetricsRegistry* MetricsOf(Observability* o) {
-  return kObservabilityCompiledIn && o != nullptr && o->enabled()
-             ? &o->metrics()
-             : nullptr;
+  return o != nullptr && o->enabled() ? &o->metrics() : nullptr;
 }
 inline DecisionLog* DecisionsOf(Observability* o) {
-  return kObservabilityCompiledIn && o != nullptr && o->enabled()
-             ? &o->decisions()
-             : nullptr;
+  return o != nullptr && o->enabled() ? &o->decisions() : nullptr;
 }
 
 }  // namespace obs

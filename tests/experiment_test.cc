@@ -4,11 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <climits>
 #include <cmath>
+#include <map>
 
 #include "harness/experiment.h"
 #include "harness/reporters.h"
+#include "util/string_util.h"
 
 namespace flexmoe {
 namespace {
@@ -83,6 +86,26 @@ TEST(ExperimentTest, LargeEPPresetRunsEndToEnd) {
   EXPECT_GT(report->throughput_tokens_per_sec, 0.0);
   EXPECT_GE(report->mean_balance_ratio, 1.0);
   EXPECT_EQ(report->num_gpus, 16);
+}
+
+// The full G = E = 512 large-EP preset through the discrete-event
+// engine: auto-K must match or beat both static pins the nightly tracks
+// (serial and K = 4) on simulated mean step time. About 35 s, so it is
+// disabled in tier-1; the nightly job runs it with
+// --gtest_also_run_disabled_tests and keeps the recorded mean steps
+// (mean_step_ms_k0 is auto-K).
+TEST(ExperimentTest, DISABLED_LargeEPAutoKMatchesStaticPinsG512) {
+  std::map<int, double> mean_step;  // by pipeline_chunks; 0 = auto-K
+  for (const int k : {1, 4, 0}) {
+    ExperimentOptions o = LargeEPOptions(512);
+    o.pipeline_chunks = k;
+    const auto report = RunExperiment(o);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    mean_step[k] = report->mean_step_seconds;
+    RecordProperty(StrFormat("mean_step_ms_k%d", k),
+                   StrFormat("%.6f", 1e3 * mean_step[k]));
+  }
+  EXPECT_LE(mean_step[0], std::min(mean_step[1], mean_step[4]));
 }
 
 TEST(ExperimentTest, DeterministicReports) {

@@ -8,42 +8,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
-#include <new>
 
+#include "allocation_count.h"
 #include "core/incremental_cost.h"
 #include "test_env.h"
 #include "util/rng.h"
 
-// Counts every global allocation so the steady-state test below can
-// assert that the planner's Apply/Undo cycle never reaches the heap. Kept
-// out of line: inlined into a caller, GCC pairs the malloc/free here with
-// the new/delete expression and reports a false mismatch.
-namespace {
-std::atomic<int64_t> g_allocations{0};
-}  // namespace
-
-__attribute__((noinline)) void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  void* p = std::malloc(size == 0 ? 1 : size);
-  if (p == nullptr) throw std::bad_alloc();
-  return p;
-}
-__attribute__((noinline)) void operator delete(void* p) noexcept {
-  std::free(p);
-}
-__attribute__((noinline)) void operator delete(void* p,
-                                               std::size_t) noexcept {
-  std::free(p);
-}
-
 namespace flexmoe {
 namespace {
-
-int64_t AllocationCount() {
-  return g_allocations.load(std::memory_order_relaxed);
-}
 
 Placement MakePlacement(int experts, int gpus, int slots) {
   PlacementOptions o;

@@ -1,18 +1,25 @@
-// End-to-end observability test (the ISSUE's acceptance cell): a traced
-// multi-tenant FlexMoE serving run must export a structurally valid,
-// non-empty Chrome trace, a metrics snapshot, and a decision audit from
-// which the policy-lag-behind-tenant-switch is computable — and two runs
-// at the same seed must export byte-identical artifacts.
+// End-to-end observability tests. A traced multi-tenant FlexMoE serving
+// run must export a structurally valid, non-empty Chrome trace, a metrics
+// snapshot, and a decision audit from which the
+// policy-lag-behind-tenant-switch is computable, and two runs at the same
+// seed must export byte-identical artifacts. A disabled handle must cost
+// nothing: the same heap allocations and the same metrics as no handle.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <string>
+#include <tuple>
 #include <vector>
 
+#include "allocation_count.h"
+#include "core/flexmoe.h"
+#include "gate/trace_generator.h"
 #include "harness/experiment.h"
 #include "harness/golden.h"
 #include "obs/decision_log.h"
+#include "obs/observability.h"
+#include "test_env.h"
 
 namespace flexmoe {
 namespace {
@@ -165,6 +172,77 @@ TEST(ObservabilityIntegrationTest, DisabledRunWritesNothing) {
   const Result<ExperimentReport> report = RunExperiment(o);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_TRUE(report->serving);
+}
+
+/// Every StepMetrics field, for exact comparison.
+auto Fields(const StepMetrics& m) {
+  return std::make_tuple(
+      m.step, m.step_seconds, m.a2a_seconds, m.compute_seconds,
+      m.sync_seconds, m.non_moe_seconds, m.adjust_block_seconds,
+      m.balance_ratio, m.token_efficiency, m.expert_efficiency,
+      m.gpu_utilization, m.tokens_total, m.tokens_dropped,
+      m.tokens_recirculated, m.ops_applied, m.ops_launched,
+      m.recovery_seconds, m.faults_applied, m.degraded);
+}
+
+struct CountedRun {
+  int64_t allocations = 0;
+  std::vector<StepMetrics> metrics;
+};
+
+/// 64 FlexMoE training steps (8 GPUs, 16 experts, 2 layers) over a
+/// pre-generated cycle of 8 routing steps, with `obs` installed when
+/// non-null. Counts the heap allocations the steps make.
+CountedRun RunCountedSteps(obs::Observability* obs) {
+  const TestEnv env = TestEnv::Make(8);
+  FlexMoEOptions o;
+  o.model = GptMoES();
+  o.model.num_experts = 16;
+  o.model.num_moe_layers = 2;
+  o.model.tokens_per_gpu = 2048;
+  o.num_gpus = 8;
+  auto sys = *FlexMoESystem::Create(o, env.topo.get(), &env.profile);
+  if (obs != nullptr) sys->SetObservability(obs);
+
+  TraceGeneratorOptions t;
+  t.num_experts = o.model.num_experts;
+  t.num_moe_layers = o.model.num_moe_layers;
+  t.num_gpus = o.num_gpus;
+  t.tokens_per_gpu = o.model.tokens_per_gpu;
+  t.seed = 7;
+  TraceGenerator gen = *TraceGenerator::Create(t);
+  std::vector<std::vector<Assignment>> steps;
+  for (int i = 0; i < 8; ++i) steps.push_back(gen.Step());
+
+  CountedRun run;
+  run.metrics.reserve(64);
+  const int64_t before = AllocationCount();
+  for (size_t i = 0; i < 64; ++i) {
+    run.metrics.push_back(sys->RunStep(steps[i % steps.size()]));
+  }
+  run.allocations = AllocationCount() - before;
+  return run;
+}
+
+// The disabled path is the one every untraced run takes, so it must do no
+// work at all: exactly the allocations and metrics of a run with no handle
+// installed, and nothing recorded into the handle.
+TEST(ObservabilityIntegrationTest, DisabledHandleCostsNoAllocations) {
+  const CountedRun bare = RunCountedSteps(nullptr);
+  obs::Observability disabled(obs::ObservabilityOptions{});
+  ASSERT_FALSE(disabled.enabled());
+  const CountedRun with_handle = RunCountedSteps(&disabled);
+
+  EXPECT_GT(bare.allocations, 0);  // the counter counts
+  EXPECT_EQ(with_handle.allocations, bare.allocations);
+  ASSERT_EQ(with_handle.metrics.size(), bare.metrics.size());
+  for (size_t i = 0; i < bare.metrics.size(); ++i) {
+    EXPECT_TRUE(Fields(with_handle.metrics[i]) == Fields(bare.metrics[i]))
+        << "step " << i;
+  }
+  EXPECT_EQ(disabled.tracer().size(), 0u);
+  EXPECT_TRUE(disabled.metrics().empty());
+  EXPECT_EQ(disabled.decisions().size(), 0u);
 }
 
 }  // namespace

@@ -6,7 +6,7 @@
 //     code and are compared with ==, not near; K = 2 and K = 4, and the
 //     expert-sync launch point at K = 1 and K = 4, are pinned the same way;
 //  2. chunks > 1 never makes a step slower, and a dispatch-heavy forward
-//     pass gets strictly faster;
+//     pass gets strictly faster, at G = 8 and at G = 512;
 //  3. the pipelined wall time respects the phase bounds (max-of-phases
 //     <= pipelined <= serial sum), in the executor and in the cost
 //     model's CombineGpuSeconds / EstimateForwardMicrobatchSeconds
@@ -19,7 +19,9 @@
 //     changes (the stale-floor-after-failover regression);
 //  6. LayerCostState stays bitwise-exact against from-scratch
 //     EstimateLayer under the overlap-aware combiner, and its
-//     max_cross_link_into matches a brute-force recount.
+//     max_cross_link_into matches a brute-force recount;
+//  7. auto-K (pipeline_chunks = 0) matches the best static depth end to
+//     end through RunExperiment.
 
 #include <gtest/gtest.h>
 
@@ -30,6 +32,7 @@
 
 #include "core/incremental_cost.h"
 #include "core/step_executor.h"
+#include "harness/experiment.h"
 #include "test_env.h"
 #include "util/rng.h"
 
@@ -90,6 +93,27 @@ ForwardRun RunProbe(const TestEnv& env, int chunks) {
   out.fwd = exec.ExecuteForward({work, work});
   out.step = exec.ExecuteStep({work, work}, nullptr);
   return out;
+}
+
+/// One forward pass of `a` on a fresh cluster of `env`'s G GPUs under
+/// expert parallelism (ProbeModel widened to one expert per GPU) at chunk
+/// depth `chunks`.
+double ExpertParallelForwardSeconds(const TestEnv& env, const Assignment& a,
+                                    int chunks) {
+  const int g = env.topo->num_gpus();
+  const Placement p = *Placement::ExpertParallel({g, g, /*slots=*/1});
+  ModelConfig model = ProbeModel();
+  model.num_experts = g;
+  ClusterState cluster(env.topo.get());
+  StepExecutor exec(&cluster, &env.profile, model);
+  PipelineOptions pipeline;
+  pipeline.chunks = chunks;
+  exec.set_pipeline(pipeline);
+  const RoutedAssignment r = FlexibleRouter::Route(a, p);
+  LayerWork work;
+  work.routed = &r;
+  work.placement = &p;
+  return exec.ExecuteForward({work, work}).StepSeconds();
 }
 
 double PerGpuComputeSum(const StepTiming& t) {
@@ -303,11 +327,16 @@ TEST(PipelinedTimingTest, ChunkedWallTimeBoundedByLaunchOverhead) {
   }
 }
 
+// K = 4 makes a dispatch-heavy forward strictly faster than serial, from
+// the 8-GPU probe up to G = 512 (1.07x there today).
 TEST(PipelinedTimingTest, DispatchHeavyForwardStrictlyFasterChunked) {
-  const TestEnv env = TestEnv::Make(8);
-  const double serial = RunProbe(env, 1).fwd.StepSeconds();
-  const double pipelined = RunProbe(env, 4).fwd.StepSeconds();
-  EXPECT_LT(pipelined, serial);
+  for (const int g : {8, 512}) {
+    const TestEnv env = TestEnv::Make(g);
+    const Assignment skewed = SkewedAssignment(g, g, 4096);
+    const double serial = ExpertParallelForwardSeconds(env, skewed, 1);
+    const double pipelined = ExpertParallelForwardSeconds(env, skewed, 4);
+    EXPECT_LT(pipelined, serial) << "G = " << g;
+  }
 }
 
 TEST(PipelinedTimingTest, ChunkedForwardRespectsPhaseBounds) {
@@ -602,32 +631,31 @@ TEST(ForwardMicrobatchFloorTest, FloorBelowMeasuredForwardAtEveryDepth) {
 // chunks multiply the crossing count, now charges one latency so the
 // floor stays below the measured time instead of crossing it.
 TEST(ForwardMicrobatchFloorTest, ChunkedFloorSoundOnExactlyBalancedRoute) {
-  const ModelConfig model = ProbeModel();
-  // Every GPU sends the same count to every expert: all cells equal, so
-  // per-GPU receive totals are identical — the exactly balanced route.
-  Assignment balanced(8, 8);
-  for (int e = 0; e < 8; ++e) {
-    for (int g = 0; g < 8; ++g) balanced.set(e, g, 512);
-  }
-  const int64_t tokens = balanced.Total() / model.top_k;
-  const Placement p = ExpertParallel8();
-  const RoutedAssignment r = FlexibleRouter::Route(balanced, p);
-  LayerWork work;
-  work.routed = &r;
-  work.placement = &p;
-
-  for (const bool grid : {false, true}) {
-    const TestEnv env = grid ? TestEnv::MakeGrid(2, 4) : TestEnv::Make(8);
+  // The 8-GPU probe on one node and on a 2x4 grid, and the G = 512
+  // large-EP shape (measured/floor 1.024 there at K = 4 today).
+  std::vector<TestEnv> envs;
+  envs.push_back(TestEnv::Make(8));
+  envs.push_back(TestEnv::MakeGrid(2, 4));
+  envs.push_back(TestEnv::Make(512));
+  for (const TestEnv& env : envs) {
+    const int g = env.topo->num_gpus();
+    ModelConfig model = ProbeModel();
+    model.num_experts = g;
+    // Every GPU sends the same count to every expert: all cells equal, so
+    // per-GPU receive totals are identical — the exactly balanced route.
+    Assignment balanced(g, g);
+    for (int e = 0; e < g; ++e) {
+      for (int src = 0; src < g; ++src) balanced.set(e, src, 4096 / g);
+    }
+    const int64_t tokens = balanced.Total() / model.top_k;
     for (const int chunks : {2, 4, 8}) {
-      ClusterState cluster(env.topo.get());
-      StepExecutor exec(&cluster, &env.profile, model);
-      PipelineOptions pipeline;
-      pipeline.chunks = chunks;
-      exec.set_pipeline(pipeline);
-      const double measured = exec.ExecuteForward({work, work}).StepSeconds();
+      const double measured =
+          ExpertParallelForwardSeconds(env, balanced, chunks);
       const double floor = EstimateForwardMicrobatchSeconds(
-          env.profile, model, 8, tokens, chunks);
-      EXPECT_LE(floor, measured) << "grid=" << grid << " chunks=" << chunks;
+          env.profile, model, g, tokens, chunks);
+      EXPECT_LE(floor, measured) << "G=" << g << " nodes="
+                                 << env.topo->num_nodes()
+                                 << " chunks=" << chunks;
     }
   }
 }
@@ -763,6 +791,29 @@ TEST(AutoChunkDepthTest, EstimateArgminMatchesMeasuredBestDepth) {
   EXPECT_EQ(cost.BestChunkDepth(est.per_gpu_compute, est.per_gpu_a2a,
                                 est.per_gpu_sync),
             est_best);
+}
+
+// End to end: one 16-GPU FlexMoE cell per static depth and one auto-K
+// cell, all on the same seed. The planner picks its depth from the cost
+// model alone and must match or beat every static pin on simulated mean
+// step time (auto-K lands on K = 8, the best static depth, today).
+TEST(AutoChunkDepthTest, AutoKMatchesBestStaticDepthEndToEnd) {
+  const auto mean_step = [](int chunks) {
+    ExperimentOptions o;
+    o.num_gpus = 16;
+    o.measure_steps = 40;
+    o.warmup_steps = 10;
+    o.pipeline_chunks = chunks;
+    const Result<ExperimentReport> r = RunExperiment(o);
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    return r.ok() ? r->mean_step_seconds
+                  : std::numeric_limits<double>::infinity();
+  };
+  double best_static = std::numeric_limits<double>::infinity();
+  for (const int k : CostModel::kChunkDepthCandidates) {
+    best_static = std::min(best_static, mean_step(k));
+  }
+  EXPECT_LE(mean_step(0), best_static);
 }
 
 // ---- 4. straggler stretch applies exactly once ----------------------------

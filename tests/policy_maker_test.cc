@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <memory>
+#include <vector>
 
+#include "core/incremental_cost.h"
 #include "core/policy_maker.h"
+#include "gate/trace_generator.h"
 #include "util/rng.h"
 
 namespace flexmoe {
@@ -25,6 +30,15 @@ struct Fixture {
     model.num_experts = 8;
     return Fixture(std::make_unique<Topology>(*Topology::Create(topt)),
                    model);
+  }
+
+  /// G = E = `gpus` on AzureA100Options nodes: one expert per GPU.
+  static Fixture ExpertPerGpu(int gpus) {
+    ModelConfig model = GptMoES();
+    model.num_experts = gpus;
+    return Fixture(
+        std::make_unique<Topology>(*Topology::Create(AzureA100Options(gpus))),
+        model);
   }
 
   Fixture(std::unique_ptr<Topology> t, ModelConfig m)
@@ -51,6 +65,18 @@ Assignment SkewedAssignment(int experts, int gpus, int64_t hot_load,
     for (int e = 1; e < experts; ++e) a.set(e, g, cold_load / gpus);
   }
   return a;
+}
+
+/// One routing step of a seeded G = E = `gpus` trace.
+Assignment GeneratedAssignment(int gpus, int64_t tokens_per_gpu) {
+  TraceGeneratorOptions t;
+  t.num_experts = gpus;
+  t.num_moe_layers = 1;
+  t.num_gpus = gpus;
+  t.tokens_per_gpu = tokens_per_gpu;
+  t.seed = 7;
+  TraceGenerator gen = *TraceGenerator::Create(t);
+  return gen.Step()[0];
 }
 
 TEST(PolicyMakerOptionsTest, Validation) {
@@ -179,6 +205,47 @@ TEST(PolicyMakerTest, NoMigrationWhenAlreadyConsolidated) {
   ASSERT_TRUE(p.RemoveVExpert(1, 1).ok());
   ASSERT_TRUE(p.AddVExpert(0, 1).ok());
   EXPECT_TRUE(f.pm.PlanMigrations(p, 4).empty());
+}
+
+// The Eq. 5 search cost of one plan at G = E = 64 (default granularity)
+// on generated traffic: the candidate count is deterministic, so any
+// change to the search's breadth shows here.
+TEST(PolicyMakerTest, CandidateCountAtG64) {
+  const Fixture f = Fixture::ExpertPerGpu(64);
+  const Assignment a = GeneratedAssignment(64, 8192);
+  PlanSearchStats stats;
+  f.pm.MakeSchedulingPlan(a, MakePlacement(64, 64, /*slots=*/0), &stats);
+  EXPECT_EQ(stats.candidates_evaluated, 9);
+}
+
+// Re-planning must stay off the step's critical path at large EP: on one
+// live LayerCostState at G = E = 512 (two slots per GPU, hierarchical
+// Eq. 8, topology-aware expansion, as the large-EP preset ships), the
+// median PlanOnState call takes under 1 ms (about 0.06 ms today). The
+// only wall-clock bound in the suite: optimized builds only, and a median
+// of 31 calls so one preempted call cannot fail it.
+TEST(PolicyMakerTest, PlanOnStateUnderOneMillisecondAtG512) {
+#ifndef NDEBUG
+  GTEST_SKIP() << "wall-clock bound is for optimized (NDEBUG) builds";
+#endif
+  Fixture f = Fixture::ExpertPerGpu(512);
+  f.profile.set_hierarchical_a2a(true);
+  PolicyMakerOptions options;
+  options.topology_aware_expansion = true;
+  const PolicyMaker pm(&f.cost, options);
+  const Assignment a = GeneratedAssignment(512, 1024);
+  LayerCostState state(&f.cost, /*include_sync=*/true);
+  state.Reset(a, MakePlacement(512, 512, /*slots=*/2));
+  std::vector<double> seconds;
+  for (int i = 0; i < 31; ++i) {
+    const auto start = std::chrono::steady_clock::now();
+    pm.PlanOnState(&state);
+    seconds.push_back(std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - start)
+                          .count());
+  }
+  std::nth_element(seconds.begin(), seconds.begin() + 15, seconds.end());
+  EXPECT_LT(seconds[15], 1e-3);
 }
 
 }  // namespace

@@ -1,15 +1,16 @@
 # Runs the bench given as -DBENCH=<path> once per malformed command line
 # and requires each run to stop with the usage exit code 2 (before doing
-# any work). Numeric values must be whole integers, and --pipeline-chunks
-# also rejects integers outside [0, kMaxPipelineChunks]. Unknown flags
-# (including the retired --legacy-gate), a valued flag with no value, an
-# unknown --workload and a malformed --extra are usage errors too. Run
-# with: cmake -DBENCH=build/bench_ablation_slots -P
+# any work). Numeric values must be whole integers, --threads rejects a
+# negative count and --pipeline-chunks rejects integers outside
+# [0, kMaxPipelineChunks]. Unknown flags (including the retired
+# --legacy-gate, --extra, --out and --large-ep), a valued flag with no
+# value, and a --workload, --size-mix or --admission outside its set are
+# usage errors too. Run with: cmake -DBENCH=build/bench_ablation_slots -P
 # tools/check_bench_flags.cmake
 if(NOT BENCH)
   message(FATAL_ERROR "pass -DBENCH=<bench binary>")
 endif()
-foreach(case --threads=abc --threads=4x --pipeline-chunks=abc
+foreach(case --threads=abc --threads=4x --threads=-1 --pipeline-chunks=abc
              --pipeline-chunks=4x --pipeline-chunks=-1 --pipeline-chunks=65)
   string(REPLACE "=" ";" parts ${case})
   list(GET parts 0 flag)
@@ -52,6 +53,8 @@ expect_usage("unknown flag '--legacy-gate'" --legacy-gate)
 expect_usage("unknown --workload 'bogus' \\(scenarios: pretrain-steady"
              --workload bogus)
 expect_usage("--workload expects a value" --workload)
-expect_usage("--extra expects NAME=<finite number>" --extra abc)
-expect_usage("--extra expects NAME=<finite number>" --extra name=abc)
-expect_usage("--extra expects NAME=<finite number>" --extra name=inf)
+expect_usage("unknown --size-mix 'bogus'" --size-mix bogus)
+expect_usage("unknown --admission 'bogus'" --admission bogus)
+expect_usage("unknown flag '--extra'" --extra name=1)
+expect_usage("unknown flag '--out'" --out x.json)
+expect_usage("unknown flag '--large-ep'" --large-ep)
