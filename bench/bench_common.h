@@ -1,4 +1,4 @@
-// Shared helpers for the per-figure bench binaries.
+// Shared helpers for the bench binaries.
 //
 // Every bench parses its command line with ParseCommonFlags, which accepts
 // the flags below (each bench reads the ones that apply to it):
@@ -20,26 +20,33 @@
 //                    (any of the three enables observability for the runs
 //                    the bench designates; see src/obs/)
 //   --digests PATH   write per-cell digests (workload and serving suites)
+//   --figure NAME    bench_paper: run one figure of its registry (default:
+//                    all; the usage line of a bad name lists the registry)
+//   --claims-out F   write the claim rows the bench checked as JSON
 // Anything else is a usage error: an unknown flag, a flag missing its
 // value, a number that is not a whole integer in range (--threads below 0
-// included), or a --workload, --size-mix or --admission outside its
-// documented set. Each prints a usage line on stderr and exits 2 before
-// the bench does any work.
+// included), a --workload, --size-mix or --admission outside its
+// documented set, or a --figure outside the bench's registry. Each prints a
+// usage line on stderr and exits 2 before the bench does any work.
 
 #ifndef FLEXMOE_BENCH_BENCH_COMMON_H_
 #define FLEXMOE_BENCH_BENCH_COMMON_H_
 
+#include <algorithm>
 #include <cerrno>
 #include <climits>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "core/step_executor.h"
 #include "gate/logit_process.h"
 #include "util/string_util.h"
+#include "util/table.h"
 
 namespace flexmoe {
 namespace bench {
@@ -92,6 +99,8 @@ struct CommonFlags {
   const char* metrics_out = "";
   const char* decisions_out = "";
   const char* digests = "";  ///< suite benches; "" = none
+  const char* figure = "";   ///< bench_paper; "" = every figure
+  const char* claims_out = "";  ///< claim-row JSON path; "" = none
 
   bool ObservabilityRequested() const {
     return trace_out[0] != '\0' || metrics_out[0] != '\0' ||
@@ -99,7 +108,10 @@ struct CommonFlags {
   }
 };
 
-inline CommonFlags ParseCommonFlags(int argc, char** argv) {
+/// Parses argv strictly. `figures` is the bench's figure registry: a
+/// --figure outside it (any --figure, when it is empty) is a usage error.
+inline CommonFlags ParseCommonFlags(
+    int argc, char** argv, const std::vector<std::string>& figures = {}) {
   CommonFlags flags;
   const std::pair<const char*, const char**> text_flags[] = {
       {"--workload", &flags.workload},
@@ -108,7 +120,9 @@ inline CommonFlags ParseCommonFlags(int argc, char** argv) {
       {"--trace-out", &flags.trace_out},
       {"--metrics-out", &flags.metrics_out},
       {"--decisions-out", &flags.decisions_out},
-      {"--digests", &flags.digests}};
+      {"--digests", &flags.digests},
+      {"--figure", &flags.figure},
+      {"--claims-out", &flags.claims_out}};
   for (int i = 1; i < argc; ++i) {
     const std::string flag = argv[i];
     if (flag == "--quick") {
@@ -154,6 +168,12 @@ inline CommonFlags ParseCommonFlags(int argc, char** argv) {
     UsageError(StrFormat("unknown --admission '%s' (edf | sjf)",
                          flags.admission));
   }
+  const std::string figure = flags.figure;
+  if (!figure.empty() &&
+      std::count(figures.begin(), figures.end(), figure) == 0) {
+    UsageError(StrFormat("unknown --figure '%s' (figures: %s)", flags.figure,
+                         Join(figures, ", ").c_str()));
+  }
   return flags;
 }
 
@@ -162,6 +182,88 @@ inline void PrintHeader(const std::string& title, const std::string& paper) {
   std::printf("%s\n", title.c_str());
   std::printf("reproduces: %s\n", paper.c_str());
   std::printf("==========================================================\n");
+}
+
+/// One paper number or statement next to ours, with the check this
+/// reproduction stands behind: a direction or a band, never an exact
+/// value. `holds` says whether ours meets it (a miss fails the bench);
+/// `paper_agrees` whether the paper's numbers show what ours show (a
+/// difference is recorded, never a failure). `paper` is "-" where the
+/// paper has nothing to compare.
+struct Claim {
+  std::string id;
+  std::string paper;
+  std::string ours;
+  /// "measured" (a simulated result), "anchored" (an input the model is
+  /// fitted to) or "self-consistent" (the cost model against the engine
+  /// it was calibrated from).
+  const char* kind = "measured";
+  std::string check;
+  bool holds = false;
+  bool paper_agrees = true;
+};
+
+/// A claim on one number, held to the band [lo, hi] (an infinite bound
+/// makes it a direction); the paper's number is held to the same band.
+inline Claim BandClaim(std::string id, const char* kind, const char* fmt,
+                       double paper, double ours, double lo, double hi) {
+  const std::string check =
+      std::isinf(lo)   ? "< " + StrFormat(fmt, hi)
+      : std::isinf(hi) ? "> " + StrFormat(fmt, lo)
+                       : "in [" + StrFormat(fmt, lo) + ", " +
+                             StrFormat(fmt, hi) + "]";
+  auto in_band = [&](double v) { return v >= lo && v <= hi; };
+  return {std::move(id), StrFormat(fmt, paper), StrFormat(fmt, ours), kind,
+          check, in_band(ours), in_band(paper)};
+}
+
+/// Prints `claims` as a figure's claim table.
+inline void PrintClaims(const std::vector<Claim>& claims) {
+  Table table({"claim", "kind", "paper", "ours", "check", "holds",
+               "vs paper"});
+  for (const Claim& c : claims) {
+    table.AddRow({c.id, c.kind, c.paper, c.ours, c.check,
+                  c.holds ? "yes" : "FAIL",
+                  c.paper == "-" ? "-" : c.paper_agrees ? "agrees"
+                                                        : "differs"});
+  }
+  std::printf("claims:\n%s\n", table.ToAscii().c_str());
+}
+
+/// Writes --claims-out (when given) and names every failed check. Returns
+/// the bench's exit code: 1 if a check failed or the file could not be
+/// written, else 0.
+inline int FinishClaims(const CommonFlags& flags,
+                        const std::vector<Claim>& claims) {
+  auto quoted = [](const std::string& text) {
+    std::string out = "\"";
+    for (char ch : text) {
+      if (ch == '"' || ch == '\\') out += '\\';
+      out += ch;
+    }
+    return out + "\"";
+  };
+  int code = 0;
+  std::string json = "[";
+  for (const Claim& c : claims) {
+    if (!c.holds) {
+      std::printf("CLAIM VIOLATION: %s\n", c.id.c_str());
+      code = 1;
+    }
+    json += StrFormat(
+        "%s\n  {\"id\": %s, \"paper\": %s, \"ours\": %s, \"kind\": \"%s\", "
+        "\"check\": %s, \"holds\": %s, \"paper_agrees\": %s}",
+        &c == claims.data() ? "" : ",", quoted(c.id).c_str(),
+        quoted(c.paper).c_str(), quoted(c.ours).c_str(), c.kind,
+        quoted(c.check).c_str(), c.holds ? "true" : "false",
+        c.paper == "-" ? "null" : c.paper_agrees ? "true" : "false");
+  }
+  json += "\n]\n";
+  if (flags.claims_out[0] != '\0' && !WriteFile(flags.claims_out, json)) {
+    std::fprintf(stderr, "cannot write %s\n", flags.claims_out);
+    code = 1;
+  }
+  return code;
 }
 
 }  // namespace bench

@@ -8,7 +8,8 @@
 //
 // All environmental variables (TPS, Bw, BPS) come from the profiled
 // HardwareProfile. The model is intentionally contention-free; it is
-// validated against the discrete-event executors in bench_fig6c_cost_model.
+// validated against the discrete-event executors by
+// `bench_paper --figure fig6c`.
 
 #ifndef FLEXMOE_CORE_COST_MODEL_H_
 #define FLEXMOE_CORE_COST_MODEL_H_

@@ -60,11 +60,14 @@ std::string LaneName(int tid) {
 }  // namespace
 
 Tracer::Tracer(size_t capacity)
-    : capacity_(std::max<size_t>(1, capacity)), epoch_us_(NowWallMicros()) {
-  ring_.reserve(std::min(capacity_, size_t{1} << 16));
-}
+    : capacity_(std::max<size_t>(1, capacity)), epoch_us_(NowWallMicros()) {}
 
 void Tracer::Push(const TraceEvent& event) {
+  // The ring's first block is reserved by the first event, not by the
+  // constructor: a disabled handle builds a tracer it never records into.
+  if (ring_.capacity() == 0) {
+    ring_.reserve(std::min(capacity_, size_t{1} << 16));
+  }
   TraceEvent stamped = event;
   stamped.wall_us = NowWallMicros() - epoch_us_;
   if (size_ < capacity_) {

@@ -4,7 +4,9 @@
 // Design constraints (DESIGN.md Section 9):
 //  * RECORDING IS ALLOCATION-FREE — an event is a POD struct of literal
 //    string pointers and numeric fields; names and categories MUST be
-//    string literals (the tracer stores the pointer, not a copy).
+//    string literals (the tracer stores the pointer, not a copy). The
+//    first event reserves the ring (up to 64 Ki events), so a tracer that
+//    never records, like a disabled handle's, never allocates it.
 //  * DETERMINISM — timestamps are the simulator's virtual seconds, passed
 //    in by the caller (executors already compute them); wall-clock is
 //    captured per event but exported only on request, so the default

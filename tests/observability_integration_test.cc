@@ -226,10 +226,13 @@ CountedRun RunCountedSteps(obs::Observability* obs) {
 
 // The disabled path is the one every untraced run takes, so it must do no
 // work at all: exactly the allocations and metrics of a run with no handle
-// installed, and nothing recorded into the handle.
+// installed, and nothing recorded into the handle. Building the handle is
+// cheap too, since every RunExperiment cell builds one.
 TEST(ObservabilityIntegrationTest, DisabledHandleCostsNoAllocations) {
   const CountedRun bare = RunCountedSteps(nullptr);
+  const int64_t bytes_before = AllocatedBytes();
   obs::Observability disabled(obs::ObservabilityOptions{});
+  EXPECT_LT(AllocatedBytes() - bytes_before, 64 * 1024);
   ASSERT_FALSE(disabled.enabled());
   const CountedRun with_handle = RunCountedSteps(&disabled);
 
@@ -243,6 +246,23 @@ TEST(ObservabilityIntegrationTest, DisabledHandleCostsNoAllocations) {
   EXPECT_EQ(disabled.tracer().size(), 0u);
   EXPECT_TRUE(disabled.metrics().empty());
   EXPECT_EQ(disabled.decisions().size(), 0u);
+}
+
+// The first event reserves the ring; every later one, through a full ring
+// and its overwrites, records without touching the heap.
+TEST(ObservabilityIntegrationTest, TracerAllocatesOnlyForItsFirstEvent) {
+  obs::Tracer tracer(1024);
+  int64_t before = AllocationCount();
+  tracer.Span("first", "test", 0, 0.0, 1.0);
+  EXPECT_GT(AllocationCount(), before);
+  before = AllocationCount();
+  for (int i = 0; i < 3000; ++i) {
+    tracer.Span("span", "test", i % 8, i, i + 0.5, "i", i);
+    tracer.Instant("tick", "test", obs::kSimLane, i);
+  }
+  EXPECT_EQ(AllocationCount(), before);
+  EXPECT_EQ(tracer.size(), 1024u);
+  EXPECT_GT(tracer.dropped(), 0u);
 }
 
 }  // namespace

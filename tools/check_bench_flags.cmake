@@ -4,9 +4,11 @@
 # negative count and --pipeline-chunks rejects integers outside
 # [0, kMaxPipelineChunks]. Unknown flags (including the retired
 # --legacy-gate, --extra, --out and --large-ep), a valued flag with no
-# value, and a --workload, --size-mix or --admission outside its set are
-# usage errors too. Run with: cmake -DBENCH=build/bench_ablation_slots -P
-# tools/check_bench_flags.cmake
+# value, a --workload, --size-mix or --admission outside its set, and a
+# --figure outside the bench's registry are usage errors too. -DFIGURES is
+# a regex for the registry listed in that usage line (default: empty
+# registry). Run with:
+# cmake -DBENCH=build/bench_elastic_recovery -P tools/check_bench_flags.cmake
 if(NOT BENCH)
   message(FATAL_ERROR "pass -DBENCH=<bench binary>")
 endif()
@@ -58,3 +60,6 @@ expect_usage("unknown --admission 'bogus'" --admission bogus)
 expect_usage("unknown flag '--extra'" --extra name=1)
 expect_usage("unknown flag '--out'" --out x.json)
 expect_usage("unknown flag '--large-ep'" --large-ep)
+expect_usage("unknown --figure 'bogus' \\(figures: ${FIGURES}\\)"
+             --figure bogus)
+expect_usage("--figure expects a value" --figure)
