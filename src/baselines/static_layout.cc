@@ -397,13 +397,15 @@ StepMetrics StaticLayoutSystem::RunStepImpl(
       total > 0 ? static_cast<double>(total - dropped - admitted.reassigned) /
                       static_cast<double>(total)
                 : 1.0;
-  StepMetrics metrics = MetricsFromTiming(
-      step_, timing.StepSeconds() + fault_report.recovery_seconds,
-      timing.a2a_seconds, timing.compute_seconds, timing.sync_seconds,
-      timing.non_moe_seconds + timing.dp_sync_seconds,
-      timing.per_gpu_expert_compute, balance_sum / num_layers, token_eff,
-      total, dropped,
-      elastic_.active() ? elastic_.health().num_alive() : 0);
+  StepMetrics metrics;
+  metrics.step = step_;
+  MetricsFromTiming(timing, fault_report.recovery_seconds,
+                    elastic_.active() ? elastic_.health().num_alive() : 0,
+                    &metrics);
+  metrics.balance_ratio = balance_sum / num_layers;
+  metrics.token_efficiency = token_eff;
+  metrics.tokens_total = total;
+  metrics.tokens_dropped = dropped;
   metrics.tokens_recirculated = admitted.recirculated;
   metrics.recovery_seconds = fault_report.recovery_seconds;
   metrics.faults_applied = static_cast<int>(fault_report.events.size());

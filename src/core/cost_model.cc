@@ -37,33 +37,27 @@ CostModel::CostModel(const HardwareProfile* profile, const ExpertShape& shape)
   FLEXMOE_CHECK(shape.token_bytes > 0);
 }
 
-double CostModel::CombineGpuSeconds(double compute, double a2a,
-                                    double sync) const {
-  return CombineGpuSecondsAt(compute, a2a, sync, pipeline_chunks_);
-}
-
-double CostModel::CombineGpuSecondsAt(double compute, double a2a, double sync,
-                                      int chunks) const {
-  if (chunks <= 1) {
-    // Serial path: the pre-pipelining additive Eq. 5 combiner, bitwise.
-    return compute + a2a + sync;
-  }
+double CostModel::CombineGpuSeconds(double compute, double a2a, double sync,
+                                    int chunks) const {
   // a2a is Eq. 8's 4 crossings (fwd dispatch+combine, bwd dispatch+
   // combine); one crossing is a2a/4. Both MoE legs pipeline
   // (PipelineOptions): d = m = one crossing and per leg
   // leg(c_K) = max(d + (c_K+m)/K, c_K + m/K, m), evaluated at the forward
-  // and backward compute shares. Sync stays serial. Each leg splits every
-  // expert kernel into K launches, so the GPU's compute stream pays (K-1)
-  // extra kernel_overhead_sec per leg — charged INSIDE the leg's compute
-  // share (c_K = c + (K-1)*ovh), where it rides the same overlap the real
-  // launches do: a compute-bound leg degenerates to c + (K-1)*ovh + m/K
-  // (the full 2(K-1)*ovh per-layer penalty across both legs, making the
-  // estimate non-monotone in K exactly like the measured wall law), while
-  // a wire-bound leg hides launches behind the crossings just as the
-  // executor's streams hide them. Charging the overhead serially outside
-  // the max over-penalizes deep K on dispatch-heavy layers and mis-ranks
-  // the candidates (the auto-K differential in bench_workload_suite).
-  const double K = static_cast<double>(chunks);
+  // and backward compute shares. At K = 1 a leg is its compute plus two
+  // crossings, so the sum is compute + a2a up to rounding. Sync stays
+  // serial: the executor posts a layer's syncs after its last grad
+  // combine. Each leg splits every expert kernel into K launches, so the
+  // GPU's compute stream pays (K-1) extra kernel_overhead_sec per leg —
+  // charged INSIDE the leg's compute share (c_K = c + (K-1)*ovh), where
+  // it rides the same overlap the real launches do: a compute-bound leg
+  // degenerates to c + (K-1)*ovh + m/K (the full 2(K-1)*ovh per-layer
+  // penalty across both legs, making the estimate non-monotone in K
+  // exactly like the measured wall law), while a wire-bound leg hides
+  // launches behind the crossings just as the executor's streams hide
+  // them. Charging the overhead serially outside the max over-penalizes
+  // deep K on dispatch-heavy layers and mis-ranks the candidates (the
+  // auto-K differential in bench_workload_suite).
+  const double K = static_cast<double>(std::max(chunks, 1));
   const double crossing = 0.25 * a2a;
   const double launches = (K - 1.0) * profile_->kernel_overhead_sec();
   const double fwd_compute = compute * shape_.fwd_fraction + launches;
@@ -93,8 +87,8 @@ int CostModel::BestChunkDepth(const std::vector<double>& per_gpu_compute,
     double worst = 0.0;
     for (size_t g = 0; g < num_gpus; ++g) {
       worst = std::max(
-          worst, CombineGpuSecondsAt(per_gpu_compute[g], per_gpu_a2a[g],
-                                     per_gpu_sync[g], kChunkDepthCandidates[i]));
+          worst, CombineGpuSeconds(per_gpu_compute[g], per_gpu_a2a[g],
+                                   per_gpu_sync[g], kChunkDepthCandidates[i]));
     }
     seconds[i] = worst;
     best_seconds = std::min(best_seconds, worst);
@@ -255,7 +249,7 @@ void CostModel::EstimateLayerInto(const RoutedAssignment& routed,
     est.per_gpu_a2a[static_cast<size_t>(g)] = a2a;
     est.per_gpu_sync[static_cast<size_t>(g)] = sync;
     est.per_gpu_seconds[static_cast<size_t>(g)] =
-        CombineGpuSeconds(compute, a2a, sync);
+        CombineGpuSeconds(compute, a2a, sync, /*chunks=*/1);
   }
   est.total_seconds = *std::max_element(est.per_gpu_seconds.begin(),
                                         est.per_gpu_seconds.end());
@@ -317,13 +311,14 @@ double EstimateForwardMicrobatchSeconds(const HardwareProfile& profile,
   // All-to-All: under the uniform pattern each destination receives
   // per_gpu tokens spread evenly over the sources. Two crossings per layer
   // (dispatch + combine) — the forward half of Eq. 8's 4x — and the
-  // bottleneck destination sets the phase time. Two latency charges per
-  // crossing for the serial floor; the chunked floor charges one (see
-  // below).
+  // bottleneck destination sets the phase time. Each crossing charges one
+  // wire latency (DESIGN.md Section 11.3): on the balanced route this
+  // floor models, the engine's self-pair message (loopback latency) opens
+  // the bottleneck ingress port at phase start, so the measured phase pays
+  // total serialization plus a single remote latency.
   const double per_pair_bytes =
       per_gpu / static_cast<double>(num_gpus) * model.token_bytes();
   double worst_a2a = 0.0;
-  double worst_a2a_one_lat = 0.0;
   for (GpuId dst = 0; dst < num_gpus; ++dst) {
     double seconds = 0.0;
     double max_lat = 0.0;
@@ -331,9 +326,7 @@ double EstimateForwardMicrobatchSeconds(const HardwareProfile& profile,
       seconds += per_pair_bytes / profile.BandwidthBytesPerSec(src, dst);
       max_lat = std::max(max_lat, profile.LatencySeconds(src, dst));
     }
-    worst_a2a = std::max(worst_a2a, 2.0 * (seconds + 2.0 * max_lat));
-    worst_a2a_one_lat =
-        std::max(worst_a2a_one_lat, 2.0 * (seconds + max_lat));
+    worst_a2a = std::max(worst_a2a, 2.0 * (seconds + max_lat));
   }
 
   // Non-MoE forward share: the same fwd/fwdbwd scaling the forward
@@ -342,23 +335,10 @@ double EstimateForwardMicrobatchSeconds(const HardwareProfile& profile,
       fwd_flops / model.expert_fwdbwd_flops_per_token();
   const double non_moe = NonMoEComputeSeconds(model, profile) * fwd_fraction;
 
-  if (chunks <= 1) {
-    // Legacy serial floor, kept expression-for-expression so chunks == 1
-    // callers get bitwise-identical estimates.
-    return static_cast<double>(model.num_moe_layers) *
-               (compute_per_layer + worst_a2a) +
-           non_moe;
-  }
-
-  // Pipelined floor (DESIGN.md Section 11/12): the A2A term charges one
-  // wire latency per crossing, not two — on the balanced route this floor
-  // models, the engine's self-pair message (loopback latency) opens the
-  // bottleneck ingress port at phase start, so the measured phase pays
-  // total serialization plus a single remote latency (the §11.3 caveat,
-  // fixed here for the chunked branch only; the serial expression above
-  // stays pinned by the serving goldens). Each phase is half of it.
-  const double d = worst_a2a_one_lat / 2.0;
-  const double m = worst_a2a_one_lat / 2.0;
+  // Pipelined floor (DESIGN.md Sections 11 and 12), one rule at every
+  // depth: d = m = one crossing (half of worst_a2a).
+  const double d = worst_a2a / 2.0;
+  const double m = worst_a2a / 2.0;
   // Chunked compute provably pays extra kernel launches: the per-GPU
   // compute stream runs min(K, per_gpu) non-empty chunk kernels per layer
   // (the per-cell split zeroes chunks beyond the cell's token count), and
@@ -370,11 +350,12 @@ double EstimateForwardMicrobatchSeconds(const HardwareProfile& profile,
   const double eff = std::min(K, std::max(1.0, per_gpu));
   const double c =
       compute_per_layer + (eff - 1.0) * profile.kernel_overhead_sec();
-  // F is a floor on the chunked executor because the last chunk carries
-  // at least 1/K of every cell (the per-cell split makes it the ceil):
-  // the combine port cannot start its last chunk before the dispatch port
-  // drained (d + tail compute + tail combine), nor before compute drained
-  // (c + tail combine), nor finish before its own serialization (m).
+  // F is a floor on the executor because the last chunk carries at least
+  // 1/K of every cell (the per-cell split makes it the ceil): the combine
+  // port cannot start its last chunk before the dispatch port drained
+  // (d + tail compute + tail combine), nor before compute drained
+  // (c + tail combine), nor finish before its own serialization (m). At
+  // K = 1 that is d + c + m.
   const double per_layer = std::max({d + (c + m) / K, c + m / K, m});
   return static_cast<double>(model.num_moe_layers) * per_layer + non_moe;
 }

@@ -32,8 +32,8 @@ struct ExpertShape {
   double grad_bytes = 0.0;    ///< per-expert gradient AllReduce payload
   double state_bytes = 0.0;   ///< per-expert Expand/Migrate payload
   /// Forward share of fwdbwd_flops_per_token — splits Eq. 7 compute into
-  /// the forward leg (which the chunked executor overlaps with A2A) and
-  /// the backward remainder (which stays serial). 1/3 for the standard
+  /// the forward leg and the backward remainder, each of which the
+  /// executor overlaps with its own A2A crossings. 1/3 for the standard
   /// 1:2 fwd:bwd FLOP split.
   double fwd_fraction = 1.0 / 3.0;
 };
@@ -79,39 +79,25 @@ class CostModel {
   const ExpertShape& shape() const { return shape_; }
   const HardwareProfile& profile() const { return *profile_; }
 
-  /// Sets the depth CombineGpuSeconds evaluates at. chunks == 1 (the
-  /// default) keeps the serial additive combiner bitwise — and that
-  /// default is what placement planning always scores under: the chunked
-  /// combiner divides the wire terms by K, compressing inter-GPU
-  /// differences and coupling the balance objective to the overlap knob
-  /// (DESIGN.md §12.2), so FlexMoESystem never calls this. The setter
-  /// remains for the validation benches and tests that compare a pinned
-  /// depth's estimate against the executor.
-  void set_pipeline_chunks(int chunks) { pipeline_chunks_ = chunks; }
-  int pipeline_chunks() const { return pipeline_chunks_; }
-
-  /// Combines one GPU's Eq. 5 terms into its layer seconds at the model's
-  /// configured chunk depth. Serial (chunks <= 1): exactly
-  /// compute + a2a + sync. Chunked: both MoE legs pipeline —
-  /// leg(c_K) = max(d + (c_K+m)/K, c_K + m/K, m) with d = m = one A2A
-  /// crossing (a2a/4) and c_K the leg's compute share plus the
+  /// Combines one GPU's Eq. 5 terms into its layer seconds at chunk depth
+  /// K = max(chunks, 1), by one rule at every depth: both MoE legs
+  /// pipeline — leg(c_K) = max(d + (c_K+m)/K, c_K + m/K, m) with d = m =
+  /// one A2A crossing (a2a/4) and c_K the leg's compute share plus the
   /// (K-1)*kernel_overhead_sec the executor pays for that leg's extra
-  /// chunk launches — plus sync. On a compute-bound leg the overhead
-  /// surfaces in full (the 2*(K-1)*ovh per-layer penalty across both
-  /// legs, making the estimate non-monotone in K exactly like the
-  /// measured wall(K) law — what lets a planner choose K); on a
-  /// wire-bound leg it hides behind the crossings like the real launches
-  /// do.
-  double CombineGpuSeconds(double compute, double a2a, double sync) const;
-
-  /// CombineGpuSeconds at an explicit chunk depth — the auto-K evaluation
-  /// primitive (candidate depths are scored without mutating the model's
-  /// configured depth). chunks <= 1 is the serial combiner, bitwise.
-  double CombineGpuSecondsAt(double compute, double a2a, double sync,
-                             int chunks) const;
+  /// chunk launches — plus sync, which the executor posts after the
+  /// layer's last grad combine. At K = 1 this is compute + a2a + sync up
+  /// to rounding. On a compute-bound leg the overhead surfaces in full
+  /// (the 2*(K-1)*ovh per-layer penalty across both legs, making the
+  /// estimate non-monotone in K exactly like the measured wall(K) law —
+  /// what lets a planner choose K); on a wire-bound leg it hides behind
+  /// the crossings like the real launches do. Placement planning
+  /// (EstimateLayerInto, LayerCostState) scores at chunks = 1 whatever
+  /// depth runs (DESIGN.md §12.2); auto-K scores every candidate depth.
+  double CombineGpuSeconds(double compute, double a2a, double sync,
+                           int chunks) const;
 
   /// Picks a chunk depth from kChunkDepthCandidates by the Eq. 5 outer
-  /// max under CombineGpuSecondsAt, given a layer's per-GPU term
+  /// max under CombineGpuSeconds, given a layer's per-GPU term
   /// breakdown. O(G) per candidate on the cached partials — cheap enough
   /// to run on every plan trigger. `incumbent` (the layer's
   /// currently-executing depth under auto-K, 0 = none) is kept while it
@@ -181,7 +167,6 @@ class CostModel {
 
   const HardwareProfile* profile_;
   ExpertShape shape_;
-  int pipeline_chunks_ = 1;
 };
 
 /// \brief Contention-free forward-latency estimate for a serving
@@ -193,15 +178,14 @@ class CostModel {
 /// what the ServeExecutor's deadline-aware shedding needs: a request whose
 /// deadline precedes even this estimate is provably unreachable
 /// (DESIGN.md Section 8).
-/// `chunks` mirrors the executor's PipelineOptions: with chunks > 1 each
-/// layer's floor is the pipelined bound max(d + (c_K+m)/K, c_K + m/K, m)
-/// (d = dispatch, m = combine, K = chunks, and c_K the compute share plus
-/// the extra launch overhead the chunked compute stream provably pays)
-/// instead of the serial sum — still a floor on the chunked executor, so
-/// shedding stays provably conservative. chunks == 0 is auto-K: the min
-/// of the floor over CostModel::kChunkDepthCandidates, a valid floor for
-/// whatever per-layer depth the planner picks. chunks == 1 keeps the
-/// legacy serial expression bitwise.
+/// `chunks` mirrors the executor's PipelineOptions: each layer's floor is
+/// the pipelined bound max(d + (c_K+m)/K, c_K + m/K, m) (d = dispatch,
+/// m = combine, each charging one wire latency, K = chunks, and c_K the
+/// compute share plus the extra launch overhead the chunked compute
+/// stream provably pays) — d + c + m at K = 1 — a floor on the executor
+/// at every depth, so shedding stays provably conservative. chunks == 0
+/// is auto-K: the min of the floor over CostModel::kChunkDepthCandidates,
+/// a valid floor for whatever per-layer depth the planner picks.
 double EstimateForwardMicrobatchSeconds(const HardwareProfile& profile,
                                         const ModelConfig& model,
                                         int num_gpus, int64_t tokens,

@@ -37,11 +37,11 @@ struct FlexMoEOptions {
   /// Fault handling (elastic drain; FlexMoE never restarts).
   ElasticControllerOptions elastic;
   /// Chunked A2A/compute overlap (core/step_executor.h). Placement
-  /// planning always scores under the serial Eq. 5 combiner regardless of
-  /// this depth (DESIGN.md §12.2). chunks == 0 enables auto-K: the
-  /// Scheduler plans a per-layer depth from the overhead-honest cost
-  /// model and the system threads it into every layer's execution
-  /// (DESIGN.md §12).
+  /// planning always scores at K = 1 regardless of this depth, by the
+  /// same combiner rule that scores every depth (DESIGN.md §12.2).
+  /// chunks == 0 enables auto-K: the Scheduler plans a per-layer depth
+  /// from that cost model and the system threads it into every layer's
+  /// execution (DESIGN.md §12).
   PipelineOptions pipeline;
 
   Status Validate() const;

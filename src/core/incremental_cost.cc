@@ -316,7 +316,8 @@ void LayerCostState::RefreshGpu(GpuId g) {
   per_gpu_compute_[static_cast<size_t>(g)] = compute;
   per_gpu_a2a_[static_cast<size_t>(g)] = a2a;
   per_gpu_sync_[static_cast<size_t>(g)] = sync;
-  SetLeaf(g, cost_model_->CombineGpuSeconds(compute, a2a, sync));
+  SetLeaf(g,
+          cost_model_->CombineGpuSeconds(compute, a2a, sync, /*chunks=*/1));
 }
 
 void LayerCostState::SetLeaf(GpuId g, double total) {

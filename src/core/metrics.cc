@@ -1,43 +1,35 @@
 #include "core/metrics.h"
 
+#include "core/step_executor.h"
 #include "obs/observability.h"
 #include "util/status.h"
 #include "util/string_util.h"
 
 namespace flexmoe {
 
-StepMetrics MetricsFromTiming(int64_t step, double step_seconds,
-                              double a2a_seconds, double compute_seconds,
-                              double sync_seconds, double non_moe_seconds,
-                              const std::vector<double>& per_gpu_expert_compute,
-                              double balance_ratio, double token_efficiency,
-                              int64_t tokens_total, int64_t tokens_dropped,
-                              int num_alive_gpus) {
-  StepMetrics m;
-  m.step = step;
-  m.step_seconds = step_seconds;
-  m.a2a_seconds = a2a_seconds;
-  m.compute_seconds = compute_seconds;
-  m.sync_seconds = sync_seconds;
-  m.non_moe_seconds = non_moe_seconds;
-  m.balance_ratio = balance_ratio;
-  m.token_efficiency = token_efficiency;
-  m.tokens_total = tokens_total;
-  m.tokens_dropped = tokens_dropped;
+void MetricsFromTiming(const StepTiming& timing, double blocking_seconds,
+                       int num_alive_gpus, StepMetrics* m) {
+  FLEXMOE_CHECK(m != nullptr);
+  m->step_seconds = timing.StepSeconds() + blocking_seconds;
+  m->a2a_seconds = timing.a2a_seconds;
+  m->compute_seconds = timing.compute_seconds;
+  m->sync_seconds = timing.sync_seconds;
+  m->non_moe_seconds = timing.non_moe_seconds + timing.dp_sync_seconds;
 
+  const std::vector<double>& per_gpu = timing.per_gpu_expert_compute;
   double max_c = 0.0, mean_c = 0.0;
-  for (double v : per_gpu_expert_compute) {
+  for (double v : per_gpu) {
     max_c = v > max_c ? v : max_c;
     mean_c += v;
   }
-  const int denom = num_alive_gpus > 0
-                        ? num_alive_gpus
-                        : static_cast<int>(per_gpu_expert_compute.size());
+  const int denom =
+      num_alive_gpus > 0 ? num_alive_gpus : static_cast<int>(per_gpu.size());
   if (denom > 0) mean_c /= static_cast<double>(denom);
-  m.expert_efficiency = max_c > 0.0 ? mean_c / max_c : 1.0;
-  m.gpu_utilization =
-      step_seconds > 0.0 ? (mean_c + non_moe_seconds) / step_seconds : 0.0;
-  return m;
+  m->expert_efficiency = max_c > 0.0 ? mean_c / max_c : 1.0;
+  m->gpu_utilization =
+      m->step_seconds > 0.0
+          ? (mean_c + timing.non_moe_seconds) / m->step_seconds
+          : 0.0;
 }
 
 void RecordStepObservability(obs::Observability* obs, bool serving,

@@ -18,6 +18,8 @@ namespace obs {
 class Observability;
 }  // namespace obs
 
+struct StepTiming;
+
 /// \brief Metrics of one executed training step.
 struct StepMetrics {
   int64_t step = 0;
@@ -64,20 +66,17 @@ struct StepMetrics {
   bool degraded = false;
 };
 
-/// \brief Fills the timing/efficiency fields of a StepMetrics from an
-/// executed step (shared by FlexMoE and all baseline systems).
-/// `per_gpu_expert_compute` drives expert efficiency and GPU utilization;
-/// `non_moe_seconds` counts toward utilization as useful work.
-/// `num_alive_gpus` (0 = all) is the efficiency denominator, so a
-/// rebalanced degraded cluster can still read as 100% efficient —
+/// \brief Fills the timing and efficiency fields of `m` from an executed
+/// step — the one derivation FlexMoE and every baseline system share.
+/// step_seconds is the executed span plus `blocking_seconds` (adjustments
+/// and recovery charged before the step). The reported non-MoE phase is
+/// non-MoE compute plus the data-parallel AllReduce; GPU utilization
+/// counts only the compute half as useful work, next to the mean expert
+/// compute. `num_alive_gpus` (0 = all) is the efficiency denominator, so
+/// a rebalanced degraded cluster can still read as 100% efficient —
 /// departed devices are lost capacity, not inefficiency.
-StepMetrics MetricsFromTiming(int64_t step, double step_seconds,
-                              double a2a_seconds, double compute_seconds,
-                              double sync_seconds, double non_moe_seconds,
-                              const std::vector<double>& per_gpu_expert_compute,
-                              double balance_ratio, double token_efficiency,
-                              int64_t tokens_total, int64_t tokens_dropped,
-                              int num_alive_gpus = 0);
+void MetricsFromTiming(const StepTiming& timing, double blocking_seconds,
+                       int num_alive_gpus, StepMetrics* m);
 
 /// \brief Records one step's registry counters (train.steps or
 /// serve.microbatches, tokens.*, faults.applied, step.* histograms); a

@@ -118,7 +118,6 @@ double StepExecutor::RunExpertCompute(
     if (!Alive(g)) continue;
     const double gpu_start = per_gpu_earliest[static_cast<size_t>(g)];
     double gpu_finish = gpu_start;
-    int64_t gpu_tokens = 0;
     const double effective_flops = flops_per_token * ComputeScale(g);
     for (int e = 0; e < routed.num_experts; ++e) {
       const int64_t cell = routed.expert_gpu_tokens(e, g);
@@ -135,12 +134,10 @@ double StepExecutor::RunExpertCompute(
                                gpu_finish, &start);
       timing->per_gpu_expert_compute[static_cast<size_t>(g)] +=
           gpu_finish - start;
-      gpu_tokens += tokens;
     }
     if (tr != nullptr && gpu_finish > gpu_start) {
       tr->Span(span_name, "compute", g, gpu_start, gpu_finish, "layer",
-               static_cast<double>(layer), K > 1 ? "chunk" : "tokens",
-               static_cast<double>(K > 1 ? k : gpu_tokens));
+               static_cast<double>(layer), "chunk", static_cast<double>(k));
     }
     finish = std::max(finish, gpu_finish);
   }
@@ -193,8 +190,7 @@ double StepExecutor::RunLayerLeg(const LayerWork& work, int layer,
   const RoutedAssignment& routed = *work.routed;
   const int K = EffectiveChunks(work);
   // One span per GPU an A2A kept busy past `start` (untouched GPUs keep
-  // their start time in per_gpu_finish and emit nothing). The chunk arg
-  // appears only when there are chunks to tell apart.
+  // their start time in per_gpu_finish and emit nothing).
   const auto trace_a2a = [&](const char* name, double start,
                              const CollectiveResult& result, int k) {
     if (tr == nullptr) return;
@@ -202,14 +198,9 @@ double StepExecutor::RunLayerLeg(const LayerWork& work, int layer,
       if (result.per_gpu_finish[g] > start) {
         tr->Span(name, spans.a2a_category, static_cast<int>(g), start,
                  result.per_gpu_finish[g], "layer",
-                 static_cast<double>(layer), K > 1 ? "chunk" : nullptr,
-                 static_cast<double>(k));
+                 static_cast<double>(layer), "chunk", static_cast<double>(k));
       }
     }
-  };
-  const auto launch_syncs = [&](double earliest) {
-    sync->finish = RunLayerSyncs(work, earliest, sync->group_cache, scales,
-                                 timing, sync->finish);
   };
 
   // Post every chunk's dispatch from the leg start: the NIC ports
@@ -240,15 +231,18 @@ double StepExecutor::RunLayerLeg(const LayerWork& work, int layer,
         dispatches[static_cast<size_t>(k)].per_gpu_finish, timing,
         spans.compute, layer);
     compute_all = std::max(compute_all, chunk_compute);
-    // Sync hook, K = 1 order: before the combine (see the header).
-    if (sync != nullptr && K == 1) launch_syncs(compute_all);
     const CollectiveResult combine =
         ExecAllToAll(cluster_, *profile_, DispatchBytes(routed, true, k, K),
                      chunk_compute, scales);
     trace_a2a(spans.combine, chunk_compute, combine, k);
     leg_end = std::max(leg_end, combine.finish);
   }
-  if (sync != nullptr && K > 1) launch_syncs(compute_all);
+  // Expert syncs launch once every gradient contribution is in, posted
+  // after the last combine (see the header).
+  if (sync != nullptr) {
+    sync->finish = RunLayerSyncs(work, compute_all, sync->group_cache, scales,
+                                 timing, sync->finish);
+  }
   // A2A gets the leading dispatch window plus the combine tail past
   // compute; compute gets its exposed (non-overlapped) stretch.
   timing->compute_seconds += std::max(0.0, compute_all - dispatch_all);

@@ -14,11 +14,13 @@
 //
 // Every dispatch -> compute -> combine leg (forward, recirculation,
 // backward) runs through one K-chunk body, RunLayerLeg; the unpipelined
-// leg is its K = 1 case, not a separate code path (DESIGN.md §11.1).
+// leg is its K = 1 case, not a separate code path (DESIGN.md §11.1), and
+// the cost model charges every depth by the same rule (core/cost_model.h).
 
 #ifndef FLEXMOE_CORE_STEP_EXECUTOR_H_
 #define FLEXMOE_CORE_STEP_EXECUTOR_H_
 
+#include <algorithm>
 #include <vector>
 
 #include "collective/engine_ops.h"
@@ -50,8 +52,8 @@ inline constexpr int kMaxPipelineChunks = 64;
 /// dispatch A2A, expert compute, and combine A2A overlap through the
 /// per-GPU stream reservations: chunk k+1's dispatch occupies the NIC
 /// while chunk k computes, and combines drain behind compute. chunks == 1
-/// is the same leg at K = 1 (one piece per cell, nothing to overlap),
-/// byte-identical to the pre-pipelining executor. chunks == 0 is auto-K:
+/// is the same leg at K = 1 (one piece per cell, nothing to overlap).
+/// chunks == 0 is auto-K:
 /// the depth is planned per layer and arrives via LayerWork::chunks;
 /// layers with no planned depth yet run at K = 1. Validate() accepts
 /// [0, kMaxPipelineChunks].
@@ -129,9 +131,8 @@ class StepExecutor {
   const ClusterHealth* cluster_health() const { return health_; }
 
   /// Installs the pipelining configuration (chunks in
-  /// [0, kMaxPipelineChunks]; chunks == 1 runs every leg at K = 1,
-  /// byte-identical to the pre-pipelining executor; chunks == 0 is auto-K
-  /// — per-layer depths come from LayerWork::chunks).
+  /// [0, kMaxPipelineChunks]; chunks == 1 runs every leg at K = 1;
+  /// chunks == 0 is auto-K — per-layer depths come from LayerWork::chunks).
   void set_pipeline(const PipelineOptions& pipeline) { pipeline_ = pipeline; }
   const PipelineOptions& pipeline() const { return pipeline_; }
 
@@ -181,8 +182,7 @@ class StepExecutor {
   /// chunk's finish time. Busy time charged per GPU is each kernel's
   /// reservation interval (finish - reserved start), never the wait for
   /// the compute stream. `span_name` labels the per-GPU trace spans (must
-  /// be a string literal); their args are the layer and, at K = 1, the
-  /// GPU's token count, else the chunk index.
+  /// be a string literal); their args are the layer and the chunk index.
   double RunExpertCompute(const RoutedAssignment& routed,
                           double flops_per_token, int k, int K,
                           const std::vector<double>& per_gpu_earliest,
@@ -193,7 +193,7 @@ class StepExecutor {
   /// planned (> 0), else PipelineOptions::chunks, else 1.
   int EffectiveChunks(const LayerWork& work) const {
     if (work.chunks > 0) return work.chunks;
-    return pipeline_.chunks > 1 ? pipeline_.chunks : 1;
+    return std::max(pipeline_.chunks, 1);
   }
 
   /// The forward pass over `layers` — [shadow broadcasts] -> the MoE leg
@@ -214,11 +214,11 @@ class StepExecutor {
   ///
   /// `sync` (backward leg only; nullptr elsewhere) launches the layer's
   /// expert syncs at the all-chunk compute finish, when every gradient
-  /// contribution is in. At K = 1 they are posted before the combine, the
-  /// pre-pipelining order; at K > 1 after the last combine. Both launch
-  /// times are the same; the posting order decides which of the syncs and
-  /// the combine queue first on the shared NIC ports, and both orders are
-  /// pinned by pipelined_timing_test.
+  /// contribution is in, posted after the last combine at every K. The
+  /// posting order decides which of the syncs and the combines queue first
+  /// on the shared NIC ports; after the combines is the order the cost
+  /// model's serial `+ sync` term charges, and it is pinned by
+  /// pipelined_timing_test (DESIGN.md §12.1).
   double RunLayerLeg(const LayerWork& work, int layer, const LegSpans& spans,
                      double flops_per_token,
                      const std::vector<double>* scales, double frontier,

@@ -67,13 +67,13 @@ struct ExperimentOptions {
   /// compute / combine phases overlap through the stream model, on both
   /// the forward and backward MoE legs; mirrored into the serving
   /// shedding floor so it stays a floor on the chunked executor.
-  /// Placement planning always scores under the serial Eq. 5 combiner,
-  /// whatever depth runs (DESIGN.md §12.2). 1 = every leg at K = 1,
-  /// byte-identical to pre-pipelining runs. 0 = auto-K: FlexMoE plans a
-  /// per-layer depth from the overhead-honest cost model (baselines run
-  /// at K = 1, and the serving floor takes the min over the candidate
-  /// depths, which floors any per-layer choice). At most
-  /// kMaxPipelineChunks. (bench --pipeline-chunks.)
+  /// Placement planning always scores at K = 1, whatever depth runs
+  /// (DESIGN.md §12.2). 1 = every leg at K = 1: one chunk per cell, timed,
+  /// estimated and floored by the same rule as every other depth. 0 =
+  /// auto-K: FlexMoE plans a per-layer depth from the overhead-honest
+  /// cost model (baselines run at K = 1, and the serving floor takes the
+  /// min over the candidate depths, which floors any per-layer choice).
+  /// At most kMaxPipelineChunks. (bench --pipeline-chunks.)
   int pipeline_chunks = 1;
 
   /// Per-node aggregated A2A estimation (DESIGN.md Section 10): the

@@ -9,6 +9,7 @@
 
 #include "baselines/static_layout.h"
 #include "gate/trace_generator.h"
+#include "moe/transformer.h"
 #include "test_env.h"
 
 namespace flexmoe {
@@ -232,6 +233,42 @@ TEST(SwipeSystemTest, HighExpertEfficiencyLowTokenEfficiency) {
   EXPECT_LT(m.token_efficiency, 0.9);
   EXPECT_EQ(m.tokens_dropped, 0);  // processed, just by the wrong expert
   EXPECT_EQ(sys->name(), "SWIPE");
+}
+
+// GPU utilization counts expert compute and non-MoE compute as useful
+// work, never the data-parallel AllReduce of the non-MoE gradients. On a
+// two-node cell that AllReduce crosses the slow inter-node links, so
+// counting it would lift a static layout's utilization far above its real
+// work. Every assignment here keeps its expert (no capacity), so each
+// (expert, layer) runs one forward and one backward kernel on its host.
+TEST(ExpertParallelTest, UtilizationExcludesDataParallelSync) {
+  TestEnv f = TestEnv::MakeGrid(2, 4);
+  StaticLayoutOptions o;
+  o.admission = StaticAdmission::kCapacity;
+  o.model = SmallModel();
+  o.num_gpus = 8;
+  o.capacity_factor = 0.0;
+  auto sys = *StaticLayoutSystem::Create(o, f.topo.get(), &f.profile);
+  const std::vector<Assignment> step = SkewedStep(o.model, 8);
+  const StepMetrics m = sys->RunStep(step);
+
+  const double fwd_flops = o.model.expert_fwd_flops_per_token();
+  const double bwd_flops = o.model.expert_fwdbwd_flops_per_token() - fwd_flops;
+  double expert_compute = 0.0;
+  for (const Assignment& a : step) {
+    for (int e = 0; e < o.model.num_experts; ++e) {
+      int64_t tokens = 0;
+      for (int g = 0; g < 8; ++g) tokens += a.at(e, g);
+      expert_compute +=
+          f.profile.ComputeSeconds(static_cast<double>(tokens), fwd_flops) +
+          f.profile.ComputeSeconds(static_cast<double>(tokens), bwd_flops);
+    }
+  }
+  const double useful =
+      expert_compute / 8.0 + NonMoEComputeSeconds(o.model, f.profile);
+  ASSERT_GT(m.step_seconds, 0.0);
+  EXPECT_LE(m.gpu_utilization, useful / m.step_seconds * (1.0 + 1e-9));
+  EXPECT_GT(m.gpu_utilization, 0.0);
 }
 
 TEST(BaselineComparisonTest, EfficiencyQuadrantsOfFigure7a) {

@@ -1,10 +1,11 @@
 // Chunked A2A/compute overlap (DESIGN.md Section 11) and the accounting
 // fixes that rode along with it:
 //
-//  1. chunks == 1 is BYTE-IDENTICAL to the pre-pipelining executor — the
-//     StepTiming doubles below were captured from the unmodified serial
-//     code and are compared with ==, not near; K = 2 and K = 4, and the
-//     expert-sync launch point at K = 1 and K = 4, are pinned the same way;
+//  1. on a replica-free probe chunks == 1 is BYTE-IDENTICAL to the
+//     pre-pipelining executor — the StepTiming doubles below were
+//     captured from the unmodified serial code and are compared with ==,
+//     not near; K = 2 and K = 4, and the expert-sync launch point (after
+//     the last grad combine) at K = 1 and K = 4, are pinned the same way;
 //  2. chunks > 1 never makes a step slower, and a dispatch-heavy forward
 //     pass gets strictly faster, at G = 8 and at G = 512;
 //  3. the pipelined wall time respects the phase bounds (max-of-phases
@@ -26,6 +27,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstring>
 #include <limits>
 #include <map>
 #include <vector>
@@ -257,17 +260,19 @@ Placement Replicated8() {
   return *Placement::FromReplicaMap(po, replicas);
 }
 
-// A layer's expert syncs share the NIC ports with its grad combine, so the
-// point in the backward leg where they are posted decides which queues
-// first. K = 1 posts them before the combine, K > 1 after the last
-// combine; moving either launch point moves these doubles.
+// A layer's expert syncs share the NIC ports with its grad combines, so
+// the point in the backward leg where they are posted decides which
+// queues first. Every depth posts them after the last combine, the order
+// the cost model's serial sync term charges; moving the launch point
+// moves these doubles.
 TEST(PipelinedTimingTest, ExpertSyncLaunchPointFingerprints) {
   struct Case {
     int chunks;
     double end, sync, sync_busy;
   };
   const Case cases[] = {
-      {1, 0.03085784133907692, 0.0, 0.00029986303999998687},
+      {1, 0.030847355579076925, 3.4482879999998828e-05,
+       0.00055152127999999467},
       {4, 0.030859611899076919, 3.4482879999998828e-05,
        0.00036580607999997516},
   };
@@ -372,20 +377,31 @@ TEST(PipelinedTimingTest, ChunkedForwardRespectsPhaseBounds) {
 
 // ---- 3. cost-model mirror -------------------------------------------------
 
-// The overhead-honest combiner is deliberately NOT monotone in K: each
-// extra chunk hides more wire time but pays one more kernel launch per
-// leg, exactly like the executor it mirrors. The laws that replace the
-// old monotonicity assertion:
-//  * serial (chunks <= 1) stays the additive sum bitwise;
+/// Distance in units in the last place between two finite non-negative
+/// doubles (adjacent doubles are 1 apart).
+int64_t UlpDistance(double x, double y) {
+  int64_t bx = 0;
+  int64_t by = 0;
+  std::memcpy(&bx, &x, sizeof(bx));
+  std::memcpy(&by, &y, sizeof(by));
+  return bx > by ? bx - by : by - bx;
+}
+
+// One combiner formula serves every depth, and it is deliberately NOT
+// monotone in K: each extra chunk hides more wire time but pays one more
+// kernel launch per leg, exactly like the executor it mirrors. The laws:
+//  * K = 1 is the additive sum c + a + s up to rounding (each leg is its
+//    compute share plus two crossings; the shares are summed per leg, so
+//    the result is within a few ulps, not bitwise);
 //  * chunked <= serial + 2(K-1)*overhead (overlap can only hide work;
 //    the launches are the only new cost);
 //  * chunked >= the un-overlappable work: each leg still runs its compute
 //    serially plus one chunk-sized crossing, and both boundary crossings
 //    of a leg bound it from below;
 //  * with nothing to hide (a == 0) the overhead is charged exactly:
-//    chunked == serial + 2(K-1)*overhead bitwise — the term the old model
+//    chunked == serial + 2(K-1)*overhead — the term the old model
 //    omitted, which made it prefer K=8 always.
-TEST(CombineGpuSecondsTest, SerialIsExactSumAndChunkedIsOverheadHonest) {
+TEST(CombineGpuSecondsTest, KOneIsTheSumAndDeeperIsOverheadHonest) {
   const TestEnv env = TestEnv::Make(8);
   CostModel cost(&env.profile, ShapeFromModel(GptMoES()));
   const double fwd_fraction = cost.shape().fwd_fraction;
@@ -394,20 +410,31 @@ TEST(CombineGpuSecondsTest, SerialIsExactSumAndChunkedIsOverheadHonest) {
   const double ovh = env.profile.kernel_overhead_sec();
   ASSERT_GT(ovh, 0.0);
 
+  // K = 1 over a seeded grid whose terms span four decades each, so
+  // compute-, wire- and sync-dominated cells all appear.
+  Rng rng(29);
+  const auto term = [&rng] {
+    return rng.Uniform() * std::pow(10.0, -3.0 - rng.Uniform(0.0, 4.0));
+  };
+  for (int i = 0; i < 2000; ++i) {
+    const double c = term();
+    const double a = term();
+    const double s = term();
+    EXPECT_LE(UlpDistance(cost.CombineGpuSeconds(c, a, s, 1), c + a + s), 4)
+        << "c=" << c << " a=" << a << " s=" << s;
+  }
+
   for (const double c : {0.0, 3e-4}) {
     for (const double a : {0.0, 1.2e-4}) {
       for (const double s : {0.0, 5e-5}) {
         const double serial = c + a + s;
-        cost.set_pipeline_chunks(1);
-        // chunks == 1 is the additive combiner bitwise, not approximately.
-        EXPECT_EQ(cost.CombineGpuSeconds(c, a, s), serial);
+        EXPECT_LE(UlpDistance(cost.CombineGpuSeconds(c, a, s, 1), serial), 4)
+            << "c=" << c << " a=" << a << " s=" << s;
 
         for (const int chunks : {2, 4, 8}) {
-          cost.set_pipeline_chunks(chunks);
           const double K = static_cast<double>(chunks);
           const double launches = 2.0 * (K - 1.0) * ovh;
-          const double v = cost.CombineGpuSeconds(c, a, s);
-          EXPECT_EQ(v, cost.CombineGpuSecondsAt(c, a, s, chunks));
+          const double v = cost.CombineGpuSeconds(c, a, s, chunks);
           EXPECT_LE(v, (serial + launches) * (1.0 + 1e-12) + 1e-300)
               << "c=" << c << " a=" << a << " s=" << s
               << " chunks=" << chunks;
@@ -437,7 +464,7 @@ TEST(CombineGpuSecondsTest, SerialIsExactSumAndChunkedIsOverheadHonest) {
         // after paying its launches (the overlap win the model must keep
         // seeing), so the corrected model is genuinely non-monotone.
         if (c > 0.0 && a > 0.0) {
-          EXPECT_LT(cost.CombineGpuSecondsAt(c, a, s, 2), serial);
+          EXPECT_LT(cost.CombineGpuSeconds(c, a, s, 2), serial);
         }
       }
     }
@@ -456,8 +483,7 @@ std::vector<double> WorstPerDepth(const CostModel& cost,
   for (const int k : CostModel::kChunkDepthCandidates) {
     double w = 0.0;
     for (size_t g = 0; g < compute.size(); ++g) {
-      w = std::max(w,
-                   cost.CombineGpuSecondsAt(compute[g], a2a[g], sync[g], k));
+      w = std::max(w, cost.CombineGpuSeconds(compute[g], a2a[g], sync[g], k));
     }
     worst.push_back(w);
   }
@@ -569,7 +595,7 @@ TEST(ForwardMicrobatchFloorTest, ChunkedFloorBoundedAndDefaultBitwise) {
 
   const double serial =
       EstimateForwardMicrobatchSeconds(env.profile, model, 8, tokens);
-  // The explicit chunks=1 spelling is the legacy expression bitwise.
+  // The default depth is K = 1.
   EXPECT_EQ(
       EstimateForwardMicrobatchSeconds(env.profile, model, 8, tokens, 1),
       serial);
@@ -624,13 +650,11 @@ TEST(ForwardMicrobatchFloorTest, FloorBelowMeasuredForwardAtEveryDepth) {
 // Regression for the balanced-route latency artifact (DESIGN.md §11.3):
 // on an exactly balanced route the engine's shifted schedule opens the
 // bottleneck ingress at the self-pair round (loopback latency), so a
-// balanced crossing pays total serialization plus ~one remote latency —
-// while the serial floor charges two per crossing. The serial branch
-// keeps the historical over-charge (it is pinned by goldens and still
-// sound on that branch's probes); the chunked branch, whose many small
-// chunks multiply the crossing count, now charges one latency so the
-// floor stays below the measured time instead of crossing it.
-TEST(ForwardMicrobatchFloorTest, ChunkedFloorSoundOnExactlyBalancedRoute) {
+// balanced crossing pays total serialization plus ~one remote latency.
+// A floor that charges two latencies per crossing sits above the measured
+// time — at K = 1 too, where the old serial floor did (0.00968064 vs
+// 0.00967822 s measured on flat-8) — so every depth charges one.
+TEST(ForwardMicrobatchFloorTest, FloorSoundOnExactlyBalancedRoute) {
   // The 8-GPU probe on one node and on a 2x4 grid, and the G = 512
   // large-EP shape (measured/floor 1.024 there at K = 4 today).
   std::vector<TestEnv> envs;
@@ -648,7 +672,7 @@ TEST(ForwardMicrobatchFloorTest, ChunkedFloorSoundOnExactlyBalancedRoute) {
       for (int src = 0; src < g; ++src) balanced.set(e, src, 4096 / g);
     }
     const int64_t tokens = balanced.Total() / model.top_k;
-    for (const int chunks : {2, 4, 8}) {
+    for (const int chunks : {1, 2, 4, 8}) {
       const double measured =
           ExpertParallelForwardSeconds(env, balanced, chunks);
       const double floor = EstimateForwardMicrobatchSeconds(
@@ -758,9 +782,9 @@ TEST(AutoChunkDepthTest, EstimateArgminMatchesMeasuredBestDepth) {
     double worst = 0.0;
     for (size_t g = 0; g < est.per_gpu_compute.size(); ++g) {
       worst = std::max(
-          worst, cost.CombineGpuSecondsAt(est.per_gpu_compute[g],
-                                          est.per_gpu_a2a[g],
-                                          est.per_gpu_sync[g], chunks));
+          worst, cost.CombineGpuSeconds(est.per_gpu_compute[g],
+                                        est.per_gpu_a2a[g],
+                                        est.per_gpu_sync[g], chunks));
     }
     if (measured < measured_min) {
       measured_min = measured;
@@ -949,7 +973,7 @@ TEST(StragglerPortScaleTest, ForwardA2aChargesTheSlowdownExactlyOnce) {
   EXPECT_LT(fwd.a2a_seconds, 2.0 * base.a2a_seconds);
 }
 
-// ---- 6. incremental cost under the overlap-aware combiner -----------------
+// ---- 6. incremental cost under the pipelined combiner ---------------------
 
 Placement MakePlacement(int experts, int gpus, int slots) {
   PlacementOptions o;
@@ -1027,11 +1051,11 @@ void ExpectMatchesScratch(const CostModel& cost, const Topology& topo,
   }
 }
 
-// The exactness contract of DESIGN.md Section 10 must survive the
-// overlap-aware combiner: with pipeline_chunks = 4 every Apply/Undo still
-// agrees bitwise with a from-scratch EstimateLayer, and the per-link load
-// bookkeeping matches a brute-force recount at every depth.
-TEST(LayerCostStateOverlapTest, RandomWalkBitwiseUnderChunkedCombiner) {
+// The exactness contract of DESIGN.md Section 10 under the pipelined
+// combiner the planner scores with (at K = 1): every Apply/Undo agrees
+// bitwise with a from-scratch EstimateLayer, and the per-link load
+// bookkeeping matches a brute-force recount at every depth of the walk.
+TEST(LayerCostStateOverlapTest, RandomWalkBitwiseAndLinkLoadsExact) {
   for (const bool hierarchical : {false, true}) {
     SCOPED_TRACE(testing::Message() << "hierarchical=" << hierarchical);
     TestEnv env = TestEnv::MakeGrid(2, 4);
@@ -1039,7 +1063,6 @@ TEST(LayerCostStateOverlapTest, RandomWalkBitwiseUnderChunkedCombiner) {
     ModelConfig model = GptMoES();
     model.num_experts = 12;
     CostModel cost(&env.profile, ShapeFromModel(model));
-    cost.set_pipeline_chunks(4);
 
     Rng rng(17);
     const Assignment a = RandomAssignment(rng, model.num_experts, 8);
