@@ -14,7 +14,8 @@ void MetricsFromTiming(const StepTiming& timing, double blocking_seconds,
   m->a2a_seconds = timing.a2a_seconds;
   m->compute_seconds = timing.compute_seconds;
   m->sync_seconds = timing.sync_seconds;
-  m->non_moe_seconds = timing.non_moe_seconds + timing.dp_sync_seconds;
+  m->non_moe_seconds = timing.non_moe_seconds;
+  m->dp_sync_seconds = timing.dp_sync_seconds;
 
   const std::vector<double>& per_gpu = timing.per_gpu_expert_compute;
   double max_c = 0.0, mean_c = 0.0;
@@ -28,7 +29,7 @@ void MetricsFromTiming(const StepTiming& timing, double blocking_seconds,
   m->expert_efficiency = max_c > 0.0 ? mean_c / max_c : 1.0;
   m->gpu_utilization =
       m->step_seconds > 0.0
-          ? (mean_c + timing.non_moe_seconds) / m->step_seconds
+          ? (mean_c + m->non_moe_seconds) / m->step_seconds
           : 0.0;
 }
 

@@ -29,7 +29,8 @@ struct StepMetrics {
   double a2a_seconds = 0.0;
   double compute_seconds = 0.0;
   double sync_seconds = 0.0;
-  double non_moe_seconds = 0.0;
+  double non_moe_seconds = 0.0;  ///< non-MoE compute only
+  double dp_sync_seconds = 0.0;  ///< the data-parallel AllReduce
   double adjust_block_seconds = 0.0;  ///< blocking adjustments only
 
   /// Mean balance ratio over the step's MoE layers (Eq. 6).
@@ -69,12 +70,12 @@ struct StepMetrics {
 /// \brief Fills the timing and efficiency fields of `m` from an executed
 /// step — the one derivation FlexMoE and every baseline system share.
 /// step_seconds is the executed span plus `blocking_seconds` (adjustments
-/// and recovery charged before the step). The reported non-MoE phase is
-/// non-MoE compute plus the data-parallel AllReduce; GPU utilization
-/// counts only the compute half as useful work, next to the mean expert
-/// compute. `num_alive_gpus` (0 = all) is the efficiency denominator, so
-/// a rebalanced degraded cluster can still read as 100% efficient —
-/// departed devices are lost capacity, not inefficiency.
+/// and recovery charged before the step). The non-MoE phase is non-MoE
+/// compute only, and the data-parallel AllReduce is its own phase; GPU
+/// utilization counts the non-MoE compute as useful work, next to the
+/// mean expert compute. `num_alive_gpus` (0 = all) is the efficiency
+/// denominator, so a rebalanced degraded cluster can still read as 100%
+/// efficient — departed devices are lost capacity, not inefficiency.
 void MetricsFromTiming(const StepTiming& timing, double blocking_seconds,
                        int num_alive_gpus, StepMetrics* m);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 namespace flexmoe {
 
@@ -9,6 +10,37 @@ namespace {
 /// Largest top_k served by the alias-table exact sampler's fixed-size
 /// chosen-set array; beyond it the per-token Gumbel sweep is used.
 constexpr int kMaxFastTopK = 8;
+
+/// Per-thread sampling scratch, sized to the gate's expert count. thread_local
+/// (as the router's RouteScratch) so concurrent Sample() calls on one gate
+/// never share a buffer.
+struct GateScratch {
+  std::vector<double> probs;
+  std::vector<double> round;
+  std::vector<int64_t> counts;
+  // Alias-table scratch for the exact sampler (Vose construction).
+  std::vector<double> alias_prob;
+  std::vector<int> alias_idx;
+  std::vector<int> alias_small;
+  std::vector<int> alias_large;
+};
+
+/// This thread's scratch with every buffer holding `n` elements.
+GateScratch& Scratch(int n) {
+  static thread_local GateScratch scratch;
+  const size_t size = static_cast<size_t>(n);
+  if (scratch.probs.size() != size) {
+    scratch.probs.resize(size);
+    scratch.round.resize(size);
+    scratch.counts.resize(size);
+    scratch.alias_prob.resize(size);
+    scratch.alias_idx.resize(size);
+    scratch.alias_small.resize(size);
+    scratch.alias_large.resize(size);
+  }
+  return scratch;
+}
+
 }  // namespace
 
 void SoftmaxInto(const double* logits, int n, double* out) {
@@ -44,15 +76,7 @@ Status TopKGateOptions::Validate() const {
   return Status::OK();
 }
 
-TopKGate::TopKGate(const TopKGateOptions& options)
-    : options_(options),
-      probs_scratch_(static_cast<size_t>(options.num_experts)),
-      round_scratch_(static_cast<size_t>(options.num_experts)),
-      counts_scratch_(static_cast<size_t>(options.num_experts)),
-      alias_prob_scratch_(static_cast<size_t>(options.num_experts)),
-      alias_idx_scratch_(static_cast<size_t>(options.num_experts)),
-      alias_work_scratch_(static_cast<size_t>(options.num_experts)),
-      alias_work2_scratch_(static_cast<size_t>(options.num_experts)) {}
+TopKGate::TopKGate(const TopKGateOptions& options) : options_(options) {}
 
 Result<TopKGate> TopKGate::Create(const TopKGateOptions& options) {
   FLEXMOE_RETURN_IF_ERROR(options.Validate());
@@ -68,6 +92,7 @@ Assignment TopKGate::Sample(const Matrix<double>& gpu_logits,
   // array; larger top_k (never used — the paper is Top-2 throughout)
   // falls back to the per-token Gumbel sweep.
   const bool gumbel_sweep = options_.top_k > kMaxFastTopK;
+  double* probs = Scratch(options_.num_experts).probs.data();
   for (int g = 0; g < options_.num_gpus; ++g) {
     const double* logits = gpu_logits.row(g);
     if (options_.exact_sampling) {
@@ -77,8 +102,8 @@ Assignment TopKGate::Sample(const Matrix<double>& gpu_logits,
         SampleExact(logits, g, rng, &out);
       }
     } else {
-      SoftmaxInto(logits, options_.num_experts, probs_scratch_.data());
-      SampleMultinomial(probs_scratch_.data(), g, rng, &out);
+      SoftmaxInto(logits, options_.num_experts, probs);
+      SampleMultinomial(probs, g, rng, &out);
     }
   }
   return out;
@@ -132,17 +157,17 @@ void TopKGate::SampleMultinomial(const double* probs, int gpu, Rng* rng,
   // Rounds beyond 2 (the paper uses Top-2 everywhere) reuse the round-2
   // marginal — a documented approximation.
   const int n = options_.num_experts;
+  GateScratch& scratch = Scratch(n);
+  int64_t* counts = scratch.counts.data();
   const double* current = probs;
   for (int round = 0; round < options_.top_k; ++round) {
-    rng->MultinomialInto(options_.tokens_per_gpu, current, n,
-                         counts_scratch_.data());
+    rng->MultinomialInto(options_.tokens_per_gpu, current, n, counts);
     for (int e = 0; e < n; ++e) {
-      const int64_t c = counts_scratch_[static_cast<size_t>(e)];
-      if (c > 0) out->add(e, gpu, c);
+      if (counts[e] > 0) out->add(e, gpu, counts[e]);
     }
     if (round == 0 && options_.top_k > 1) {
-      SecondChoiceMarginalInto(probs, n, round_scratch_.data());
-      current = round_scratch_.data();
+      SecondChoiceMarginalInto(probs, n, scratch.round.data());
+      current = scratch.round.data();
     }
   }
 }
@@ -158,15 +183,16 @@ void TopKGate::SampleExact(const double* logits, int gpu, Rng* rng,
   // the analytic top-2 marginal.
   const int k = options_.top_k;
   const int n = options_.num_experts;
-  double* probs = probs_scratch_.data();
+  GateScratch& scratch = Scratch(n);
+  double* probs = scratch.probs.data();
   SoftmaxInto(logits, n, probs);
 
   // Vose alias-table construction: O(E) once per (GPU, step), amortized
   // over tokens_per_gpu draws.
-  double* ap = alias_prob_scratch_.data();
-  int* alias = alias_idx_scratch_.data();
-  int* small_stack = alias_work_scratch_.data();
-  int* large_stack = alias_work2_scratch_.data();
+  double* ap = scratch.alias_prob.data();
+  int* alias = scratch.alias_idx.data();
+  int* small_stack = scratch.alias_small.data();
+  int* large_stack = scratch.alias_large.data();
   int ns = 0, nl = 0;
   for (int e = 0; e < n; ++e) {
     ap[e] = probs[e] * static_cast<double>(n);
@@ -191,7 +217,7 @@ void TopKGate::SampleExact(const double* logits, int gpu, Rng* rng,
   while (nl > 0) ap[large_stack[--nl]] = 1.0;
   while (ns > 0) ap[small_stack[--ns]] = 1.0;
 
-  int64_t* counts = counts_scratch_.data();
+  int64_t* counts = scratch.counts.data();
   std::fill(counts, counts + n, 0);
   int chosen[kMaxFastTopK];
   for (int64_t t = 0; t < options_.tokens_per_gpu; ++t) {

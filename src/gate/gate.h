@@ -11,12 +11,12 @@
 // count-accurate gate exercises exactly the code paths the paper's system
 // optimizes.
 //
-// Sampling is allocation-free per call: the gate owns scratch buffers that
-// are reused across Sample() invocations. A TopKGate instance is therefore
-// NOT safe for concurrent Sample() calls — give each thread (each grid
-// cell) its own gate, as the experiment harness does. gate_sampler_test.cc
-// checks both modes against the analytic top-2 marginal; the goldens'
-// trace hashes pin the multinomial stream bit-for-bit.
+// Sampling is allocation-free per call and safe to run concurrently: its
+// scratch buffers are thread_local, so one gate can serve every thread
+// that samples a routing step (gate/trace_source.h runs several at once,
+// each on its own per-step Rng substream). gate_sampler_test.cc checks
+// both modes against the analytic top-2 marginal; the goldens' trace
+// hashes pin the multinomial stream bit-for-bit.
 
 #ifndef FLEXMOE_GATE_GATE_H_
 #define FLEXMOE_GATE_GATE_H_
@@ -77,18 +77,6 @@ class TopKGate {
                          Assignment* out) const;
 
   TopKGateOptions options_;
-
-  // Per-call scratch (see header comment: one gate per thread). Sized once
-  // at construction to num_experts; mutable because Sample() is logically
-  // const.
-  mutable std::vector<double> probs_scratch_;
-  mutable std::vector<double> round_scratch_;
-  mutable std::vector<int64_t> counts_scratch_;
-  // Alias-table scratch for the exact sampler (Vose construction).
-  mutable std::vector<double> alias_prob_scratch_;
-  mutable std::vector<int> alias_idx_scratch_;
-  mutable std::vector<int> alias_work_scratch_;
-  mutable std::vector<int> alias_work2_scratch_;
 };
 
 }  // namespace flexmoe

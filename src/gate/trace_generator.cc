@@ -225,7 +225,6 @@ TraceGenerator::TraceGenerator(
       processes_(std::move(processes)) {
   logits_.resize(static_cast<size_t>(options_.num_moe_layers));
   jitter_.resize(static_cast<size_t>(options_.num_moe_layers));
-  gpu_logits_scratch_.assign(options_.num_gpus, options_.num_experts, 0.0);
   for (int l = 0; l < options_.num_moe_layers; ++l) {
     auto& z = logits_[static_cast<size_t>(l)];
     z.resize(static_cast<size_t>(options_.num_experts));
@@ -268,26 +267,44 @@ void TraceGenerator::EvolveLayer(int layer) {
   }
 }
 
-const Matrix<double>& TraceGenerator::JitteredGpuLogits(int layer) {
+void TraceGenerator::JitteredGpuLogits(int layer, Matrix<double>* out) const {
   const auto& z = logits_[static_cast<size_t>(layer)];
   const auto& layer_jitter = jitter_[static_cast<size_t>(layer)];
   const int num_experts = options_.num_experts;
+  out->assign(options_.num_gpus, num_experts, 0.0);
   for (int g = 0; g < options_.num_gpus; ++g) {
-    double* out = gpu_logits_scratch_.row(g);
+    double* row = out->row(g);
     const double* j = layer_jitter.row(g);
-    for (int e = 0; e < num_experts; ++e) out[e] = z[static_cast<size_t>(e)] + j[e];
+    for (int e = 0; e < num_experts; ++e) {
+      row[e] = z[static_cast<size_t>(e)] + j[e];
+    }
   }
-  return gpu_logits_scratch_;
 }
 
-std::vector<Assignment> TraceGenerator::Step() {
-  std::vector<Assignment> out;
-  out.reserve(static_cast<size_t>(options_.num_moe_layers));
+TraceGenerator::PreparedStep TraceGenerator::Prepare() {
+  PreparedStep prepared;
+  prepared.gpu_logits.resize(static_cast<size_t>(options_.num_moe_layers));
   for (int l = 0; l < options_.num_moe_layers; ++l) {
     EvolveLayer(l);
-    out.push_back(gate_.Sample(JitteredGpuLogits(l), &rng_));
+    JitteredGpuLogits(l, &prepared.gpu_logits[static_cast<size_t>(l)]);
   }
+  // The step's sampling substream: one word of the evolution stream, so
+  // the next step's evolution does not wait for this step's sampling.
+  prepared.sample_seed = rng_.Next();
   ++step_;
+  return prepared;
+}
+
+std::vector<Assignment> TraceGenerator::Sample(
+    const PreparedStep& prepared) const {
+  FLEXMOE_CHECK(static_cast<int>(prepared.gpu_logits.size()) ==
+                options_.num_moe_layers);
+  Rng rng(prepared.sample_seed);
+  std::vector<Assignment> out;
+  out.reserve(prepared.gpu_logits.size());
+  for (const Matrix<double>& gpu_logits : prepared.gpu_logits) {
+    out.push_back(gate_.Sample(gpu_logits, &rng));
+  }
   return out;
 }
 
@@ -298,7 +315,10 @@ const std::vector<double>& TraceGenerator::LayerLogits(int layer) const {
 
 namespace {
 constexpr uint32_t kCheckpointMagic = 0x464d4743;  // "FMGC"
-constexpr uint32_t kCheckpointVersion = 1;
+// Version 2: per-step sampling substreams. A version 1 checkpoint was cut
+// from the single-stream layout, and resuming it here would make a stream
+// no generator ever produced.
+constexpr uint32_t kCheckpointVersion = 2;
 }  // namespace
 
 std::string TraceGenerator::SaveCheckpoint() const {
@@ -333,8 +353,14 @@ Status TraceGenerator::RestoreCheckpoint(const std::string& bytes) {
   uint32_t magic = 0, version = 0;
   FLEXMOE_RETURN_IF_ERROR(GetPod(&cursor, end, &magic));
   FLEXMOE_RETURN_IF_ERROR(GetPod(&cursor, end, &version));
-  if (magic != kCheckpointMagic || version != kCheckpointVersion) {
+  if (magic != kCheckpointMagic) {
     return Status::InvalidArgument("not a trace-generator checkpoint");
+  }
+  if (version != kCheckpointVersion) {
+    return Status::InvalidArgument(
+        StrFormat("trace-generator checkpoint version %u; this generator "
+                  "reads version %u",
+                  version, kCheckpointVersion));
   }
   int32_t layers = 0, experts = 0, gpus = 0;
   uint64_t seed = 0, name_len = 0;

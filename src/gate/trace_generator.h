@@ -16,6 +16,12 @@
 // The logit dynamics are pluggable (gate/logit_process.h): the `scenario`
 // option selects a named workload regime from the catalog, defaulting to
 // the paper-calibrated `pretrain-steady` dynamics above.
+//
+// A step has a serial half and a pure half (DESIGN.md Section 4).
+// Prepare() evolves every layer in layer order on the generator's stream,
+// then draws one word w from it; Sample() draws layers 0..L-1 in order
+// from a fresh Rng(w). So the sampling of one step depends on no other
+// step, and several steps may be sampled at once (gate/trace_source.h).
 
 #ifndef FLEXMOE_GATE_TRACE_GENERATOR_H_
 #define FLEXMOE_GATE_TRACE_GENERATOR_H_
@@ -26,6 +32,7 @@
 #include "gate/gate.h"
 #include "gate/logit_process.h"
 #include "moe/moe_layer.h"
+#include "util/matrix.h"
 #include "util/rng.h"
 #include "util/status.h"
 
@@ -88,8 +95,24 @@ class TraceGenerator {
  public:
   static Result<TraceGenerator> Create(const TraceGeneratorOptions& options);
 
-  /// Advances one training step; returns one Assignment per MoE layer.
-  std::vector<Assignment> Step();
+  /// One step's serial half: each layer's jittered [gpu][expert] logits
+  /// and the seed of the step's sampling substream.
+  struct PreparedStep {
+    std::vector<Matrix<double>> gpu_logits;
+    uint64_t sample_seed = 0;
+  };
+
+  /// Advances the generator one step (every layer's logits, then the
+  /// substream seed). Steps must be prepared in order, by one thread at a
+  /// time.
+  PreparedStep Prepare();
+
+  /// Samples a prepared step: one Assignment per MoE layer. Pure and
+  /// thread-safe; any thread may sample any prepared step.
+  std::vector<Assignment> Sample(const PreparedStep& prepared) const;
+
+  /// Advances one training step: Sample(Prepare()).
+  std::vector<Assignment> Step() { return Sample(Prepare()); }
 
   int64_t step_index() const { return step_; }
   const TraceGeneratorOptions& options() const { return options_; }
@@ -121,9 +144,8 @@ class TraceGenerator {
                  std::vector<std::unique_ptr<LogitProcess>> processes);
 
   void EvolveLayer(int layer);
-  /// Fills `gpu_logits_scratch_` with the per-GPU jittered logits of
-  /// `layer` and returns it — valid until the next call.
-  const Matrix<double>& JitteredGpuLogits(int layer);
+  /// Writes the per-GPU jittered logits of `layer` into `out`.
+  void JitteredGpuLogits(int layer, Matrix<double>* out) const;
 
   TraceGeneratorOptions options_;
   double sigma0_;
@@ -136,8 +158,6 @@ class TraceGenerator {
   std::vector<std::vector<double>> logits_;
   /// Per-layer [gpu][expert] slow-moving jitter processes (flat rows).
   std::vector<Matrix<double>> jitter_;
-  /// Reusable [gpu][expert] buffer handed to the gate each layer-step.
-  Matrix<double> gpu_logits_scratch_;
 };
 
 }  // namespace flexmoe

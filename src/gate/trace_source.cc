@@ -9,37 +9,58 @@
 namespace flexmoe {
 
 GeneratorTraceSource::~GeneratorTraceSource() {
-  if (!helper_.joinable()) return;
   {
     std::lock_guard<std::mutex> lock(mu_);
     stop_ = true;
   }
-  cv_.notify_one();
-  helper_.join();
+  claim_cv_.notify_all();
+  for (std::thread& helper : helpers_) helper.join();
 }
 
 std::vector<Assignment> GeneratorTraceSource::NextStep() {
-  // One helper per source: once it has stopped, pulls stay inline.
-  if (!helper_.joinable() && !helper_done_ && WithinHorizon()) {
-    MaybeStartHelper();
-  }
-  if (helper_.joinable()) {
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait(lock, [this] { return !ready_.empty() || helper_done_; });
-    if (!ready_.empty()) {
-      std::vector<Assignment> step = std::move(ready_.front());
-      ready_.pop_front();
+  std::unique_lock<std::mutex> lock(mu_);
+  bool starved = false;
+  while (true) {
+    if (!slots_.empty() && slots_.front().done) {
+      Slot slot = std::move(slots_.front());
+      slots_.pop_front();
+      ++next_out_;
       lock.unlock();
-      cv_.notify_one();
-      return step;
+      claim_cv_.notify_all();
+      if (slot.failure) std::rethrow_exception(slot.failure);
+      return std::move(slot.step);
     }
-    // The helper has stopped; the generator is the caller's now.
-    lock.unlock();
-    helper_.join();
-    if (failure_) std::rethrow_exception(std::exchange(failure_, nullptr));
+    // The step is not finished: one more helper, once per pull.
+    if (!starved) {
+      starved = true;
+      if (!failed_ && WithinHorizon()) MaybeStartHelper();
+    }
+    if (slots_.empty()) break;
+    ready_cv_.wait(lock, [this] { return slots_.front().done; });
   }
-  ++generated_;
-  return gen_.Step();
+  // Nobody has prepared this step, so nobody is preparing one: make it
+  // inline, in its turn.
+  FLEXMOE_CHECK(!preparing_);
+  preparing_ = true;
+  ++prepared_;
+  ++next_out_;
+  lock.unlock();
+  const TraceGenerator::PreparedStep prepared = PrepareAndRelease();
+  return gen_.Sample(prepared);
+}
+
+TraceGenerator::PreparedStep GeneratorTraceSource::PrepareAndRelease() {
+  struct Release {
+    GeneratorTraceSource* source;
+    ~Release() {
+      {
+        std::lock_guard<std::mutex> lock(source->mu_);
+        source->preparing_ = false;
+      }
+      source->claim_cv_.notify_all();
+    }
+  } release{this};
+  return gen_.Prepare();
 }
 
 int64_t GeneratorTraceSource::helper_steps() const {
@@ -47,44 +68,53 @@ int64_t GeneratorTraceSource::helper_steps() const {
   return helper_made_;
 }
 
+int GeneratorTraceSource::helpers_started() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return static_cast<int>(helpers_.size());
+}
+
 void GeneratorTraceSource::MaybeStartHelper() {
   if (!TryClaimThread()) return;
   try {
-    helper_ = std::thread(&GeneratorTraceSource::HelperMain, this);
+    helpers_.emplace_back(&GeneratorTraceSource::HelperMain, this);
   } catch (const std::system_error&) {
-    ReleaseThreads(1);  // no thread to run it on: keep generating inline
+    ReleaseThreads(1);  // no thread to run it on: the pulls carry on
   }
 }
 
 void GeneratorTraceSource::HelperMain() {
-  try {
-    GenerateAhead();
-  } catch (...) {
-    std::lock_guard<std::mutex> lock(mu_);
-    failure_ = std::current_exception();
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    helper_done_ = true;
-  }
-  cv_.notify_one();
-  ReleaseThreads(1);
-}
-
-void GeneratorTraceSource::GenerateAhead() {
   std::unique_lock<std::mutex> lock(mu_);
   while (true) {
-    cv_.wait(lock, [this] { return stop_ || ready_.size() < kDepth; });
-    if (stop_ || !WithinHorizon()) return;
-    // Only this thread touches gen_ until helper_done_ is set.
+    claim_cv_.wait(lock, [this] {
+      return stop_ || failed_ ||
+             (!preparing_ && slots_.size() < helpers_.size() + 1);
+    });
+    if (stop_ || failed_ || !WithinHorizon()) break;
+    preparing_ = true;
+    const int64_t index = prepared_++;
+    slots_.emplace_back();
     lock.unlock();
-    std::vector<Assignment> step = gen_.Step();
+    std::vector<Assignment> step;
+    std::exception_ptr failure;
+    try {
+      const TraceGenerator::PreparedStep prepared = PrepareAndRelease();
+      step = gen_.Sample(prepared);
+    } catch (...) {
+      failure = std::current_exception();
+    }
     lock.lock();
-    ready_.push_back(std::move(step));
-    ++generated_;
+    // Only the caller pops, and only finished slots: this one is in place.
+    Slot& slot = slots_[static_cast<size_t>(index - next_out_)];
+    slot.step = std::move(step);
+    slot.failure = failure;
+    slot.done = true;
     ++helper_made_;
-    cv_.notify_one();
+    if (failure) failed_ = true;
+    ready_cv_.notify_one();
   }
+  lock.unlock();
+  claim_cv_.notify_all();  // a failure stops the other helpers too
+  ReleaseThreads(1);
 }
 
 std::vector<Assignment> ReplayTraceSource::NextStep() {

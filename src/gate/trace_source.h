@@ -36,27 +36,32 @@ class TraceSource {
 };
 
 /// \brief Live source: owns a TraceGenerator and streams its steps,
-/// generating the next ones on a helper thread while the caller runs the
+/// sampling the next ones on helper threads while the caller runs the
 /// system on the current one (DESIGN.md Section 6.3).
 ///
-/// - Order: the generator is driven by one thread at a time, in step
-///   order — the caller inline until the helper starts, the helper until
-///   it stops at the horizon, then the caller again — so the stream is
-///   byte-identical to calling TraceGenerator::Step in a loop, whichever
-///   thread made each step.
-/// - Depth: the helper runs at most two steps ahead; it waits while two
-///   finished steps are queued.
-/// - Horizon: with `horizon` >= 0 the helper stops once `horizon` steps
-///   have been made, so it never makes a step the run will not pull;
+/// - Order: TraceGenerator::Prepare runs in step order, one thread at a
+///   time (a step is claimed under the source's mutex only while no other
+///   thread is preparing); the Sample half runs on whichever thread
+///   prepared that step, concurrently with other steps' samples. Steps
+///   are handed out in step order, so the stream is byte-identical to
+///   calling TraceGenerator::Step in a loop, whichever threads made it.
+/// - Demand-driven helpers: a pull whose step is not finished is starved.
+///   If nobody has prepared the step yet, the pull makes it inline; either
+///   way, a starved pull starts one more helper when the process has a
+///   hardware thread free (util/thread_budget.h). So helpers start only at
+///   pulls, never while the source is built, and their count is bounded
+///   by the starved pulls and by the free cores.
+/// - Depth: with n helpers, at most n + 1 steps are prepared ahead of the
+///   pulls (in flight or finished); a helper waits for room beyond that.
+/// - Horizon: with `horizon` >= 0 helpers stop once `horizon` steps have
+///   been prepared, so they never make a step the run will not pull;
 ///   pulls past the horizon generate inline. < 0 means unbounded.
-/// - Free-core budget: the helper starts at a pull only when the process
-///   has a hardware thread free (util/thread_budget.h). Until then each
-///   pull generates inline, and the next pull tries again.
-/// - Teardown: the destructor stops the helper and joins it, after the
-///   step it may be generating; queued steps are dropped.
-/// - Failures: an exception from a helper-side Step() reaches the caller
-///   at the pull that needed that step; a helper that cannot be started
-///   leaves the pulls inline.
+/// - Teardown: the destructor stops the helpers and joins them, after the
+///   step each may be sampling; finished steps are dropped.
+/// - Failures: an exception from a helper-side Prepare or Sample reaches
+///   the caller at the pull that needed that step, and no helper prepares
+///   a step after it; a helper that cannot be started leaves the pulls
+///   as they were.
 class GeneratorTraceSource : public TraceSource {
  public:
   explicit GeneratorTraceSource(TraceGenerator gen, int64_t horizon = -1)
@@ -68,37 +73,53 @@ class GeneratorTraceSource : public TraceSource {
 
   std::vector<Assignment> NextStep() override;
 
-  /// Steps the helper thread has generated so far (the rest, if any,
-  /// were generated inline by NextStep).
+  /// Steps the helper threads have made so far (the rest, if any, were
+  /// made inline by NextStep).
   int64_t helper_steps() const;
 
- private:
-  static constexpr size_t kDepth = 2;
+  /// Helper threads started so far.
+  int helpers_started() const;
 
-  /// True while a step remains to generate within the horizon.
-  bool WithinHorizon() const { return horizon_ < 0 || generated_ < horizon_; }
-  /// Starts the helper if the thread budget has a core free.
+ private:
+  /// A step a helper has claimed: in flight until `done`.
+  struct Slot {
+    bool done = false;
+    std::vector<Assignment> step;
+    /// What the helper's Prepare or Sample raised; NextStep rethrows it at
+    /// the pull that needed the step, as an inline Step() would have.
+    std::exception_ptr failure;
+  };
+
+  /// True while a step remains to prepare within the horizon. Needs mu_.
+  bool WithinHorizon() const { return horizon_ < 0 || prepared_ < horizon_; }
+  /// Starts a helper if the thread budget has a core free. Needs mu_.
   void MaybeStartHelper();
-  /// The helper thread's entry: GenerateAhead, then hands back its core.
+  /// Runs gen_.Prepare() for the step just claimed (`preparing_` set), then
+  /// clears `preparing_`, also when Prepare throws. Called without mu_.
+  TraceGenerator::PreparedStep PrepareAndRelease();
+  /// A helper thread's entry: claims, prepares and samples steps until
+  /// stopped, then hands back its core.
   void HelperMain();
-  void GenerateAhead();
 
   TraceGenerator gen_;
   const int64_t horizon_;
 
   mutable std::mutex mu_;
-  std::condition_variable cv_;
-  // Guarded by mu_ while the helper runs; the caller's alone otherwise.
-  std::deque<std::vector<Assignment>> ready_;
-  int64_t generated_ = 0;   ///< steps made so far, by either thread
-  int64_t helper_made_ = 0;  ///< of which by the helper
-  bool helper_done_ = false;
+  std::condition_variable ready_cv_;  ///< the caller waits for its step
+  std::condition_variable claim_cv_;  ///< helpers wait for a turn to claim
+  // Guarded by mu_.
+  /// Steps [next_out_, prepared_) in step order, claimed by helpers.
+  std::deque<Slot> slots_;
+  int64_t prepared_ = 0;     ///< steps claimed for Prepare, by any thread
+  int64_t next_out_ = 0;     ///< the step the next pull hands out
+  int64_t helper_made_ = 0;  ///< steps helpers have made
+  /// A thread is in gen_.Prepare(): steps are claimed and prepared one at
+  /// a time, so Prepare runs in step order.
+  bool preparing_ = false;
   bool stop_ = false;
-  /// What a helper-side Step() raised; NextStep rethrows it at the pull
-  /// that needed the step, as an inline Step() would have.
-  std::exception_ptr failure_;
+  bool failed_ = false;  ///< a helper-side step raised; no more claims
 
-  std::thread helper_;  ///< last: it uses every member above
+  std::vector<std::thread> helpers_;  ///< last: they use every member above
 };
 
 /// \brief Replay source: streams the steps of a recorded RoutingTrace.

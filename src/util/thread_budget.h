@@ -1,7 +1,7 @@
 // Process-wide budget of hardware threads for simulation work.
 //
 // Two things in the library start threads: ParallelFor's grid workers
-// (harness/grid_runner.h) and the trace-prefetch helper of
+// (harness/grid_runner.h) and the trace-prefetch helpers of
 // GeneratorTraceSource (gate/trace_source.h). Both share one count of
 // busy threads so a helper only starts on a core that would otherwise sit
 // idle: a grid already running one cell per core keeps its helpers off,

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -156,6 +158,21 @@ TEST(CheckpointValidationTest, RejectsCorruptPayloads) {
   ASSERT_GT(hostile.size(), name_len_offset + 8);
   hostile[name_len_offset + 7] = static_cast<char>(0x80);
   EXPECT_FALSE(victim.RestoreCheckpoint(hostile).ok());
+}
+
+TEST(CheckpointValidationTest, RejectsVersionOneCheckpoints) {
+  // Version 1 was cut from the single-stream layout that sampled every
+  // layer on the evolution stream; continuing it on per-step substreams
+  // would make a stream no generator ever produced.
+  auto gen = *TraceGenerator::Create(SmallOptions("pretrain-steady"));
+  gen.Step();
+  std::string v1 = gen.SaveCheckpoint();
+  const uint32_t version = 1;
+  std::memcpy(&v1[4], &version, sizeof(version));  // after the magic
+
+  auto victim = *TraceGenerator::Create(SmallOptions("pretrain-steady"));
+  const Status status = victim.RestoreCheckpoint(v1);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.ToString();
 }
 
 }  // namespace

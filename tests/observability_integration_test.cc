@@ -178,11 +178,11 @@ TEST(ObservabilityIntegrationTest, DisabledRunWritesNothing) {
 auto Fields(const StepMetrics& m) {
   return std::make_tuple(
       m.step, m.step_seconds, m.a2a_seconds, m.compute_seconds,
-      m.sync_seconds, m.non_moe_seconds, m.adjust_block_seconds,
-      m.balance_ratio, m.token_efficiency, m.expert_efficiency,
-      m.gpu_utilization, m.tokens_total, m.tokens_dropped,
-      m.tokens_recirculated, m.ops_applied, m.ops_launched,
-      m.recovery_seconds, m.faults_applied, m.degraded);
+      m.sync_seconds, m.non_moe_seconds, m.dp_sync_seconds,
+      m.adjust_block_seconds, m.balance_ratio, m.token_efficiency,
+      m.expert_efficiency, m.gpu_utilization, m.tokens_total,
+      m.tokens_dropped, m.tokens_recirculated, m.ops_applied,
+      m.ops_launched, m.recovery_seconds, m.faults_applied, m.degraded);
 }
 
 struct CountedRun {

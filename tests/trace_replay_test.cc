@@ -1,9 +1,9 @@
 // TraceSource and the replay contract: a recorded trace replayed into a
 // system must be indistinguishable from the live generator run — the
 // metrics of all four systems must be byte-identical between the two.
-// Also the pipelined GeneratorTraceSource: its helper thread must hand out
-// the bare generator's exact stream, respect its horizon, and never hang
-// on teardown.
+// Also the pipelined GeneratorTraceSource: its helper threads must hand
+// out the bare generator's exact stream, respect its horizon, start more
+// helpers for a starved caller, and never hang on teardown.
 
 #include <gtest/gtest.h>
 
@@ -55,28 +55,55 @@ uint64_t BareChain(const TraceGeneratorOptions& t, int pulls) {
   return h;
 }
 
-/// The helper engages at the first pull when the process has a hardware
+/// A helper starts at the first pull when the process has a hardware
 /// thread free, which a single-threaded test process has unless the
 /// machine has one thread only.
 bool HelperCanEngage() { return HardwareThreads() > 1; }
 
+/// Holds every hardware thread of the budget for its scope, so no helper
+/// can start: each pull makes its step inline.
+class ExhaustedBudget {
+ public:
+  ExhaustedBudget() { ClaimThreads(HardwareThreads()); }
+  ~ExhaustedBudget() { ReleaseThreads(HardwareThreads()); }
+  ExhaustedBudget(const ExhaustedBudget&) = delete;
+  ExhaustedBudget& operator=(const ExhaustedBudget&) = delete;
+};
+
 TEST(TraceSourceTest, GeneratorSourceMatchesBareGenerator) {
   constexpr int kPulls = 60;
-  for (const std::string& scenario : ScenarioCatalog()) {
-    TraceGeneratorOptions t = SmallTrace();
-    t.scenario.name = scenario;
-    GeneratorTraceSource source(*TraceGenerator::Create(t));
-    EXPECT_EQ(source.StepsRemaining(), -1);
-    uint64_t h = kTraceHashSeed;
-    for (int s = 0; s < kPulls; ++s) h = HashStep(source.NextStep(), h);
-    EXPECT_EQ(h, BareChain(t, kPulls)) << scenario;
-    if (HelperCanEngage()) {
-      EXPECT_GE(source.helper_steps(), kPulls) << scenario;
+  for (const bool exhausted : {false, true}) {
+    for (const std::string& scenario : ScenarioCatalog()) {
+      TraceGeneratorOptions t = SmallTrace();
+      t.scenario.name = scenario;
+      std::unique_ptr<ExhaustedBudget> budget;
+      if (exhausted) budget = std::make_unique<ExhaustedBudget>();
+      GeneratorTraceSource source(*TraceGenerator::Create(t));
+      EXPECT_EQ(source.StepsRemaining(), -1);
+      uint64_t h = kTraceHashSeed;
+      for (int s = 0; s < kPulls; ++s) {
+        // The first pull makes its step inline and starts a helper. Each
+        // later pull waits until a helper has made its step, so every
+        // step after the first comes from a helper.
+        while (s > 0 && !exhausted && source.helpers_started() > 0 &&
+               source.helper_steps() < s) {
+          std::this_thread::yield();
+        }
+        h = HashStep(source.NextStep(), h);
+      }
+      EXPECT_EQ(h, BareChain(t, kPulls)) << scenario;
+      if (exhausted) {
+        EXPECT_EQ(source.helpers_started(), 0) << scenario;
+        EXPECT_EQ(source.helper_steps(), 0) << scenario;
+      } else if (HelperCanEngage()) {
+        EXPECT_EQ(source.helpers_started(), 1) << scenario;
+        EXPECT_GE(source.helper_steps(), kPulls - 1) << scenario;
+      }
     }
   }
 }
 
-TEST(TraceSourceTest, HorizonBoundsTheHelperAndLaterPullsRunInline) {
+TEST(TraceSourceTest, HorizonBoundsTheHelpersAndLaterPullsRunInline) {
   constexpr int kPulls = 50;
   const uint64_t want = BareChain(SmallTrace(), kPulls);
   for (const int64_t horizon : {int64_t{-1}, int64_t{0}, int64_t{1},
@@ -84,22 +111,29 @@ TEST(TraceSourceTest, HorizonBoundsTheHelperAndLaterPullsRunInline) {
     GeneratorTraceSource source(*TraceGenerator::Create(SmallTrace()),
                                 horizon);
     uint64_t h = kTraceHashSeed;
+    int64_t made_by_horizon = -1;
     for (int s = 0; s < kPulls; ++s) {
       if (horizon >= 0 && s == horizon) {
-        // Every step so far came from the helper, and it made no more:
-        // it is done, so the count is stable.
-        EXPECT_EQ(source.helper_steps(), HelperCanEngage() ? horizon : 0)
-            << "horizon " << horizon;
+        // Every step before the horizon has been pulled, so every helper
+        // step is finished, and no helper makes one past it.
+        made_by_horizon = source.helper_steps();
+        EXPECT_LE(made_by_horizon, horizon) << "horizon " << horizon;
       }
       h = HashStep(source.NextStep(), h);
     }
     EXPECT_EQ(h, want) << "horizon " << horizon;
-    if (horizon >= 0) {
-      EXPECT_EQ(source.helper_steps(), HelperCanEngage() ? horizon : 0)
+    if (horizon == 0) {
+      EXPECT_EQ(source.helpers_started(), 0);
+      EXPECT_EQ(source.helper_steps(), 0);
+    } else if (horizon > 0) {
+      // The pulls past the horizon ran inline.
+      if (made_by_horizon < 0) made_by_horizon = source.helper_steps();
+      EXPECT_EQ(source.helper_steps(), made_by_horizon)
           << "horizon " << horizon;
     } else {
-      // Unbounded: the helper runs at most two steps ahead of the pulls.
-      EXPECT_LE(source.helper_steps(), kPulls + 2);
+      // Unbounded: n helpers run at most n + 1 steps ahead of the pulls.
+      EXPECT_LE(source.helper_steps(),
+                kPulls + source.helpers_started() + 1);
     }
   }
 }
@@ -113,8 +147,26 @@ TraceGeneratorOptions SlowTrace() {
   return o;
 }
 
+TEST(TraceSourceTest, StarvedConsumerEngagesSeveralHelpers) {
+  if (HardwareThreads() < 3) {
+    GTEST_SKIP() << "needs two hardware threads besides the caller";
+  }
+  // The caller does no work between pulls, so each pull finds its step
+  // unfinished while fewer helpers run than the free cores allow, and
+  // starts one more.
+  constexpr int kPulls = 24;
+  GeneratorTraceSource source(*TraceGenerator::Create(SlowTrace()));
+  uint64_t h = kTraceHashSeed;
+  for (int s = 0; s < kPulls; ++s) h = HashStep(source.NextStep(), h);
+  EXPECT_EQ(h, BareChain(SlowTrace(), kPulls));
+  EXPECT_GT(source.helpers_started(), 1);
+  EXPECT_LE(source.helpers_started(), HardwareThreads() - 1);
+  EXPECT_GT(source.helper_steps(), 0);
+}
+
 TEST(TraceSourceTest, DestructionBeforeFirstPullDoesNotHang) {
   GeneratorTraceSource source(*TraceGenerator::Create(SmallTrace()));
+  EXPECT_EQ(source.helpers_started(), 0);
   EXPECT_EQ(source.helper_steps(), 0);
 }
 
@@ -122,9 +174,12 @@ TEST(TraceSourceTest, DestructionWithFullQueueDoesNotHang) {
   auto source = std::make_unique<GeneratorTraceSource>(
       *TraceGenerator::Create(SmallTrace()));
   source->NextStep();
-  if (HelperCanEngage()) {
-    // One step handed out plus two queued: the helper now waits for room.
-    while (source->helper_steps() < 3) std::this_thread::yield();
+  if (source->helpers_started() > 0) {
+    // The first step was made inline; the one helper it started fills
+    // the depth (helpers + 1) and then waits for room.
+    while (source->helper_steps() < source->helpers_started() + 1) {
+      std::this_thread::yield();
+    }
   }
   source.reset();
 }
@@ -136,6 +191,17 @@ TEST(TraceSourceTest, DestructionWithStepInFlightDoesNotHang) {
     auto source = std::make_unique<GeneratorTraceSource>(
         *TraceGenerator::Create(SlowTrace()));
     source->NextStep();
+    source.reset();
+  }
+}
+
+TEST(TraceSourceTest, DestructionWithSeveralHelpersSamplingDoesNotHang) {
+  // Starved pulls start several helpers; the source is destroyed while
+  // they sample the steps ahead.
+  for (int round = 0; round < 3; ++round) {
+    auto source = std::make_unique<GeneratorTraceSource>(
+        *TraceGenerator::Create(SlowTrace()));
+    for (int s = 0; s < 3; ++s) source->NextStep();
     source.reset();
   }
 }

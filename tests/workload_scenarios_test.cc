@@ -129,11 +129,12 @@ TEST(ScenarioCatalogTest, NamesAndValidation) {
   EXPECT_FALSE(bad.Validate().ok());
 }
 
-// The tentpole's contract: the default scenario IS the pre-catalog
-// generator. The reference below replicates the pre-refactor constructor
-// and EvolveLayer (logit OU + renorm, jitter OU, per-GPU add) against the
-// same gate, and every sampled count must match exactly — which also pins
-// the RNG stream alignment, not just the distribution.
+// The default scenario IS the pre-catalog generator. The reference below
+// replicates the pre-refactor constructor and EvolveLayer (logit OU +
+// renorm, jitter OU, per-GPU add) against the same gate, in the per-step
+// substream layout (DESIGN.md Section 4), and every sampled count must
+// match exactly — which also pins the RNG stream alignment, not just the
+// distribution.
 TEST(PretrainSteadyTest, ByteIdenticalToPreCatalogGenerator) {
   TraceGeneratorOptions o = BaseOptions("pretrain-steady");
   o.num_moe_layers = 2;
@@ -159,10 +160,12 @@ TEST(PretrainSteadyTest, ByteIdenticalToPreCatalogGenerator) {
       flat[i] = rng.Normal(0.0, o.gpu_jitter_sigma);
     }
   }
-  Matrix<double> gpu_logits(o.num_gpus, o.num_experts, 0.0);
+  std::vector<Matrix<double>> gpu_logits(2);
 
   for (int s = 0; s < 40; ++s) {
     const std::vector<Assignment> got = gen.Step();
+    // Serial half: every layer evolves on the generator's stream, in
+    // layer order.
     for (int l = 0; l < 2; ++l) {
       auto& z = logits[l];
       const double noise_sigma = sigma0 * std::sqrt(2.0 * o.ou_theta);
@@ -181,14 +184,20 @@ TEST(PretrainSteadyTest, ByteIdenticalToPreCatalogGenerator) {
       for (size_t i = 0; i < jitter[l].element_count(); ++i) {
         flat[i] += -jtheta * flat[i] + rng.Normal(0.0, jnoise);
       }
+      gpu_logits[l].assign(o.num_gpus, o.num_experts, 0.0);
       for (int g = 0; g < o.num_gpus; ++g) {
-        double* out = gpu_logits.row(g);
+        double* out = gpu_logits[l].row(g);
         const double* j = jitter[l].row(g);
         for (int e = 0; e < o.num_experts; ++e) {
           out[e] = z[static_cast<size_t>(e)] + j[e];
         }
       }
-      const Assignment want = gate.Sample(gpu_logits, &rng);
+    }
+    // Sampling half: one word of that stream seeds the step's substream,
+    // which samples the layers in order.
+    Rng sample_rng(rng.Next());
+    for (int l = 0; l < 2; ++l) {
+      const Assignment want = gate.Sample(gpu_logits[l], &sample_rng);
       for (int e = 0; e < o.num_experts; ++e) {
         for (int g = 0; g < o.num_gpus; ++g) {
           ASSERT_EQ(got[l].at(e, g), want.at(e, g))
@@ -199,34 +208,56 @@ TEST(PretrainSteadyTest, ByteIdenticalToPreCatalogGenerator) {
   }
 }
 
+/// Seeds per distributional check below. At one seed a check of a
+/// regime's signature sits near its threshold about half the time, so
+/// each check reads the median of kSeeds consecutive seeds, which lies far
+/// from both the threshold and what a regime without the feature scores.
+constexpr uint64_t kSeeds = 9;
+
+double Median(std::vector<double> v) {
+  std::nth_element(v.begin(), v.begin() + static_cast<long>(v.size() / 2),
+                   v.end());
+  return v[v.size() / 2];
+}
+
 TEST(FinetuneShiftTest, DistributionShiftsAtConfiguredStep) {
-  TraceGeneratorOptions o = BaseOptions("finetune-shift");
-  o.scenario.shift_step = 150;
-  auto gen = *TraceGenerator::Create(o);
-  const auto series = ShareSeries(&gen, 250);
+  std::vector<double> l1_ratio;
+  for (uint64_t i = 0; i < kSeeds; ++i) {
+    TraceGeneratorOptions o = BaseOptions("finetune-shift");
+    o.seed += i;
+    o.scenario.shift_step = 150;
+    auto gen = *TraceGenerator::Create(o);
+    const auto series = ShareSeries(&gen, 250);
 
-  // Two adjacent windows inside the pre-shift regime vs the pair
-  // straddling the shift; short windows keep natural OU drift small
-  // against the full distribution swap.
-  const auto pre1 = MeanShares(series, 110, 130);
-  const auto pre2 = MeanShares(series, 130, 150);
-  const auto post = MeanShares(series, 150, 170);
-  const double within = ChiSquared(pre2, pre1);
-  const double across = ChiSquared(post, pre2);
-  EXPECT_GT(across, 4.0 * within);
-  EXPECT_GT(L1(post, pre2), 3.0 * L1(pre2, pre1));
+    // Two adjacent windows inside the pre-shift regime vs the pair
+    // straddling the shift; short windows keep natural OU drift small
+    // against the full distribution swap.
+    const auto pre1 = MeanShares(series, 110, 130);
+    const auto pre2 = MeanShares(series, 130, 150);
+    const auto post = MeanShares(series, 150, 170);
+    const double within = ChiSquared(pre2, pre1);
+    const double across = ChiSquared(post, pre2);
+    EXPECT_GT(across, 4.0 * within) << "seed " << o.seed;
+    l1_ratio.push_back(L1(post, pre2) / L1(pre2, pre1));
 
-  // And the regime is steady again after the shift: no lingering jump.
-  auto steady = *TraceGenerator::Create(BaseOptions("pretrain-steady"));
-  const auto steady_series = ShareSeries(&steady, 250);
-  RunningStat shift_adjacent, steady_adjacent;
-  for (int s = 160; s + 1 < 250; ++s) {
-    shift_adjacent.Add(
-        L1(series[static_cast<size_t>(s)], series[static_cast<size_t>(s + 1)]));
-    steady_adjacent.Add(L1(steady_series[static_cast<size_t>(s)],
-                           steady_series[static_cast<size_t>(s + 1)]));
+    // And the regime is steady again after the shift: no lingering jump.
+    TraceGeneratorOptions steady_opts = BaseOptions("pretrain-steady");
+    steady_opts.seed = o.seed;
+    auto steady = *TraceGenerator::Create(steady_opts);
+    const auto steady_series = ShareSeries(&steady, 250);
+    RunningStat shift_adjacent, steady_adjacent;
+    for (int s = 160; s + 1 < 250; ++s) {
+      shift_adjacent.Add(L1(series[static_cast<size_t>(s)],
+                            series[static_cast<size_t>(s + 1)]));
+      steady_adjacent.Add(L1(steady_series[static_cast<size_t>(s)],
+                             steady_series[static_cast<size_t>(s + 1)]));
+    }
+    EXPECT_LT(shift_adjacent.mean(), 2.0 * steady_adjacent.mean())
+        << "seed " << o.seed;
   }
-  EXPECT_LT(shift_adjacent.mean(), 2.0 * steady_adjacent.mean());
+  // Without a shift the ratio is about 1 (the windows are equally far
+  // apart); with it, the median over seeds reads 2.3-3.5.
+  EXPECT_GT(Median(l1_ratio), 2.0);
 }
 
 /// Removes the slow OU drift: each sample minus its centered 21-step
@@ -249,31 +280,6 @@ std::vector<double> Detrend(const std::vector<double>& v) {
 }
 
 TEST(BurstyTest, HotExpertSharesAreHeavyTailed) {
-  TraceGeneratorOptions steady_opts = BaseOptions("pretrain-steady");
-  steady_opts.seed = 13;
-  TraceGeneratorOptions bursty_opts = BaseOptions("bursty");
-  bursty_opts.seed = 13;
-  auto steady = *TraceGenerator::Create(steady_opts);
-  auto bursty = *TraceGenerator::Create(bursty_opts);
-  const int kSteps = 800;
-  const auto steady_series = ShareSeries(&steady, kSteps);
-  const auto bursty_series = ShareSeries(&bursty, kSteps);
-
-  std::vector<double> steady_top, bursty_top;
-  for (int s = 0; s < kSteps; ++s) {
-    steady_top.push_back(*std::max_element(
-        steady_series[static_cast<size_t>(s)].begin(),
-        steady_series[static_cast<size_t>(s)].end()));
-    bursty_top.push_back(*std::max_element(
-        bursty_series[static_cast<size_t>(s)].begin(),
-        bursty_series[static_cast<size_t>(s)].end()));
-  }
-  // Transient spikes: after removing the slow drift both regimes share,
-  // the bursty top-expert share keeps rare large excursions — much higher
-  // excess kurtosis and a farther extreme relative to its own noise floor.
-  const std::vector<double> steady_fast = Detrend(steady_top);
-  const std::vector<double> bursty_fast = Detrend(bursty_top);
-  EXPECT_GT(ExcessKurtosis(bursty_fast), ExcessKurtosis(steady_fast) + 2.5);
   const auto max_over_sd = [](const std::vector<double>& v) {
     const double mean = Mean(v);
     double m2 = 0.0, mx = -1e30;
@@ -283,7 +289,42 @@ TEST(BurstyTest, HotExpertSharesAreHeavyTailed) {
     }
     return mx / std::sqrt(m2 / static_cast<double>(v.size()));
   };
-  EXPECT_GT(max_over_sd(bursty_fast), max_over_sd(steady_fast) + 1.0);
+  std::vector<double> kurtosis_gain, extreme_gain;
+  for (uint64_t i = 0; i < kSeeds; ++i) {
+    TraceGeneratorOptions steady_opts = BaseOptions("pretrain-steady");
+    steady_opts.seed = 13 + i;
+    TraceGeneratorOptions bursty_opts = BaseOptions("bursty");
+    bursty_opts.seed = 13 + i;
+    auto steady = *TraceGenerator::Create(steady_opts);
+    auto bursty = *TraceGenerator::Create(bursty_opts);
+    const int kSteps = 800;
+    const auto steady_series = ShareSeries(&steady, kSteps);
+    const auto bursty_series = ShareSeries(&bursty, kSteps);
+
+    std::vector<double> steady_top, bursty_top;
+    for (int s = 0; s < kSteps; ++s) {
+      steady_top.push_back(*std::max_element(
+          steady_series[static_cast<size_t>(s)].begin(),
+          steady_series[static_cast<size_t>(s)].end()));
+      bursty_top.push_back(*std::max_element(
+          bursty_series[static_cast<size_t>(s)].begin(),
+          bursty_series[static_cast<size_t>(s)].end()));
+    }
+    // Transient spikes: after removing the slow drift both regimes share,
+    // the bursty top-expert share keeps rare large excursions — higher
+    // excess kurtosis and a farther extreme relative to its own noise
+    // floor.
+    const std::vector<double> steady_fast = Detrend(steady_top);
+    const std::vector<double> bursty_fast = Detrend(bursty_top);
+    kurtosis_gain.push_back(ExcessKurtosis(bursty_fast) -
+                            ExcessKurtosis(steady_fast));
+    extreme_gain.push_back(max_over_sd(bursty_fast) -
+                           max_over_sd(steady_fast));
+  }
+  // Two steady runs score medians near 0 on both (-0.8..0.1 and
+  // -0.3..0); bursty scores 2.2-3.1 and 0.6-1.6.
+  EXPECT_GT(Median(kurtosis_gain), 1.5);
+  EXPECT_GT(Median(extreme_gain), 0.3);
 }
 
 TEST(DiurnalTest, SharesArePeriodicAtConfiguredPeriod) {
