@@ -147,7 +147,6 @@ Status StaticLayoutOptions::Validate() const {
   if (!std::isfinite(capacity_factor)) {
     return Status::InvalidArgument("capacity_factor must be finite");
   }
-  FLEXMOE_RETURN_IF_ERROR(elastic.Validate());
   FLEXMOE_RETURN_IF_ERROR(pipeline.Validate());
   return Status::OK();
 }
@@ -255,10 +254,8 @@ Result<std::unique_ptr<StaticLayoutSystem>> StaticLayoutSystem::Create(
       Placement placement,
       FixedExpertParallelPlacement(options.model.num_experts,
                                    options.num_gpus));
-  StaticLayoutOptions o = options;
-  o.elastic.elastic = false;  // static layout: restart + failover
   return std::unique_ptr<StaticLayoutSystem>(
-      new StaticLayoutSystem(o, topo, profile, std::move(placement)));
+      new StaticLayoutSystem(options, topo, profile, std::move(placement)));
 }
 
 StaticLayoutSystem::StaticLayoutSystem(const StaticLayoutOptions& options,
@@ -268,7 +265,7 @@ StaticLayoutSystem::StaticLayoutSystem(const StaticLayoutOptions& options,
     : options_(options),
       profile_(profile),
       cluster_(topo),
-      elastic_(options.num_gpus, topo, options.elastic),
+      elastic_(options.num_gpus, topo, RepairMode::kRestart),
       placement_(std::move(placement)),
       step_executor_(&cluster_, profile, options.model) {
   step_executor_.set_cluster_health(&elastic_.health());

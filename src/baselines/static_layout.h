@@ -48,8 +48,6 @@ struct StaticLayoutOptions {
   /// Per-expert capacity factor of kCapacity; <= 0 disables capacity (no
   /// dropping). Must be finite.
   double capacity_factor = 1.0;
-  /// Fault handling (static: checkpoint restart + failover).
-  ElasticControllerOptions elastic;
   /// Forward-pass chunked overlap (core/step_executor.h); shared by all
   /// systems so pipelining comparisons hold the executor semantics fixed.
   PipelineOptions pipeline;

@@ -11,13 +11,6 @@ ByteMatrix MakeByteMatrix(int num_gpus) {
   return ByteMatrix(num_gpus, num_gpus, 0.0);
 }
 
-double TotalBytes(const ByteMatrix& bytes) {
-  double total = 0.0;
-  const double* flat = bytes.data();
-  for (size_t i = 0; i < bytes.element_count(); ++i) total += flat[i];
-  return total;
-}
-
 double A2AReceiverSeconds(const ByteMatrix& bytes, GpuId dst,
                           const HardwareProfile& profile) {
   // Pure bandwidth serialization, exactly the paper's Eq. 8 inner sum:
@@ -59,16 +52,6 @@ double A2ASecondsAnalytic(const ByteMatrix& bytes,
   }
   // Pipeline fill + drain: one latency at each end of the phase.
   return worst + 2.0 * max_lat;
-}
-
-double AllReduceSecondsAnalytic(double bytes, const std::vector<GpuId>& group,
-                                const HardwareProfile& profile) {
-  return profile.AllReduceSeconds(bytes, group);
-}
-
-double P2pSecondsAnalytic(double bytes, GpuId src, GpuId dst,
-                          const HardwareProfile& profile) {
-  return profile.P2pSeconds(bytes, src, dst);
 }
 
 }  // namespace flexmoe

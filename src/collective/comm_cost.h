@@ -6,8 +6,6 @@
 #ifndef FLEXMOE_COLLECTIVE_COMM_COST_H_
 #define FLEXMOE_COLLECTIVE_COMM_COST_H_
 
-#include <vector>
-
 #include "topology/profile.h"
 #include "util/matrix.h"
 
@@ -20,9 +18,6 @@ using ByteMatrix = Matrix<double>;
 
 /// \brief Allocates a zeroed G x G byte matrix.
 ByteMatrix MakeByteMatrix(int num_gpus);
-
-/// \brief Total bytes in the exchange.
-double TotalBytes(const ByteMatrix& bytes);
 
 /// \brief Receiver-side serialization time at GPU `dst`:
 /// sum over sources of bytes/Bw (the inner sum of paper Eq. 8).
@@ -37,15 +32,6 @@ double A2ASenderSeconds(const ByteMatrix& bytes, GpuId src,
 /// and receive-side serialization. Latency is charged once per non-empty
 /// peer message.
 double A2ASecondsAnalytic(const ByteMatrix& bytes,
-                          const HardwareProfile& profile);
-
-/// \brief Analytic AllReduce time (delegates to the profile so that
-/// calibrated per-group fits are honoured).
-double AllReduceSecondsAnalytic(double bytes, const std::vector<GpuId>& group,
-                                const HardwareProfile& profile);
-
-/// \brief Analytic point-to-point transfer time.
-double P2pSecondsAnalytic(double bytes, GpuId src, GpuId dst,
                           const HardwareProfile& profile);
 
 }  // namespace flexmoe

@@ -7,6 +7,13 @@
 
 namespace flexmoe {
 
+namespace {
+
+/// Message sizes (bytes) probed for the P2P and AllReduce fits.
+constexpr double kMessageBytes[] = {1 << 16, 1 << 20, 16 << 20, 64 << 20};
+
+}  // namespace
+
 LinearCost FitLinear(const std::vector<double>& xs,
                      const std::vector<double>& ys) {
   FLEXMOE_CHECK(xs.size() == ys.size());
@@ -34,9 +41,6 @@ LinearCost FitLinear(const std::vector<double>& xs,
 Status ProfilerOptions::Validate() const {
   if (compute_tokens.size() < 2) {
     return Status::InvalidArgument("need >= 2 compute probe sizes");
-  }
-  if (message_bytes.size() < 2) {
-    return Status::InvalidArgument("need >= 2 message probe sizes");
   }
   if (max_group_size < 2) {
     return Status::InvalidArgument("max_group_size must be >= 2");
@@ -99,7 +103,7 @@ void Profiler::CalibrateLinks(HardwareProfile* p) const {
     ClusterState cluster(topo_);
     std::vector<double> xs, ys;
     double t = 0.0;
-    for (double bytes : options_.message_bytes) {
+    for (double bytes : kMessageBytes) {
       const CollectiveResult r =
           ExecP2p(&cluster, *p, bytes, probe.src, probe.dst, t);
       xs.push_back(bytes);
@@ -123,7 +127,7 @@ void Profiler::CalibrateAllReduce(HardwareProfile* p) const {
       ClusterState cluster(topo_);
       std::vector<double> xs, ys;
       double t = 0.0;
-      for (double bytes : options_.message_bytes) {
+      for (double bytes : kMessageBytes) {
         const CollectiveResult r =
             ExecRingAllReduce(&cluster, *p, bytes, group, t);
         xs.push_back(bytes);

@@ -26,8 +26,6 @@ LinearCost FitLinear(const std::vector<double>& xs,
 struct ProfilerOptions {
   /// Token counts probed for the compute (TPS) fit.
   std::vector<double> compute_tokens = {256, 1024, 4096, 16384};
-  /// Message sizes (bytes) probed for P2P and AllReduce fits.
-  std::vector<double> message_bytes = {1 << 16, 1 << 20, 16 << 20, 64 << 20};
   /// Largest replica-group size to pre-profile for AllReduce (the paper
   /// enumerates device groups before training).
   int max_group_size = 16;

@@ -6,17 +6,19 @@
 
 namespace flexmoe {
 
+namespace {
+
+/// Resync threshold: if a layer's pending-op queue exceeds this, stale
+/// plans are dropped and the target placement resyncs to the live one.
+constexpr size_t kMaxPendingOps = 64;
+
+}  // namespace
+
 Status FlexMoEOptions::Validate() const {
   FLEXMOE_RETURN_IF_ERROR(model.Validate());
   if (num_gpus <= 0) return Status::InvalidArgument("num_gpus <= 0");
   FLEXMOE_RETURN_IF_ERROR(scheduler.Validate());
   FLEXMOE_RETURN_IF_ERROR(policy.Validate());
-  FLEXMOE_RETURN_IF_ERROR(executor.Validate());
-  FLEXMOE_RETURN_IF_ERROR(group_cache.Validate());
-  if (max_pending_ops <= 0) {
-    return Status::InvalidArgument("max_pending_ops must be > 0");
-  }
-  FLEXMOE_RETURN_IF_ERROR(elastic.Validate());
   FLEXMOE_RETURN_IF_ERROR(pipeline.Validate());
   return Status::OK();
 }
@@ -41,7 +43,7 @@ Result<std::unique_ptr<FlexMoESystem>> FlexMoESystem::Create(
     initial.push_back(std::move(p));
   }
   FLEXMOE_ASSIGN_OR_RETURN(NcclGroupCache cache,
-                           NcclGroupCache::Create(options.group_cache));
+                           NcclGroupCache::Create(NcclGroupCache::Options{}));
 
   return std::unique_ptr<FlexMoESystem>(new FlexMoESystem(
       options, topo, profile, std::move(cache), std::move(initial)));
@@ -56,21 +58,10 @@ FlexMoESystem::FlexMoESystem(const FlexMoEOptions& options,
       topo_(topo),
       profile_(profile),
       cluster_(topo),
-      elastic_(options.num_gpus, topo,
-               [&options] {
-                 ElasticControllerOptions o = options.elastic;
-                 o.elastic = true;  // FlexMoE always drains, never restarts
-                 return o;
-               }()),
+      elastic_(options.num_gpus, topo, RepairMode::kDrain),
       cost_model_(profile, ShapeFromModel(options.model)),
       policy_maker_(&cost_model_, options.policy),
-      scheduler_(&policy_maker_,
-                 [&options] {
-                   SchedulerOptions o = options.scheduler;
-                   // Auto-K: every trigger also re-plans the chunk depth.
-                   if (options.pipeline.chunks == 0) o.plan_chunk_depth = true;
-                   return o;
-                 }()),
+      scheduler_(&policy_maker_, options.scheduler),
       group_cache_(std::move(group_cache)),
       step_executor_(&cluster_, profile, options.model),
       live_(initial),
@@ -312,7 +303,7 @@ StepMetrics FlexMoESystem::RunStepImpl(
   //    dropped and the target resyncs to the live state).
   for (int l = 0; l < num_layers; ++l) {
     auto& executor = executors_[static_cast<size_t>(l)];
-    if (static_cast<int>(executor.pending_ops()) > options_.max_pending_ops) {
+    if (executor.pending_ops() > kMaxPendingOps) {
       executor.ClearPending();
       target_[static_cast<size_t>(l)] = live_[static_cast<size_t>(l)];
       continue;  // re-plan from the fresh state next step

@@ -30,12 +30,6 @@ struct FlexMoEOptions {
   SchedulerOptions scheduler;
   PolicyMakerOptions policy;
   ExecutorOptions executor;
-  NcclGroupCache::Options group_cache;
-  /// Resync threshold: if a layer's pending-op queue exceeds this, stale
-  /// plans are dropped and the target placement resyncs to the live one.
-  int max_pending_ops = 64;
-  /// Fault handling (elastic drain; FlexMoE never restarts).
-  ElasticControllerOptions elastic;
   /// Chunked A2A/compute overlap (core/step_executor.h). Placement
   /// planning always scores at K = 1 regardless of this depth, by the
   /// same combiner rule that scores every depth (DESIGN.md §12.2).

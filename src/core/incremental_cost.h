@@ -163,7 +163,8 @@ class LayerCostState {
   /// The heaviest single cross-node link into `node`: max over source
   /// nodes src != node of the tokens flowing src -> node. The aggregate
   /// inflow above can hide one saturated link behind several idle ones;
-  /// this is the objective PolicyMakerOptions::max_link_objective adds.
+  /// the planner's hierarchical-profile expand tie-break ranks by this
+  /// first.
   /// O(nodes).
   int64_t max_cross_link_into(NodeId node) const {
     const int num_nodes = static_cast<int>(node_inflow_.size());

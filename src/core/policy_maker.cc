@@ -21,14 +21,9 @@ constexpr double kPruneMargin = 8 * std::numeric_limits<double>::epsilon();
 }  // namespace
 
 Status PolicyMakerOptions::Validate() const {
-  if (min_improvement_frac < 0.0 || min_improvement_frac >= 1.0) {
+  if (!std::isfinite(min_improvement_frac) || min_improvement_frac < 0.0 ||
+      min_improvement_frac >= 1.0) {
     return Status::InvalidArgument("min_improvement_frac out of range");
-  }
-  if (min_migration_gain_sec < 0.0) {
-    return Status::InvalidArgument("min_migration_gain_sec < 0");
-  }
-  if (max_hot_candidates < 1) {
-    return Status::InvalidArgument("max_hot_candidates must be >= 1");
   }
   return Status::OK();
 }
@@ -82,8 +77,7 @@ std::vector<ModOp> PolicyMaker::PlanOnState(LayerCostState* state,
     return caps[static_cast<size_t>(a)] > caps[static_cast<size_t>(b)];
   });
   const int hot_count =
-      std::min(options_.max_hot_candidates,
-               static_cast<int>(order.size()));
+      std::min(kMaxHotCandidates, static_cast<int>(order.size()));
 
   double best_score = std::numeric_limits<double>::infinity();
   int best_hot = -1, best_cold = -1;
@@ -95,8 +89,7 @@ std::vector<ModOp> PolicyMaker::PlanOnState(LayerCostState* state,
   std::vector<int> cold_candidates;
   for (auto it = order.rbegin(); it != order.rend(); ++it) {
     if (placement.VExperts(*it) >= 2) cold_candidates.push_back(*it);
-    if (static_cast<int>(cold_candidates.size()) >=
-        options_.max_hot_candidates) {
+    if (static_cast<int>(cold_candidates.size()) >= kMaxHotCandidates) {
       break;
     }
   }
@@ -117,6 +110,9 @@ std::vector<ModOp> PolicyMaker::PlanOnState(LayerCostState* state,
   // at entry depth; the shrinks below touch only cold experts, and cold
   // != hot for every candidate, so the hot experts' hosts never change.
   const Topology& topo = cost_model_->profile().topology();
+  // Hierarchical A2A estimation (the large-EP regime) selects the
+  // cross-link tie-break on expand destinations (header comment).
+  const bool hierarchical = cost_model_->profile().hierarchical_a2a();
   std::vector<std::set<NodeId>> hot_nodes(hots.size());
   for (size_t hi = 0; hi < hots.size(); ++hi) {
     for (GpuId h : placement.HostGpus(hots[hi])) {
@@ -185,23 +181,20 @@ std::vector<ModOp> PolicyMaker::PlanOnState(LayerCostState* state,
         // Node-local to the hot expert's replicas first, then cheapest
         // loads.
         candidates = free_gpus;
-        if (options_.topology_aware_expansion) {
+        if (hierarchical) {
           std::sort(candidates.begin(), candidates.end(),
                     [&](GpuId a, GpuId b) {
                       const bool la = local_nodes.count(topo.NodeOf(a)) > 0;
                       const bool lb = local_nodes.count(topo.NodeOf(b)) > 0;
                       if (la != lb) return la;
-                      // With the max-link objective, the heaviest single
-                      // inbound link ranks first: one saturated link
-                      // bounds the A2A phase even when the node's
-                      // aggregate inflow is moderate.
-                      if (options_.max_link_objective) {
-                        const int64_t ma =
-                            state->max_cross_link_into(topo.NodeOf(a));
-                        const int64_t mb =
-                            state->max_cross_link_into(topo.NodeOf(b));
-                        if (ma != mb) return ma < mb;
-                      }
+                      // The heaviest single inbound link ranks first: one
+                      // saturated link bounds the A2A phase even when the
+                      // node's aggregate inflow is moderate.
+                      const int64_t ma =
+                          state->max_cross_link_into(topo.NodeOf(a));
+                      const int64_t mb =
+                          state->max_cross_link_into(topo.NodeOf(b));
+                      if (ma != mb) return ma < mb;
                       // Prefer the node with the lightest cross-link
                       // inbound load: the new replica will pull remote
                       // tokens onto its node, so land it where the
@@ -410,7 +403,7 @@ std::vector<ModOp> PolicyMaker::PlanMigrations(const Placement& placement,
 
   for (int move = 0; move < max_moves; ++move) {
     const double base = total_substituting(-1, 0.0, -1, 0.0);
-    double best_gain = options_.min_migration_gain_sec;
+    double best_gain = kMinMigrationGainSec;
     ModOp best_op;
     bool found = false;
 

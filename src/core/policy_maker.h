@@ -13,7 +13,13 @@
 //    shrinkage ties;
 //  * which GPU receives the hot expert's new vExpert — every GPU with a
 //    free slot is evaluated through the cost model and the best one wins
-//    (GPUs already hosting the expert cost nothing to expand onto).
+//    (GPUs already hosting the expert cost nothing to expand onto);
+//  * the order bounded expand candidates are tried in — node-local to the
+//    hot expert first. The hardware profile selects the tie-break: with
+//    hierarchical A2A estimation (the large-EP regime, DESIGN.md Section
+//    10) node-local ties rank by the heaviest single inbound cross-node
+//    link, then the node's aggregate cross-node inflow, then GPU load
+//    (SNIPPETS.md Snippets 2-3); on a flat profile by GPU load alone.
 
 #ifndef FLEXMOE_CORE_POLICY_MAKER_H_
 #define FLEXMOE_CORE_POLICY_MAKER_H_
@@ -36,13 +42,6 @@ struct PolicyMakerOptions {
   /// (<= 0 evaluates all GPUs with free slots). Bounded by default: each
   /// candidate costs a full routing + Eq. 5 evaluation.
   int max_expand_candidates = 4;
-  /// Experts considered for expansion per plan, hottest first. Evaluating
-  /// a few near-ties instead of only the argmax (the paper's literal
-  /// Alg. 2) prevents stalls when two hot experts bottleneck different
-  /// GPUs.
-  int max_hot_candidates = 3;
-  /// Improvement (seconds) a migration must deliver to be emitted.
-  double min_migration_gain_sec = 1e-5;
 
   /// Serving objective (DESIGN.md Section 8): optimize the forward
   /// latency of a microbatch instead of the training step time. With no
@@ -52,25 +51,6 @@ struct PolicyMakerOptions {
   /// by spreading hot experts far more aggressively than it would when
   /// every replica keeps paying sync.
   bool serve_objective = false;
-
-  /// Topology-aware expand-destination ordering (DESIGN.md Section 10):
-  /// among equally node-local candidates, prefer destinations on the node
-  /// with the lowest cross-node token inflow — minimizing the max
-  /// cross-link load instead of only the per-GPU compute load
-  /// (SNIPPETS.md Snippets 2-3). Off by default: candidate ordering (and
-  /// therefore the emitted plans) stays byte-identical to the pre-
-  /// hierarchical planner.
-  bool topology_aware_expansion = false;
-
-  /// Score expand destinations by the max per-cross-link token load
-  /// (LayerCostState::max_cross_link_into) ahead of the aggregate
-  /// cross-node inflow: one saturated inter-node link bounds the A2A
-  /// phase even when the node's total inflow looks moderate, so among
-  /// node-local ties the planner lands replicas where the heaviest single
-  /// link has headroom. Only meaningful with topology_aware_expansion;
-  /// off by default so candidate ordering — and the emitted plans — stay
-  /// byte-identical.
-  bool max_link_objective = false;
 
   Status Validate() const;
 };
@@ -96,6 +76,14 @@ struct PlanSearchStats {
 /// \brief Implements Algorithm 2 plus background migration planning.
 class PolicyMaker {
  public:
+  /// Experts considered for expansion per plan, hottest first (and cold
+  /// experts for shrinking, coldest first). Evaluating a few near-ties
+  /// instead of only the argmax (the paper's literal Alg. 2) prevents
+  /// stalls when two hot experts bottleneck different GPUs.
+  static constexpr int kMaxHotCandidates = 3;
+  /// Improvement (seconds) a migration must deliver to be emitted.
+  static constexpr double kMinMigrationGainSec = 1e-5;
+
   PolicyMaker(const CostModel* cost_model, const PolicyMakerOptions& options);
 
   /// Installs the dynamic-membership view (nullable). With health set, the

@@ -1,5 +1,7 @@
 #include "core/scheduler.h"
 
+#include <cmath>
+
 #include "core/balance.h"
 
 namespace flexmoe {
@@ -25,11 +27,13 @@ const char* TriggerPolicyName(TriggerPolicy p) {
 }
 
 Status SchedulerOptions::Validate() const {
-  if (threshold < 1.0) {
-    return Status::InvalidArgument("balance-ratio threshold must be >= 1");
+  if (!std::isfinite(threshold) || threshold < 1.0) {
+    return Status::InvalidArgument(
+        "balance-ratio threshold must be finite and >= 1");
   }
-  if (variance_threshold < 0.0) {
-    return Status::InvalidArgument("variance_threshold must be >= 0");
+  if (!std::isfinite(variance_threshold) || variance_threshold < 0.0) {
+    return Status::InvalidArgument(
+        "variance_threshold must be finite and >= 0");
   }
   if (static_interval_steps <= 0) {
     return Status::InvalidArgument("static_interval_steps must be > 0");
@@ -40,13 +44,13 @@ Status SchedulerOptions::Validate() const {
   if (max_migrations < 0) {
     return Status::InvalidArgument("max_migrations must be >= 0");
   }
-  if (max_evacuations < 0) {
-    return Status::InvalidArgument("max_evacuations must be >= 0");
-  }
   return Status::OK();
 }
 
 namespace {
+
+/// Migrate-away ops planned per trigger while some device is degraded.
+constexpr int kMaxEvacuations = 8;
 
 const CostModel* CostModelOf(const PolicyMaker* policy_maker) {
   FLEXMOE_CHECK(policy_maker != nullptr);
@@ -133,10 +137,9 @@ SchedulerDecision Scheduler::OnStep(int64_t step,
   // Migrate-away first: vExpert capacity parked on degraded devices
   // throttles every expert partition that includes it, so evacuation
   // precedes balance planning.
-  if (health_ != nullptr && health_->AnyDegraded() &&
-      options_.max_evacuations > 0) {
+  if (health_ != nullptr && health_->AnyDegraded()) {
     const std::vector<ModOp> evac =
-        policy_maker_->PlanEvacuation(*target, options_.max_evacuations);
+        policy_maker_->PlanEvacuation(*target, kMaxEvacuations);
     for (const ModOp& op : evac) {
       FLEXMOE_CHECK_OK(ApplyOp(op, target));
       decision.ops.push_back(op);
@@ -199,7 +202,7 @@ SchedulerDecision Scheduler::OnStep(int64_t step,
   // the plan loop's incremental state when a round ran; a trigger that
   // never reached the loop (dynamic policy already under threshold) pays
   // the one cost build here — still once per trigger, never per step.
-  if (options_.plan_chunk_depth) {
+  if (chunk_incumbent > 0) {
     ensure_costs();
     decision.pipeline_chunks = plan_state_.BestChunkDepth(chunk_incumbent);
   }

@@ -43,18 +43,6 @@ struct SchedulerOptions {
   /// Background migrations planned per trigger (0 disables Migrate).
   int max_migrations = 4;
 
-  /// Migrate-away ops planned per trigger while some device is degraded
-  /// (0 disables evacuation).
-  int max_evacuations = 8;
-
-  /// Auto-K (DESIGN.md §12): on every triggered invocation, evaluate the
-  /// chunk-depth candidates against the planned placement's cached Eq. 5
-  /// partials and publish the argmin as SchedulerDecision::pipeline_chunks.
-  /// Off by default — the decision struct then reports 0 (no
-  /// recommendation) and the scheduler is byte-identical to the static-K
-  /// configuration.
-  bool plan_chunk_depth = false;
-
   Status Validate() const;
 };
 
@@ -78,8 +66,8 @@ struct SchedulerDecision {
   /// when no plan was accepted).
   double est_score_after = 0.0;
   /// Recommended pipeline chunk depth for this layer under the planned
-  /// placement (SchedulerOptions::plan_chunk_depth); 0 = no
-  /// recommendation (option off or the invocation did not trigger).
+  /// placement (auto-K, see OnStep's `chunk_incumbent`); 0 = no
+  /// recommendation (fixed K, or the invocation did not trigger).
   int pipeline_chunks = 0;
   /// Ops in dependency order, ready for the PlacementExecutor.
   std::vector<ModOp> ops;
@@ -105,10 +93,11 @@ class Scheduler {
   /// `force_trigger` bypasses the metric threshold (used by the elastic
   /// controller on the boundary where cluster events fired).
   /// `chunk_incumbent` is the chunk depth the layer currently executes
-  /// with under auto-K, if that depth came from an earlier recommendation
-  /// of this scheduler: the depth plan engages BestChunkDepth's switching
-  /// hysteresis against it. 0 = no incumbent (first plan for the layer, or
-  /// depth planning disabled) — the recommendation is the raw argmin.
+  /// with under auto-K (DESIGN.md §12), always >= 1: a triggered
+  /// invocation then also evaluates the chunk-depth candidates against the
+  /// planned placement's cached Eq. 5 partials and publishes the argmin,
+  /// with BestChunkDepth's switching hysteresis against the incumbent, as
+  /// SchedulerDecision::pipeline_chunks. 0 = fixed K: no depth plan.
   SchedulerDecision OnStep(int64_t step, const Assignment& assignment,
                            Placement* target, bool force_trigger = false,
                            int chunk_incumbent = 0);

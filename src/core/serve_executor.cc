@@ -12,17 +12,20 @@ namespace flexmoe {
 
 Status ServingOptions::Validate() const {
   if (!enabled) return Status::OK();
-  if (arrival_rate_rps <= 0.0) {
-    return Status::InvalidArgument("serving.arrival_rate_rps must be > 0");
+  if (!std::isfinite(arrival_rate_rps) || arrival_rate_rps <= 0.0) {
+    return Status::InvalidArgument(
+        "serving.arrival_rate_rps must be finite and > 0");
   }
   if (tokens_per_request <= 0) {
     return Status::InvalidArgument("serving.tokens_per_request must be > 0");
   }
-  if (slo_seconds <= 0.0) {
-    return Status::InvalidArgument("serving.slo_seconds must be > 0");
+  if (!std::isfinite(slo_seconds) || slo_seconds <= 0.0) {
+    return Status::InvalidArgument(
+        "serving.slo_seconds must be finite and > 0");
   }
-  if (batch_window_seconds <= 0.0) {
-    return Status::InvalidArgument("serving.batch_window_seconds must be > 0");
+  if (!std::isfinite(batch_window_seconds) || batch_window_seconds <= 0.0) {
+    return Status::InvalidArgument(
+        "serving.batch_window_seconds must be finite and > 0");
   }
   if (max_batch_tokens < 0) {
     return Status::InvalidArgument("serving.max_batch_tokens must be >= 0");

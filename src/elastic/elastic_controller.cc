@@ -4,25 +4,22 @@
 
 namespace flexmoe {
 
-Status ElasticControllerOptions::Validate() const {
-  if (restart_seconds < 0.0) {
-    return Status::InvalidArgument("restart_seconds < 0");
-  }
-  if (checkpoint_bytes_per_sec <= 0.0) {
-    return Status::InvalidArgument("checkpoint_bytes_per_sec <= 0");
-  }
-  return Status::OK();
-}
+namespace {
+
+/// Restart penalty a static system pays per membership change (checkpoint
+/// load, process re-spawn, communicator re-bootstrap).
+constexpr double kRestartSeconds = 30.0;
+/// Checkpoint-store read bandwidth for re-materializing lost expert
+/// states.
+constexpr double kCheckpointBytesPerSec = 2e9;
+
+}  // namespace
 
 ElasticController::ElasticController(int num_gpus, const Topology* topo,
-                                     const ElasticControllerOptions& options)
-    : num_gpus_(num_gpus),
-      topo_(topo),
-      options_(options),
-      health_(num_gpus) {
+                                     RepairMode mode)
+    : num_gpus_(num_gpus), topo_(topo), mode_(mode), health_(num_gpus) {
   FLEXMOE_CHECK(topo != nullptr);
   FLEXMOE_CHECK(topo->num_gpus() == num_gpus);
-  FLEXMOE_CHECK_OK(options.Validate());
 }
 
 Status ElasticController::InstallPlan(const FaultPlan& plan) {
@@ -103,7 +100,7 @@ ElasticController::StepReport ElasticController::OnStepBoundary(
     return report;
   }
 
-  if (options_.elastic) {
+  if (mode_ == RepairMode::kDrain) {
     // A join brings empty slots, not state: any tombstone replica parked
     // on the rejoining device (an orphan that could not be restored
     // elsewhere) must be re-read from the checkpoint store now.
@@ -114,7 +111,7 @@ ElasticController::StepReport ElasticController::OnStepBoundary(
             static_cast<int>(p->ExpertsOn(e.gpu).size());
         report.experts_restored += tombstones;
         report.recovery_seconds += tombstones * expert_state_bytes /
-                                   options_.checkpoint_bytes_per_sec;
+                                   kCheckpointBytesPerSec;
       }
     }
     // Elastic drain (best effort): replicas cover most losses; only
@@ -127,13 +124,13 @@ ElasticController::StepReport ElasticController::OnStepBoundary(
       report.experts_restored += drained->experts_restored;
       report.orphaned_experts += drained->orphaned_experts;
       report.recovery_seconds +=
-          drained->restore_bytes / options_.checkpoint_bytes_per_sec;
+          drained->restore_bytes / kCheckpointBytesPerSec;
     }
   } else {
     // Static failover: the whole job restarts from the checkpoint; each
     // dead device's experts reload onto its failover peer (or back onto
     // their home device once it rejoins).
-    report.recovery_seconds += options_.restart_seconds;
+    report.recovery_seconds += kRestartSeconds;
     for (size_t i = 0; i < placements.size(); ++i) {
       const Result<Placement> repaired =
           FailoverPlacement(baseline_[i], health_, *topo_);
@@ -149,8 +146,7 @@ ElasticController::StepReport ElasticController::OnStepBoundary(
           moved_bytes += expert_state_bytes;
         }
       }
-      report.recovery_seconds +=
-          moved_bytes / options_.checkpoint_bytes_per_sec;
+      report.recovery_seconds += moved_bytes / kCheckpointBytesPerSec;
       *placements[i] = *repaired;
     }
   }

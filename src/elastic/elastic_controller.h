@@ -32,26 +32,18 @@
 
 namespace flexmoe {
 
-/// \brief Controller configuration.
-struct ElasticControllerOptions {
-  /// Elastic repair (drain + continue) vs. static repair (restart +
-  /// failover).
-  bool elastic = true;
-  /// Restart penalty a static system pays per membership change (checkpoint
-  /// load, process re-spawn, communicator re-bootstrap).
-  double restart_seconds = 30.0;
-  /// Checkpoint-store read bandwidth for re-materializing lost expert
-  /// states.
-  double checkpoint_bytes_per_sec = 2e9;
-
-  Status Validate() const;
+/// \brief How the controller repairs a membership change.
+enum class RepairMode {
+  /// Elastic drain + continue (FlexMoE).
+  kDrain,
+  /// Checkpoint restart + failover (static layouts).
+  kRestart,
 };
 
 /// \brief Drives fault handling for one training system.
 class ElasticController {
  public:
-  ElasticController(int num_gpus, const Topology* topo,
-                    const ElasticControllerOptions& options);
+  ElasticController(int num_gpus, const Topology* topo, RepairMode mode);
 
   /// Arms the controller with a plan; resets health to all-healthy and
   /// forgets any previously captured placement baseline.
@@ -116,7 +108,7 @@ class ElasticController {
 
   int num_gpus_;
   const Topology* topo_;
-  ElasticControllerOptions options_;
+  RepairMode mode_;
   ClusterHealth health_;
   std::unique_ptr<FaultScheduler> scheduler_;
   std::vector<Placement> baseline_;  ///< pre-fault layouts (static repair)

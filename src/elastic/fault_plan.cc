@@ -1,6 +1,7 @@
 #include "elastic/fault_plan.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "util/rng.h"
 #include "util/string_util.h"
@@ -49,14 +50,18 @@ Status FaultPlanOptions::Validate() const {
   if (scenario != "none") {
     if (fault_step < 0) return Status::InvalidArgument("fault_step < 0");
     if (gpu >= num_gpus) return Status::InvalidArgument("gpu out of range");
-    if (compute_multiplier < 1.0 || bandwidth_multiplier < 1.0) {
-      return Status::InvalidArgument("slowdown multipliers must be >= 1");
+    if (!std::isfinite(compute_multiplier) || compute_multiplier < 1.0 ||
+        !std::isfinite(bandwidth_multiplier) || bandwidth_multiplier < 1.0) {
+      return Status::InvalidArgument(
+          "slowdown multipliers must be finite and >= 1");
     }
   }
   if (scenario == "random") {
     if (horizon_steps <= 0) return Status::InvalidArgument("horizon_steps <= 0");
-    if (fail_rate_per_step < 0.0 || straggle_rate_per_step < 0.0) {
-      return Status::InvalidArgument("event rates must be >= 0");
+    if (!std::isfinite(fail_rate_per_step) || fail_rate_per_step < 0.0 ||
+        !std::isfinite(straggle_rate_per_step) ||
+        straggle_rate_per_step < 0.0) {
+      return Status::InvalidArgument("event rates must be finite and >= 0");
     }
     if (mean_outage_steps <= 0 || mean_straggle_steps <= 0) {
       return Status::InvalidArgument("mean event durations must be > 0");

@@ -21,18 +21,4 @@ std::vector<FaultEvent> FaultScheduler::AdvanceTo(int64_t step,
   return applied;
 }
 
-void FaultScheduler::InstallOn(SimEngine* engine, double seconds_per_step,
-                               ClusterHealth* health) {
-  FLEXMOE_CHECK(engine != nullptr && health != nullptr);
-  FLEXMOE_CHECK(seconds_per_step > 0.0);
-  const std::vector<FaultEvent>& events = plan_.events();
-  for (; next_ < events.size(); ++next_) {
-    const FaultEvent e = events[next_];
-    const double at = static_cast<double>(e.step) * seconds_per_step;
-    engine->ScheduleAt(std::max(at, engine->now()), [this, e, health]() {
-      if (!health->Apply(e).ok()) ++skipped_;
-    });
-  }
-}
-
 }  // namespace flexmoe

@@ -1,12 +1,8 @@
 // FaultScheduler: walks a FaultPlan during a run and applies due events to
-// a ClusterHealth. Two delivery modes:
-//
-//  * step-driven — training systems call AdvanceTo(step) at each step
-//    boundary (membership changes in real clusters surface between steps:
-//    a NCCL error, a lost heartbeat, an elastic-agent rendezvous);
-//  * time-driven — InstallOn schedules the remaining events as SimEngine
-//    callbacks at step * seconds_per_step, for components that live on the
-//    discrete-event clock rather than the step counter.
+// a ClusterHealth. Delivery is step-driven: training systems call
+// AdvanceTo(step) at each step boundary (membership changes in real
+// clusters surface between steps: a NCCL error, a lost heartbeat, an
+// elastic-agent rendezvous).
 //
 // Events whose precondition no longer holds (e.g. a random plan's Recover
 // for a GPU that a later fail-stop took down) are skipped and counted, not
@@ -20,7 +16,6 @@
 
 #include "elastic/cluster_health.h"
 #include "elastic/fault_plan.h"
-#include "sim/engine.h"
 
 namespace flexmoe {
 
@@ -33,12 +28,6 @@ class FaultScheduler {
   /// (in plan order) and returns the successfully applied ones. Skipped
   /// (stale) events are dropped and counted in skipped_events().
   std::vector<FaultEvent> AdvanceTo(int64_t step, ClusterHealth* health);
-
-  /// Schedules every remaining event on `engine` at time
-  /// event.step * seconds_per_step. `health` must outlive the engine run.
-  /// Consumes the events: subsequent AdvanceTo calls see none left.
-  void InstallOn(SimEngine* engine, double seconds_per_step,
-                 ClusterHealth* health);
 
   bool done() const { return next_ >= plan_.events().size(); }
   size_t remaining() const { return plan_.events().size() - next_; }

@@ -14,41 +14,42 @@ Status SizeMixOptions::Validate() const {
         StrFormat("unknown size mix '%s' (want fixed|heavy)", name.c_str()));
   }
   if (name == "fixed") return Status::OK();
-  if (chat_fraction < 0.0 || chat_fraction > 1.0) {
+  if (!std::isfinite(chat_fraction) || chat_fraction < 0.0 ||
+      chat_fraction > 1.0) {
     return Status::InvalidArgument("size_mix.chat_fraction must be in [0,1]");
   }
-  if (chat_median_factor <= 0.0) {
+  if (!std::isfinite(chat_median_factor) || chat_median_factor <= 0.0) {
     return Status::InvalidArgument("size_mix.chat_median_factor must be > 0");
   }
-  if (chat_log_sigma < 0.0) {
+  if (!std::isfinite(chat_log_sigma) || chat_log_sigma < 0.0) {
     return Status::InvalidArgument("size_mix.chat_log_sigma must be >= 0");
   }
-  if (batch_scale_factor <= 0.0) {
+  if (!std::isfinite(batch_scale_factor) || batch_scale_factor <= 0.0) {
     return Status::InvalidArgument("size_mix.batch_scale_factor must be > 0");
   }
-  if (batch_pareto_alpha <= 1.0) {
+  if (!std::isfinite(batch_pareto_alpha) || batch_pareto_alpha <= 1.0) {
     // alpha <= 1 has an infinite mean: the stream's offered load would no
     // longer concentrate, which breaks every load-sized serving cell.
     return Status::InvalidArgument("size_mix.batch_pareto_alpha must be > 1");
   }
-  if (max_factor < 1.0) {
+  if (!std::isfinite(max_factor) || max_factor < 1.0) {
     return Status::InvalidArgument("size_mix.max_factor must be >= 1");
   }
   return Status::OK();
 }
 
 Status RequestSourceOptions::Validate() const {
-  if (arrival_rate_rps <= 0.0) {
-    return Status::InvalidArgument("arrival_rate_rps must be > 0");
+  if (!std::isfinite(arrival_rate_rps) || arrival_rate_rps <= 0.0) {
+    return Status::InvalidArgument("arrival_rate_rps must be finite and > 0");
   }
   if (tokens_per_request <= 0) {
     return Status::InvalidArgument("tokens_per_request must be > 0");
   }
-  if (slo_seconds <= 0.0) {
-    return Status::InvalidArgument("slo_seconds must be > 0");
+  if (!std::isfinite(slo_seconds) || slo_seconds <= 0.0) {
+    return Status::InvalidArgument("slo_seconds must be finite and > 0");
   }
-  if (step_seconds <= 0.0) {
-    return Status::InvalidArgument("step_seconds must be > 0");
+  if (!std::isfinite(step_seconds) || step_seconds <= 0.0) {
+    return Status::InvalidArgument("step_seconds must be finite and > 0");
   }
   FLEXMOE_RETURN_IF_ERROR(size_mix.Validate());
   return scenario.Validate();

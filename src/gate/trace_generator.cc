@@ -308,11 +308,6 @@ std::vector<Assignment> TraceGenerator::Sample(
   return out;
 }
 
-const std::vector<double>& TraceGenerator::LayerLogits(int layer) const {
-  FLEXMOE_CHECK(layer >= 0 && layer < options_.num_moe_layers);
-  return logits_[static_cast<size_t>(layer)];
-}
-
 namespace {
 constexpr uint32_t kCheckpointMagic = 0x464d4743;  // "FMGC"
 // Version 2: per-step sampling substreams. A version 1 checkpoint was cut

@@ -117,9 +117,6 @@ class TraceGenerator {
   int64_t step_index() const { return step_; }
   const TraceGeneratorOptions& options() const { return options_; }
 
-  /// Current latent logits of a layer (before GPU jitter).
-  const std::vector<double>& LayerLogits(int layer) const;
-
   /// Calibrated base logit scale.
   double sigma0() const { return sigma0_; }
 

@@ -26,7 +26,6 @@ Status ExperimentOptions::Validate() const {
     return Status::InvalidArgument("warmup_steps out of range");
   }
   FLEXMOE_RETURN_IF_ERROR(PipelineOptions{pipeline_chunks}.Validate());
-  FLEXMOE_RETURN_IF_ERROR(elastic.Validate());
   FLEXMOE_RETURN_IF_ERROR(workload.scenario.Validate());
   FLEXMOE_RETURN_IF_ERROR(serving.Validate());
   FLEXMOE_RETURN_IF_ERROR(observability.Validate());
@@ -100,7 +99,6 @@ Result<std::unique_ptr<MoESystem>> BuildSystem(
     o.scheduler = options.scheduler;
     o.policy = options.policy;
     o.executor = options.executor;
-    o.elastic = options.elastic;
     o.pipeline.chunks = options.pipeline_chunks;
     if (options.serving.enabled) {
       // Serving optimizes forward latency: drop the Eq. 9 sync term from
@@ -120,7 +118,6 @@ Result<std::unique_ptr<MoESystem>> BuildSystem(
     o.num_gpus = options.num_gpus;
     o.admission = *admission;
     o.capacity_factor = options.capacity_factor;
-    o.elastic = options.elastic;
     o.pipeline.chunks = options.pipeline_chunks;
     FLEXMOE_ASSIGN_OR_RETURN(auto sys,
                              StaticLayoutSystem::Create(o, topo, profile));
@@ -149,14 +146,10 @@ ExperimentOptions LargeEPOptions(int num_gpus) {
   options.slots_per_gpu = 2;
   options.measure_steps = 30;
   options.warmup_steps = 5;
-  // Large-EP planning mode: per-node aggregated Eq. 8 estimation plus the
-  // cross-link-load tie-break on expand destinations.
+  // Large-EP planning mode: per-node aggregated Eq. 8 estimation, which
+  // also selects the planner's cross-link-load tie-break on expand
+  // destinations (core/policy_maker.h).
   options.hierarchical_a2a = true;
-  options.policy.topology_aware_expansion = true;
-  // At E = G the A2A fan-in concentrates on single inter-node links, so
-  // the expand tie-break ranks by the heaviest link, not just the node
-  // aggregate.
-  options.policy.max_link_objective = true;
   return options;
 }
 

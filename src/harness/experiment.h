@@ -112,9 +112,6 @@ struct ExperimentOptions {
   /// <= 0 and faults.seed == 0 inherit the experiment's values;
   /// faults.fault_step < 0 selects measure_steps / 3.
   FaultPlanOptions faults;
-  /// Recovery discipline knobs forwarded to the system's
-  /// ElasticController.
-  ElasticControllerOptions elastic;
 
   Status Validate() const;
 };

@@ -12,39 +12,6 @@ std::string FormatSpeedup(double factor) {
   return StrFormat("%.2fx", factor);
 }
 
-Table TimeToQualityTable(
-    const std::vector<std::vector<ExperimentReport>>& rows_by_model) {
-  FLEXMOE_CHECK(!rows_by_model.empty());
-  std::vector<std::string> header = {"model"};
-  for (const ExperimentReport& r : rows_by_model.front()) {
-    header.push_back(r.system + " (h)");
-  }
-  for (size_t i = 1; i < rows_by_model.front().size(); ++i) {
-    header.push_back("speedup vs " + rows_by_model.front()[i].system);
-  }
-  // Columns: hours per system, then speedup of the LAST system (FlexMoE by
-  // convention) over each baseline.
-  Table t(header);
-  for (const auto& row : rows_by_model) {
-    FLEXMOE_CHECK(row.size() == rows_by_model.front().size());
-    std::vector<std::string> cells = {row.front().model};
-    for (const ExperimentReport& r : row) {
-      cells.push_back(FormatDouble(r.hours_to_target, 2));
-    }
-    const double flex_hours = row.back().hours_to_target;
-    for (size_t i = 0; i + 1 < row.size(); ++i) {
-      cells.push_back(
-          FormatSpeedup(row[i].hours_to_target / flex_hours));
-    }
-    // Header has (n-1) speedup columns; trim or pad the cells if the
-    // baseline count differs (defensive).
-    while (cells.size() > t.num_cols()) cells.pop_back();
-    while (cells.size() < t.num_cols()) cells.push_back("-");
-    t.AddRow(std::move(cells));
-  }
-  return t;
-}
-
 std::string ReportLine(const ExperimentReport& r) {
   if (r.serving) {
     return StrFormat(

@@ -8,18 +8,11 @@
 #include <vector>
 
 #include "harness/experiment.h"
-#include "util/table.h"
 
 namespace flexmoe {
 
 /// \brief "1.72x" style rendering of a speedup factor.
 std::string FormatSpeedup(double factor);
-
-/// \brief Table of time-to-quality across systems (one Figure 5 panel):
-/// rows are models, columns report hours and speedups over the first
-/// (baseline) system in `reports`.
-Table TimeToQualityTable(
-    const std::vector<std::vector<ExperimentReport>>& rows_by_model);
 
 /// \brief One-line summary of a report. Serving-mode reports summarize
 /// the SLO readouts (attainment, goodput, tail latencies, shed count)

@@ -6,18 +6,20 @@
 
 namespace flexmoe {
 
-Status ExecutorOptions::Validate() const {
-  if (background_slowdown < 1.0) {
-    return Status::InvalidArgument("background_slowdown must be >= 1");
-  }
-  if (max_batches_per_boundary < 1) {
-    return Status::InvalidArgument("max_batches_per_boundary must be >= 1");
-  }
-  if (apply_retry_boundaries < 0) {
-    return Status::InvalidArgument("apply_retry_boundaries must be >= 0");
-  }
-  return Status::OK();
-}
+namespace {
+
+/// Background copies contend with training traffic; they run at
+/// 1/slowdown of the profiled link bandwidth.
+constexpr double kBackgroundSlowdown = 1.25;
+/// Batches launched per step boundary. Transfers serialize on the
+/// background streams regardless, so several batches in flight mainly
+/// improve pipelining of same-source copies.
+constexpr int kMaxBatchesPerBoundary = 16;
+/// Boundaries an op that failed to apply (its prerequisite still in
+/// flight) is retried before being dropped.
+constexpr int kApplyRetryBoundaries = 3;
+
+}  // namespace
 
 PlacementExecutor::PlacementExecutor(const ExecutorOptions& options,
                                      const HardwareProfile* profile,
@@ -27,7 +29,6 @@ PlacementExecutor::PlacementExecutor(const ExecutorOptions& options,
       expert_state_bytes_(expert_state_bytes),
       queue_(expert_state_bytes) {
   FLEXMOE_CHECK(profile != nullptr);
-  FLEXMOE_CHECK_OK(options.Validate());
 }
 
 void PlacementExecutor::Enqueue(const std::vector<ModOp>& ops) {
@@ -135,13 +136,12 @@ PlacementExecutor::TickResult PlacementExecutor::OnStepBoundary(
     return result;
   }
 
-  // 2. Best-effort launch: up to max_batches_per_boundary batches start
+  // 2. Best-effort launch: up to kMaxBatchesPerBoundary batches start
   //    now even while earlier transfers are still in flight — the
   //    background streams serialize same-endpoint transfers in launch
   //    order, and cross-batch apply races are absorbed by the retry
   //    mechanism above.
-  for (int b = 0; b < options_.max_batches_per_boundary && !queue_.empty();
-       ++b) {
+  for (int b = 0; b < kMaxBatchesPerBoundary && !queue_.empty(); ++b) {
     OpBatch batch = queue_.PopBatch();
     // Free ops (shrinks, packing expands) take effect right away.
     for (const ModOp& op : batch.free_ops) {
@@ -151,9 +151,9 @@ PlacementExecutor::TickResult PlacementExecutor::OnStepBoundary(
     for (const TransferGroup& tg : batch.transfers) {
       const CollectiveResult copy = ExecBackgroundCopy(
           cluster, *profile_, tg.bytes, tg.src, tg.dst, now,
-          options_.background_slowdown);
+          kBackgroundSlowdown);
       for (const ModOp& op : tg.ops) {
-        in_flight_.push_back({op, copy.finish, options_.apply_retry_boundaries});
+        in_flight_.push_back({op, copy.finish, kApplyRetryBoundaries});
         ++result.ops_launched;
       }
     }

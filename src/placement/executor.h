@@ -19,21 +19,9 @@ namespace flexmoe {
 
 /// \brief Executor configuration.
 struct ExecutorOptions {
-  /// Background copies contend with training traffic; they run at
-  /// 1/slowdown of the profiled link bandwidth.
-  double background_slowdown = 1.25;
   /// Synchronous mode: apply everything immediately, charging the transfer
   /// time to the training step.
   bool blocking = false;
-  /// Batches launched per step boundary. Transfers serialize on the
-  /// background streams regardless, so several batches in flight mainly
-  /// improve pipelining of same-source copies.
-  int max_batches_per_boundary = 16;
-  /// Boundaries an op that failed to apply (its prerequisite still in
-  /// flight) is retried before being dropped.
-  int apply_retry_boundaries = 3;
-
-  Status Validate() const;
 };
 
 /// \brief Applies queued placement modifications to the live placement.

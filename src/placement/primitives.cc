@@ -6,18 +6,6 @@
 
 namespace flexmoe {
 
-const char* ModOpTypeName(ModOpType t) {
-  switch (t) {
-    case ModOpType::kExpand:
-      return "Expand";
-    case ModOpType::kShrink:
-      return "Shrink";
-    case ModOpType::kMigrate:
-      return "Migrate";
-  }
-  return "?";
-}
-
 std::string ModOp::ToString() const {
   switch (type) {
     case ModOpType::kExpand:

@@ -21,8 +21,6 @@ namespace flexmoe {
 
 enum class ModOpType { kExpand, kShrink, kMigrate };
 
-const char* ModOpTypeName(ModOpType t);
-
 /// \brief One placement modification.
 struct ModOp {
   ModOpType type = ModOpType::kExpand;

@@ -17,16 +17,6 @@ constexpr double kPenaltyExponent = 0.427;
 constexpr double kReassignedTokenValue = 0.25;
 }  // namespace
 
-const char* MetricKindName(MetricKind k) {
-  switch (k) {
-    case MetricKind::kPerplexity:
-      return "perplexity";
-    case MetricKind::kAccuracy:
-      return "accuracy";
-  }
-  return "?";
-}
-
 Status QualityCalibration::Validate() const {
   if (flexmoe_value <= 0 || deepspeed_value <= 0) {
     return Status::InvalidArgument("calibration anchors must be positive");

@@ -27,8 +27,6 @@ namespace flexmoe {
 
 enum class MetricKind { kPerplexity, kAccuracy };
 
-const char* MetricKindName(MetricKind k);
-
 /// \brief Per-model calibration anchors (from the paper's Table 2).
 struct QualityCalibration {
   std::string metric_name;  ///< "PPL", "acc@1", "acc@5"

@@ -8,18 +8,6 @@
 
 namespace flexmoe {
 
-const char* LinkClassName(LinkClass c) {
-  switch (c) {
-    case LinkClass::kLoopback:
-      return "loopback";
-    case LinkClass::kIntraNode:
-      return "intra-node";
-    case LinkClass::kInterNode:
-      return "inter-node";
-  }
-  return "?";
-}
-
 Status TopologyOptions::Validate() const {
   if (num_nodes <= 0) {
     return Status::InvalidArgument("num_nodes must be positive");

@@ -29,8 +29,6 @@ enum class LinkClass {
   kInterNode,  ///< InfiniBand / NIC across servers
 };
 
-const char* LinkClassName(LinkClass c);
-
 /// \brief Parameters describing a homogeneous GPU cluster.
 struct TopologyOptions {
   int num_nodes = 8;

@@ -160,21 +160,6 @@ void Rng::MultinomialInto(int64_t n, const double* probs, int k,
   if (k > 0) counts[k - 1] += remaining;
 }
 
-size_t Rng::Categorical(const std::vector<double>& weights) {
-  FLEXMOE_CHECK(!weights.empty());
-  double total = 0.0;
-  for (double w : weights) total += w;
-  FLEXMOE_CHECK(total > 0.0);
-  double u = Uniform() * total;
-  for (size_t i = 0; i < weights.size(); ++i) {
-    u -= weights[i];
-    if (u < 0.0) return i;
-  }
-  return weights.size() - 1;
-}
-
-Rng Rng::Fork() { return Rng(Next()); }
-
 Rng::State Rng::SaveState() const {
   State state;
   for (int i = 0; i < 4; ++i) state.s[i] = s_[i];

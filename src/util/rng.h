@@ -9,7 +9,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 namespace flexmoe {
@@ -55,21 +54,6 @@ class Rng {
   /// `probs` (need not be normalized) into `counts` (size k). Uses the
   /// conditional-binomial method: O(k) per call, allocation-free.
   void MultinomialInto(int64_t n, const double* probs, int k, int64_t* counts);
-
-  /// Samples an index from an unnormalized weight vector.
-  size_t Categorical(const std::vector<double>& weights);
-
-  /// Fisher–Yates shuffle.
-  template <typename T>
-  void Shuffle(std::vector<T>* v) {
-    for (size_t i = v->size(); i > 1; --i) {
-      size_t j = static_cast<size_t>(UniformInt(i));
-      std::swap((*v)[i - 1], (*v)[j]);
-    }
-  }
-
-  /// Creates an independent child stream (e.g. one per MoE layer).
-  Rng Fork();
 
   /// \brief Complete generator state (xoshiro words + the Box–Muller
   /// cache), for checkpoint/restore of long-running streams.

@@ -19,15 +19,6 @@ void Table::AddRow(std::vector<std::string> row) {
   rows_.push_back(std::move(row));
 }
 
-void Table::AddNumericRow(const std::string& label,
-                          const std::vector<double>& vals, int precision) {
-  std::vector<std::string> row;
-  row.reserve(vals.size() + 1);
-  row.push_back(label);
-  for (double v : vals) row.push_back(FormatDouble(v, precision));
-  AddRow(std::move(row));
-}
-
 const std::vector<std::string>& Table::row(size_t i) const {
   FLEXMOE_CHECK(i < rows_.size());
   return rows_[i];
@@ -54,17 +45,6 @@ std::string Table::ToAscii() const {
   for (size_t w : widths) total += w + 2;
   os << std::string(total, '-') << "\n";
   for (const auto& row : rows_) emit_row(row);
-  return os.str();
-}
-
-std::string Table::ToMarkdown() const {
-  std::ostringstream os;
-  os << "| " << Join(header_, " | ") << " |\n|";
-  for (size_t c = 0; c < header_.size(); ++c) os << "---|";
-  os << "\n";
-  for (const auto& row : rows_) {
-    os << "| " << Join(row, " | ") << " |\n";
-  }
   return os.str();
 }
 

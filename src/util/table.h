@@ -1,4 +1,4 @@
-// ASCII/CSV/Markdown table rendering used by every bench binary to print
+// ASCII/CSV table rendering used by every bench binary to print
 // paper-style result tables.
 
 #ifndef FLEXMOE_UTIL_TABLE_H_
@@ -22,19 +22,12 @@ class Table {
   /// Adds a row; must have exactly as many cells as the header.
   void AddRow(std::vector<std::string> row);
 
-  /// Convenience: formats each double with the given precision.
-  void AddNumericRow(const std::string& label, const std::vector<double>& vals,
-                     int precision);
-
   size_t num_rows() const { return rows_.size(); }
   size_t num_cols() const { return header_.size(); }
   const std::vector<std::string>& row(size_t i) const;
 
   /// Box-drawing-free aligned ASCII rendering.
   std::string ToAscii() const;
-
-  /// GitHub-flavoured markdown rendering.
-  std::string ToMarkdown() const;
 
   /// RFC-4180-ish CSV (cells containing commas are quoted).
   std::string ToCsv() const;

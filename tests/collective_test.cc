@@ -26,7 +26,6 @@ TEST(ByteMatrixTest, Construction) {
   EXPECT_EQ(m[0].size(), 3u);
   m[1][2] = 7.0;
   EXPECT_EQ(m(1, 2), 7.0);
-  EXPECT_EQ(TotalBytes(m), 7.0);
 }
 
 TEST(A2AAnalyticTest, SingleMessage) {

@@ -1,10 +1,11 @@
 // Tests for the elastic cluster subsystem: fault plans, the health
-// registry, the fault scheduler (step- and SimEngine-driven), placement
+// registry, the step-driven fault scheduler, placement
 // repair (drain / failover), workload re-sharding, migrate-away planning,
 // and byte-for-byte replay determinism under a fixed seed.
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
 
 #include "baselines/static_layout.h"
@@ -15,7 +16,6 @@
 #include "elastic/fault_scheduler.h"
 #include "elastic/recovery.h"
 #include "gate/trace_generator.h"
-#include "sim/engine.h"
 #include "test_env.h"
 
 namespace flexmoe {
@@ -53,6 +53,23 @@ TEST(FaultPlanTest, NamedScenarios) {
 
   o.scenario = "bogus";
   EXPECT_FALSE(FaultPlan::Generate(o).ok());
+}
+
+TEST(FaultPlanOptionsTest, Validation) {
+  FaultPlanOptions o;
+  o.scenario = "random";
+  o.num_gpus = 8;
+  EXPECT_TRUE(o.Validate().ok());
+  // NaN compares false against every bound, so each must be rejected
+  // explicitly.
+  o.compute_multiplier = std::nan("");
+  EXPECT_FALSE(o.Validate().ok());
+  o.compute_multiplier = 2.5;
+  o.bandwidth_multiplier = HUGE_VAL;
+  EXPECT_FALSE(o.Validate().ok());
+  o.bandwidth_multiplier = 2.0;
+  o.fail_rate_per_step = std::nan("");
+  EXPECT_FALSE(o.Validate().ok());
 }
 
 TEST(FaultPlanTest, EventsSortedByStep) {
@@ -180,27 +197,6 @@ TEST(FaultSchedulerTest, FiresEventsAtTheirStep) {
   EXPECT_EQ(sched.AdvanceTo(50, &health).size(), 1u);
   EXPECT_TRUE(health.alive(0));
   EXPECT_TRUE(sched.done());
-}
-
-TEST(FaultSchedulerTest, SimEngineInjection) {
-  FaultPlanOptions o;
-  o.scenario = "straggler";
-  o.num_gpus = 8;
-  o.fault_step = 10;
-  o.recover_step = 20;
-  o.gpu = 4;
-  FaultScheduler sched(*FaultPlan::Generate(o));
-  ClusterHealth health(8);
-  SimEngine engine;
-  const double dt = 0.25;  // seconds per step
-  sched.InstallOn(&engine, dt, &health);
-  EXPECT_TRUE(sched.done());  // events handed to the engine
-
-  engine.RunUntil(10 * dt);
-  EXPECT_EQ(health.state(4), DeviceState::kDegraded);
-  engine.RunUntil(20 * dt);
-  EXPECT_EQ(health.state(4), DeviceState::kHealthy);
-  EXPECT_EQ(sched.skipped_events(), 0);
 }
 
 // ---- Workload re-sharding --------------------------------------------------

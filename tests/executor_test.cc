@@ -35,13 +35,6 @@ Placement MakePlacement(int slots = 2) {
 
 constexpr double kStateBytes = 64e6;
 
-TEST(ExecutorOptionsTest, Validation) {
-  ExecutorOptions o;
-  EXPECT_TRUE(o.Validate().ok());
-  o.background_slowdown = 0.5;
-  EXPECT_FALSE(o.Validate().ok());
-}
-
 TEST(ExecutorTest, FreeOpsApplyImmediately) {
   Fixture f = Fixture::Make();
   PlacementExecutor exec(ExecutorOptions{}, &f.profile, kStateBytes);

@@ -10,6 +10,7 @@
 #include <map>
 
 #include "harness/experiment.h"
+#include "harness/golden.h"
 #include "harness/reporters.h"
 #include "util/string_util.h"
 
@@ -39,6 +40,18 @@ TEST(ExperimentOptionsTest, Validation) {
   o = SmallExperiment("flexmoe");
   o.warmup_steps = o.measure_steps;
   EXPECT_FALSE(o.Validate().ok());
+}
+
+// A non-finite serving input is a validation error before the run, not an
+// abort inside the arrival process: NaN passes every `<= 0` check.
+TEST(ExperimentOptionsTest, NonFiniteServingInputsAreInvalid) {
+  for (const double bad : {std::nan(""), HUGE_VAL}) {
+    ExperimentOptions o = ServingGoldenCell("bursty", "flexmoe");
+    o.serving.arrival_rate_rps = bad;
+    const auto report = RunExperiment(o);
+    ASSERT_FALSE(report.ok()) << bad;
+    EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument) << bad;
+  }
 }
 
 // Chunk depth is bounded: an absurd depth is a validation error, not an
@@ -73,7 +86,7 @@ TEST(ExperimentTest, AllSystemsRun) {
 
 TEST(ExperimentTest, LargeEPPresetRunsEndToEnd) {
   // Reduced-scale smoke of the large-EP preset (one expert per GPU,
-  // slots = 2, hierarchical Eq. 8, topology-aware expansion): same
+  // slots = 2, hierarchical Eq. 8 and so the cross-link expand order): same
   // configuration the nightly runs at G = 512, sized for tier-1. The
   // preset's knobs must survive the full engine path, not just the
   // planner microbenchmarks.

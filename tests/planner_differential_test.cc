@@ -66,7 +66,7 @@ class ReferencePlanner {
     std::sort(order.begin(), order.end(), [&](int a, int b) {
       return caps[static_cast<size_t>(a)] > caps[static_cast<size_t>(b)];
     });
-    const int hot_count = std::min(options_.max_hot_candidates,
+    const int hot_count = std::min(PolicyMaker::kMaxHotCandidates,
                                    static_cast<int>(order.size()));
 
     double best_score = std::numeric_limits<double>::infinity();
@@ -77,7 +77,7 @@ class ReferencePlanner {
     for (auto it = order.rbegin(); it != order.rend(); ++it) {
       if (placement.VExperts(*it) >= 2) cold_candidates.push_back(*it);
       if (static_cast<int>(cold_candidates.size()) >=
-          options_.max_hot_candidates) {
+          PolicyMaker::kMaxHotCandidates) {
         break;
       }
     }
@@ -196,7 +196,7 @@ class ReferencePlanner {
 
     for (int move = 0; move < max_moves; ++move) {
       const double base = TotalSyncSeconds(current);
-      double best_gain = options_.min_migration_gain_sec;
+      double best_gain = PolicyMaker::kMinMigrationGainSec;
       ModOp best_op;
       bool found = false;
 

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
+#include <map>
 #include <memory>
 #include <vector>
 
@@ -84,8 +86,7 @@ TEST(PolicyMakerOptionsTest, Validation) {
   EXPECT_TRUE(o.Validate().ok());
   o.min_improvement_frac = 1.5;
   EXPECT_FALSE(o.Validate().ok());
-  o = PolicyMakerOptions{};
-  o.min_migration_gain_sec = -1;
+  o.min_improvement_frac = std::nan("");
   EXPECT_FALSE(o.Validate().ok());
 }
 
@@ -218,10 +219,83 @@ TEST(PolicyMakerTest, CandidateCountAtG64) {
   EXPECT_EQ(stats.candidates_evaluated, 9);
 }
 
+// The profile selects the expand order (core/policy_maker.h): with
+// hierarchical A2A estimation, node-local ties rank by the heaviest
+// inbound cross-node link, then the node's aggregate cross-node inflow,
+// then GPU load; on a flat profile by GPU load alone. Four nodes of two
+// GPUs: the hot expert 0 lives on GPUs 2 and 4 (nodes 1 and 2), so its
+// node-local free slots are GPUs 3 and 5, where feeder experts 4 and 5
+// shape each node's inbound links. With one expand candidate per search,
+// the plan's destination is the head of the order.
+TEST(PolicyMakerTest, ProfileSelectsExpandOrder) {
+  struct Case {
+    const char* name;
+    // Expert 4 (on GPU 3) tokens from GPU 0, GPU 6 and GPU 3 itself;
+    // expert 5 (on GPU 5) tokens from GPU 0 and GPU 5 itself.
+    int64_t e4_from0, e4_from6, e4_local, e5_from0, e5_local;
+    GpuId hierarchical_dst, flat_dst;
+  };
+  const Case cases[] = {
+      // Node 1: two 100-token links (inflow 200, GPU 3 load 200); node 2:
+      // one 150-token link (inflow 150, GPU 5 load 150).
+      {"max-link", 100, 100, 0, 150, 0, 3, 5},
+      // Both nodes' heaviest link carries 100; node 2's inflow is 100
+      // against node 1's 200, though GPU 5 (400) outweighs GPU 3 (200).
+      {"inflow", 100, 100, 0, 100, 300, 5, 3},
+      // Links and inflow tie at 100; GPU 5 (100) is lighter than GPU 3
+      // (150).
+      {"load", 100, 0, 50, 100, 0, 5, 5},
+  };
+  TopologyOptions topt;
+  topt.num_nodes = 4;
+  topt.gpus_per_node = 2;
+  // Inter-node links as fast as NVLink, so that the compute relief of an
+  // expansion outweighs the cross-node spill it causes.
+  topt.inter_node_bytes_per_sec = topt.intra_node_bytes_per_sec;
+  ModelConfig model = GptMoES();
+  model.num_experts = 8;
+  Fixture f(std::make_unique<Topology>(*Topology::Create(topt)), model);
+  PlacementOptions po;
+  po.num_experts = 8;
+  po.num_gpus = 8;
+  po.slots_per_gpu = 2;
+  // Expert 1 (no tokens, two vExperts) is the cold expert to shrink;
+  // experts 2 and 3 fill the hot expert's GPUs, so GPUs 3 and 5 hold
+  // its only node-local free slots.
+  const Placement p = *Placement::FromReplicaMap(
+      po, {{{2, 1}, {4, 1}}, {{0, 1}, {1, 1}}, {{2, 1}}, {{4, 1}}, {{3, 1}},
+           {{5, 1}}, {{6, 1}}, {{7, 1}}});
+  PolicyMakerOptions options;
+  options.max_expand_candidates = 1;
+  options.min_improvement_frac = 0.0;
+  options.serve_objective = true;  // no replica sync to outweigh the relief
+  for (const Case& c : cases) {
+    Assignment a(8, 8);
+    a.set(0, 2, 4000);
+    a.set(0, 4, 4000);
+    a.set(4, 0, c.e4_from0);
+    a.set(4, 6, c.e4_from6);
+    a.set(4, 3, c.e4_local);
+    a.set(5, 0, c.e5_from0);
+    a.set(5, 5, c.e5_local);
+    for (const bool hierarchical : {true, false}) {
+      SCOPED_TRACE(testing::Message()
+                   << c.name << " hierarchical=" << hierarchical);
+      f.profile.set_hierarchical_a2a(hierarchical);
+      const PolicyMaker pm(&f.cost, options);
+      const std::vector<ModOp> plan = pm.MakeSchedulingPlan(a, p);
+      ASSERT_EQ(plan.size(), 2u);
+      ASSERT_EQ(plan[1].type, ModOpType::kExpand);
+      EXPECT_EQ(plan[1].expert, 0);
+      EXPECT_EQ(plan[1].dst, hierarchical ? c.hierarchical_dst : c.flat_dst);
+    }
+  }
+}
+
 // Re-planning must stay off the step's critical path at large EP: on one
 // live LayerCostState at G = E = 512 (two slots per GPU, hierarchical
-// Eq. 8, topology-aware expansion, as the large-EP preset ships), the
-// median PlanOnState call takes under 1 ms (about 0.06 ms today). The
+// Eq. 8 and so the cross-link expand order, as the large-EP preset ships),
+// the median PlanOnState call takes under 1 ms (about 0.06 ms today). The
 // only wall-clock bound in the suite: optimized builds only, and a median
 // of 31 calls so one preempted call cannot fail it.
 TEST(PolicyMakerTest, PlanOnStateUnderOneMillisecondAtG512) {
@@ -230,16 +304,13 @@ TEST(PolicyMakerTest, PlanOnStateUnderOneMillisecondAtG512) {
 #endif
   Fixture f = Fixture::ExpertPerGpu(512);
   f.profile.set_hierarchical_a2a(true);
-  PolicyMakerOptions options;
-  options.topology_aware_expansion = true;
-  const PolicyMaker pm(&f.cost, options);
   const Assignment a = GeneratedAssignment(512, 1024);
   LayerCostState state(&f.cost, /*include_sync=*/true);
   state.Reset(a, MakePlacement(512, 512, /*slots=*/2));
   std::vector<double> seconds;
   for (int i = 0; i < 31; ++i) {
     const auto start = std::chrono::steady_clock::now();
-    pm.PlanOnState(&state);
+    f.pm.PlanOnState(&state);
     seconds.push_back(std::chrono::duration<double>(
                           std::chrono::steady_clock::now() - start)
                           .count());

@@ -152,37 +152,6 @@ TEST(RngTest, MultinomialUnnormalizedWeights) {
   EXPECT_NEAR(static_cast<double>(counts[0]), 500.0, 80.0);
 }
 
-TEST(RngTest, CategoricalRespectsWeights) {
-  Rng rng(13);
-  std::vector<int> counts(3, 0);
-  for (int i = 0; i < 30000; ++i) {
-    ++counts[rng.Categorical({1.0, 2.0, 3.0})];
-  }
-  EXPECT_NEAR(counts[0], 5000, 400);
-  EXPECT_NEAR(counts[1], 10000, 500);
-  EXPECT_NEAR(counts[2], 15000, 500);
-}
-
-TEST(RngTest, ForkProducesIndependentStream) {
-  Rng parent(14);
-  Rng child = parent.Fork();
-  // Child stream must differ from the parent continuation.
-  bool differs = false;
-  for (int i = 0; i < 16; ++i) {
-    if (parent.Next() != child.Next()) differs = true;
-  }
-  EXPECT_TRUE(differs);
-}
-
-TEST(RngTest, ShuffleIsPermutation) {
-  Rng rng(15);
-  std::vector<int> v = {1, 2, 3, 4, 5, 6, 7, 8};
-  std::vector<int> orig = v;
-  rng.Shuffle(&v);
-  std::sort(v.begin(), v.end());
-  EXPECT_EQ(v, orig);
-}
-
 TEST(ZipfTest, UniformWhenSZero) {
   ZipfDistribution z(10, 0.0);
   for (size_t r = 0; r < 10; ++r) EXPECT_NEAR(z.pmf(r), 0.1, 1e-12);

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
 
 #include "core/scheduler.h"
@@ -71,6 +72,14 @@ TEST(SchedulerOptionsTest, Validation) {
   EXPECT_FALSE(o.Validate().ok());
   o = SchedulerOptions{};
   o.max_plan_iterations = 0;
+  EXPECT_FALSE(o.Validate().ok());
+  // NaN compares false against every bound: a NaN threshold would
+  // silently never trigger.
+  o = SchedulerOptions{};
+  o.threshold = std::nan("");
+  EXPECT_FALSE(o.Validate().ok());
+  o = SchedulerOptions{};
+  o.variance_threshold = std::nan("");
   EXPECT_FALSE(o.Validate().ok());
 }
 
@@ -172,6 +181,37 @@ TEST(SchedulerTest, VarianceMetricAlsoBalances) {
   const SchedulerDecision d = sched.OnStep(0, a, &p);
   EXPECT_TRUE(d.triggered);
   EXPECT_LT(d.metric_after, d.metric_before);
+}
+
+// Depth planning follows the incumbent: at a fixed K (incumbent 0) a
+// triggered invocation recommends no depth; under auto-K (the layer's
+// current depth >= 1) it recommends one of the candidate depths, both on
+// a trigger that reaches the plan loop and on one the threshold forced.
+TEST(SchedulerTest, PlansChunkDepthOnlyWithAnIncumbent) {
+  Fixture f = Fixture::Make();
+  const auto is_candidate = [](int k) {
+    for (const int c : CostModel::kChunkDepthCandidates) {
+      if (k == c) return true;
+    }
+    return false;
+  };
+  for (const bool forced : {false, true}) {
+    SCOPED_TRACE(testing::Message() << "forced=" << forced);
+    const Assignment a = forced ? Balanced() : Skewed();
+    Scheduler fixed_k(&f.pm, SchedulerOptions{});
+    Placement p = MakePlacement();
+    const SchedulerDecision none = fixed_k.OnStep(0, a, &p, forced, 0);
+    EXPECT_TRUE(none.triggered);
+    EXPECT_EQ(none.pipeline_chunks, 0);
+    for (const int incumbent : {1, 2, 4, 8}) {
+      Scheduler auto_k(&f.pm, SchedulerOptions{});
+      Placement q = MakePlacement();
+      const SchedulerDecision d = auto_k.OnStep(0, a, &q, forced, incumbent);
+      EXPECT_TRUE(d.triggered);
+      EXPECT_TRUE(is_candidate(d.pipeline_chunks))
+          << "incumbent " << incumbent << " -> " << d.pipeline_chunks;
+    }
+  }
 }
 
 TEST(TriggerNamesTest, Strings) {

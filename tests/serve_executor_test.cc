@@ -343,6 +343,12 @@ TEST(RequestSizeMixTest, ValidationRejectsNonsense) {
   o = HeavyOptions("bursty", 100.0);
   o.size_mix.max_factor = 0.5;
   EXPECT_FALSE(RequestSource::Create(o).ok());
+  o = HeavyOptions("bursty", 100.0);
+  o.size_mix.chat_fraction = std::nan("");
+  EXPECT_FALSE(RequestSource::Create(o).ok());
+  o = HeavyOptions("bursty", 100.0);
+  o.arrival_rate_rps = std::nan("");
+  EXPECT_FALSE(RequestSource::Create(o).ok());
 }
 
 TEST(RequestSourceCheckpointTest, PauseAndResumeIsByteIdentical) {
@@ -773,6 +779,9 @@ TEST(ServeExecutorValidationTest, ServingOptionsValidateCatchesNewKnobs) {
   EXPECT_FALSE(o.Validate().ok());
   o = RigServingOptions();
   o.size_mix.name = "weird";
+  EXPECT_FALSE(o.Validate().ok());
+  o = RigServingOptions();
+  o.slo_seconds = HUGE_VAL;
   EXPECT_FALSE(o.Validate().ok());
   o = RigServingOptions();
   o.admission_policy = "sjf";
