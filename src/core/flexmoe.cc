@@ -1,8 +1,11 @@
 #include "core/flexmoe.h"
 
 #include <algorithm>
+#include <system_error>
+#include <utility>
 
 #include "core/balance.h"
+#include "util/thread_budget.h"
 
 namespace flexmoe {
 
@@ -61,21 +64,22 @@ FlexMoESystem::FlexMoESystem(const FlexMoEOptions& options,
       elastic_(options.num_gpus, topo, RepairMode::kDrain),
       cost_model_(profile, ShapeFromModel(options.model)),
       policy_maker_(&cost_model_, options.policy),
-      scheduler_(&policy_maker_, options.scheduler),
       group_cache_(std::move(group_cache)),
       step_executor_(&cluster_, profile, options.model),
       live_(initial),
       target_(std::move(initial)) {
+  policy_maker_.SetClusterHealth(&elastic_.health());
   executors_.reserve(live_.size());
+  schedulers_.reserve(live_.size());
   for (size_t l = 0; l < live_.size(); ++l) {
     executors_.emplace_back(options_.executor, profile_,
                             options_.model.expert_state_bytes());
+    schedulers_.emplace_back(&policy_maker_, options_.scheduler);
+    schedulers_.back().SetClusterHealth(&elastic_.health());
   }
   next_plan_step_.assign(live_.size(), 0);
   plan_backoff_.assign(live_.size(), 1);
   layer_chunks_.assign(live_.size(), 0);
-  policy_maker_.SetClusterHealth(&elastic_.health());
-  scheduler_.SetClusterHealth(&elastic_.health());
   step_executor_.set_cluster_health(&elastic_.health());
   step_executor_.set_pipeline(options.pipeline);
   // Placement planning always scores at K = 1 (the cost model holds no
@@ -86,6 +90,16 @@ FlexMoESystem::FlexMoESystem(const FlexMoEOptions& options,
   // effect perturbs the plan trajectory by several percent. Chunk depth
   // is planned separately, AFTER placement, from the same partial sums
   // (BestChunkDepth — DESIGN.md §12.2).
+}
+
+FlexMoESystem::~FlexMoESystem() {
+  if (!helper_.joinable()) return;
+  {
+    std::lock_guard<std::mutex> lock(helper_mu_);
+    helper_stop_ = true;
+  }
+  helper_cv_.notify_one();
+  helper_.join();
 }
 
 Status FlexMoESystem::InstallFaultPlan(const FaultPlan& plan) {
@@ -214,14 +228,99 @@ StepMetrics FlexMoESystem::RunStepImpl(
     }
   }
 
-  // 1b. (training only) Pre-warm NCCL groups for the live placements —
-  //     serving runs no replica collectives, so there is nothing to warm.
-  //     Communicator
-  //     bootstrap is host-side (CPU + sockets) work that overlaps with GPU
-  //     execution and with the copy engines, so it costs nothing on either
-  //     the training critical path or the background copy streams; the
-  //     step executor below then always hits the warm cache. The LRU cache
-  //     statistics still expose creation churn.
+  // 2. Route every layer on its live placement.
+  std::vector<RoutedAssignment> routed;
+  routed.reserve(static_cast<size_t>(num_layers));
+  double balance_sum = 0.0;
+  for (int l = 0; l < num_layers; ++l) {
+    routed.push_back(FlexibleRouter::Route(
+        (*effective)[static_cast<size_t>(l)],
+        live_[static_cast<size_t>(l)]));
+    balance_sum += BalanceRatio(routed.back().PerGpuComputeLoads());
+    metrics.tokens_total += routed.back().Total();
+  }
+  metrics.tokens_total += metrics.tokens_dropped;  // lost-in-flight tokens
+  metrics.balance_ratio = balance_sum / num_layers;
+
+  // 3. Work for the engine. Under auto-K each layer runs at its planned
+  //    chunk depth; a layer that has never been planned (step 0, or the
+  //    step after a membership change reset) picks its initial depth
+  //    directly from this step's routed workload, so no step falls back
+  //    to serial while waiting for a scheduler trigger.
+  const bool auto_chunks = options_.pipeline.chunks == 0;
+  std::vector<LayerWork> work(static_cast<size_t>(num_layers));
+  for (int l = 0; l < num_layers; ++l) {
+    work[static_cast<size_t>(l)].routed = &routed[static_cast<size_t>(l)];
+    work[static_cast<size_t>(l)].placement = &live_[static_cast<size_t>(l)];
+    if (auto_chunks) {
+      int& chunks = layer_chunks_[static_cast<size_t>(l)];
+      if (chunks == 0) {
+        const LayerCostEstimate est = cost_model_.EstimateLayer(
+            routed[static_cast<size_t>(l)], live_[static_cast<size_t>(l)],
+            /*include_sync=*/!policy_maker_.options().serve_objective);
+        chunks = cost_model_.BestChunkDepth(est.per_gpu_compute,
+                                            est.per_gpu_a2a, est.per_gpu_sync);
+      }
+      work[static_cast<size_t>(l)].chunks = chunks;
+    }
+  }
+
+  // 4. The layers that plan this step, in layer order. The pending-op cap
+  //    guards against plans outrunning the background streams: a layer
+  //    over it drops its stale tail, resyncs its target to the live state
+  //    and re-plans from the fresh state next step. The backoff skips a
+  //    layer whose last trigger found nothing to do.
+  plan_.step = step_;
+  plan_.assignments = effective;
+  plan_.layers.clear();
+  plan_.chunk_incumbents.clear();
+  for (int l = 0; l < num_layers; ++l) {
+    auto& executor = executors_[static_cast<size_t>(l)];
+    if (executor.pending_ops() > kMaxPendingOps) {
+      executor.ClearPending();
+      target_[static_cast<size_t>(l)] = live_[static_cast<size_t>(l)];
+      continue;
+    }
+    if (step_ < next_plan_step_[static_cast<size_t>(l)]) continue;
+    plan_.layers.push_back(l);
+    // The layer's current depth — including the provisional step-0 pick,
+    // which the same selection rule produced — anchors the scheduler's
+    // retention hysteresis.
+    plan_.chunk_incumbents.push_back(
+        auto_chunks ? layer_chunks_[static_cast<size_t>(l)] : 0);
+  }
+  plan_.decisions.resize(plan_.layers.size());
+  // The capacity trigger is polled once per step on which some layer
+  // plans, and a health change forces every planning layer.
+  const bool force_trigger =
+      fault_report.membership_changed || fault_report.perf_changed;
+  const bool capacity_changed =
+      !plan_.layers.empty() && capacity_trigger_.Poll(elastic_.health());
+  plan_.force_trigger = force_trigger || capacity_changed;
+  next_plan_.store(0, std::memory_order_relaxed);
+
+  // 5. Post the plan job. The scheduler (Algorithm 1 against each layer's
+  //    target placement, which already reflects queued ops, so it tracks
+  //    workload drift every step) plans beside steps 6 and 7: it reads only
+  //    this step's assignments, the targets and the incumbent depths, none
+  //    of which they touch. The helper, if it runs, takes layers from the
+  //    start; the caller takes what is left once the engine is done.
+  if (plan_.layers.size() >= 2 && !helper_.joinable()) MaybeStartHelper();
+  if (helper_.joinable() && !plan_.layers.empty()) {
+    {
+      std::lock_guard<std::mutex> lock(helper_mu_);
+      job_pending_ = true;
+    }
+    helper_cv_.notify_one();
+  }
+  // 6. (training only) Pre-warm NCCL groups for the live placements —
+  //    serving runs no replica collectives, so there is nothing to warm.
+  //    Communicator bootstrap is host-side (CPU + sockets) work that
+  //    overlaps with GPU execution and with the copy engines, so it costs
+  //    nothing on either the training critical path or the background copy
+  //    streams; the step executor below then always hits the warm cache.
+  //    The LRU cache statistics still expose creation churn. Done after
+  //    the plan job is posted, so the helper starts planning meanwhile.
   const bool prune_dead_groups =
       elastic_.active() && elastic_.health().AnyDead();
   if (!serving) {
@@ -242,45 +341,23 @@ StepMetrics FlexMoESystem::RunStepImpl(
     }
   }
 
-  // 2. Route every layer on its live placement.
-  std::vector<RoutedAssignment> routed;
-  routed.reserve(static_cast<size_t>(num_layers));
-  double balance_sum = 0.0;
-  for (int l = 0; l < num_layers; ++l) {
-    routed.push_back(FlexibleRouter::Route(
-        (*effective)[static_cast<size_t>(l)],
-        live_[static_cast<size_t>(l)]));
-    balance_sum += BalanceRatio(routed.back().PerGpuComputeLoads());
-    metrics.tokens_total += routed.back().Total();
+  // 7. Execute the step on the event engine, then plan the layers the
+  //    helper has not taken.
+  StepTiming timing;
+  {
+    // Joins the helper on every exit, unwinding included: its job reads
+    // this frame's assignments.
+    struct JoinHelper {
+      FlexMoESystem* system;
+      ~JoinHelper() { system->WaitForHelper(); }
+    } join{this};
+    timing = serving ? step_executor_.ExecuteForward(work)
+                     : step_executor_.ExecuteStep(work, &group_cache_);
+    PlanLayers();
   }
-  metrics.tokens_total += metrics.tokens_dropped;  // lost-in-flight tokens
-  metrics.balance_ratio = balance_sum / num_layers;
-
-  // 3. Execute the step on the event engine. Under auto-K each layer runs
-  //    at its planned chunk depth; a layer that has never been planned
-  //    (step 0, or the step after a membership change reset) picks its
-  //    initial depth directly from this step's routed workload, so no step
-  //    falls back to serial while waiting for a scheduler trigger.
-  const bool auto_chunks = options_.pipeline.chunks == 0;
-  std::vector<LayerWork> work(static_cast<size_t>(num_layers));
-  for (int l = 0; l < num_layers; ++l) {
-    work[static_cast<size_t>(l)].routed = &routed[static_cast<size_t>(l)];
-    work[static_cast<size_t>(l)].placement = &live_[static_cast<size_t>(l)];
-    if (auto_chunks) {
-      int& chunks = layer_chunks_[static_cast<size_t>(l)];
-      if (chunks == 0) {
-        const LayerCostEstimate est = cost_model_.EstimateLayer(
-            routed[static_cast<size_t>(l)], live_[static_cast<size_t>(l)],
-            /*include_sync=*/!policy_maker_.options().serve_objective);
-        chunks = cost_model_.BestChunkDepth(est.per_gpu_compute,
-                                            est.per_gpu_a2a, est.per_gpu_sync);
-      }
-      work[static_cast<size_t>(l)].chunks = chunks;
-    }
+  if (helper_failure_) {
+    std::rethrow_exception(std::exchange(helper_failure_, nullptr));
   }
-  const StepTiming timing =
-      serving ? step_executor_.ExecuteForward(work)
-              : step_executor_.ExecuteStep(work, &group_cache_);
 
   // Efficiency is relative to the devices that exist: departed GPUs are
   // lost capacity, not inefficiency.
@@ -295,35 +372,16 @@ StepMetrics FlexMoESystem::RunStepImpl(
                 static_cast<double>(metrics.tokens_total)
           : 1.0;
 
-  // 4. Scheduler: monitor this step's workloads, plan modifications on the
-  //    target placements, enqueue them for best-effort execution. Planning
-  //    happens against the target (which already reflects queued ops), so
-  //    it can track workload drift every step; the pending-op cap guards
-  //    against plans outrunning the background streams (stale tail is
-  //    dropped and the target resyncs to the live state).
-  for (int l = 0; l < num_layers; ++l) {
-    auto& executor = executors_[static_cast<size_t>(l)];
-    if (executor.pending_ops() > kMaxPendingOps) {
-      executor.ClearPending();
-      target_[static_cast<size_t>(l)] = live_[static_cast<size_t>(l)];
-      continue;  // re-plan from the fresh state next step
-    }
-    if (step_ < next_plan_step_[static_cast<size_t>(l)]) continue;
-    const bool force_trigger =
-        fault_report.membership_changed || fault_report.perf_changed;
-    // The layer's current depth — including the provisional step-0 pick,
-    // which the same selection rule produced — anchors the scheduler's
-    // retention hysteresis.
-    const int chunk_incumbent =
-        auto_chunks ? layer_chunks_[static_cast<size_t>(l)] : 0;
-    const SchedulerDecision decision = scheduler_.OnStep(
-        step_, (*effective)[static_cast<size_t>(l)],
-        &target_[static_cast<size_t>(l)], force_trigger, chunk_incumbent);
+  // 8. Apply the decisions in layer order: depth, enqueue for best-effort
+  //    execution, audit, backoff.
+  for (size_t i = 0; i < plan_.layers.size(); ++i) {
+    const int l = plan_.layers[i];
+    const SchedulerDecision& decision = plan_.decisions[i];
     if (auto_chunks && decision.pipeline_chunks > 0) {
       layer_chunks_[static_cast<size_t>(l)] = decision.pipeline_chunks;
     }
     if (!decision.ops.empty()) {
-      executor.Enqueue(decision.ops);
+      executors_[static_cast<size_t>(l)].Enqueue(decision.ops);
     }
     // Audit trail: one record per scheduler invocation (steps skipped by
     // the backoff produce none — the gap IS part of the measured policy
@@ -333,9 +391,9 @@ StepMetrics FlexMoESystem::RunStepImpl(
       rec.step = step_;
       rec.layer = l;
       rec.trigger_metric = decision.metric_before;
-      rec.threshold = scheduler_.options().metric == TriggerMetric::kMaxRatio
-                          ? scheduler_.options().threshold
-                          : scheduler_.options().variance_threshold;
+      rec.threshold = options_.scheduler.metric == TriggerMetric::kMaxRatio
+                          ? options_.scheduler.threshold
+                          : options_.scheduler.variance_threshold;
       rec.forced = force_trigger;
       rec.triggered = decision.triggered;
       rec.candidates_evaluated = decision.candidates_evaluated;
@@ -397,6 +455,52 @@ StepMetrics FlexMoESystem::RunStepImpl(
   ++step_;
   stats_.Add(metrics);
   return metrics;
+}
+
+void FlexMoESystem::PlanLayers() {
+  const size_t count = plan_.layers.size();
+  for (size_t i = next_plan_.fetch_add(1, std::memory_order_relaxed);
+       i < count; i = next_plan_.fetch_add(1, std::memory_order_relaxed)) {
+    const size_t l = static_cast<size_t>(plan_.layers[i]);
+    plan_.decisions[i] = schedulers_[l].OnStep(
+        plan_.step, (*plan_.assignments)[l], &target_[l], plan_.force_trigger,
+        plan_.chunk_incumbents[i]);
+  }
+}
+
+void FlexMoESystem::MaybeStartHelper() {
+  if (!TryClaimThread()) return;
+  try {
+    helper_ = std::thread(&FlexMoESystem::HelperMain, this);
+  } catch (const std::system_error&) {
+    ReleaseThreads(1);  // no thread to run it on: the layers plan inline
+  }
+}
+
+void FlexMoESystem::HelperMain() {
+  std::unique_lock<std::mutex> lock(helper_mu_);
+  while (true) {
+    helper_cv_.wait(lock, [this] { return helper_stop_ || job_pending_; });
+    if (helper_stop_) break;
+    lock.unlock();
+    std::exception_ptr failure;
+    try {
+      PlanLayers();
+    } catch (...) {
+      failure = std::current_exception();
+    }
+    lock.lock();
+    helper_failure_ = failure;
+    job_pending_ = false;
+    done_cv_.notify_one();
+  }
+  lock.unlock();
+  ReleaseThreads(1);
+}
+
+void FlexMoESystem::WaitForHelper() {
+  std::unique_lock<std::mutex> lock(helper_mu_);
+  done_cv_.wait(lock, [this] { return !job_pending_; });
 }
 
 }  // namespace flexmoe

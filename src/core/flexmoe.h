@@ -3,12 +3,23 @@
 // token Router, the discrete-event step execution, the Scheduler + Policy
 // Maker monitoring loop, and the best-effort PlacementExecutor applying
 // Expand/Shrink/Migrate on a background stream.
+//
+// As in the paper, the scheduling module plans beside the runtime: a
+// step's MoE layers plan while the step executes on the engine, on a
+// planner helper thread when a core is free (DESIGN.md Sections 3 and 6.4).
+// Decisions apply in layer order after both finish, so every output is
+// the same whichever thread planned a layer.
 
 #ifndef FLEXMOE_CORE_FLEXMOE_H_
 #define FLEXMOE_CORE_FLEXMOE_H_
 
+#include <atomic>
+#include <condition_variable>
 #include <cstdint>
+#include <exception>
 #include <memory>
+#include <mutex>
+#include <thread>
 #include <vector>
 
 #include "collective/nccl_group.h"
@@ -49,6 +60,12 @@ class FlexMoESystem : public MoESystem {
       const FlexMoEOptions& options, const Topology* topo,
       const HardwareProfile* profile);
 
+  /// Stops the planner helper, if one started, and joins it.
+  ~FlexMoESystem() override;
+
+  FlexMoESystem(const FlexMoESystem&) = delete;
+  FlexMoESystem& operator=(const FlexMoESystem&) = delete;
+
   std::string name() const override { return "FlexMoE"; }
   StepMetrics RunStep(
       const std::vector<Assignment>& layer_assignments) override;
@@ -70,6 +87,10 @@ class FlexMoESystem : public MoESystem {
   const NcclGroupCache& group_cache() const { return group_cache_; }
   const CostModel& cost_model() const { return cost_model_; }
 
+  /// True once the planner helper thread has started (it starts on the
+  /// first step with two or more layers to plan and a free core).
+  bool planner_helper_started() const { return helper_.joinable(); }
+
  private:
   FlexMoESystem(const FlexMoEOptions& options, const Topology* topo,
                 const HardwareProfile* profile, NcclGroupCache group_cache,
@@ -82,6 +103,19 @@ class FlexMoESystem : public MoESystem {
   StepMetrics RunStepImpl(const std::vector<Assignment>& layer_assignments,
                           bool serving);
 
+  /// Claims layers of the current plan job from `next_plan_` and runs
+  /// their scheduler invocations until none are left.
+  void PlanLayers();
+
+  /// Starts the planner helper if the thread budget has a core free.
+  void MaybeStartHelper();
+  /// The helper's entry: runs PlanLayers for each posted job until
+  /// stopped, then hands back its core.
+  void HelperMain();
+  /// Blocks until the helper has finished the posted job (returns at once
+  /// when no job is pending).
+  void WaitForHelper();
+
   FlexMoEOptions options_;
   const Topology* topo_;
   const HardwareProfile* profile_;
@@ -89,13 +123,15 @@ class FlexMoESystem : public MoESystem {
   ElasticController elastic_;
   CostModel cost_model_;
   PolicyMaker policy_maker_;
-  Scheduler scheduler_;
   NcclGroupCache group_cache_;
   StepExecutor step_executor_;
 
   std::vector<Placement> live_;
   std::vector<Placement> target_;
   std::vector<PlacementExecutor> executors_;
+  /// One Scheduler (planning state and scratch) per layer, so layers plan
+  /// on any thread, at the same time, each from its own state.
+  std::vector<Scheduler> schedulers_;
 
   /// Per-layer planning backoff: a trigger that accepts no plan doubles
   /// the layer's cooldown (capped), an accepted plan resets it. Avoids
@@ -110,6 +146,36 @@ class FlexMoESystem : public MoESystem {
   /// routed assignment, and every scheduler trigger refreshes it from the
   /// planned placement. Unused (empty checks aside) under static K.
   std::vector<int> layer_chunks_;
+
+  /// Polled once per step on which some layer plans.
+  CapacityTrigger capacity_trigger_;
+
+  /// The current step's plan job: the layers that plan, in layer order,
+  /// what each invocation reads, and one decision slot per planning layer.
+  /// The caller writes it before posting the job and reads the decisions
+  /// after the join; a slot is written by whichever thread claims the
+  /// layer (from `next_plan_`).
+  struct PlanJob {
+    int64_t step = 0;
+    const std::vector<Assignment>* assignments = nullptr;
+    std::vector<int> layers;
+    std::vector<int> chunk_incumbents;
+    std::vector<SchedulerDecision> decisions;
+    bool force_trigger = false;
+  };
+  PlanJob plan_;
+  std::atomic<size_t> next_plan_{0};
+
+  /// The planner helper (DESIGN.md Section 6.4): one thread, woken once
+  /// per step that has layers to plan.
+  std::mutex helper_mu_;
+  std::condition_variable helper_cv_;  ///< a job is posted, or stop
+  std::condition_variable done_cv_;    ///< the helper finished its job
+  // Guarded by helper_mu_.
+  bool job_pending_ = false;  ///< posted, and the helper has not finished
+  bool helper_stop_ = false;
+  std::exception_ptr helper_failure_;
+  std::thread helper_;  ///< after every member the helper uses
 
   TrainingStats stats_;
   int64_t step_ = 0;

@@ -12,8 +12,9 @@ namespace {
 
 constexpr double kNegInf = -std::numeric_limits<double>::infinity();
 
-/// Minimum cells per contribution block (512 KiB).
-constexpr size_t kCellBlock = size_t{1} << 15;
+/// Minimum cells per contribution block (128 KiB): one block holds a G = 16
+/// invocation's cells.
+constexpr size_t kCellBlock = size_t{1} << 13;
 
 /// v^8 by repeated squaring: the one term both Score8Norm and the pruning
 /// bound accumulate, so the two sums see bitwise-identical terms.
@@ -57,6 +58,10 @@ double Score8Norm(const std::vector<double>& per_gpu_seconds) {
 LayerCostState::LayerCostState(const CostModel* cost_model, bool include_sync)
     : cost_model_(cost_model), include_sync_(include_sync), cell_blocks_(1) {
   FLEXMOE_CHECK(cost_model != nullptr);
+  // Reserved by the building thread, so the pool sits in that thread's
+  // malloc arena even when another thread plans on the state: a planner
+  // helper's arena then holds only its transient allocations.
+  cell_blocks_[0].reserve(kCellBlock);
 }
 
 void LayerCostState::Reset(const Assignment& assignment,

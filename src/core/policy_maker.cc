@@ -30,9 +30,7 @@ Status PolicyMakerOptions::Validate() const {
 
 PolicyMaker::PolicyMaker(const CostModel* cost_model,
                          const PolicyMakerOptions& options)
-    : cost_model_(cost_model),
-      options_(options),
-      scratch_state_(cost_model, /*include_sync=*/!options.serve_objective) {
+    : cost_model_(cost_model), options_(options) {
   FLEXMOE_CHECK(cost_model != nullptr);
   FLEXMOE_CHECK_OK(options.Validate());
 }
@@ -45,8 +43,10 @@ bool PolicyMaker::Expandable(GpuId g) const {
 std::vector<ModOp> PolicyMaker::MakeSchedulingPlan(
     const Assignment& assignment, const Placement& placement,
     PlanSearchStats* stats) const {
-  scratch_state_.Reset(assignment, placement);
-  return PlanOnState(&scratch_state_, stats);
+  LayerCostState state(cost_model_,
+                       /*include_sync=*/!options_.serve_objective);
+  state.Reset(assignment, placement);
+  return PlanOnState(&state, stats);
 }
 
 std::vector<ModOp> PolicyMaker::PlanOnState(LayerCostState* state,
@@ -401,6 +401,18 @@ std::vector<ModOp> PolicyMaker::PlanMigrations(const Placement& placement,
     return total;
   };
 
+  // Every candidate below is applied and reverted exactly (replica lists
+  // stay gpu-ascending), so within a move `current` always equals the
+  // move's starting placement. A GPU's hosted experts are therefore read
+  // once per GPU on demand and kept across moves; only the two GPUs an
+  // accepted swap touches are re-read.
+  std::vector<std::vector<int>> experts_on(
+      static_cast<size_t>(current.num_gpus()));
+  std::vector<char> experts_on_valid(static_cast<size_t>(current.num_gpus()),
+                                     0);
+  std::vector<int> node_vexperts(static_cast<size_t>(topo.num_nodes()), 0);
+  std::vector<GpuId> hosts;
+
   for (int move = 0; move < max_moves; ++move) {
     const double base = total_substituting(-1, 0.0, -1, 0.0);
     double best_gain = kMinMigrationGainSec;
@@ -408,41 +420,68 @@ std::vector<ModOp> PolicyMaker::PlanMigrations(const Placement& placement,
     bool found = false;
 
     for (int e = 0; e < current.num_experts(); ++e) {
-      const std::vector<GpuId> hosts = current.HostGpus(e);
-      if (hosts.size() < 2 || topo.NodesSpanned(hosts) < 2) continue;
-
-      // Majority node: the node carrying most of e's vExperts.
-      std::map<NodeId, int> per_node;
-      for (const auto& [gpu, count] : current.Replicas(e)) {
-        per_node[topo.NodeOf(gpu)] += count;
+      const ReplicaList& replicas = current.Replicas(e);
+      if (replicas.size() < 2) continue;
+      // `hosts` is a copy: the candidates below rewrite e's replica list.
+      hosts.clear();
+      int spanned = 0;
+      for (const auto& [gpu, count] : replicas) {
+        hosts.push_back(gpu);
+        int& on_node = node_vexperts[static_cast<size_t>(topo.NodeOf(gpu))];
+        if (on_node == 0) ++spanned;
+        on_node += count;
       }
-      NodeId major = per_node.begin()->first;
-      for (const auto& [node, count] : per_node) {
-        if (count > per_node[major]) major = node;
+      // Majority node: the node carrying most of e's vExperts, the lowest
+      // id among ties.
+      NodeId major = -1;
+      int major_count = 0;
+      for (const GpuId gpu : hosts) {
+        const NodeId node = topo.NodeOf(gpu);
+        const int count = node_vexperts[static_cast<size_t>(node)];
+        if (count > major_count || (count == major_count && node < major)) {
+          major = node;
+          major_count = count;
+        }
       }
+      for (const GpuId gpu : hosts) {
+        node_vexperts[static_cast<size_t>(topo.NodeOf(gpu))] = 0;
+      }
+      if (spanned < 2) continue;
 
+      const std::vector<GpuId> major_gpus = topo.GpusOnNode(major);
       for (GpuId lonely : hosts) {
         if (topo.NodeOf(lonely) == major) continue;
         // Try to pull e's off-node replica onto the majority node by
         // swapping with a vExpert already there.
-        for (GpuId target : topo.GpusOnNode(major)) {
+        for (GpuId target : major_gpus) {
           if (!Expandable(target)) continue;
+          std::vector<int>& partners =
+              experts_on[static_cast<size_t>(target)];
+          if (!experts_on_valid[static_cast<size_t>(target)]) {
+            partners = current.ExpertsOn(target);
+            experts_on_valid[static_cast<size_t>(target)] = 1;
+          }
           // Swapping onto a GPU that already hosts e just packs — still
           // useful, because it dissolves `lonely` from the replica group.
-          for (int partner : current.ExpertsOn(target)) {
+          for (int partner : partners) {
             if (partner == e) continue;
+            // ApplyOp's one failure on these swaps: e sits on `lonely` and
+            // partner on `target`, different GPUs, and e has two hosts, so
+            // the swap fails exactly when it would take partner's last
+            // vExpert. Checked first, the infeasible candidate costs no
+            // failed ApplyOp.
+            if (current.VExperts(partner) < 2) continue;
             // Mutate-undo instead of copying the placement per candidate
             // (an O(E x G) copy at large EP): apply, score the two touched
             // experts, revert with the inverse swap.
             const ModOp op = MakeMigrate(e, lonely, partner, target);
-            if (!ApplyOp(op, &current).ok()) continue;
+            FLEXMOE_CHECK_OK(ApplyOp(op, &current));
             const double gain =
                 base - total_substituting(
                            e, cost_model_->SyncSeconds(current, e), partner,
                            cost_model_->SyncSeconds(current, partner));
-            FLEXMOE_CHECK(
-                ApplyOp(MakeMigrate(e, target, partner, lonely), &current)
-                    .ok());
+            FLEXMOE_CHECK_OK(
+                ApplyOp(MakeMigrate(e, target, partner, lonely), &current));
             if (gain > best_gain) {
               best_gain = gain;
               best_op = op;
@@ -454,6 +493,8 @@ std::vector<ModOp> PolicyMaker::PlanMigrations(const Placement& placement,
     }
     if (!found) break;
     FLEXMOE_CHECK_OK(ApplyOp(best_op, &current));
+    experts_on_valid[static_cast<size_t>(best_op.src)] = 0;
+    experts_on_valid[static_cast<size_t>(best_op.dst)] = 0;
     sync[static_cast<size_t>(best_op.expert)] =
         cost_model_->SyncSeconds(current, best_op.expert);
     sync[static_cast<size_t>(best_op.partner_expert)] =

@@ -74,6 +74,13 @@ struct PlanSearchStats {
 };
 
 /// \brief Implements Algorithm 2 plus background migration planning.
+///
+/// Concurrency: the planner holds no mutable state. Every method reads
+/// only its arguments, the cost model and the health view, and writes
+/// only what it is handed (PlanOnState's `state`), so several Schedulers
+/// call it at once on different layers (FlexMoESystem's planner helper,
+/// DESIGN.md Section 6.4). Keep planning scratch out of this class: a
+/// caller owns its LayerCostState.
 class PolicyMaker {
  public:
   /// Experts considered for expansion per plan, hottest first (and cold
@@ -94,8 +101,9 @@ class PolicyMaker {
   /// One Expand/Shrink round (Algorithm 2). Returns ops in dependency order
   /// (Shrink first when it frees the slot the Expand consumes); empty if no
   /// beneficial modification exists. `stats` (nullable) receives the
-  /// search's audit record. Resets the planner's private LayerCostState
-  /// and delegates to PlanOnState.
+  /// search's audit record. Builds a LayerCostState for the call and
+  /// delegates to PlanOnState (repeated planning keeps its own state and
+  /// calls PlanOnState, as the Scheduler does).
   std::vector<ModOp> MakeSchedulingPlan(const Assignment& assignment,
                                         const Placement& placement,
                                         PlanSearchStats* stats = nullptr) const;
@@ -136,9 +144,6 @@ class PolicyMaker {
   const CostModel* cost_model_;
   PolicyMakerOptions options_;
   const ClusterHealth* health_ = nullptr;
-  /// Scratch state backing the convenience MakeSchedulingPlan overload
-  /// (reused across calls so steady-state planning reuses allocations).
-  mutable LayerCostState scratch_state_;
 };
 
 }  // namespace flexmoe

@@ -114,18 +114,20 @@ struct RouteScratch {
   std::vector<int64_t> quota;
   std::vector<int64_t> avail;
   std::vector<int64_t> spill;
-  std::vector<int64_t> take;
   std::vector<GpuId> dsts;
-  std::vector<std::pair<double, GpuId>> remainders;
+  /// The general path's per-destination state, by position in `dsts`,
+  /// when the hosts outnumber its stack arrays.
+  std::vector<int64_t> pos_avail;
+  std::vector<int64_t> pos_take;
+  std::vector<double> pos_frac;
+  std::vector<uint32_t> pos_order;
 
   void Resize(int num_gpus) {
     quota.resize(static_cast<size_t>(num_gpus));
     avail.resize(static_cast<size_t>(num_gpus));
     spill.resize(static_cast<size_t>(num_gpus));
-    take.resize(static_cast<size_t>(num_gpus));
     dsts.clear();
     dsts.reserve(static_cast<size_t>(num_gpus));
-    remainders.reserve(static_cast<size_t>(num_gpus));
   }
 };
 
@@ -378,6 +380,35 @@ void RouteExpert(const Assignment& assignment, const Placement& placement,
     return;
   }
 
+  // General path (three or more destinations). Per-destination state is
+  // indexed by position in `s.dsts`, on the stack for the host counts the
+  // planner produces. The FP ops run in the canonical order: proportional
+  // floors in ascending dst order, largest-remainder in (frac desc, id asc)
+  // order, greedy residue ascending. Positions ascend with ids, so the
+  // tie-break on position is the tie-break on id.
+  const size_t n = s.dsts.size();
+  constexpr size_t kStackDsts = 16;
+  int64_t stack_avail[kStackDsts], stack_take[kStackDsts];
+  double stack_frac[kStackDsts];
+  uint32_t stack_order[kStackDsts];
+  int64_t* av = stack_avail;
+  int64_t* tk = stack_take;
+  double* fr = stack_frac;
+  uint32_t* order = stack_order;
+  if (n > kStackDsts) {
+    s.pos_avail.resize(n);
+    s.pos_take.resize(n);
+    s.pos_frac.resize(n);
+    s.pos_order.resize(n);
+    av = s.pos_avail.data();
+    tk = s.pos_take.data();
+    fr = s.pos_frac.data();
+    order = s.pos_order.data();
+  }
+  for (size_t i = 0; i < n; ++i) {
+    av[i] = s.avail[static_cast<size_t>(s.dsts[i])];
+  }
+  const GpuId* dsts = s.dsts.data();
   for (GpuId src = 0; src < num_gpus; ++src) {
     const int64_t sp = s.spill[static_cast<size_t>(src)];
     if (sp <= 0) continue;
@@ -385,55 +416,41 @@ void RouteExpert(const Assignment& assignment, const Placement& placement,
 
     // Proportional allocation over the expert's hosts (`s.dsts` is exactly
     // the ascending-id set the full-G scan would visit: every other GPU has
-    // zero capacity, which the old scan skipped).
-    s.remainders.clear();
+    // zero capacity, which the old scan skipped). Each position joins the
+    // remainder order by insertion — the comparator is a strict total order
+    // (destinations are unique), so the permutation is the sorted one.
+    size_t ranked = 0;
     int64_t allocated = 0;
-    for (const GpuId dst : s.dsts) {
-      s.take[static_cast<size_t>(dst)] = 0;
-      const int64_t a = s.avail[static_cast<size_t>(dst)];
+    for (size_t i = 0; i < n; ++i) {
+      tk[i] = 0;
+      const int64_t a = av[i];
       if (a <= 0) continue;
       const double exact = static_cast<double>(sp) *
                            static_cast<double>(a) /
                            static_cast<double>(total_avail);
       const int64_t base =
           std::min(a, static_cast<int64_t>(std::floor(exact)));
-      s.take[static_cast<size_t>(dst)] = base;
+      tk[i] = base;
       allocated += base;
-      s.remainders.push_back({exact - std::floor(exact), dst});
-    }
-    // The comparator is a strict total order (destinations are unique), so
-    // the sorted permutation is unique and any sorting algorithm produces
-    // it; insertion sort skips std::sort's dispatch overhead at the tiny
-    // sizes (|hosts|) seen here.
-    const auto remainder_less = [](const std::pair<double, GpuId>& a,
-                                   const std::pair<double, GpuId>& b) {
-      if (a.first != b.first) return a.first > b.first;
-      return a.second < b.second;
-    };
-    for (size_t i = 1; i < s.remainders.size(); ++i) {
-      const std::pair<double, GpuId> key = s.remainders[i];
-      size_t j = i;
-      for (; j > 0 && remainder_less(key, s.remainders[j - 1]); --j) {
-        s.remainders[j] = s.remainders[j - 1];
-      }
-      s.remainders[j] = key;
+      const double frac = exact - std::floor(exact);
+      fr[i] = frac;
+      // Later positions lose ties, so an equal remainder stays in front.
+      size_t j = ranked++;
+      for (; j > 0 && frac > fr[order[j - 1]]; --j) order[j] = order[j - 1];
+      order[j] = static_cast<uint32_t>(i);
     }
     int64_t leftover = sp - allocated;
-    for (const auto& [frac, dst] : s.remainders) {
-      if (leftover <= 0) break;
-      if (s.take[static_cast<size_t>(dst)] <
-          s.avail[static_cast<size_t>(dst)]) {
-        ++s.take[static_cast<size_t>(dst)];
+    for (size_t r = 0; r < ranked && leftover > 0; ++r) {
+      const uint32_t i = order[r];
+      if (tk[i] < av[i]) {
+        ++tk[i];
         --leftover;
       }
     }
     // Greedy residue (rounding can leave slack when many dsts saturate).
-    for (const GpuId dst : s.dsts) {
-      if (leftover <= 0) break;
-      const int64_t room =
-          s.avail[static_cast<size_t>(dst)] - s.take[static_cast<size_t>(dst)];
-      const int64_t extra = std::min(room, leftover);
-      s.take[static_cast<size_t>(dst)] += extra;
+    for (size_t i = 0; i < n && leftover > 0; ++i) {
+      const int64_t extra = std::min(av[i] - tk[i], leftover);
+      tk[i] += extra;
       leftover -= extra;
     }
     FLEXMOE_CHECK_MSG(leftover == 0, "router failed to place spill");
@@ -441,11 +458,11 @@ void RouteExpert(const Assignment& assignment, const Placement& placement,
     // Destination-major writes: each dst's cell for this src sits at
     // column `src` of the dst row, so consecutive sources touch
     // consecutive bytes of the same few (|hosts|) rows.
-    for (const GpuId dst : s.dsts) {
-      const int64_t t = s.take[static_cast<size_t>(dst)];
+    for (size_t i = 0; i < n; ++i) {
+      const int64_t t = tk[i];
       if (t <= 0) continue;
-      sink->Add(dst, src, t);
-      s.avail[static_cast<size_t>(dst)] -= t;
+      sink->Add(dsts[i], src, t);
+      av[i] -= t;
     }
     total_avail -= sp;
   }

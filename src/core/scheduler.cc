@@ -113,22 +113,7 @@ SchedulerDecision Scheduler::OnStep(int64_t step,
   decision.metric_before = MetricFromTokens(tokens_scratch_);
   decision.metric_after = decision.metric_before;
 
-  // Capacity-change trigger: any health transition since the last
-  // invocation (device lost, straggler appeared or recovered, device
-  // joined) forces re-planning — the placement that balanced the old
-  // cluster does not balance the new one. The trigger is remembered for
-  // the whole step, because one Scheduler serves every MoE layer and each
-  // layer's OnStep call must see it.
-  bool capacity_changed = false;
-  if (health_ != nullptr) {
-    if (health_->version() != last_health_version_) {
-      last_health_version_ = health_->version();
-      capacity_trigger_step_ = step;
-    }
-    capacity_changed = step == capacity_trigger_step_;
-  }
-  if (!force_trigger && !capacity_changed &&
-      !ShouldTrigger(step, decision.metric_before)) {
+  if (!force_trigger && !ShouldTrigger(step, decision.metric_before)) {
     return decision;
   }
 

@@ -12,6 +12,7 @@
 #ifndef FLEXMOE_CORE_SCHEDULER_H_
 #define FLEXMOE_CORE_SCHEDULER_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "core/policy_maker.h"
@@ -73,25 +74,49 @@ struct SchedulerDecision {
   std::vector<ModOp> ops;
 };
 
+/// \brief The capacity-change trigger: a cluster-health transition (device
+/// lost, straggler appeared or recovered, device joined) forces
+/// re-planning, because the placement that balanced the old cluster does
+/// not balance the new one. One watch serves every MoE layer:
+/// FlexMoESystem polls it once per step on which some layer plans and
+/// forces each of those layers' invocations.
+class CapacityTrigger {
+ public:
+  /// True iff `health`'s version changed since the last poll.
+  bool Poll(const ClusterHealth& health) {
+    const bool changed = health.version() != last_version_;
+    last_version_ = health.version();
+    return changed;
+  }
+
+ private:
+  int64_t last_version_ = 0;
+};
+
 /// \brief Implements Algorithm 1 against a target placement.
 ///
 /// The target placement reflects all planned modifications immediately (the
 /// Policy Maker must see its own previous decisions); the executor applies
 /// them to the live placement as transfers complete.
+///
+/// An invocation reads only its arguments, the (const) Policy Maker and
+/// the health view, and writes only `target` and this object's planning
+/// scratch. So Schedulers sharing one Policy Maker may plan different
+/// layers at the same time, one invocation per Scheduler at a time
+/// (FlexMoESystem keeps one per MoE layer).
 class Scheduler {
  public:
   Scheduler(const PolicyMaker* policy_maker, const SchedulerOptions& options);
 
-  /// Installs the dynamic-membership view (nullable). A version change in
-  /// the health registry — capacity lost to a failure or a straggler,
-  /// capacity regained on a join — forces a trigger irrespective of the
-  /// balance metric, and a trigger with degraded devices present plans
-  /// migrate-away ops before the balance loop.
+  /// Installs the dynamic-membership view (nullable). A trigger with
+  /// degraded devices present plans migrate-away ops before the balance
+  /// loop.
   void SetClusterHealth(const ClusterHealth* health) { health_ = health; }
 
   /// Runs the Algorithm 1 body for one step's workload. Mutates `target`.
-  /// `force_trigger` bypasses the metric threshold (used by the elastic
-  /// controller on the boundary where cluster events fired).
+  /// `force_trigger` bypasses the metric threshold: the caller sets it on
+  /// the boundary where cluster events fired and when its CapacityTrigger
+  /// fires.
   /// `chunk_incumbent` is the chunk depth the layer currently executes
   /// with under auto-K (DESIGN.md §12), always >= 1: a triggered
   /// invocation then also evaluates the chunk-depth candidates against the
@@ -125,10 +150,6 @@ class Scheduler {
   mutable std::vector<int64_t> tokens_scratch_;
   mutable std::vector<double> loads_scratch_;
   LayerCostState plan_state_;
-  /// Last health version observed by OnStep, and the step on which the
-  /// change was seen — every layer's OnStep call for that step triggers.
-  int64_t last_health_version_ = 0;
-  int64_t capacity_trigger_step_ = -1;
 };
 
 }  // namespace flexmoe

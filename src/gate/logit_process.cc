@@ -15,6 +15,14 @@ Status ScenarioOptions::Validate() const {
         StrFormat("unknown workload scenario '%s'", name.c_str()));
   }
   if (shift_step < 0) return Status::InvalidArgument("shift_step < 0");
+  // NaN passes every range check below, and an infinity passes the
+  // one-sided ones; either would reach the samplers.
+  for (const double v : {burst_rate, burst_boost, burst_decay, diurnal_period,
+                         diurnal_amplitude}) {
+    if (!std::isfinite(v)) {
+      return Status::InvalidArgument("scenario parameters must be finite");
+    }
+  }
   if (burst_rate < 0.0 || burst_rate > 1.0) {
     return Status::InvalidArgument("burst_rate must be in [0, 1]");
   }

@@ -1,11 +1,12 @@
 // Process-wide budget of hardware threads for simulation work.
 //
-// Two things in the library start threads: ParallelFor's grid workers
-// (harness/grid_runner.h) and the trace-prefetch helpers of
-// GeneratorTraceSource (gate/trace_source.h). Both share one count of
-// busy threads so a helper only starts on a core that would otherwise sit
-// idle: a grid already running one cell per core keeps its helpers off,
-// while a serial run (or a grid's tail) hands the spare cores to them.
+// Three things in the library start threads: ParallelFor's grid workers
+// (harness/grid_runner.h), the trace-prefetch helpers of
+// GeneratorTraceSource (gate/trace_source.h) and FlexMoESystem's planner
+// helper (core/flexmoe.h). All share one count of busy threads so a
+// helper only starts on a core that would otherwise sit idle: a grid
+// already running one cell per core keeps its helpers off, while a serial
+// run (or a grid's tail) hands the spare cores to them.
 // The calling (main) thread counts as busy from the start. The budget only
 // decides *where* work runs, never what it computes.
 

@@ -371,24 +371,28 @@ TEST(ElasticTest, SchedulerTriggersOnCapacityChange) {
   ClusterHealth health(8);
   scheduler.SetClusterHealth(&health);
   f.pm.SetClusterHealth(&health);
+  CapacityTrigger capacity;
 
   Placement target = SmallPlacement(8, 8, 4);
   Assignment a(8, 8);
   for (int e = 0; e < 8; ++e) {
     for (int g = 0; g < 8; ++g) a.set(e, g, 128);
   }
-  EXPECT_FALSE(scheduler.OnStep(0, a, &target).triggered);
+  EXPECT_FALSE(
+      scheduler.OnStep(0, a, &target, capacity.Poll(health)).triggered);
 
   FaultEvent slow;
   slow.type = FaultType::kSlowdown;
   slow.gpu = 2;
   slow.compute_multiplier = 2.0;
   ASSERT_TRUE(health.Apply(slow).ok());
-  const SchedulerDecision d = scheduler.OnStep(1, a, &target);
+  const SchedulerDecision d =
+      scheduler.OnStep(1, a, &target, capacity.Poll(health));
   EXPECT_TRUE(d.triggered);  // version change forced the trigger
   EXPECT_GT(d.evacuations, 0);
   // The version was consumed: no re-trigger next step.
-  EXPECT_FALSE(scheduler.OnStep(2, a, &target).triggered);
+  EXPECT_FALSE(
+      scheduler.OnStep(2, a, &target, capacity.Poll(health)).triggered);
 }
 
 // ---- Replay determinism ----------------------------------------------------

@@ -185,6 +185,29 @@ TEST(ExperimentTest, BadTraceOverridesReturnStatus) {
       << report.status().ToString();
 }
 
+// Non-finite scenario dynamics are rejected up front: NaN passes every
+// range check, and the run would otherwise abort inside the sampler.
+TEST(ExperimentTest, NonFiniteScenarioParametersReturnStatus) {
+  using Field = double ScenarioOptions::*;
+  const std::pair<const char*, Field> fields[] = {
+      {"bursty", &ScenarioOptions::burst_rate},
+      {"bursty", &ScenarioOptions::burst_boost},
+      {"bursty", &ScenarioOptions::burst_decay},
+      {"diurnal", &ScenarioOptions::diurnal_period},
+      {"diurnal", &ScenarioOptions::diurnal_amplitude}};
+  for (const auto& [scenario, field] : fields) {
+    for (const double bad : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+      ExperimentOptions o = SmallExperiment("flexmoe");
+      o.workload.scenario.name = scenario;
+      o.workload.scenario.*field = bad;
+      const auto report = RunExperiment(o);
+      ASSERT_FALSE(report.ok()) << scenario << " " << bad;
+      EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument)
+          << scenario << " " << bad;
+    }
+  }
+}
+
 TEST(ReportersTest, SpeedupFormat) {
   EXPECT_EQ(FormatSpeedup(1.726), "1.73x");
 }

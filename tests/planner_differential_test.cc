@@ -5,7 +5,9 @@
 // PolicyMaker::MakeSchedulingPlan / PlanOnState / PlanMigrations at small G,
 // across the workload scenario catalog, both objectives, and degraded /
 // dead-device health masks. Any FP- or ordering-level divergence in the
-// LayerCostState rewrite shows up here as a mismatched plan.
+// LayerCostState rewrite shows up here as a mismatched plan. A second
+// reference, the mutate-undo ApplyOp loop PlanMigrations ran before its
+// feasibility check, pins PlanMigrations on random placements.
 
 #include <gtest/gtest.h>
 
@@ -22,6 +24,7 @@
 #include "elastic/fault_plan.h"
 #include "gate/trace_generator.h"
 #include "test_env.h"
+#include "util/rng.h"
 
 namespace flexmoe {
 namespace {
@@ -463,6 +466,183 @@ TEST(PlannerDifferentialTest, SchedulerPlanLoopMatchesReference) {
   }
   EXPECT_GT(triggered, 0) << "walk never triggered the scheduler";
   EXPECT_GT(pruned, 0) << "walk never pruned a candidate";
+}
+
+// --------------------------------------------------------------------------
+// PlanMigrations: the candidate loop as it stood before the feasibility
+// check and the hoisted views — every candidate a mutate-undo through
+// ApplyOp, an infeasible one rejected by ApplyOp's Status — verbatim.
+// --------------------------------------------------------------------------
+
+std::vector<ModOp> ApplyOpLoopMigrations(const CostModel& cost,
+                                         const ClusterHealth* health,
+                                         const Placement& placement,
+                                         int max_moves) {
+  const auto expandable = [health](GpuId g) {
+    return health == nullptr || health->state(g) == DeviceState::kHealthy;
+  };
+  std::vector<ModOp> plan;
+  Placement current = placement;
+  const Topology& topo = cost.profile().topology();
+
+  std::vector<double> sync(static_cast<size_t>(current.num_experts()), 0.0);
+  for (int e = 0; e < current.num_experts(); ++e) {
+    sync[static_cast<size_t>(e)] = cost.SyncSeconds(current, e);
+  }
+  const auto total_substituting = [&](int e1, double s1, int e2, double s2) {
+    double total = 0.0;
+    for (int e = 0; e < current.num_experts(); ++e) {
+      if (e == e1) {
+        total += s1;
+      } else if (e == e2) {
+        total += s2;
+      } else {
+        total += sync[static_cast<size_t>(e)];
+      }
+    }
+    return total;
+  };
+
+  for (int move = 0; move < max_moves; ++move) {
+    const double base = total_substituting(-1, 0.0, -1, 0.0);
+    double best_gain = PolicyMaker::kMinMigrationGainSec;
+    ModOp best_op;
+    bool found = false;
+
+    for (int e = 0; e < current.num_experts(); ++e) {
+      const std::vector<GpuId> hosts = current.HostGpus(e);
+      if (hosts.size() < 2 || topo.NodesSpanned(hosts) < 2) continue;
+
+      std::map<NodeId, int> per_node;
+      for (const auto& [gpu, count] : current.Replicas(e)) {
+        per_node[topo.NodeOf(gpu)] += count;
+      }
+      NodeId major = per_node.begin()->first;
+      for (const auto& [node, count] : per_node) {
+        if (count > per_node[major]) major = node;
+      }
+
+      for (GpuId lonely : hosts) {
+        if (topo.NodeOf(lonely) == major) continue;
+        for (GpuId target : topo.GpusOnNode(major)) {
+          if (!expandable(target)) continue;
+          for (int partner : current.ExpertsOn(target)) {
+            if (partner == e) continue;
+            const ModOp op = MakeMigrate(e, lonely, partner, target);
+            if (!ApplyOp(op, &current).ok()) continue;
+            const double gain =
+                base - total_substituting(
+                           e, cost.SyncSeconds(current, e), partner,
+                           cost.SyncSeconds(current, partner));
+            EXPECT_TRUE(
+                ApplyOp(MakeMigrate(e, target, partner, lonely), &current)
+                    .ok());
+            if (gain > best_gain) {
+              best_gain = gain;
+              best_op = op;
+              found = true;
+            }
+          }
+        }
+      }
+    }
+    if (!found) break;
+    EXPECT_TRUE(ApplyOp(best_op, &current).ok());
+    sync[static_cast<size_t>(best_op.expert)] =
+        cost.SyncSeconds(current, best_op.expert);
+    sync[static_cast<size_t>(best_op.partner_expert)] =
+        cost.SyncSeconds(current, best_op.partner_expert);
+    plan.push_back(best_op);
+  }
+  return plan;
+}
+
+/// A random walk of Expand/Shrink/Migrate ops from expert parallelism:
+/// replica groups spread over nodes, and some experts keep a single
+/// vExpert, so many candidate swaps are infeasible.
+Placement RandomPlacement(int experts, int gpus, int slots, Rng* rng) {
+  Placement p = StartPlacement(experts, gpus, slots);
+  const auto pick = [rng](int n) {
+    return static_cast<int>(rng->UniformInt(static_cast<uint64_t>(n)));
+  };
+  for (int i = 0; i < 60; ++i) {
+    const int e = pick(experts);
+    const std::vector<GpuId> hosts = p.HostGpus(e);
+    const GpuId host = hosts[static_cast<size_t>(pick(
+        static_cast<int>(hosts.size())))];
+    const GpuId g = pick(gpus);
+    ModOp op;
+    switch (pick(3)) {
+      case 0:
+        op = MakeShrink(e, host);
+        break;
+      case 1:
+        op = MakeExpand(e, host, g);
+        break;
+      default: {
+        const std::vector<int> there = p.ExpertsOn(g);
+        if (there.empty()) continue;
+        op = MakeMigrate(e, host, there[static_cast<size_t>(pick(
+                                      static_cast<int>(there.size())))],
+                         g);
+        break;
+      }
+    }
+    (void)ApplyOp(op, &p);  // infeasible ops leave the placement as is
+  }
+  EXPECT_TRUE(p.Validate().ok());
+  return p;
+}
+
+TEST(PlannerDifferentialTest, MigrationsMatchApplyOpLoopOnRandomPlacements) {
+  const int experts = 32;
+  ClusterHealth degraded(32);
+  FaultEvent slow;
+  slow.type = FaultType::kSlowdown;
+  slow.gpu = 9;
+  slow.compute_multiplier = 2.0;
+  ASSERT_TRUE(degraded.Apply(slow).ok());
+  FaultEvent dead;
+  dead.type = FaultType::kFailStop;
+  dead.gpu = 20;
+  ASSERT_TRUE(degraded.Apply(dead).ok());
+
+  int plans = 0;
+  int single_vexpert_placements = 0;
+  for (const int gpus : {16, 32}) {
+    TestEnv env = TestEnv::Make(gpus);
+    ModelConfig model = GptMoES();
+    model.num_experts = experts;
+    const CostModel cost(&env.profile, ShapeFromModel(model));
+    for (const bool with_health : {false, true}) {
+      if (with_health && gpus != 32) continue;
+      const ClusterHealth* health = with_health ? &degraded : nullptr;
+      PolicyMaker pm(&cost, PolicyMakerOptions{});
+      pm.SetClusterHealth(health);
+      Rng rng(static_cast<uint64_t>(gpus) * 31 + (with_health ? 1 : 0));
+      for (int trial = 0; trial < 40; ++trial) {
+        const int slots = 3 + trial % 3;
+        const Placement p = RandomPlacement(experts, gpus, slots, &rng);
+        for (int e = 0; e < experts; ++e) {
+          if (p.VExperts(e) == 1) {
+            ++single_vexpert_placements;
+            break;
+          }
+        }
+        for (const int moves : {1, 4, 8}) {
+          SCOPED_TRACE(testing::Message() << "G=" << gpus << " health="
+                                          << with_health << " trial=" << trial
+                                          << " moves=" << moves);
+          const std::vector<ModOp> want =
+              ApplyOpLoopMigrations(cost, health, p, moves);
+          ExpectSameOps(pm.PlanMigrations(p, moves), want);
+          if (!want.empty()) ++plans;
+        }
+      }
+    }
+  }
+  EXPECT_GT(plans, 0) << "no random placement had a migration to plan";
+  EXPECT_GT(single_vexpert_placements, 0);
 }
 
 }  // namespace

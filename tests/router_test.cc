@@ -3,6 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <map>
+#include <vector>
+
 #include "core/balance.h"
 #include "core/router.h"
 #include "util/rng.h"
@@ -197,6 +202,152 @@ TEST(RouterTest, ReplicationImprovesBalance) {
 }
 
 // --- Balance metrics -------------------------------------------------------
+
+// The per-expert router as it stood before the small-host-set path: the
+// locality claim, then every spilling source through the general loop
+// (G-sized take array, remainder vector), whatever the host count —
+// verbatim, recording each cell in emission order.
+std::vector<RouteEntry> GeneralLoopRouteExpert(const Assignment& assignment,
+                                               const Placement& placement,
+                                               int e) {
+  std::vector<RouteEntry> cells;
+  const int num_gpus = assignment.num_gpus();
+  const int64_t total = assignment.ExpertTotal(e);
+  if (total == 0) return cells;
+  const int n_e = placement.VExperts(e);
+  const int64_t cap = (total + n_e - 1) / n_e;
+  std::vector<int64_t> quota(static_cast<size_t>(num_gpus));
+  std::vector<int64_t> avail(static_cast<size_t>(num_gpus));
+  std::vector<int64_t> spill(static_cast<size_t>(num_gpus));
+  std::vector<int64_t> take(static_cast<size_t>(num_gpus));
+  std::vector<GpuId> dsts;
+  std::vector<std::pair<double, GpuId>> remainders;
+
+  const int64_t* assigned = assignment.row(e);
+  const int* replicas = placement.CountsRow(e);
+  int64_t spill_total = 0;
+  for (GpuId g = 0; g < num_gpus; ++g) {
+    quota[static_cast<size_t>(g)] = cap * static_cast<int64_t>(replicas[g]);
+    const int64_t local = std::min(quota[static_cast<size_t>(g)], assigned[g]);
+    if (local != 0) cells.push_back(RouteEntry{g, g, local});
+    avail[static_cast<size_t>(g)] = quota[static_cast<size_t>(g)] - local;
+    spill[static_cast<size_t>(g)] = assigned[g] - local;
+    spill_total += assigned[g] - local;
+    if (avail[static_cast<size_t>(g)] > 0) dsts.push_back(g);
+  }
+  if (spill_total == 0) return cells;
+  int64_t total_avail = 0;
+  for (GpuId g = 0; g < num_gpus; ++g) {
+    total_avail += avail[static_cast<size_t>(g)];
+  }
+
+  for (GpuId src = 0; src < num_gpus; ++src) {
+    const int64_t sp = spill[static_cast<size_t>(src)];
+    if (sp <= 0) continue;
+    EXPECT_GE(total_avail, sp);
+    remainders.clear();
+    int64_t allocated = 0;
+    for (const GpuId dst : dsts) {
+      take[static_cast<size_t>(dst)] = 0;
+      const int64_t a = avail[static_cast<size_t>(dst)];
+      if (a <= 0) continue;
+      const double exact = static_cast<double>(sp) *
+                           static_cast<double>(a) /
+                           static_cast<double>(total_avail);
+      const int64_t base =
+          std::min(a, static_cast<int64_t>(std::floor(exact)));
+      take[static_cast<size_t>(dst)] = base;
+      allocated += base;
+      remainders.push_back({exact - std::floor(exact), dst});
+    }
+    const auto remainder_less = [](const std::pair<double, GpuId>& a,
+                                   const std::pair<double, GpuId>& b) {
+      if (a.first != b.first) return a.first > b.first;
+      return a.second < b.second;
+    };
+    for (size_t i = 1; i < remainders.size(); ++i) {
+      const std::pair<double, GpuId> key = remainders[i];
+      size_t j = i;
+      for (; j > 0 && remainder_less(key, remainders[j - 1]); --j) {
+        remainders[j] = remainders[j - 1];
+      }
+      remainders[j] = key;
+    }
+    int64_t leftover = sp - allocated;
+    for (const auto& [frac, dst] : remainders) {
+      if (leftover <= 0) break;
+      if (take[static_cast<size_t>(dst)] < avail[static_cast<size_t>(dst)]) {
+        ++take[static_cast<size_t>(dst)];
+        --leftover;
+      }
+    }
+    for (const GpuId dst : dsts) {
+      if (leftover <= 0) break;
+      const int64_t room =
+          avail[static_cast<size_t>(dst)] - take[static_cast<size_t>(dst)];
+      const int64_t extra = std::min(room, leftover);
+      take[static_cast<size_t>(dst)] += extra;
+      leftover -= extra;
+    }
+    EXPECT_EQ(leftover, 0);
+    for (const GpuId dst : dsts) {
+      const int64_t t = take[static_cast<size_t>(dst)];
+      if (t <= 0) continue;
+      cells.push_back(RouteEntry{dst, src, t});
+      avail[static_cast<size_t>(dst)] -= t;
+    }
+    total_avail -= sp;
+  }
+  return cells;
+}
+
+// Every routing path — one host, two hosts, and the general path on stack
+// or scratch arrays — emits exactly the general loop's cells, in its
+// order, on random rows with 1-12 hosts (and a few with more hosts than
+// the general path's stack arrays hold). Some rows carry counts past
+// 2^50, the range where the one- and two-host paths fall back to the
+// exact arithmetic.
+TEST(RouterTest, EveryPathMatchesTheGeneralLoop) {
+  Rng rng(2024);
+  const auto pick = [&rng](int n) {
+    return static_cast<int>(rng.UniformInt(static_cast<uint64_t>(n)));
+  };
+  int general_rows = 0;
+  for (int trial = 0; trial < 3000; ++trial) {
+    const bool many = trial % 10 == 9;
+    const int gpus = many ? 24 : 12 + pick(13);  // 12..24
+    const int hosts = many ? 17 + pick(8) : 1 + trial % 12;
+    PlacementOptions po;
+    po.num_experts = 1;
+    po.num_gpus = gpus;
+    po.slots_per_gpu = 3;
+    std::vector<std::map<GpuId, int>> replicas(1);
+    while (static_cast<int>(replicas[0].size()) < hosts) {
+      replicas[0][pick(gpus)] = 1 + pick(3);
+    }
+    const Placement p = *Placement::FromReplicaMap(po, replicas);
+    Assignment a(1, gpus);
+    const bool huge = trial % 7 == 0;
+    for (GpuId g = 0; g < gpus; ++g) {
+      int64_t v = pick(4) == 0 ? 0 : pick(5000);
+      if (huge) v = (int64_t{1} << 50) + pick(1 << 20) * int64_t{1021};
+      a.set(0, g, v);
+    }
+    RoutedAssignment out;
+    out.Clear(1, gpus);
+    std::vector<RouteEntry> got;
+    FlexibleRouter::RouteExpertInto(a, p, 0, &out, &got);
+    const std::vector<RouteEntry> want = GeneralLoopRouteExpert(a, p, 0);
+    ASSERT_EQ(got.size(), want.size()) << "trial " << trial;
+    for (size_t i = 0; i < want.size(); ++i) {
+      ASSERT_TRUE(got[i].dst == want[i].dst && got[i].src == want[i].src &&
+                  got[i].take == want[i].take)
+          << "trial " << trial << " cell " << i;
+    }
+    if (hosts >= 3) ++general_rows;
+  }
+  EXPECT_GT(general_rows, 0);
+}
 
 TEST(BalanceTest, RatioOnKnownLoads) {
   EXPECT_DOUBLE_EQ(BalanceRatio({10, 10, 10, 10}), 1.0);
