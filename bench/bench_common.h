@@ -1,33 +1,38 @@
-// Shared helpers for the bench binaries.
+// Shared helpers for bench_paper, the one bench binary: its strict flag
+// parser and its claim rows.
 //
-// Every bench parses its command line with ParseCommonFlags, which accepts
-// the flags below (each bench reads the ones that apply to it):
+// ParseCommonFlags accepts the flags below. The driver reads the first four
+// itself; every other flag is read only by the registry entries that
+// declare it (bench_paper.cc, `Figure::reads`):
 //   --quick          smoke-test scale (fewer steps; noisier numbers)
 //   --threads N      grid-runner worker count; 0 (the default) = hardware
-//   --workload NAME  workload scenario from the catalog (default:
-//                    pretrain-steady; the suite benches run every scenario
-//                    when absent; see gate/logit_process.h)
-//   --size-mix NAME  serving request-size mix: fixed | heavy | both
+//   --figure NAME    run one entry of the registry (default: all; the usage
+//                    line of a bad name lists the registry)
+//   --claims-out F   write every claim row the run checked as JSON
+//   --workload NAME  catalog scenario (gate/logit_process.h) of fig5, fig7b
+//                    and the ablations (default pretrain-steady), and of
+//                    workload-suite and serving-slo (default: every one they
+//                    cover; serving-slo covers all but finetune-shift)
+//   --size-mix NAME  serving-slo: request-size mix fixed | heavy | both
 //                    (default both; see gate/request_source.h)
-//   --admission P    serving admission policy for sized cells: edf | sjf
-//                    (default edf; see core/serve_executor.h)
-//   --pipeline-chunks K  MoE-leg A2A/compute overlap depth in
-//                    [0, kMaxPipelineChunks] (default 1 = unpipelined,
-//                    byte-identical; 0 = auto-K; see core/step_executor.h)
-//   --trace-out F    export a Chrome trace-event JSON of the headline run
-//   --metrics-out F  export the metrics-registry JSON snapshot
-//   --decisions-out F  export the policy decision audit JSONL
-//                    (any of the three enables observability for the runs
-//                    the bench designates; see src/obs/)
-//   --digests PATH   write per-cell digests (workload and serving suites)
-//   --figure NAME    bench_paper: run one figure of its registry (default:
-//                    all; the usage line of a bad name lists the registry)
-//   --claims-out F   write the claim rows the bench checked as JSON
+//   --admission P    serving-slo: admission policy for sized cells:
+//                    edf | sjf (default edf; see core/serve_executor.h)
+//   --pipeline-chunks K  workload-suite and serving-slo: MoE-leg A2A/compute
+//                    overlap depth in [0, kMaxPipelineChunks] (default 1 =
+//                    unpipelined; 0 = auto-K; see core/step_executor.h)
+//   --trace-out F, --metrics-out F, --decisions-out F
+//                    serving-slo: run its traced headline cell and export
+//                    the Chrome trace, the metrics snapshot or the policy
+//                    decision audit (see src/obs/)
+//   --digests PATH   workload-suite or serving-slo: write per-cell metrics
+//                    digests; exactly one of the two must be selected
 // Anything else is a usage error: an unknown flag, a flag missing its
 // value, a number that is not a whole integer in range (--threads below 0
-// included), a --workload, --size-mix or --admission outside its
-// documented set, or a --figure outside the bench's registry. Each prints a
-// usage line on stderr and exits 2 before the bench does any work.
+// included), a --workload, --size-mix or --admission outside its set, a
+// --figure outside the registry, a flag that no selected entry reads, a
+// --digests without exactly one digest-writing entry, and a --workload that
+// serving-slo does not cover. Each prints a usage line on stderr and exits
+// 2 before the bench prints or runs anything.
 
 #ifndef FLEXMOE_BENCH_BENCH_COMMON_H_
 #define FLEXMOE_BENCH_BENCH_COMMON_H_
@@ -39,12 +44,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "core/step_executor.h"
 #include "gate/logit_process.h"
+#include "util/file_io.h"
 #include "util/string_util.h"
 #include "util/table.h"
 
@@ -83,35 +90,52 @@ inline int IntFlagValue(const char* flag, const char* text, int lo = INT_MIN,
   return static_cast<int>(value);
 }
 
-/// The flags every bench shares, parsed in one strict pass.
+/// The flags that registry entries read, in bit order: kEntryFlags[i] has
+/// the bit 1u << i in CommonFlags::given and in `Figure::reads`.
+constexpr const char* kEntryFlags[] = {
+    "--workload",    "--size-mix",    "--admission",     "--pipeline-chunks",
+    "--trace-out",   "--metrics-out", "--decisions-out", "--digests"};
+enum FlagBit : unsigned {
+  kWorkloadFlag = 1u << 0,
+  kSizeMixFlag = 1u << 1,
+  kAdmissionFlag = 1u << 2,
+  kPipelineChunksFlag = 1u << 3,
+  kTraceOutFlag = 1u << 4,
+  kMetricsOutFlag = 1u << 5,
+  kDecisionsOutFlag = 1u << 6,
+  kDigestsFlag = 1u << 7,
+};
+
+/// The parsed command line.
 struct CommonFlags {
   bool quick = false;
-  int threads = 0;       ///< grid-runner workers; 0 = hardware
+  int threads = 0;  ///< grid-runner workers; 0 = hardware
   const char* workload = "pretrain-steady";
-  bool workload_given = false;    ///< suite benches: absent = all scenarios
-  const char* size_mix = "both";  ///< serving benches only
-  const char* admission = "edf";  ///< serving benches only
-  int pipeline_chunks = 1;        ///< MoE-leg overlap depth (1 = unpipelined)
+  const char* size_mix = "both";
+  const char* admission = "edf";
+  int pipeline_chunks = 1;  ///< MoE-leg overlap depth (1 = unpipelined)
   /// Observability export paths ("" = not requested). Any non-empty path
-  /// means the bench should run its designated headline cell with
-  /// observability enabled and export the artifacts.
+  /// runs serving-slo's traced headline cell and exports the artifacts.
   const char* trace_out = "";
   const char* metrics_out = "";
   const char* decisions_out = "";
-  const char* digests = "";  ///< suite benches; "" = none
-  const char* figure = "";   ///< bench_paper; "" = every figure
+  const char* digests = "";     ///< "" = none
+  const char* figure = "";      ///< "" = every registry entry
   const char* claims_out = "";  ///< claim-row JSON path; "" = none
+  /// The FlagBits of the entry flags given on the command line.
+  unsigned given = 0;
 
+  bool Given(unsigned bit) const { return (given & bit) != 0; }
   bool ObservabilityRequested() const {
     return trace_out[0] != '\0' || metrics_out[0] != '\0' ||
            decisions_out[0] != '\0';
   }
 };
 
-/// Parses argv strictly. `figures` is the bench's figure registry: a
-/// --figure outside it (any --figure, when it is empty) is a usage error.
-inline CommonFlags ParseCommonFlags(
-    int argc, char** argv, const std::vector<std::string>& figures = {}) {
+/// Parses argv strictly. `figures` is the registry: a --figure outside it
+/// is a usage error.
+inline CommonFlags ParseCommonFlags(int argc, char** argv,
+                                    const std::vector<std::string>& figures) {
   CommonFlags flags;
   const std::pair<const char*, const char**> text_flags[] = {
       {"--workload", &flags.workload},
@@ -145,15 +169,17 @@ inline CommonFlags ParseCommonFlags(
     const char* value = argv[++i];
     if (text_slot != nullptr) {
       *text_slot = value;
-      if (flag == "--workload") flags.workload_given = true;
     } else if (flag == "--threads") {
       flags.threads = IntFlagValue("--threads", value, 0);
     } else {
       flags.pipeline_chunks =
           IntFlagValue("--pipeline-chunks", value, 0, kMaxPipelineChunks);
     }
+    for (size_t b = 0; b < std::size(kEntryFlags); ++b) {
+      if (flag == kEntryFlags[b]) flags.given |= 1u << b;
+    }
   }
-  if (flags.workload_given && !IsKnownScenario(flags.workload)) {
+  if (flags.Given(kWorkloadFlag) && !IsKnownScenario(flags.workload)) {
     UsageError(StrFormat("unknown --workload '%s' (scenarios: %s)",
                          flags.workload,
                          Join(ScenarioCatalog(), ", ").c_str()));
@@ -259,9 +285,12 @@ inline int FinishClaims(const CommonFlags& flags,
         c.paper == "-" ? "null" : c.paper_agrees ? "true" : "false");
   }
   json += "\n]\n";
-  if (flags.claims_out[0] != '\0' && !WriteFile(flags.claims_out, json)) {
-    std::fprintf(stderr, "cannot write %s\n", flags.claims_out);
-    code = 1;
+  if (flags.claims_out[0] != '\0') {
+    const Status written = WriteFile(flags.claims_out, json);
+    if (!written.ok()) {
+      std::fprintf(stderr, "%s\n", written.ToString().c_str());
+      code = 1;
+    }
   }
   return code;
 }

@@ -18,6 +18,7 @@
 
 #include "harness/experiment.h"
 #include "harness/reporters.h"
+#include "util/file_io.h"
 #include "util/string_util.h"
 #include "util/table.h"
 
@@ -226,8 +227,9 @@ int Main(int argc, char** argv) {
                   StrFormat("%.4f", m.gpu_utilization),
                   StrFormat("%d", m.ops_applied)});
     }
-    if (!WriteFile(csv_path, csv.ToCsv())) {
-      std::fprintf(stderr, "error: cannot write '%s'\n", csv_path.c_str());
+    const Status written = WriteFile(csv_path, csv.ToCsv());
+    if (!written.ok()) {
+      std::fprintf(stderr, "error: %s\n", written.ToString().c_str());
       return 1;
     }
     std::printf("wrote per-step series to %s\n", csv_path.c_str());

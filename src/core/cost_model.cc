@@ -56,7 +56,7 @@ double CostModel::CombineGpuSeconds(double compute, double a2a, double sync,
   // launches behind the crossings just as the executor's streams hide
   // them. Charging the overhead serially outside the max over-penalizes
   // deep K on dispatch-heavy layers and mis-ranks the candidates (the
-  // auto-K differential in bench_workload_suite).
+  // auto-K differential of bench_paper's workload-suite).
   const double K = static_cast<double>(std::max(chunks, 1));
   const double crossing = 0.25 * a2a;
   const double launches = (K - 1.0) * profile_->kernel_overhead_sec();

@@ -2,6 +2,8 @@
 
 #include <cstdio>
 
+#include "util/byte_io.h"
+#include "util/file_io.h"
 #include "util/stats.h"
 #include "util/string_util.h"
 
@@ -65,13 +67,8 @@ std::vector<std::vector<double>> RoutingTrace::ExpertShareSeries(
 }
 
 Status RoutingTrace::Save(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    return Status::Internal(StrFormat("cannot open '%s'", path.c_str()));
-  }
-  auto write_u64 = [&](uint64_t v) {
-    std::fwrite(&v, sizeof(v), 1, f);
-  };
+  std::string bytes;
+  auto write_u64 = [&](uint64_t v) { PutPod(v, &bytes); };
   write_u64(kTraceMagic);
   write_u64(static_cast<uint64_t>(num_steps()));
   write_u64(static_cast<uint64_t>(num_layers()));
@@ -88,8 +85,7 @@ Status RoutingTrace::Save(const std::string& path) const {
       }
     }
   }
-  std::fclose(f);
-  return Status::OK();
+  return WriteFile(path, bytes);
 }
 
 Result<RoutingTrace> RoutingTrace::Load(const std::string& path) {

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "util/file_io.h"
 #include "util/string_util.h"
 
 namespace flexmoe {
@@ -236,16 +237,9 @@ Result<MetricsDigest> ParseDigest(const std::string& line) {
 
 Status SaveDigests(const std::vector<MetricsDigest>& digests,
                    const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return Status::Internal(StrFormat("cannot open '%s'", path.c_str()));
-  }
-  std::fprintf(f, "# flexmoe metrics digest v1\n");
-  for (const MetricsDigest& d : digests) {
-    std::fprintf(f, "%s\n", FormatDigest(d).c_str());
-  }
-  std::fclose(f);
-  return Status::OK();
+  std::string text = "# flexmoe metrics digest v1\n";
+  for (const MetricsDigest& d : digests) text += FormatDigest(d) + "\n";
+  return WriteFile(path, text);
 }
 
 Result<std::vector<MetricsDigest>> LoadDigests(const std::string& path) {

@@ -66,7 +66,7 @@ MetricsDigest DigestFromReport(const std::string& label,
 /// (tests/goldens/): one small fixed-seed run of `system` under
 /// `scenario`, with the scenario's time parameters scaled to its 60-step
 /// budget so every regime actually expresses inside the run. Used by both
-/// bench_workload_suite --quick and workload_golden_test.
+/// `bench_paper --quick --figure workload-suite` and workload_golden_test.
 ExperimentOptions WorkloadGoldenCell(const std::string& scenario,
                                      const std::string& system);
 
@@ -74,8 +74,9 @@ ExperimentOptions WorkloadGoldenCell(const std::string& scenario,
 /// pin: the WorkloadGoldenCell cluster run as a latency-SLO serving
 /// workload (continuous batching, no optimizer step), with arrival rate /
 /// SLO / window chosen so the bursty and multi-tenant regimes generate
-/// real backlog. Used by bench_serving_slo --quick, serving_golden_test,
-/// and failure_injection_test's failure_during_serving case.
+/// real backlog. Used by `bench_paper --quick --figure serving-slo`,
+/// serving_golden_test, and failure_injection_test's failure_during_serving
+/// case.
 ExperimentOptions ServingGoldenCell(const std::string& scenario,
                                     const std::string& system);
 

@@ -1,30 +1,9 @@
 #include "obs/observability.h"
 
-#include <cstdio>
-
-#include "util/string_util.h"
+#include "util/file_io.h"
 
 namespace flexmoe {
 namespace obs {
-
-namespace {
-
-Status WriteFile(const std::string& path, const std::string& contents) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return Status::InvalidArgument(
-        StrFormat("cannot open '%s' for writing", path.c_str()));
-  }
-  const size_t written =
-      std::fwrite(contents.data(), 1, contents.size(), f);
-  const int close_rc = std::fclose(f);
-  if (written != contents.size() || close_rc != 0) {
-    return Status::Internal(StrFormat("short write to '%s'", path.c_str()));
-  }
-  return Status::OK();
-}
-
-}  // namespace
 
 Status ObservabilityOptions::Validate() const {
   if (!enabled) {

@@ -1,7 +1,6 @@
 #include "util/table.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <sstream>
 
 #include "util/status.h"
@@ -73,14 +72,6 @@ std::string Table::ToCsv() const {
     os << Join(escaped, ",") << "\n";
   }
   return os.str();
-}
-
-bool WriteFile(const std::string& path, const std::string& content) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const size_t written = std::fwrite(content.data(), 1, content.size(), f);
-  std::fclose(f);
-  return written == content.size();
 }
 
 }  // namespace flexmoe

@@ -37,9 +37,6 @@ class Table {
   std::vector<std::vector<std::string>> rows_;
 };
 
-/// \brief Writes `content` to `path`, returning false on I/O failure.
-bool WriteFile(const std::string& path, const std::string& content);
-
 }  // namespace flexmoe
 
 #endif  // FLEXMOE_UTIL_TABLE_H_

@@ -5,6 +5,7 @@
 // silently PASS, since every NaN comparison is false).
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cmath>
 #include <cstdio>
@@ -97,6 +98,11 @@ TEST(GoldenFileTest, SaveLoadRoundTripsExactly) {
   ASSERT_EQ(loaded->size(), 2u);
   EXPECT_TRUE(CompareDigests(a, (*loaded)[0], 0.0).ok());
   EXPECT_TRUE(CompareDigests(b, (*loaded)[1], 0.0).ok());
+}
+
+TEST(GoldenFileTest, SaveToAFullDeviceFails) {
+  if (access("/dev/full", W_OK) != 0) GTEST_SKIP() << "no /dev/full";
+  EXPECT_FALSE(SaveDigests({BaseDigest()}, "/dev/full").ok());
 }
 
 // ---- hostile tokens -------------------------------------------------------

@@ -13,15 +13,22 @@
 namespace flexmoe {
 namespace {
 
-// First test in the binary BY DESIGN: the environment override is read
-// once, lazily, at the first SetLogLevel/GetLogLevel call — so it must be
-// planted before anything in this process touches the logger.
+// The environment override is read once, lazily, at the first
+// SetLogLevel/GetLogLevel call, so the pickup is checked in a fresh
+// process: the threadsafe death-test style re-executes this binary for the
+// statement, and the child inherits the variable.
 TEST(LoggingTest, EnvVarSetsInitialLevel) {
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
   ::setenv("FLEXMOE_LOG_LEVEL", "debug", 1);
-  EXPECT_EQ(GetLogLevel(), LogLevel::kDebug);
-  // An explicit SetLogLevel always wins over the environment.
-  SetLogLevel(LogLevel::kWarning);
-  EXPECT_EQ(GetLogLevel(), LogLevel::kWarning);
+  EXPECT_EXIT(
+      {
+        const bool from_env = GetLogLevel() == LogLevel::kDebug;
+        // An explicit SetLogLevel always wins over the environment.
+        SetLogLevel(LogLevel::kWarning);
+        std::exit(from_env && GetLogLevel() == LogLevel::kWarning ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0), "");
+  ::unsetenv("FLEXMOE_LOG_LEVEL");
 }
 
 TEST(LoggingTest, ParseLogLevel) {

@@ -133,6 +133,12 @@ TEST(RoutingTraceRobustnessTest, EmptyTraceRoundTrips) {
   EXPECT_EQ(loaded->num_steps(), 0);
 }
 
+TEST(RoutingTraceRobustnessTest, SaveToAFullDeviceFails) {
+  if (access("/dev/full", W_OK) != 0) GTEST_SKIP() << "no /dev/full";
+  RoutingTrace trace;
+  EXPECT_FALSE(trace.Save("/dev/full").ok());
+}
+
 // Property test: random shapes and counts survive Save/Load bit-exactly
 // (the hash covers shapes and every cell).
 TEST(RoutingTraceRobustnessTest, RandomRoundTripProperty) {

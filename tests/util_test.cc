@@ -1,7 +1,12 @@
 // Tests for Status/Result, string utilities, and table rendering.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <cstdio>
+#include <string>
+
+#include "util/file_io.h"
 #include "util/status.h"
 #include "util/string_util.h"
 #include "util/table.h"
@@ -146,6 +151,26 @@ TEST(TableTest, CsvQuotesCommas) {
 TEST(TableTest, RowWidthMismatchDies) {
   Table t({"a", "b"});
   EXPECT_DEATH(t.AddRow({"only-one"}), "row width");
+}
+
+TEST(FileIoTest, WriteThenReadRoundTrips) {
+  const std::string path = testing::TempDir() + "/file_io_" +
+                           std::to_string(getpid()) + ".bin";
+  const std::string bytes("a\0b\n", 4);
+  ASSERT_TRUE(WriteFile(path, bytes).ok());
+  const Result<std::string> back = ReadFile(path);
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_EQ(*back, bytes);
+  std::remove(path.c_str());
+  EXPECT_EQ(ReadFile(path).status().code(), StatusCode::kNotFound);
+}
+
+TEST(FileIoTest, FailedWriteIsAnError) {
+  EXPECT_FALSE(WriteFile(testing::TempDir() + "/no_such_dir/x", "x").ok());
+  if (access("/dev/full", W_OK) != 0) GTEST_SKIP() << "no /dev/full";
+  // /dev/full takes the open and the buffered write, and fails the flush
+  // at close.
+  EXPECT_FALSE(WriteFile("/dev/full", "x").ok());
 }
 
 }  // namespace

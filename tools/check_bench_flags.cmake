@@ -1,35 +1,11 @@
-# Runs the bench given as -DBENCH=<path> once per malformed command line
-# and requires each run to stop with the usage exit code 2 (before doing
-# any work). Numeric values must be whole integers, --threads rejects a
-# negative count and --pipeline-chunks rejects integers outside
-# [0, kMaxPipelineChunks]. Unknown flags (including the retired
-# --legacy-gate, --extra, --out and --large-ep), a valued flag with no
-# value, a --workload, --size-mix or --admission outside its set, and a
-# --figure outside the bench's registry are usage errors too. -DFIGURES is
-# a regex for the registry listed in that usage line (default: empty
-# registry). Run with:
-# cmake -DBENCH=build/bench_elastic_recovery -P tools/check_bench_flags.cmake
+# Runs bench_paper on malformed command lines: each must exit 2 with a
+# usage line before printing or running anything (the rules are listed in
+# bench/bench_common.h; the retired --legacy-gate, --extra, --out and
+# --large-ep are unknown flags). A --claims-out that cannot be written must
+# exit 1. Run with: cmake -DBENCH=build/bench_paper -P tools/check_bench_flags.cmake
 if(NOT BENCH)
   message(FATAL_ERROR "pass -DBENCH=<bench binary>")
 endif()
-foreach(case --threads=abc --threads=4x --threads=-1 --pipeline-chunks=abc
-             --pipeline-chunks=4x --pipeline-chunks=-1 --pipeline-chunks=65)
-  string(REPLACE "=" ";" parts ${case})
-  list(GET parts 0 flag)
-  list(GET parts 1 value)
-  execute_process(COMMAND ${BENCH} --quick ${flag} ${value}
-                  RESULT_VARIABLE rc
-                  OUTPUT_QUIET
-                  ERROR_VARIABLE err)
-  if(NOT rc EQUAL 2)
-    message(FATAL_ERROR
-            "${flag} ${value}: expected exit code 2, got '${rc}'")
-  endif()
-  if(NOT err MATCHES "expects an integer")
-    message(FATAL_ERROR "${flag} ${value}: no usage message: ${err}")
-  endif()
-  message(STATUS "${flag} ${value}: exit 2 (${err})")
-endforeach()
 
 # expect_usage(<stderr regex> <arg>...): `BENCH --quick <arg>...` must exit
 # 2 with a "usage:" line matching the regex, and print no bench output.
@@ -50,6 +26,13 @@ function(expect_usage pattern)
   message(STATUS "${ARGN}: exit 2 (${err})")
 endfunction()
 
+foreach(value abc 4x -1)
+  expect_usage("--threads expects an integer" --threads ${value})
+endforeach()
+foreach(value abc 4x -1 65)
+  expect_usage("--pipeline-chunks expects an integer"
+               --pipeline-chunks ${value})
+endforeach()
 expect_usage("unknown flag '--bogus-flag'" --bogus-flag)
 expect_usage("unknown flag '--legacy-gate'" --legacy-gate)
 expect_usage("unknown --workload 'bogus' \\(scenarios: pretrain-steady"
@@ -60,6 +43,29 @@ expect_usage("unknown --admission 'bogus'" --admission bogus)
 expect_usage("unknown flag '--extra'" --extra name=1)
 expect_usage("unknown flag '--out'" --out x.json)
 expect_usage("unknown flag '--large-ep'" --large-ep)
-expect_usage("unknown --figure 'bogus' \\(figures: ${FIGURES}\\)"
+expect_usage("unknown --figure 'bogus' \\(figures: fig2, fig3, .*table2, ablation-.*, workload-suite, serving-slo, elastic-recovery\\)"
              --figure bogus)
 expect_usage("--figure expects a value" --figure)
+# Flags that no selected entry reads.
+expect_usage("no selected figure reads --pipeline-chunks \\(read by: workload-suite, serving-slo\\)"
+             --figure fig2 --pipeline-chunks 4)
+expect_usage("no selected figure reads --trace-out \\(read by: serving-slo\\)"
+             --figure fig6c --trace-out t.json)
+expect_usage("no selected figure reads --workload"
+             --figure elastic-recovery --workload bursty)
+expect_usage("no selected figure reads --size-mix"
+             --figure workload-suite --size-mix heavy)
+# The default selection holds both digest-writing entries.
+expect_usage("--digests needs exactly one digest-writing figure" --digests x)
+expect_usage("--workload 'finetune-shift' is not a serving scenario"
+             --figure serving-slo --workload finetune-shift)
+
+if(EXISTS /dev/full)
+  execute_process(COMMAND ${BENCH} --quick --figure fig6c
+                          --claims-out /dev/full
+                  RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+  if(NOT rc EQUAL 1)
+    message(FATAL_ERROR "--claims-out /dev/full: exit '${rc}', not 1")
+  endif()
+  message(STATUS "--claims-out /dev/full: exit 1 (${err})")
+endif()
