@@ -974,7 +974,8 @@ double EffectiveThroughput(const ExperimentReport& r) {
 }
 
 /// Four systems per scenario at --pipeline-chunks, then FlexMoE per
-/// scenario at every auto-K depth.
+/// scenario at every auto-K depth but --pipeline-chunks itself: the suite
+/// row's FlexMoE cell is that run already.
 Cells WorkloadSuiteCells(const CommonFlags& flags) {
   const std::vector<std::string> scenarios =
       SuiteScenarios(flags, ScenarioCatalog());
@@ -987,6 +988,7 @@ Cells WorkloadSuiteCells(const CommonFlags& flags) {
   }
   for (const std::string& scenario : scenarios) {
     for (const int depth : kAutoKDepths) {
+      if (depth == flags.pipeline_chunks) continue;
       cells.push_back({"", SuiteCell(scenario, "flexmoe", flags.quick)});
       cells.back().options.pipeline_chunks = depth;
     }
@@ -1056,14 +1058,21 @@ std::vector<Claim> WorkloadSuite(const CommonFlags& flags,
   // the best static depth in every regime — otherwise the overhead-honest
   // model is mis-ranking the candidates somewhere and auto-K is a
   // regression, not a feature.
+  const ExperimentReport* next = &reports[4 * scenarios.size()];
   for (size_t i = 0; i < scenarios.size(); ++i) {
-    const ExperimentReport* row = &reports[4 * scenarios.size() + 5 * i];
-    const double auto_wall = row[0].mean_step_seconds;
-    double best_static = row[1].mean_step_seconds;
+    double wall[5];
+    for (int d = 0; d < 5; ++d) {
+      const ExperimentReport& r = kAutoKDepths[d] == flags.pipeline_chunks
+                                      ? reports[4 * i + 3]
+                                      : *next++;
+      wall[d] = r.mean_step_seconds;
+    }
+    const double auto_wall = wall[0];
+    double best_static = wall[1];
     int best_depth = kAutoKDepths[1];
     for (int d = 2; d < 5; ++d) {
-      if (row[d].mean_step_seconds < best_static) {
-        best_static = row[d].mean_step_seconds;
+      if (wall[d] < best_static) {
+        best_static = wall[d];
         best_depth = kAutoKDepths[d];
       }
     }

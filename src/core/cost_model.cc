@@ -20,16 +20,6 @@ ExpertShape ShapeFromModel(const ModelConfig& model) {
   return shape;
 }
 
-GpuId LayerCostEstimate::BottleneckGpu() const {
-  GpuId worst = 0;
-  for (size_t g = 1; g < per_gpu_seconds.size(); ++g) {
-    if (per_gpu_seconds[g] > per_gpu_seconds[static_cast<size_t>(worst)]) {
-      worst = static_cast<GpuId>(g);
-    }
-  }
-  return worst;
-}
-
 CostModel::CostModel(const HardwareProfile* profile, const ExpertShape& shape)
     : profile_(profile), shape_(shape) {
   FLEXMOE_CHECK(profile != nullptr);
@@ -261,23 +251,9 @@ LayerCostEstimate CostModel::EstimateLayer(const Assignment& assignment,
                        placement);
 }
 
-LayerCostEstimate CostModel::EstimateLayer(const Assignment& assignment,
-                                           const Placement& placement,
-                                           RoutedAssignment* scratch) const {
-  FLEXMOE_CHECK(scratch != nullptr);
-  FlexibleRouter::RouteInto(assignment, placement, scratch);
-  return EstimateLayer(*scratch, placement);
-}
-
 double CostModel::EstimateLayerSeconds(const Assignment& assignment,
                                        const Placement& placement) const {
   return EstimateLayer(assignment, placement).total_seconds;
-}
-
-double CostModel::EstimateLayerSeconds(const Assignment& assignment,
-                                       const Placement& placement,
-                                       RoutedAssignment* scratch) const {
-  return EstimateLayer(assignment, placement, scratch).total_seconds;
 }
 
 double EstimateForwardMicrobatchSeconds(const HardwareProfile& profile,
@@ -373,13 +349,6 @@ void ForwardFloorEstimator::set_num_gpus(int num_gpus) {
   FLEXMOE_CHECK(num_gpus > 0);
   if (num_gpus == num_gpus_) return;
   num_gpus_ = num_gpus;
-  Clear();
-}
-
-void ForwardFloorEstimator::set_chunks(int chunks) {
-  FLEXMOE_CHECK(chunks >= 0);
-  if (chunks == chunks_) return;
-  chunks_ = chunks;
   Clear();
 }
 

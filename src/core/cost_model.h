@@ -47,8 +47,6 @@ struct LayerCostEstimate {
   std::vector<double> per_gpu_a2a;
   std::vector<double> per_gpu_sync;
   double total_seconds = 0.0;  ///< max over GPUs (Eq. 5 outer max)
-
-  GpuId BottleneckGpu() const;
 };
 
 /// \brief Analytic layer-time estimator.
@@ -147,19 +145,9 @@ class CostModel {
   LayerCostEstimate EstimateLayer(const Assignment& assignment,
                                   const Placement& placement) const;
 
-  /// Routes into the caller-owned `scratch` (reusing its allocations) and
-  /// estimates from it — what hot callers should use instead of the
-  /// re-routing convenience overload above.
-  LayerCostEstimate EstimateLayer(const Assignment& assignment,
-                                  const Placement& placement,
-                                  RoutedAssignment* scratch) const;
-
   /// Total estimated seconds (Eq. 5 outer max) for `assignment`.
   double EstimateLayerSeconds(const Assignment& assignment,
                               const Placement& placement) const;
-  double EstimateLayerSeconds(const Assignment& assignment,
-                              const Placement& placement,
-                              RoutedAssignment* scratch) const;
 
  private:
   double A2ASecondsHierarchical(const RoutedAssignment& routed,
@@ -227,14 +215,6 @@ class ForwardFloorEstimator {
   /// provably-unreachable requests after a failover.
   void set_num_gpus(int num_gpus);
   int num_gpus() const { return num_gpus_; }
-
-  /// Re-targets the estimator at a new chunk depth (0 = auto-K).
-  /// Clears the memo when the depth actually changes — the same
-  /// staleness failure mode as membership: with auto-K varying the
-  /// executor's depth between invocations, a floor memoized for the old K
-  /// would silently over- or under-shed.
-  void set_chunks(int chunks);
-  int chunks() const { return chunks_; }
 
   /// Memo misses so far: the number of Seconds() calls that ran
   /// EstimateForwardMicrobatchSeconds (counts <= 0 are not memoized and

@@ -566,15 +566,4 @@ double LayerCostState::ExpandScoreLowerBound(int expert, GpuId dst) const {
   return std::pow(acc, 1.0 / 8.0);
 }
 
-LayerCostEstimate LayerCostState::ToEstimate() const {
-  FLEXMOE_CHECK(initialized());
-  LayerCostEstimate est;
-  est.per_gpu_seconds = per_gpu_total_;
-  est.per_gpu_compute = per_gpu_compute_;
-  est.per_gpu_a2a = per_gpu_a2a_;
-  est.per_gpu_sync = per_gpu_sync_;
-  est.total_seconds = TotalSeconds();
-  return est;
-}
-
 }  // namespace flexmoe

@@ -120,10 +120,6 @@ class LayerCostState {
   /// direction, so callers compare with a few ulps of margin. O(G).
   double ExpandScoreLowerBound(int expert, GpuId dst) const;
 
-  /// Materializes the cached state as a LayerCostEstimate (copies; use the
-  /// accessors below on hot paths). O(G).
-  LayerCostEstimate ToEstimate() const;
-
   const Assignment& assignment() const { return *assignment_; }
   const Placement& placement() const { return *placement_; }
   const RoutedAssignment& routed() const { return routed_; }

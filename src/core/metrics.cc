@@ -90,12 +90,6 @@ double TrainingStats::MeanGpuUtilization(int warmup) const {
                   [](const StepMetrics& m) { return m.gpu_utilization; });
 }
 
-double TrainingStats::TotalSeconds() const {
-  double total = 0.0;
-  for (const StepMetrics& m : steps_) total += m.step_seconds;
-  return total;
-}
-
 int64_t TrainingStats::TotalOpsApplied() const {
   int64_t total = 0;
   for (const StepMetrics& m : steps_) total += m.ops_applied;

@@ -101,7 +101,6 @@ class TrainingStats {
   double MeanTokenEfficiency(int warmup = 0) const;
   double MeanExpertEfficiency(int warmup = 0) const;
   double MeanGpuUtilization(int warmup = 0) const;
-  double TotalSeconds() const;
   int64_t TotalOpsApplied() const;
   int64_t TotalTokensDropped() const;
   double TotalRecoverySeconds() const;

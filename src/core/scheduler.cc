@@ -6,26 +6,6 @@
 
 namespace flexmoe {
 
-const char* TriggerMetricName(TriggerMetric m) {
-  switch (m) {
-    case TriggerMetric::kMaxRatio:
-      return "Max";
-    case TriggerMetric::kVariance:
-      return "Variance";
-  }
-  return "?";
-}
-
-const char* TriggerPolicyName(TriggerPolicy p) {
-  switch (p) {
-    case TriggerPolicy::kDynamic:
-      return "Dynamic";
-    case TriggerPolicy::kStaticInterval:
-      return "StaticInterval";
-  }
-  return "?";
-}
-
 Status SchedulerOptions::Validate() const {
   if (!std::isfinite(threshold) || threshold < 1.0) {
     return Status::InvalidArgument(
@@ -81,13 +61,6 @@ double Scheduler::MetricFromTokens(
       return BalanceVariance(loads_scratch_);
   }
   return 0.0;
-}
-
-double Scheduler::MetricOf(const Assignment& assignment,
-                           const Placement& placement) const {
-  FlexibleRouter::RouteInto(assignment, placement, &metric_scratch_);
-  metric_scratch_.PerGpuComputeTokensInto(&tokens_scratch_);
-  return MetricFromTokens(tokens_scratch_);
 }
 
 bool Scheduler::ShouldTrigger(int64_t step, double metric_value) const {

@@ -22,9 +22,6 @@ namespace flexmoe {
 enum class TriggerMetric { kMaxRatio, kVariance };
 enum class TriggerPolicy { kDynamic, kStaticInterval };
 
-const char* TriggerMetricName(TriggerMetric m);
-const char* TriggerPolicyName(TriggerPolicy p);
-
 /// \brief Scheduler configuration.
 struct SchedulerOptions {
   TriggerMetric metric = TriggerMetric::kMaxRatio;
@@ -129,10 +126,6 @@ class Scheduler {
 
   const SchedulerOptions& options() const { return options_; }
 
-  /// The metric value the scheduler would compute for this workload.
-  double MetricOf(const Assignment& assignment,
-                  const Placement& placement) const;
-
  private:
   bool ShouldTrigger(int64_t step, double metric_value) const;
 
@@ -142,12 +135,11 @@ class Scheduler {
   const PolicyMaker* policy_maker_;
   SchedulerOptions options_;
   const ClusterHealth* health_ = nullptr;
-  /// Scratch for MetricOf (allocation-free steady state) and the
-  /// incremental planning state OnStep routes once per invocation — the
-  /// trigger metric and the plan loop share that walk, and the plan loop
-  /// runs O(Δ) per candidate on it.
-  mutable RoutedAssignment metric_scratch_;
-  mutable std::vector<int64_t> tokens_scratch_;
+  /// Scratch (allocation-free steady state) and the incremental planning
+  /// state OnStep routes once per invocation — the trigger metric and the
+  /// plan loop share that walk, and the plan loop runs O(Δ) per candidate
+  /// on it.
+  std::vector<int64_t> tokens_scratch_;
   mutable std::vector<double> loads_scratch_;
   LayerCostState plan_state_;
 };

@@ -4,20 +4,6 @@
 
 namespace flexmoe {
 
-const char* DeviceStateName(DeviceState s) {
-  switch (s) {
-    case DeviceState::kHealthy:
-      return "Healthy";
-    case DeviceState::kDegraded:
-      return "Degraded";
-    case DeviceState::kFailed:
-      return "Failed";
-    case DeviceState::kLeft:
-      return "Left";
-  }
-  return "?";
-}
-
 ClusterHealth::ClusterHealth(int num_gpus)
     : states_(static_cast<size_t>(num_gpus), DeviceState::kHealthy),
       compute_mult_(static_cast<size_t>(num_gpus), 1.0),
@@ -133,22 +119,6 @@ Status ClusterHealth::Apply(const FaultEvent& event) {
   }
   ++version_;
   return Status::OK();
-}
-
-std::string ClusterHealth::ToString() const {
-  std::string out = StrFormat("ClusterHealth(%d/%d alive", num_alive(),
-                              num_gpus());
-  for (int g = 0; g < num_gpus(); ++g) {
-    const DeviceState s = states_[static_cast<size_t>(g)];
-    if (s == DeviceState::kHealthy) continue;
-    out += StrFormat("; gpu%d=%s", g, DeviceStateName(s));
-    if (s == DeviceState::kDegraded) {
-      out += StrFormat(" x%.2f/x%.2f", compute_multiplier(g),
-                       bandwidth_multiplier(g));
-    }
-  }
-  out += ")";
-  return out;
 }
 
 }  // namespace flexmoe

@@ -26,8 +26,6 @@ enum class DeviceState {
   kLeft,      ///< departed gracefully (drained first)
 };
 
-const char* DeviceStateName(DeviceState s);
-
 /// \brief Mutable per-device health registry.
 class ClusterHealth {
  public:
@@ -57,8 +55,6 @@ class ClusterHealth {
   /// recovering a healthy one) return FailedPrecondition and change
   /// nothing.
   Status Apply(const FaultEvent& event);
-
-  std::string ToString() const;
 
  private:
   std::vector<DeviceState> states_;

@@ -8,32 +8,6 @@
 
 namespace flexmoe {
 
-const char* FaultTypeName(FaultType t) {
-  switch (t) {
-    case FaultType::kFailStop:
-      return "FailStop";
-    case FaultType::kSlowdown:
-      return "Slowdown";
-    case FaultType::kRecover:
-      return "Recover";
-    case FaultType::kLeave:
-      return "Leave";
-    case FaultType::kJoin:
-      return "Join";
-  }
-  return "?";
-}
-
-std::string FaultEvent::ToString() const {
-  if (type == FaultType::kSlowdown) {
-    return StrFormat("step %lld: %s gpu %d (compute x%.3f, bw x%.3f)",
-                     static_cast<long long>(step), FaultTypeName(type), gpu,
-                     compute_multiplier, bandwidth_multiplier);
-  }
-  return StrFormat("step %lld: %s gpu %d", static_cast<long long>(step),
-                   FaultTypeName(type), gpu);
-}
-
 bool FaultEvent::operator==(const FaultEvent& o) const {
   return step == o.step && type == o.type && gpu == o.gpu &&
          compute_multiplier == o.compute_multiplier &&
@@ -204,19 +178,6 @@ Result<FaultPlan> FaultPlan::Generate(const FaultPlanOptions& options) {
     events = GenerateRandom(options);
   }
   return FromEvents(std::move(events));
-}
-
-int64_t FaultPlan::horizon() const {
-  return events_.empty() ? -1 : events_.back().step;
-}
-
-std::string FaultPlan::ToString() const {
-  std::string out;
-  for (const FaultEvent& e : events_) {
-    out += e.ToString();
-    out += '\n';
-  }
-  return out;
 }
 
 }  // namespace flexmoe

@@ -26,8 +26,6 @@ enum class FaultType {
   kJoin,      ///< a failed/left GPU rejoins with empty memory
 };
 
-const char* FaultTypeName(FaultType t);
-
 /// \brief One timed cluster event. Events fire at the boundary *before*
 /// the step they are stamped with executes.
 struct FaultEvent {
@@ -39,7 +37,6 @@ struct FaultEvent {
   double compute_multiplier = 1.0;
   double bandwidth_multiplier = 1.0;
 
-  std::string ToString() const;
   bool operator==(const FaultEvent& o) const;
 };
 
@@ -89,13 +86,6 @@ class FaultPlan {
   const std::vector<FaultEvent>& events() const { return events_; }
   bool empty() const { return events_.empty(); }
   size_t size() const { return events_.size(); }
-
-  /// Last event step (-1 for an empty plan).
-  int64_t horizon() const;
-
-  /// Canonical rendering, one event per line — the replay-determinism
-  /// fixture compares these byte-for-byte.
-  std::string ToString() const;
 
  private:
   explicit FaultPlan(std::vector<FaultEvent> events)

@@ -6,18 +6,6 @@
 
 namespace flexmoe {
 
-const char* ModelFamilyName(ModelFamily f) {
-  switch (f) {
-    case ModelFamily::kBert:
-      return "BERT";
-    case ModelFamily::kGpt:
-      return "GPT";
-    case ModelFamily::kSwin:
-      return "Swin";
-  }
-  return "?";
-}
-
 int64_t ModelConfig::expert_params() const {
   // W1: d_model x d_ffn, b1: d_ffn, W2: d_ffn x d_model, b2: d_model.
   return 2LL * d_model * d_ffn + d_ffn + d_model;

@@ -18,8 +18,6 @@ namespace flexmoe {
 
 enum class ModelFamily { kBert, kGpt, kSwin };
 
-const char* ModelFamilyName(ModelFamily f);
-
 /// \brief Static description of one MoE-augmented transformer.
 struct ModelConfig {
   std::string name;

@@ -56,15 +56,4 @@ std::vector<double> Assignment::ExpertLoads() const {
   return loads;
 }
 
-Status Assignment::Validate() const {
-  if (num_experts_ <= 0 || num_gpus_ <= 0) {
-    return Status::FailedPrecondition("empty assignment");
-  }
-  const int64_t* flat = counts_.data();
-  for (size_t i = 0; i < counts_.element_count(); ++i) {
-    if (flat[i] < 0) return Status::Internal("negative token count");
-  }
-  return Status::OK();
-}
-
 }  // namespace flexmoe

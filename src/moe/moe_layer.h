@@ -44,8 +44,6 @@ class Assignment {
   /// Per-expert totals as doubles (for CDF/statistics helpers).
   std::vector<double> ExpertLoads() const;
 
-  Status Validate() const;
-
  private:
   int num_experts_ = 0;
   int num_gpus_ = 0;

@@ -1,7 +1,5 @@
 #include "moe/transformer.h"
 
-#include <vector>
-
 namespace flexmoe {
 
 double NonMoEComputeSeconds(const ModelConfig& model,
@@ -13,21 +11,6 @@ double NonMoEComputeSeconds(const ModelConfig& model,
   // (~16 B/param); modeled as memory-bandwidth bound at ~2 TB/s (A100 HBM).
   const double optimizer = model.non_moe_params() * 16.0 / 2.0e12;
   return compute + optimizer;
-}
-
-double NonMoESyncSeconds(const ModelConfig& model,
-                         const HardwareProfile& profile) {
-  const int n = profile.topology().num_gpus();
-  std::vector<GpuId> all(static_cast<size_t>(n));
-  for (int g = 0; g < n; ++g) all[static_cast<size_t>(g)] = g;
-  return profile.AllReduceSeconds(model.non_moe_params() * model.grad_bytes,
-                                  all);
-}
-
-double NonMoEStepSeconds(const ModelConfig& model,
-                         const HardwareProfile& profile) {
-  return NonMoEComputeSeconds(model, profile) +
-         NonMoESyncSeconds(model, profile);
 }
 
 }  // namespace flexmoe

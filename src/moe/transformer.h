@@ -1,7 +1,7 @@
-// Non-MoE transformer cost model: attention, dense FFNs, gate, optimizer,
-// and the ordinary data-parallel gradient AllReduce. Every system pays the
-// same non-MoE cost (the paper, Section 5.2: "FlexMoE only optimizes the
-// execution of the expert networks"), so this model is shared.
+// Non-MoE transformer cost model: attention, dense FFNs, gate and
+// optimizer compute. Every system pays the same non-MoE cost (the paper,
+// Section 5.2: "FlexMoE only optimizes the execution of the expert
+// networks"), so this model is shared.
 
 #ifndef FLEXMOE_MOE_TRANSFORMER_H_
 #define FLEXMOE_MOE_TRANSFORMER_H_
@@ -14,15 +14,6 @@ namespace flexmoe {
 /// \brief Per-step, per-GPU compute seconds spent outside expert networks.
 double NonMoEComputeSeconds(const ModelConfig& model,
                             const HardwareProfile& profile);
-
-/// \brief Per-step seconds for the data-parallel AllReduce of non-MoE
-/// gradients across all GPUs.
-double NonMoESyncSeconds(const ModelConfig& model,
-                         const HardwareProfile& profile);
-
-/// \brief Total non-MoE seconds added to each step (compute + DP sync).
-double NonMoEStepSeconds(const ModelConfig& model,
-                         const HardwareProfile& profile);
 
 }  // namespace flexmoe
 

@@ -66,32 +66,6 @@ const HistogramSnapshot* MetricsRegistry::histogram(
   return it == histograms_.end() ? nullptr : &it->second;
 }
 
-void MetricsRegistry::Clear() {
-  counters_.clear();
-  gauges_.clear();
-  histograms_.clear();
-}
-
-std::string MetricsRegistry::SnapshotText() const {
-  std::string out;
-  for (const auto& [name, value] : counters_) {
-    out.append(StrFormat("%s=%lld\n", name.c_str(),
-                         static_cast<long long>(value)));
-  }
-  for (const auto& [name, value] : gauges_) {
-    out.append(StrFormat("%s=%.9g\n", name.c_str(), value));
-  }
-  for (const auto& [name, h] : histograms_) {
-    out.append(StrFormat("%s.count=%lld\n", name.c_str(),
-                         static_cast<long long>(h.count)));
-    out.append(StrFormat("%s.sum=%.9g\n", name.c_str(), h.sum));
-    out.append(StrFormat("%s.min=%.9g\n", name.c_str(), h.min));
-    out.append(StrFormat("%s.max=%.9g\n", name.c_str(), h.max));
-    out.append(StrFormat("%s.mean=%.9g\n", name.c_str(), h.Mean()));
-  }
-  return out;
-}
-
 std::string MetricsRegistry::SnapshotJson() const {
   std::string out = "{\"counters\":{";
   bool first = true;

@@ -1,8 +1,7 @@
 // Metrics registry: named counters / gauges / histograms with deterministic
 // snapshot ordering. Replaces ad-hoc one-off metric fields as the extension
 // point for new instrumentation (queue depths, shed reasons, candidate-
-// search iterations, gate draws); snapshots export as sorted "key=value"
-// text — the same line discipline the golden harness diffs — and as JSON.
+// search iterations, gate draws); snapshots export as sorted JSON.
 //
 // Determinism contract (DESIGN.md Section 9): iteration order is the
 // lexicographic name order of a std::map, values are printed with fixed
@@ -32,9 +31,6 @@ struct HistogramSnapshot {
   int64_t underflow = 0;
   /// Non-empty buckets only, keyed by exponent k (clamped to [-40, 40]).
   std::map<int, int64_t> buckets;
-
-  double Mean() const { return count > 0 ? sum / static_cast<double>(count)
-                                         : 0.0; }
 };
 
 /// \brief Named counters, gauges, and histograms.
@@ -54,14 +50,9 @@ class MetricsRegistry {
   bool empty() const {
     return counters_.empty() && gauges_.empty() && histograms_.empty();
   }
-  void Clear();
 
-  /// \brief Sorted "key=value" lines: counters verbatim, gauges at fixed
-  /// precision, histograms flattened to <name>.count/.sum/.min/.max/.mean.
-  std::string SnapshotText() const;
-
-  /// \brief {"counters":{...},"gauges":{...},"histograms":{...}} in the
-  /// same sorted order, histogram buckets included.
+  /// \brief {"counters":{...},"gauges":{...},"histograms":{...}} in
+  /// sorted name order, histogram buckets included.
   std::string SnapshotJson() const;
 
  private:

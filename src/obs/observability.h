@@ -13,8 +13,7 @@
 // Determinism contract: with observability enabled, every exported artifact
 // (Chrome trace, metrics snapshot, decision JSONL) is a pure function of
 // the simulated run — sim timestamps only, sorted snapshot order, fixed
-// printf formats. Wall-clock appears in the trace export only when
-// `include_wall_clock` is explicitly requested.
+// printf formats.
 
 #ifndef FLEXMOE_OBS_OBSERVABILITY_H_
 #define FLEXMOE_OBS_OBSERVABILITY_H_
@@ -42,9 +41,6 @@ struct ObservabilityOptions {
   std::string metrics_out;
   /// Policy decision audit JSONL output path.
   std::string decisions_out;
-  /// Include per-event wall-clock in the trace export (breaks
-  /// byte-determinism; off by default).
-  bool include_wall_clock = false;
   /// Trace ring capacity in events.
   int64_t trace_capacity = static_cast<int64_t>(Tracer::kDefaultCapacity);
 
@@ -68,9 +64,7 @@ class Observability {
 
   /// The three exportable artifacts as strings (what ExportArtifacts
   /// writes; tests assert on these directly).
-  std::string TraceJson() const {
-    return tracer_.ToChromeJson(options_.include_wall_clock);
-  }
+  std::string TraceJson() const { return tracer_.ToChromeJson(); }
   std::string MetricsJson() const { return metrics_.SnapshotJson(); }
   std::string DecisionsJsonl() const { return decisions_.ToJsonl(); }
 

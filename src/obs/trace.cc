@@ -1,7 +1,6 @@
 #include "obs/trace.h"
 
 #include <algorithm>
-#include <chrono>
 #include <set>
 
 #include "util/string_util.h"
@@ -10,12 +9,6 @@ namespace flexmoe {
 namespace obs {
 
 namespace {
-
-int64_t NowWallMicros() {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 /// Microsecond timestamp rendering: fixed 3 decimals gives nanosecond
 /// resolution on the sim clock, and fixed-format printf of a double is
@@ -50,8 +43,6 @@ std::string LaneName(int tid) {
       return "policy";
     case kServingLane:
       return "serving";
-    case kSimLane:
-      return "sim";
     default:
       return StrFormat("gpu%d", tid);
   }
@@ -60,7 +51,7 @@ std::string LaneName(int tid) {
 }  // namespace
 
 Tracer::Tracer(size_t capacity)
-    : capacity_(std::max<size_t>(1, capacity)), epoch_us_(NowWallMicros()) {}
+    : capacity_(std::max<size_t>(1, capacity)) {}
 
 void Tracer::Push(const TraceEvent& event) {
   // The ring's first block is reserved by the first event, not by the
@@ -68,20 +59,18 @@ void Tracer::Push(const TraceEvent& event) {
   if (ring_.capacity() == 0) {
     ring_.reserve(std::min(capacity_, size_t{1} << 16));
   }
-  TraceEvent stamped = event;
-  stamped.wall_us = NowWallMicros() - epoch_us_;
   if (size_ < capacity_) {
     if (ring_.size() < capacity_ && ring_.size() == head_ + size_) {
-      ring_.push_back(stamped);
+      ring_.push_back(event);
     } else {
-      ring_[(head_ + size_) % capacity_] = stamped;
+      ring_[(head_ + size_) % capacity_] = event;
     }
     ++size_;
     return;
   }
   // Full: overwrite the oldest (the most recent window is the useful one
   // when debugging the end of a long run).
-  ring_[head_] = stamped;
+  ring_[head_] = event;
   head_ = (head_ + 1) % capacity_;
   ++dropped_;
 }
@@ -89,12 +78,6 @@ void Tracer::Push(const TraceEvent& event) {
 const TraceEvent& Tracer::at(size_t i) const {
   FLEXMOE_CHECK(i < size_);
   return ring_[(head_ + i) % capacity_];
-}
-
-void Tracer::Clear() {
-  head_ = 0;
-  size_ = 0;
-  dropped_ = 0;
 }
 
 void Tracer::Span(const char* name, const char* category, int tid,
@@ -155,7 +138,7 @@ void Tracer::Counter(const char* name, int tid, double ts, const char* key,
   Push(e);
 }
 
-std::string Tracer::ToChromeJson(bool include_wall_clock) const {
+std::string Tracer::ToChromeJson() const {
   std::string out;
   out.reserve(128 + size_ * 96);
   out.append("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
@@ -190,9 +173,6 @@ std::string Tracer::ToChromeJson(bool include_wall_clock) const {
                                          &first_arg);
     if (e.arg_key1 != nullptr) AppendArg(&out, e.arg_key1, e.arg_val1,
                                          &first_arg);
-    if (include_wall_clock) {
-      AppendArg(&out, "wall_us", static_cast<double>(e.wall_us), &first_arg);
-    }
     out.append("}}");
   }
   out.append(StrFormat("\n],\"otherData\":{\"dropped_events\":%llu}}\n",

@@ -8,9 +8,8 @@
 //    first event reserves the ring (up to 64 Ki events), so a tracer that
 //    never records, like a disabled handle's, never allocates it.
 //  * DETERMINISM — timestamps are the simulator's virtual seconds, passed
-//    in by the caller (executors already compute them); wall-clock is
-//    captured per event but exported only on request, so the default
-//    export is a pure function of the simulated run.
+//    in by the caller (executors already compute them); no clock is read,
+//    so the export is a pure function of the simulated run.
 //  * BOUNDED — the ring keeps the most recent `capacity` events and counts
 //    what it overwrote; a drop is deterministic because recording order is.
 //
@@ -34,7 +33,6 @@ namespace obs {
 inline constexpr int kControlLane = 10000;  ///< step/phase structure, faults
 inline constexpr int kPolicyLane = 10001;   ///< scheduler + policy maker
 inline constexpr int kServingLane = 10002;  ///< ServeExecutor batching
-inline constexpr int kSimLane = 10003;      ///< SimEngine callback firings
 
 /// \brief One recorded event. POD: literal strings + numbers, no owned
 /// memory. `phase` follows the Chrome trace-event phases this tracer
@@ -46,9 +44,6 @@ struct TraceEvent {
   int tid = kControlLane;
   double ts_seconds = 0.0;   ///< sim virtual time
   double dur_seconds = 0.0;  ///< 'X' only
-  /// Wall-clock microseconds since tracer construction, captured at record
-  /// time; exported only when the export asks for it.
-  int64_t wall_us = 0;
   /// Up to two numeric args; a nullptr key terminates the list.
   const char* arg_key0 = nullptr;
   double arg_val0 = 0.0;
@@ -91,20 +86,17 @@ class Tracer {
   /// Events currently held (<= capacity).
   size_t size() const { return size_; }
   size_t capacity() const { return capacity_; }
-  /// Events overwritten by the ring since construction/Clear.
+  /// Events overwritten by the ring since construction.
   uint64_t dropped() const { return dropped_; }
 
   /// The i-th oldest held event (0 <= i < size()).
   const TraceEvent& at(size_t i) const;
 
-  void Clear();
-
   /// \brief Chrome trace-event JSON: {"displayTimeUnit":"ms",
   /// "traceEvents":[...]} with process/thread-name metadata for every lane
   /// seen, then the held events oldest-first. Timestamps are sim seconds
-  /// scaled to microseconds; with `include_wall_clock` each event also
-  /// carries a "wall_us" arg (breaking byte-determinism by design).
-  std::string ToChromeJson(bool include_wall_clock = false) const;
+  /// scaled to microseconds.
+  std::string ToChromeJson() const;
 
  private:
   void Push(const TraceEvent& event);
@@ -115,7 +107,6 @@ class Tracer {
   size_t size_ = 0;
   uint64_t dropped_ = 0;
   int num_gpus_ = 0;
-  int64_t epoch_us_;  ///< wall-clock at construction (steady clock)
 };
 
 }  // namespace obs

@@ -138,11 +138,6 @@ int Placement::FreeSlots(GpuId gpu) const {
   return slots_per_gpu_ - UsedSlots(gpu);
 }
 
-double Placement::IdealVExpertCapacity(int64_t total_tokens) const {
-  return static_cast<double>(total_tokens) /
-         static_cast<double>(total_slots());
-}
-
 Status Placement::AddVExpert(int expert, GpuId gpu) {
   if (expert < 0 || expert >= num_experts()) {
     return Status::InvalidArgument("expert out of range");

@@ -87,10 +87,6 @@ class Placement {
   int UsedSlots(GpuId gpu) const;
   int FreeSlots(GpuId gpu) const;
 
-  /// Ideal per-vExpert token capacity for a batch of `total_tokens`
-  /// (paper: B / (G * E)).
-  double IdealVExpertCapacity(int64_t total_tokens) const;
-
   // --- Mutations (used by the placement primitives) ----------------------
 
   /// Adds one vExpert of `expert` on `gpu`. Fails if the GPU has no free

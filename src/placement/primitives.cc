@@ -104,21 +104,4 @@ double OpTransferBytes(const ModOp& op, double expert_state_bytes) {
   return 0.0;
 }
 
-double OpCostSeconds(const ModOp& op, double expert_state_bytes,
-                     const HardwareProfile& profile) {
-  switch (op.type) {
-    case ModOpType::kExpand: {
-      if (op.src < 0) return 0.0;
-      if (op.src == op.dst) return 0.0;  // intra-GPU parameter sharing
-      return profile.P2pSeconds(expert_state_bytes, op.src, op.dst);
-    }
-    case ModOpType::kShrink:
-      return 0.0;
-    case ModOpType::kMigrate:
-      // Full-duplex exchange: limited by one direction.
-      return profile.P2pSeconds(expert_state_bytes, op.src, op.dst);
-  }
-  return 0.0;
-}
-
 }  // namespace flexmoe

@@ -15,7 +15,6 @@
 #include <string>
 
 #include "placement/placement.h"
-#include "topology/profile.h"
 
 namespace flexmoe {
 
@@ -51,11 +50,6 @@ Status ApplyOp(const ModOp& op, Placement* placement);
 /// Expands). `expert_state_bytes` is per-expert (paper: parameters +
 /// optimizer states).
 double OpTransferBytes(const ModOp& op, double expert_state_bytes);
-
-/// \brief Estimated wall-clock of `op` using profiled link bandwidth
-/// (paper: size(model_states) / Bw_{g,g'}).
-double OpCostSeconds(const ModOp& op, double expert_state_bytes,
-                     const HardwareProfile& profile);
 
 }  // namespace flexmoe
 

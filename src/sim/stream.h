@@ -27,14 +27,9 @@ class Stream {
   void ReserveInterval(double start, double end);
 
   double busy_until() const { return busy_until_; }
-  /// Total reserved time; busy_time()/elapsed gives utilization.
-  double busy_time() const { return busy_time_; }
-
-  void Reset();
 
  private:
   double busy_until_ = 0.0;
-  double busy_time_ = 0.0;
 };
 
 /// \brief Per-GPU hardware resources for one simulated cluster.
@@ -57,19 +52,10 @@ class ClusterState {
   /// Earliest time every stream of `g` is free.
   double GpuFreeAt(GpuId g) const;
 
-  /// Max busy_until across all streams — end of all scheduled work.
-  double AllFreeAt() const;
-
-  /// Total compute-stream busy time divided by (num_gpus x elapsed):
-  /// the GPU utilization metric of paper Figure 2.
-  double ComputeUtilization(double elapsed) const;
-
   /// Reserves [start, start+duration) on every training-critical stream of
   /// every GPU — models a globally blocking operation (synchronous
   /// placement adjustment).
   void BlockAll(double start, double duration);
-
-  void Reset();
 
  private:
   const Topology* topo_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 namespace flexmoe {
 
@@ -87,13 +86,6 @@ double HardwareProfile::AllReduceSeconds(
   const auto* fitted = FindAllReduceCalibration(SignatureOf(group));
   if (fitted != nullptr) return fitted->Seconds(bytes);
   return RingAllReduceSeconds(bytes, group);
-}
-
-double HardwareProfile::AllReduceBps(double bytes,
-                                     const std::vector<GpuId>& group) const {
-  const double sec = AllReduceSeconds(bytes, group);
-  if (sec <= 0.0) return std::numeric_limits<double>::infinity();
-  return bytes / sec;
 }
 
 void HardwareProfile::SetComputeCalibration(double overhead_sec,

@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <set>
-#include <sstream>
-
-#include "util/string_util.h"
 
 namespace flexmoe {
 
@@ -107,14 +104,6 @@ double Topology::MinGroupBandwidth(const std::vector<GpuId>& gpus) const {
   // spans several nodes, otherwise intra-node.
   return NodesSpanned(gpus) > 1 ? options_.inter_node_bytes_per_sec
                                 : options_.intra_node_bytes_per_sec;
-}
-
-std::string Topology::ToString() const {
-  std::ostringstream os;
-  os << num_nodes() << " nodes x " << gpus_per_node() << " GPUs"
-     << " | intra " << HumanBytes(options_.intra_node_bytes_per_sec) << "/s"
-     << " | inter " << HumanBytes(options_.inter_node_bytes_per_sec) << "/s";
-  return os.str();
 }
 
 TopologyOptions AzureA100Options(int num_gpus) {

@@ -10,7 +10,6 @@
 #define FLEXMOE_TOPOLOGY_TOPOLOGY_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "util/status.h"
@@ -79,8 +78,6 @@ class Topology {
 
   /// Minimum pairwise bandwidth within a group (the ring bottleneck).
   double MinGroupBandwidth(const std::vector<GpuId>& gpus) const;
-
-  std::string ToString() const;
 
  private:
   explicit Topology(TopologyOptions options) : options_(options) {}

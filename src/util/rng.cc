@@ -174,33 +174,4 @@ void Rng::RestoreState(const State& state) {
   cached_normal_ = state.cached_normal;
 }
 
-ZipfDistribution::ZipfDistribution(size_t n, double s) {
-  FLEXMOE_CHECK(n > 0);
-  probs_.resize(n);
-  double total = 0.0;
-  for (size_t r = 0; r < n; ++r) {
-    probs_[r] = 1.0 / std::pow(static_cast<double>(r + 1), s);
-    total += probs_[r];
-  }
-  cdf_.resize(n);
-  double acc = 0.0;
-  for (size_t r = 0; r < n; ++r) {
-    probs_[r] /= total;
-    acc += probs_[r];
-    cdf_[r] = acc;
-  }
-  cdf_.back() = 1.0;
-}
-
-double ZipfDistribution::pmf(size_t r) const {
-  FLEXMOE_CHECK(r < probs_.size());
-  return probs_[r];
-}
-
-size_t ZipfDistribution::Sample(Rng* rng) const {
-  const double u = rng->Uniform();
-  const auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-  return static_cast<size_t>(it - cdf_.begin());
-}
-
 }  // namespace flexmoe

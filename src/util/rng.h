@@ -9,7 +9,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 namespace flexmoe {
 
@@ -72,29 +71,6 @@ class Rng {
   uint64_t s_[4];
   bool have_cached_normal_ = false;
   double cached_normal_ = 0.0;
-};
-
-/// \brief Zipf(s) distribution over ranks {0, ..., n-1}.
-///
-/// Used by workload generators to synthesize skewed expert popularity;
-/// rank r has unnormalized weight 1/(r+1)^s.
-class ZipfDistribution {
- public:
-  /// \param n number of ranks; \param s skew exponent (s = 0 is uniform).
-  ZipfDistribution(size_t n, double s);
-
-  /// Probability mass of rank r.
-  double pmf(size_t r) const;
-
-  /// Samples a rank via inverse-CDF binary search.
-  size_t Sample(Rng* rng) const;
-
-  /// The full probability vector (normalized).
-  const std::vector<double>& probabilities() const { return probs_; }
-
- private:
-  std::vector<double> probs_;
-  std::vector<double> cdf_;
 };
 
 }  // namespace flexmoe

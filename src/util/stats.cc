@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
-
-#include "util/status.h"
+#include <functional>
 
 namespace flexmoe {
 
@@ -25,96 +23,6 @@ double RunningStat::variance() const {
 
 double RunningStat::stddev() const { return std::sqrt(variance()); }
 
-void RunningStat::Merge(const RunningStat& other) {
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  const double n1 = static_cast<double>(count_);
-  const double n2 = static_cast<double>(other.count_);
-  const double delta = other.mean_ - mean_;
-  const double n = n1 + n2;
-  mean_ += delta * n2 / n;
-  m2_ += other.m2_ + delta * delta * n1 * n2 / n;
-  count_ += other.count_;
-  sum_ += other.sum_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
-void Percentiles::Add(double x) {
-  samples_.push_back(x);
-  sorted_ = false;
-}
-
-double Percentiles::Quantile(double q) const {
-  FLEXMOE_CHECK(q >= 0.0 && q <= 1.0);
-  FLEXMOE_CHECK(!samples_.empty());
-  if (!sorted_) {
-    std::sort(samples_.begin(), samples_.end());
-    sorted_ = true;
-  }
-  const double pos = q * static_cast<double>(samples_.size() - 1);
-  const size_t lo = static_cast<size_t>(std::floor(pos));
-  const size_t hi = static_cast<size_t>(std::ceil(pos));
-  const double frac = pos - static_cast<double>(lo);
-  return samples_[lo] * (1.0 - frac) + samples_[hi] * frac;
-}
-
-Histogram::Histogram(double lo, double hi, size_t num_bins)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(num_bins)),
-      counts_(num_bins, 0) {
-  FLEXMOE_CHECK(hi > lo);
-  FLEXMOE_CHECK(num_bins > 0);
-}
-
-void Histogram::Add(double x) {
-  size_t b;
-  if (x < lo_) {
-    b = 0;
-  } else if (x >= hi_) {
-    b = counts_.size() - 1;
-  } else {
-    b = static_cast<size_t>((x - lo_) / width_);
-    b = std::min(b, counts_.size() - 1);
-  }
-  ++counts_[b];
-  ++total_;
-}
-
-int64_t Histogram::bin_count(size_t b) const {
-  FLEXMOE_CHECK(b < counts_.size());
-  return counts_[b];
-}
-
-double Histogram::bin_left(size_t b) const {
-  FLEXMOE_CHECK(b < counts_.size());
-  return lo_ + width_ * static_cast<double>(b);
-}
-
-std::string Histogram::ToString() const {
-  std::ostringstream os;
-  for (size_t b = 0; b < counts_.size(); ++b) {
-    os << "[" << bin_left(b) << ", " << bin_left(b) + width_
-       << "): " << counts_[b] << "\n";
-  }
-  return os.str();
-}
-
-Ema::Ema(double alpha) : alpha_(alpha) {
-  FLEXMOE_CHECK(alpha > 0.0 && alpha <= 1.0);
-}
-
-void Ema::Add(double x) {
-  if (empty_) {
-    value_ = x;
-    empty_ = false;
-  } else {
-    value_ = alpha_ * x + (1.0 - alpha_) * value_;
-  }
-}
-
 std::vector<double> SortedCdf(const std::vector<double>& loads) {
   std::vector<double> sorted = loads;
   std::sort(sorted.begin(), sorted.end(), std::greater<double>());
@@ -133,13 +41,6 @@ double TopKShare(const std::vector<double>& loads, size_t k) {
   if (loads.empty() || k == 0) return 0.0;
   const auto cdf = SortedCdf(loads);
   return cdf[std::min(k, cdf.size()) - 1];
-}
-
-double CoefficientOfVariation(const std::vector<double>& loads) {
-  RunningStat st;
-  for (double v : loads) st.Add(v);
-  if (st.count() == 0 || st.mean() == 0.0) return 0.0;
-  return st.stddev() / st.mean();
 }
 
 }  // namespace flexmoe

@@ -1,12 +1,12 @@
 // Streaming statistics used throughout metric collection: running
-// mean/variance, percentile sketches, histograms, and CDFs over load vectors.
+// mean/variance and CDFs over load vectors.
 
 #ifndef FLEXMOE_UTIL_STATS_H_
 #define FLEXMOE_UTIL_STATS_H_
 
 #include <cstdint>
+#include <cstddef>
 #include <limits>
-#include <string>
 #include <vector>
 
 namespace flexmoe {
@@ -24,9 +24,6 @@ class RunningStat {
   double max() const { return count_ > 0 ? max_ : 0.0; }
   double sum() const { return sum_; }
 
-  /// Merges another accumulator into this one (parallel Welford).
-  void Merge(const RunningStat& other);
-
  private:
   int64_t count_ = 0;
   double mean_ = 0.0;
@@ -34,60 +31,6 @@ class RunningStat {
   double sum_ = 0.0;
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
-};
-
-/// \brief Exact percentile estimator that retains all samples.
-///
-/// Experiment runs are at most a few hundred thousand samples, so exact
-/// retention is cheaper than a sketch and removes approximation error
-/// from reported tail latencies.
-class Percentiles {
- public:
-  void Add(double x);
-  /// q in [0, 1]; linear interpolation between order statistics.
-  double Quantile(double q) const;
-  size_t count() const { return samples_.size(); }
-
- private:
-  mutable std::vector<double> samples_;
-  mutable bool sorted_ = true;
-};
-
-/// \brief Fixed-bin linear histogram over [lo, hi).
-class Histogram {
- public:
-  Histogram(double lo, double hi, size_t num_bins);
-
-  void Add(double x);
-  /// Count in bin b (out-of-range samples clamp to edge bins).
-  int64_t bin_count(size_t b) const;
-  size_t num_bins() const { return counts_.size(); }
-  int64_t total() const { return total_; }
-  /// Left edge of bin b.
-  double bin_left(size_t b) const;
-  std::string ToString() const;
-
- private:
-  double lo_;
-  double hi_;
-  double width_;
-  std::vector<int64_t> counts_;
-  int64_t total_ = 0;
-};
-
-/// \brief Exponential moving average with configurable smoothing factor.
-class Ema {
- public:
-  /// \param alpha weight of the newest observation, in (0, 1].
-  explicit Ema(double alpha);
-  void Add(double x);
-  double value() const { return value_; }
-  bool empty() const { return empty_; }
-
- private:
-  double alpha_;
-  double value_ = 0.0;
-  bool empty_ = true;
 };
 
 /// \brief Sorted-descending cumulative share curve of a load vector.
@@ -98,9 +41,6 @@ std::vector<double> SortedCdf(const std::vector<double>& loads);
 
 /// \brief Fraction of mass captured by the top-k entries of `loads`.
 double TopKShare(const std::vector<double>& loads, size_t k);
-
-/// \brief Coefficient of variation (stddev / mean) of a load vector.
-double CoefficientOfVariation(const std::vector<double>& loads);
 
 }  // namespace flexmoe
 

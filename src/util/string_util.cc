@@ -32,17 +32,6 @@ std::string Join(const std::vector<std::string>& parts,
   return out;
 }
 
-std::string HumanBytes(double bytes) {
-  static const char* kUnits[] = {"B", "KB", "MB", "GB", "TB", "PB"};
-  int unit = 0;
-  double v = bytes;
-  while (v >= 1024.0 && unit < 5) {
-    v /= 1024.0;
-    ++unit;
-  }
-  return StrFormat("%.1f %s", v, kUnits[unit]);
-}
-
 std::string HumanTime(double seconds) {
   if (seconds >= 3600.0) return StrFormat("%.2f h", seconds / 3600.0);
   if (seconds >= 60.0) return StrFormat("%.2f min", seconds / 60.0);
@@ -50,10 +39,6 @@ std::string HumanTime(double seconds) {
   if (seconds >= 1e-3) return StrFormat("%.2f ms", seconds * 1e3);
   if (seconds >= 1e-6) return StrFormat("%.2f us", seconds * 1e6);
   return StrFormat("%.0f ns", seconds * 1e9);
-}
-
-std::string FormatDouble(double v, int precision) {
-  return StrFormat("%.*f", precision, v);
 }
 
 bool StartsWith(const std::string& s, const std::string& prefix) {

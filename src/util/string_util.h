@@ -17,15 +17,8 @@ std::string StrFormat(const char* fmt, ...)
 std::string Join(const std::vector<std::string>& parts,
                  const std::string& sep);
 
-/// \brief "1.5 GB", "312.0 MB", ... (powers of 1024).
-std::string HumanBytes(double bytes);
-
 /// \brief "1.52 s", "12.3 ms", "450 us", ...
 std::string HumanTime(double seconds);
-
-/// \brief Fixed-precision decimal rendering, e.g. FormatDouble(1.2345, 2)
-/// == "1.23".
-std::string FormatDouble(double v, int precision);
 
 /// \brief True if `s` starts with `prefix`.
 bool StartsWith(const std::string& s, const std::string& prefix);

@@ -18,11 +18,6 @@ void Table::AddRow(std::vector<std::string> row) {
   rows_.push_back(std::move(row));
 }
 
-const std::vector<std::string>& Table::row(size_t i) const {
-  FLEXMOE_CHECK(i < rows_.size());
-  return rows_[i];
-}
-
 std::string Table::ToAscii() const {
   std::vector<size_t> widths(header_.size(), 0);
   for (size_t c = 0; c < header_.size(); ++c) widths[c] = header_[c].size();

@@ -24,7 +24,6 @@ class Table {
 
   size_t num_rows() const { return rows_.size(); }
   size_t num_cols() const { return header_.size(); }
-  const std::vector<std::string>& row(size_t i) const;
 
   /// Box-drawing-free aligned ASCII rendering.
   std::string ToAscii() const;

@@ -99,7 +99,6 @@ TEST(CostModelTest, LayerEstimateMaxOverGpusEq5) {
   a.set(0, 0, 50000);  // expert 0 (on g0) massively loaded
   a.set(1, 1, 100);
   const LayerCostEstimate est = f.cost.EstimateLayer(a, p);
-  EXPECT_EQ(est.BottleneckGpu(), 0);
   EXPECT_DOUBLE_EQ(est.total_seconds, est.per_gpu_seconds[0]);
   EXPECT_GT(est.per_gpu_seconds[0], est.per_gpu_seconds[1]);
   // Breakdown adds up.

@@ -85,7 +85,6 @@ TEST(FaultPlanTest, EventsSortedByStep) {
   const FaultPlan plan = FaultPlan::FromEvents(events);
   EXPECT_EQ(plan.events()[0].step, 10);
   EXPECT_EQ(plan.events()[1].step, 30);
-  EXPECT_EQ(plan.horizon(), 30);
 }
 
 TEST(FaultPlanTest, RandomGenerationIsDeterministic) {
@@ -99,11 +98,11 @@ TEST(FaultPlanTest, RandomGenerationIsDeterministic) {
   const FaultPlan a = *FaultPlan::Generate(o);
   const FaultPlan b = *FaultPlan::Generate(o);
   EXPECT_FALSE(a.empty());
-  EXPECT_EQ(a.ToString(), b.ToString());  // byte-identical replay
+  EXPECT_TRUE(a.events() == b.events());  // identical replay
 
   o.seed = 99;
   const FaultPlan c = *FaultPlan::Generate(o);
-  EXPECT_NE(a.ToString(), c.ToString());
+  EXPECT_FALSE(a.events() == c.events());
 }
 
 TEST(FaultPlanTest, RandomPlanRespectsPreconditions) {
@@ -117,7 +116,8 @@ TEST(FaultPlanTest, RandomPlanRespectsPreconditions) {
   const FaultPlan plan = *FaultPlan::Generate(o);
   ClusterHealth health(8);
   for (const FaultEvent& e : plan.events()) {
-    EXPECT_TRUE(health.Apply(e).ok()) << e.ToString();
+    EXPECT_TRUE(health.Apply(e).ok()) << "step " << e.step << " gpu "
+                                      << e.gpu;
     EXPECT_GE(health.num_alive(), 8 / 2);  // quorum kept
   }
 }
@@ -449,11 +449,11 @@ TEST(ElasticReplayTest, SameSeedYieldsIdenticalRuns) {
   o.mean_straggle_steps = 8;
   o.seed = 2026;
 
-  // The same seed must yield byte-identical event sequences...
+  // The same seed must yield identical event sequences...
   const FaultPlan plan_a = *FaultPlan::Generate(o);
   const FaultPlan plan_b = *FaultPlan::Generate(o);
   ASSERT_FALSE(plan_a.empty());
-  ASSERT_EQ(plan_a.ToString(), plan_b.ToString());
+  ASSERT_TRUE(plan_a.events() == plan_b.events());
 
   // ... and bit-identical training runs and final placements.
   const RunOutcome a = RunFlexMoEWithPlan(plan_a, /*seed=*/5);

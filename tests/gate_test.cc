@@ -32,7 +32,6 @@ TEST(AssignmentTest, AccessorsAndTotals) {
   EXPECT_EQ(a.Total(), 17);
   const auto loads = a.ExpertLoads();
   EXPECT_EQ(loads[2], 10.0);
-  EXPECT_TRUE(a.Validate().ok());
 }
 
 TEST(GateOptionsTest, Validation) {

@@ -12,13 +12,10 @@
 #include <string>
 
 #include "harness/golden.h"
+#include "test_env.h"
 
 namespace flexmoe {
 namespace {
-
-std::string TempPath(const std::string& name) {
-  return testing::TempDir() + "/" + name;
-}
 
 void WriteFile(const std::string& path, const std::string& content) {
   std::FILE* f = std::fopen(path.c_str(), "w");

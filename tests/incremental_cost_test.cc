@@ -84,11 +84,18 @@ void ExpectMatchesScratch(const CostModel& cost, const Assignment& a,
                   static_cast<double>(p.VExperts(e)))
         << "capacity diverged at e" << e;
   }
-  const LayerCostEstimate mat = state.ToEstimate();
-  ASSERT_EQ(mat.total_seconds, ref.total_seconds);
-  ASSERT_EQ(mat.per_gpu_seconds, ref.per_gpu_seconds);
-  ASSERT_EQ(mat.per_gpu_a2a, ref.per_gpu_a2a);
-  ASSERT_EQ(mat.per_gpu_sync, ref.per_gpu_sync);
+  // The cached compute/A2A/sync partials reach the planner only through
+  // BestChunkDepth; it must pick what the from-scratch breakdown picks,
+  // fresh and against every incumbent depth.
+  ASSERT_EQ(state.BestChunkDepth(),
+            cost.BestChunkDepth(ref.per_gpu_compute, ref.per_gpu_a2a,
+                                ref.per_gpu_sync));
+  for (const int incumbent : CostModel::kChunkDepthCandidates) {
+    ASSERT_EQ(state.BestChunkDepth(incumbent),
+              cost.BestChunkDepth(ref.per_gpu_compute, ref.per_gpu_a2a,
+                                  ref.per_gpu_sync, incumbent))
+        << "incumbent " << incumbent;
+  }
 
   // The integer cross-node link bookkeeping (restored, not recomputed, by
   // Undo) against a from-scratch recount of the dispatch matrix.

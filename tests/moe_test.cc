@@ -69,12 +69,6 @@ TEST(ModelConfigTest, LookupByName) {
   EXPECT_FALSE(ModelByName("nonexistent").ok());
 }
 
-TEST(ModelFamilyTest, Names) {
-  EXPECT_STREQ(ModelFamilyName(ModelFamily::kBert), "BERT");
-  EXPECT_STREQ(ModelFamilyName(ModelFamily::kGpt), "GPT");
-  EXPECT_STREQ(ModelFamilyName(ModelFamily::kSwin), "Swin");
-}
-
 TEST(TransformerTest, NonMoECostsPositiveAndScale) {
   TopologyOptions topt;
   topt.num_nodes = 4;
@@ -86,25 +80,6 @@ TEST(TransformerTest, NonMoECostsPositiveAndScale) {
   const double large = NonMoEComputeSeconds(GptMoEL(), profile);
   EXPECT_GT(small, 0.0);
   EXPECT_GT(large, small);  // larger model, more non-MoE FLOPs
-
-  const double sync = NonMoESyncSeconds(GptMoES(), profile);
-  EXPECT_GT(sync, 0.0);
-  EXPECT_NEAR(NonMoEStepSeconds(GptMoES(), profile), small + sync, 1e-12);
-}
-
-TEST(TransformerTest, MoreGpusSlowerDpSync) {
-  const ModelConfig model = GptMoES();
-  TopologyOptions small_t;
-  small_t.num_nodes = 1;
-  small_t.gpus_per_node = 8;
-  const Topology topo8 = *Topology::Create(small_t);
-  TopologyOptions big_t;
-  big_t.num_nodes = 8;
-  big_t.gpus_per_node = 8;
-  const Topology topo64 = *Topology::Create(big_t);
-  const HardwareProfile p8(&topo8, GpuSpec{});
-  const HardwareProfile p64(&topo64, GpuSpec{});
-  EXPECT_LT(NonMoESyncSeconds(model, p8), NonMoESyncSeconds(model, p64));
 }
 
 }  // namespace

@@ -1,7 +1,6 @@
 // Unit tests for the observability subsystem (src/obs/): tracer ring
 // semantics and Chrome-trace export, metrics-registry determinism,
-// decision-log JSONL roundtrip and the policy-adoption-lag metric, and
-// the SimEngine tracer hook.
+// decision-log JSONL roundtrip and the policy-adoption-lag metric.
 
 #include <gtest/gtest.h>
 
@@ -12,7 +11,6 @@
 #include "obs/metrics_registry.h"
 #include "obs/observability.h"
 #include "obs/trace.h"
-#include "sim/engine.h"
 
 namespace flexmoe {
 namespace obs {
@@ -78,10 +76,6 @@ TEST(TracerTest, ChromeJsonShapeAndDeterminism) {
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"i\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"C\""), std::string::npos);
-  // Wall clock is absent by default and present on request.
-  EXPECT_EQ(json.find("wall_us"), std::string::npos);
-  EXPECT_NE(a.ToChromeJson(/*include_wall_clock=*/true).find("wall_us"),
-            std::string::npos);
 }
 
 TEST(MetricsRegistryTest, CountersGaugesHistograms) {
@@ -99,7 +93,7 @@ TEST(MetricsRegistryTest, CountersGaugesHistograms) {
   EXPECT_EQ(h->count, 2);
   EXPECT_DOUBLE_EQ(h->min, 0.004);
   EXPECT_DOUBLE_EQ(h->max, 0.006);
-  EXPECT_DOUBLE_EQ(h->Mean(), 0.005);
+  EXPECT_DOUBLE_EQ(h->sum, 0.01);
   // Absent names read as zero / null, not as created entries.
   EXPECT_EQ(m.counter("nope"), 0);
   EXPECT_DOUBLE_EQ(m.gauge("nope"), 0.0);
@@ -117,11 +111,9 @@ TEST(MetricsRegistryTest, SnapshotsSortedAndInsertionOrderIndependent) {
   b.Set("mango", 3.0);
   b.Add("apple", 2);
   b.Add("zebra", 1);
-  EXPECT_EQ(a.SnapshotText(), b.SnapshotText());
   EXPECT_EQ(a.SnapshotJson(), b.SnapshotJson());
-  const std::string text = a.SnapshotText();
-  EXPECT_LT(text.find("apple"), text.find("zebra"));
   const std::string json = a.SnapshotJson();
+  EXPECT_LT(json.find("apple"), json.find("zebra"));
   EXPECT_NE(json.find("\"counters\""), std::string::npos);
   EXPECT_NE(json.find("\"gauges\""), std::string::npos);
   EXPECT_NE(json.find("\"histograms\""), std::string::npos);
@@ -191,22 +183,6 @@ TEST(DecisionLogTest, PolicyAdoptionLags) {
   EXPECT_EQ(lags[1], 4);   // 24 - 20
   EXPECT_EQ(lags[2], -1);  // nothing adopted before the next switch
   EXPECT_EQ(lags[3], -1);  // nothing after 40 at all
-}
-
-TEST(SimEngineTest, TracerHookEmitsInstantPerCallback) {
-  Tracer tr(16);
-  SimEngine engine;
-  engine.set_tracer(&tr);
-  int fired = 0;
-  engine.ScheduleAt(1.0, [&fired] { ++fired; });
-  engine.ScheduleAt(2.5, [&fired] { ++fired; });
-  engine.Run();
-  EXPECT_EQ(fired, 2);
-  ASSERT_EQ(tr.size(), 2u);
-  EXPECT_STREQ(tr.at(0).name, "sim_callback");
-  EXPECT_EQ(tr.at(0).tid, kSimLane);
-  EXPECT_DOUBLE_EQ(tr.at(0).ts_seconds, 1.0);
-  EXPECT_DOUBLE_EQ(tr.at(1).ts_seconds, 2.5);
 }
 
 TEST(ObservabilityTest, DisabledHandleYieldsNullAccessors) {

@@ -6,7 +6,6 @@
 // nothing: the same heap allocations and the same metrics as no handle.
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <cstdio>
 #include <string>
@@ -70,11 +69,11 @@ struct Artifacts {
 
 /// The acceptance cell: multi-tenant x flexmoe serving (16 GPUs, 60
 /// batches, tenant switches every 10). `tag` keeps the two same-seed runs'
-/// files apart, and the pid keeps concurrent copies of this binary apart.
+/// files apart, and TempPath's pid keeps concurrent copies of this binary
+/// apart.
 Artifacts RunTraced(const std::string& tag) {
   ExperimentOptions o = ServingGoldenCell("multi-tenant", "flexmoe");
-  const std::string prefix = ::testing::TempDir() + "obs_it_" +
-                             std::to_string(getpid()) + "_" + tag;
+  const std::string prefix = TempPath("obs_it_" + tag);
   o.observability.enabled = true;
   o.observability.trace_out = prefix + "_trace.json";
   o.observability.metrics_out = prefix + "_metrics.json";
@@ -256,7 +255,7 @@ TEST(ObservabilityIntegrationTest, TracerAllocatesOnlyForItsFirstEvent) {
   before = AllocationCount();
   for (int i = 0; i < 3000; ++i) {
     tracer.Span("span", "test", i % 8, i, i + 0.5, "i", i);
-    tracer.Instant("tick", "test", obs::kSimLane, i);
+    tracer.Instant("tick", "test", obs::kControlLane, i);
   }
   EXPECT_EQ(AllocationCount(), before);
   EXPECT_EQ(tracer.size(), 1024u);

@@ -717,40 +717,6 @@ TEST(ForwardFloorEstimatorTest, InvalidatesMemoWhenGpuCountChanges) {
   }
 }
 
-// The memo must key on the chunk depth as well as the membership: under
-// auto-K the planner retargets the depth at runtime, and a floor memoized
-// at the old depth would mis-price every admission probe after the switch
-// (the same stale-floor failure mode as the GPU-count regression above).
-TEST(ForwardFloorEstimatorTest, InvalidatesMemoWhenChunkDepthChanges) {
-  const TestEnv env = TestEnv::Make(8);
-  const ModelConfig model = GptMoES();
-  const int64_t tokens = 8192;
-  const double at1 =
-      EstimateForwardMicrobatchSeconds(env.profile, model, 8, tokens, 1);
-  const double at4 =
-      EstimateForwardMicrobatchSeconds(env.profile, model, 8, tokens, 4);
-  ASSERT_NE(at1, at4);
-
-  ForwardFloorEstimator floor(&env.profile, model, 8, 1);
-  EXPECT_EQ(floor.chunks(), 1);
-  EXPECT_EQ(floor.Seconds(tokens), at1);
-  floor.set_chunks(4);
-  EXPECT_EQ(floor.chunks(), 4);
-  EXPECT_EQ(floor.Seconds(tokens), at4);
-  EXPECT_EQ(floor.Seconds(tokens), at4);  // refill memoizes again
-  // Back to serial re-invalidates symmetrically; a no-op retarget keeps
-  // the cache.
-  floor.set_chunks(1);
-  EXPECT_EQ(floor.Seconds(tokens), at1);
-  floor.set_chunks(1);
-  EXPECT_EQ(floor.Seconds(tokens), at1);
-  // Auto mode (chunks == 0) is a distinct key too: the min over depths.
-  floor.set_chunks(0);
-  EXPECT_EQ(floor.Seconds(tokens),
-            EstimateForwardMicrobatchSeconds(env.profile, model, 8, tokens,
-                                             0));
-}
-
 // ---- 3b. auto-K differential ----------------------------------------------
 
 // The point of charging the launch overhead: the corrected per-layer

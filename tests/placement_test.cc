@@ -91,12 +91,6 @@ TEST(PlacementTest, RemoveNonexistentFails) {
   EXPECT_FALSE(p.AddVExpert(0, 99).ok());    // bad gpu id
 }
 
-TEST(PlacementTest, IdealVExpertCapacity) {
-  const Placement p = *Placement::ExpertParallel(Opts(8, 8, 4));
-  // B / (G * E) = 3200 / 32.
-  EXPECT_DOUBLE_EQ(p.IdealVExpertCapacity(3200), 100.0);
-}
-
 TEST(PlacementTest, EqualityAndToString) {
   const Placement a = *Placement::ExpertParallel(Opts(4, 4, 2));
   Placement b = *Placement::ExpertParallel(Opts(4, 4, 2));
@@ -176,20 +170,6 @@ TEST(PrimitivesTest, MigrateRollsBackWhenPartnerCannotShrink) {
   // fail cleanly and roll back.
   EXPECT_FALSE(s.ok());
   EXPECT_TRUE(p == before);
-}
-
-TEST(PrimitivesTest, OpCostUsesLinkBandwidth) {
-  TopologyOptions topt;
-  topt.num_nodes = 2;
-  topt.gpus_per_node = 4;
-  const Topology topo = *Topology::Create(topt);
-  const HardwareProfile profile(&topo, GpuSpec{});
-  const double bytes = 64e6;
-  const double intra = OpCostSeconds(MakeExpand(0, 0, 1), bytes, profile);
-  const double inter = OpCostSeconds(MakeExpand(0, 0, 4), bytes, profile);
-  EXPECT_LT(intra, inter);
-  EXPECT_DOUBLE_EQ(OpCostSeconds(MakeShrink(0, 0), bytes, profile), 0.0);
-  EXPECT_DOUBLE_EQ(OpCostSeconds(MakeExpand(0, -1, 1), bytes, profile), 0.0);
 }
 
 TEST(PrimitivesTest, ToStringIsDescriptive) {

@@ -55,7 +55,7 @@ struct CellBytes {
 /// keeps the runs' artifact files apart.
 CellBytes RunCell(ExperimentOptions o, const std::string& label,
                   const std::string& tag) {
-  const std::string stem = ::testing::TempDir() + "planner_conc_" + tag;
+  const std::string stem = TempPath("planner_conc_" + tag);
   o.observability.enabled = true;
   o.observability.decisions_out = stem + "_decisions.jsonl";
   o.observability.metrics_out = stem + "_metrics.json";

@@ -152,29 +152,5 @@ TEST(RngTest, MultinomialUnnormalizedWeights) {
   EXPECT_NEAR(static_cast<double>(counts[0]), 500.0, 80.0);
 }
 
-TEST(ZipfTest, UniformWhenSZero) {
-  ZipfDistribution z(10, 0.0);
-  for (size_t r = 0; r < 10; ++r) EXPECT_NEAR(z.pmf(r), 0.1, 1e-12);
-}
-
-TEST(ZipfTest, SkewedMassOrdering) {
-  ZipfDistribution z(100, 1.2);
-  for (size_t r = 1; r < 100; ++r) EXPECT_LT(z.pmf(r), z.pmf(r - 1));
-  double total = 0.0;
-  for (size_t r = 0; r < 100; ++r) total += z.pmf(r);
-  EXPECT_NEAR(total, 1.0, 1e-9);
-}
-
-TEST(ZipfTest, SampleMatchesPmf) {
-  ZipfDistribution z(5, 1.0);
-  Rng rng(16);
-  std::vector<int> counts(5, 0);
-  const int n = 100000;
-  for (int i = 0; i < n; ++i) ++counts[z.Sample(&rng)];
-  for (size_t r = 0; r < 5; ++r) {
-    EXPECT_NEAR(static_cast<double>(counts[r]) / n, z.pmf(r), 0.01) << r;
-  }
-}
-
 }  // namespace
 }  // namespace flexmoe

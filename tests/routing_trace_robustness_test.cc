@@ -13,6 +13,7 @@
 
 #include "gate/routing_trace.h"
 #include "gate/trace_source.h"
+#include "test_env.h"
 #include "util/rng.h"
 
 namespace flexmoe {
@@ -23,7 +24,7 @@ constexpr uint64_t kMagic = 0x464C58544D4F4531ULL;  // matches Save()
 std::string WriteFile(const std::string& name,
                       const std::vector<uint64_t>& words,
                       int truncate_bytes = 0) {
-  const std::string path = testing::TempDir() + "/" + name;
+  const std::string path = TempPath(name);
   std::FILE* f = std::fopen(path.c_str(), "wb");
   EXPECT_NE(f, nullptr);
   for (uint64_t w : words) std::fwrite(&w, sizeof(w), 1, f);
@@ -126,7 +127,7 @@ TEST(RoutingTraceRobustnessTest, ValidFileStillLoads) {
 
 TEST(RoutingTraceRobustnessTest, EmptyTraceRoundTrips) {
   RoutingTrace trace;
-  const std::string path = testing::TempDir() + "/empty_trace.bin";
+  const std::string path = TempPath("empty_trace.bin");
   ASSERT_TRUE(trace.Save(path).ok());
   const auto loaded = RoutingTrace::Load(path);
   ASSERT_TRUE(loaded.ok());
@@ -164,7 +165,7 @@ TEST(RoutingTraceRobustnessTest, RandomRoundTripProperty) {
       h_in = HashStep(step, h_in);
       ASSERT_TRUE(trace.Append(std::move(step)).ok());
     }
-    const std::string path = testing::TempDir() + "/roundtrip.bin";
+    const std::string path = TempPath("roundtrip.bin");
     ASSERT_TRUE(trace.Save(path).ok());
     const auto loaded = RoutingTrace::Load(path);
     ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();

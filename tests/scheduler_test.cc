@@ -113,21 +113,6 @@ TEST(SchedulerTest, TriggersAndImprovesOnSkew) {
   EXPECT_LE(BalanceRatioOf(a, p), before);
 }
 
-TEST(SchedulerTest, MetricOfMatchesBalanceHelpers) {
-  Fixture f = Fixture::Make();
-  Scheduler max_sched(&f.pm, SchedulerOptions{});
-  SchedulerOptions vopts;
-  vopts.metric = TriggerMetric::kVariance;
-  Scheduler var_sched(&f.pm, vopts);
-  const Placement p = MakePlacement();
-  const Assignment a = Skewed();
-  const RoutedAssignment r = FlexibleRouter::Route(a, p);
-  EXPECT_NEAR(max_sched.MetricOf(a, p),
-              BalanceRatio(r.PerGpuComputeLoads()), 1e-12);
-  EXPECT_NEAR(var_sched.MetricOf(a, p),
-              BalanceVariance(r.PerGpuComputeLoads()), 1e-12);
-}
-
 TEST(SchedulerTest, StaticIntervalIgnoresBalance) {
   Fixture f = Fixture::Make();
   SchedulerOptions opts;
@@ -212,14 +197,6 @@ TEST(SchedulerTest, PlansChunkDepthOnlyWithAnIncumbent) {
           << "incumbent " << incumbent << " -> " << d.pipeline_chunks;
     }
   }
-}
-
-TEST(TriggerNamesTest, Strings) {
-  EXPECT_STREQ(TriggerMetricName(TriggerMetric::kMaxRatio), "Max");
-  EXPECT_STREQ(TriggerMetricName(TriggerMetric::kVariance), "Variance");
-  EXPECT_STREQ(TriggerPolicyName(TriggerPolicy::kDynamic), "Dynamic");
-  EXPECT_STREQ(TriggerPolicyName(TriggerPolicy::kStaticInterval),
-               "StaticInterval");
 }
 
 }  // namespace

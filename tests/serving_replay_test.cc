@@ -11,6 +11,7 @@
 
 #include "harness/experiment.h"
 #include "harness/golden.h"
+#include "test_env.h"
 
 namespace flexmoe {
 namespace {
@@ -27,9 +28,8 @@ class ServingReplayTest : public testing::TestWithParam<bool> {};
 
 TEST_P(ServingReplayTest, AllSystemsByteIdenticalUnderReplay) {
   const bool sized = GetParam();
-  const std::string trace_path =
-      testing::TempDir() + (sized ? "/serving_replay_sized.trace"
-                                  : "/serving_replay.trace");
+  const std::string trace_path = TempPath(
+      sized ? "serving_replay_sized.trace" : "serving_replay.trace");
   {
     ExperimentOptions rec = SmallServing("flexmoe", sized);
     rec.workload.record_path = trace_path;

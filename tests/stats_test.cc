@@ -29,80 +29,6 @@ TEST(RunningStatTest, EmptyIsZero) {
   EXPECT_EQ(st.variance(), 0.0);
 }
 
-TEST(RunningStatTest, MergeMatchesSequential) {
-  Rng rng(1);
-  RunningStat whole, left, right;
-  for (int i = 0; i < 1000; ++i) {
-    const double v = rng.Normal(3.0, 2.0);
-    whole.Add(v);
-    (i < 400 ? left : right).Add(v);
-  }
-  left.Merge(right);
-  EXPECT_EQ(left.count(), whole.count());
-  EXPECT_NEAR(left.mean(), whole.mean(), 1e-9);
-  EXPECT_NEAR(left.variance(), whole.variance(), 1e-9);
-  EXPECT_DOUBLE_EQ(left.min(), whole.min());
-  EXPECT_DOUBLE_EQ(left.max(), whole.max());
-}
-
-TEST(RunningStatTest, MergeWithEmpty) {
-  RunningStat a, b;
-  a.Add(1.0);
-  a.Add(3.0);
-  a.Merge(b);  // no-op
-  EXPECT_EQ(a.count(), 2);
-  b.Merge(a);  // copy
-  EXPECT_EQ(b.count(), 2);
-  EXPECT_DOUBLE_EQ(b.mean(), 2.0);
-}
-
-TEST(PercentilesTest, ExactQuantiles) {
-  Percentiles p;
-  for (int i = 1; i <= 100; ++i) p.Add(static_cast<double>(i));
-  EXPECT_DOUBLE_EQ(p.Quantile(0.0), 1.0);
-  EXPECT_DOUBLE_EQ(p.Quantile(1.0), 100.0);
-  EXPECT_NEAR(p.Quantile(0.5), 50.5, 1e-9);
-  EXPECT_NEAR(p.Quantile(0.99), 99.01, 0.1);
-}
-
-TEST(PercentilesTest, InterleavedAddAndQuery) {
-  Percentiles p;
-  p.Add(10.0);
-  p.Add(20.0);
-  EXPECT_DOUBLE_EQ(p.Quantile(0.5), 15.0);
-  p.Add(30.0);  // re-sort after new sample
-  EXPECT_DOUBLE_EQ(p.Quantile(0.5), 20.0);
-}
-
-TEST(HistogramTest, BinningAndClamping) {
-  Histogram h(0.0, 10.0, 10);
-  h.Add(0.5);    // bin 0
-  h.Add(9.99);   // bin 9
-  h.Add(-5.0);   // clamps to bin 0
-  h.Add(42.0);   // clamps to bin 9
-  h.Add(5.0);    // bin 5
-  EXPECT_EQ(h.total(), 5);
-  EXPECT_EQ(h.bin_count(0), 2);
-  EXPECT_EQ(h.bin_count(9), 2);
-  EXPECT_EQ(h.bin_count(5), 1);
-  EXPECT_DOUBLE_EQ(h.bin_left(5), 5.0);
-}
-
-TEST(EmaTest, ConvergesToConstant) {
-  Ema ema(0.2);
-  EXPECT_TRUE(ema.empty());
-  for (int i = 0; i < 100; ++i) ema.Add(7.0);
-  EXPECT_NEAR(ema.value(), 7.0, 1e-9);
-}
-
-TEST(EmaTest, FirstValueSeedsDirectly) {
-  Ema ema(0.1);
-  ema.Add(42.0);
-  EXPECT_DOUBLE_EQ(ema.value(), 42.0);
-  ema.Add(0.0);
-  EXPECT_NEAR(ema.value(), 37.8, 1e-9);
-}
-
 TEST(SortedCdfTest, KnownDistribution) {
   // Loads 40, 30, 20, 10 => cdf 0.4, 0.7, 0.9, 1.0 (descending order).
   const auto cdf = SortedCdf({10.0, 40.0, 20.0, 30.0});
@@ -130,16 +56,6 @@ TEST(TopKShareTest, Basics) {
   EXPECT_NEAR(TopKShare(loads, 99), 1.0, 1e-12);  // clamps
   EXPECT_EQ(TopKShare(loads, 0), 0.0);
   EXPECT_EQ(TopKShare({}, 3), 0.0);
-}
-
-TEST(CoefficientOfVariationTest, UniformIsZero) {
-  EXPECT_DOUBLE_EQ(CoefficientOfVariation({5, 5, 5, 5}), 0.0);
-  EXPECT_DOUBLE_EQ(CoefficientOfVariation({}), 0.0);
-}
-
-TEST(CoefficientOfVariationTest, KnownValue) {
-  // {1, 3}: mean 2, stddev 1 -> CV 0.5.
-  EXPECT_NEAR(CoefficientOfVariation({1.0, 3.0}), 0.5, 1e-12);
 }
 
 }  // namespace

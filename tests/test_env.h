@@ -1,13 +1,21 @@
-// Shared cluster fixture for the system-level tests: an AzureA100-style
-// topology plus a HardwareProfile. Previously copy-pasted as a private
-// `Env`/`Fixture` struct in five test files; every test builds its
-// simulated cluster through one of these factories instead.
+// Shared test fixtures: an AzureA100-style topology plus a HardwareProfile
+// (previously copy-pasted as a private `Env`/`Fixture` struct in five test
+// files; every test builds its simulated cluster through one of these
+// factories instead), and the per-process temp path every test that writes
+// a file uses.
 
 #ifndef FLEXMOE_TESTS_TEST_ENV_H_
 #define FLEXMOE_TESTS_TEST_ENV_H_
 
+#include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <cstdio>
 #include <memory>
+#include <mutex>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "collective/profiler.h"
 #include "moe/model_config.h"
@@ -50,6 +58,27 @@ struct TestEnv {
     return TestEnv{std::move(topo), std::move(profile)};
   }
 };
+
+/// A path for `name` under the test temp directory, prefixed with this
+/// process's pid: two copies of one test binary running at once (CI runs
+/// its shuffled seeds concurrently) never share a file. Whatever the test
+/// leaves at the path is removed when the process exits, so per-pid names
+/// do not pile up across runs.
+inline std::string TempPath(const std::string& name) {
+  struct Handed {
+    std::mutex mu;
+    std::vector<std::string> paths;
+    ~Handed() {
+      for (const std::string& path : paths) std::remove(path.c_str());
+    }
+  };
+  static Handed handed;
+  std::string path = ::testing::TempDir() + "flexmoe_" +
+                     std::to_string(getpid()) + "_" + name;
+  std::lock_guard<std::mutex> lock(handed.mu);
+  handed.paths.push_back(path);
+  return path;
+}
 
 }  // namespace flexmoe
 

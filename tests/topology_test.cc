@@ -155,14 +155,6 @@ TEST(HardwareProfileTest, CrossNodeAllReduceSlower) {
             p.AllReduceSeconds(bytes, {0, 8, 16, 24}));
 }
 
-TEST(HardwareProfileTest, BpsIncreasesWithMessageSize) {
-  // Latency amortizes: BPS should grow with message size.
-  const Topology topo = MakeTopo();
-  const HardwareProfile p(&topo, GpuSpec{});
-  const std::vector<GpuId> group = {0, 8};
-  EXPECT_LT(p.AllReduceBps(1e4, group), p.AllReduceBps(1e8, group));
-}
-
 TEST(HardwareProfileTest, CalibrationOverrides) {
   const Topology topo = MakeTopo();
   HardwareProfile p(&topo, GpuSpec{});

@@ -14,6 +14,7 @@
 
 #include "gate/routing_trace.h"
 #include "gate/trace_generator.h"
+#include "test_env.h"
 #include "util/stats.h"
 
 namespace flexmoe {
@@ -384,7 +385,7 @@ TEST(RoutingTraceTest, SaveLoadRoundtrip) {
   for (int s = 0; s < 3; ++s) {
     ASSERT_TRUE(trace.Append(gen.Step()).ok());
   }
-  const std::string path = testing::TempDir() + "/trace.bin";
+  const std::string path = TempPath("trace.bin");
   ASSERT_TRUE(trace.Save(path).ok());
   const RoutingTrace loaded = *RoutingTrace::Load(path);
   ASSERT_EQ(loaded.num_steps(), trace.num_steps());
@@ -403,7 +404,7 @@ TEST(RoutingTraceTest, SaveLoadRoundtrip) {
 }
 
 TEST(RoutingTraceTest, LoadRejectsGarbage) {
-  const std::string path = testing::TempDir() + "/garbage.bin";
+  const std::string path = TempPath("garbage.bin");
   FILE* f = fopen(path.c_str(), "wb");
   fputs("not a trace", f);
   fclose(f);

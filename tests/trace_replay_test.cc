@@ -18,6 +18,7 @@
 #include "gate/logit_process.h"
 #include "gate/trace_source.h"
 #include "harness/experiment.h"
+#include "test_env.h"
 #include "util/rng.h"
 #include "util/thread_budget.h"
 
@@ -235,7 +236,7 @@ TEST(TraceSourceTest, RecordingThenReplayYieldsIdenticalStream) {
 TEST(BuildTraceSourceTest, RejectsShortOrMismatchedTraces) {
   // Record a 30-step trace of the small experiment's shape.
   ExperimentOptions rec = SmallExperiment("flexmoe");
-  rec.workload.record_path = testing::TempDir() + "/short.trace";
+  rec.workload.record_path = TempPath("short.trace");
   ASSERT_TRUE(RunExperiment(rec).ok());
 
   // Needing more steps than the trace holds is an error...
@@ -266,7 +267,7 @@ TEST(BuildTraceSourceTest, RejectsShortOrMismatchedTraces) {
 // The satellite's core claim: record once, replay into every system, and
 // each system's metrics are byte-identical to its live-generator run.
 TEST(ReplayDeterminismTest, AllSystemsByteIdenticalUnderReplay) {
-  const std::string trace_path = testing::TempDir() + "/replay_all.trace";
+  const std::string trace_path = TempPath("replay_all.trace");
   {
     ExperimentOptions rec = SmallExperiment("flexmoe");
     rec.workload.record_path = trace_path;
@@ -315,7 +316,7 @@ TEST(ReplayDeterminismTest, AllSystemsByteIdenticalUnderReplay) {
 // Replaying a bursty recording reproduces a bursty run: scenarios survive
 // the record/replay round trip, not just the default dynamics.
 TEST(ReplayDeterminismTest, ScenarioRecordingsReplayIdentically) {
-  const std::string trace_path = testing::TempDir() + "/replay_bursty.trace";
+  const std::string trace_path = TempPath("replay_bursty.trace");
   ExperimentOptions rec = SmallExperiment("flexmoe");
   rec.workload.scenario.name = "bursty";
   rec.workload.record_path = trace_path;

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <string>
 
+#include "test_env.h"
 #include "util/file_io.h"
 #include "util/status.h"
 #include "util/string_util.h"
@@ -108,12 +109,6 @@ TEST(StringUtilTest, Join) {
   EXPECT_EQ(Join({"solo"}, ","), "solo");
 }
 
-TEST(StringUtilTest, HumanBytes) {
-  EXPECT_EQ(HumanBytes(512), "512.0 B");
-  EXPECT_EQ(HumanBytes(2048), "2.0 KB");
-  EXPECT_EQ(HumanBytes(1.5 * 1024 * 1024), "1.5 MB");
-}
-
 TEST(StringUtilTest, HumanTime) {
   EXPECT_EQ(HumanTime(7200), "2.00 h");
   EXPECT_EQ(HumanTime(90), "1.50 min");
@@ -154,8 +149,7 @@ TEST(TableTest, RowWidthMismatchDies) {
 }
 
 TEST(FileIoTest, WriteThenReadRoundTrips) {
-  const std::string path = testing::TempDir() + "/file_io_" +
-                           std::to_string(getpid()) + ".bin";
+  const std::string path = TempPath("file_io.bin");
   const std::string bytes("a\0b\n", 4);
   ASSERT_TRUE(WriteFile(path, bytes).ok());
   const Result<std::string> back = ReadFile(path);

@@ -10,11 +10,11 @@ clang-tidy) cannot see because they are contracts of *this* codebase:
                         std::map/std::set or sort before iterating.
   wall-clock            No rand()/srand()/time()/clock()/gettimeofday/
                         clock_gettime/std::chrono::{system,steady,
-                        high_resolution}_clock/std::random_device in src/
-                        outside src/obs/ (the sanctioned wall-clock capture
-                        point). Simulation results must depend only on seeds
-                        and sim-virtual time. Bench timers live in bench/,
-                        which this lint does not walk.
+                        high_resolution}_clock/std::random_device anywhere
+                        in src/. Simulation results and their traces must
+                        depend only on seeds and sim-virtual time. Wall-time
+                        measurement belongs to the benchmark runner, which
+                        this lint does not walk.
   throw-in-library      Library code never throws; recoverable errors are
                         Status/Result<T>, programmer errors are
                         FLEXMOE_CHECK (util/status.h).
@@ -55,11 +55,6 @@ RULES = (
     "dropped-status",
     "bad-suppression",
 )
-
-# Directories (relative to --root) whose wall-clock reads are sanctioned:
-# src/obs/ captures wall time for trace export and is the only library code
-# allowed to observe it.
-WALL_CLOCK_ALLOWED_DIRS = ("src/obs/",)
 
 WALL_CLOCK_RE = re.compile(
     r"(?<!\w)(?:"
@@ -228,7 +223,7 @@ def allowed(raw_lines, idx, rule, findings, rel):
     return False
 
 
-def lint_file(root, rel, status_names, wall_clock_exempt=False):
+def lint_file(root, rel, status_names):
     path = os.path.join(root, rel)
     with open(path, encoding="utf-8", errors="replace") as f:
         raw = f.read().splitlines()
@@ -274,13 +269,12 @@ def lint_file(root, rel, status_names, wall_clock_exempt=False):
                         rel, lineno, "unordered-iteration",
                         "begin()/end() on unordered container `%s`" % v))
 
-        if not wall_clock_exempt and WALL_CLOCK_RE.search(line):
+        if WALL_CLOCK_RE.search(line):
             if not allowed(raw, i, "wall-clock", findings, rel):
                 findings.append(Finding(
                     rel, lineno, "wall-clock",
                     "wall-clock / ambient-entropy source in library code; "
-                    "results must depend only on seeds and sim time "
-                    "(sanctioned capture point: src/obs/)"))
+                    "results must depend only on seeds and sim time"))
 
         if THROW_RE.search(line):
             if not allowed(raw, i, "throw-in-library", findings, rel):
@@ -335,9 +329,7 @@ def run_lint(root, report_path=None):
     status_names = collect_status_names(os.path.join(root, f) for f in files)
     findings = []
     for rel in files:
-        exempt = any(rel.startswith(d) for d in WALL_CLOCK_ALLOWED_DIRS)
-        findings.extend(
-            lint_file(root, rel, status_names, wall_clock_exempt=exempt))
+        findings.extend(lint_file(root, rel, status_names))
     lines = [str(f) for f in findings]
     if report_path:
         with open(report_path, "w", encoding="utf-8") as f:
