@@ -126,6 +126,14 @@ class LayerCostState {
 
   const std::vector<double>& per_gpu_seconds() const { return per_gpu_total_; }
 
+  /// The cached per-GPU compute, A2A and sync partials behind
+  /// per_gpu_seconds(); BestChunkDepth combines them per chunk depth.
+  const std::vector<double>& per_gpu_compute() const {
+    return per_gpu_compute_;
+  }
+  const std::vector<double>& per_gpu_a2a() const { return per_gpu_a2a_; }
+  const std::vector<double>& per_gpu_sync() const { return per_gpu_sync_; }
+
   /// Tokens of expert computation landing on each GPU (integer loads; ==
   /// routed().PerGpuComputeTokens() without the allocation).
   const std::vector<int64_t>& per_gpu_compute_tokens() const {

@@ -84,9 +84,12 @@ void ExpectMatchesScratch(const CostModel& cost, const Assignment& a,
                   static_cast<double>(p.VExperts(e)))
         << "capacity diverged at e" << e;
   }
-  // The cached compute/A2A/sync partials reach the planner only through
-  // BestChunkDepth; it must pick what the from-scratch breakdown picks,
-  // fresh and against every incumbent depth.
+  ASSERT_EQ(state.per_gpu_compute(), ref.per_gpu_compute);
+  ASSERT_EQ(state.per_gpu_a2a(), ref.per_gpu_a2a);
+  ASSERT_EQ(state.per_gpu_sync(), ref.per_gpu_sync);
+  // The partials reach the planner through BestChunkDepth; it must pick
+  // what the from-scratch breakdown picks, fresh and against every
+  // incumbent depth.
   ASSERT_EQ(state.BestChunkDepth(),
             cost.BestChunkDepth(ref.per_gpu_compute, ref.per_gpu_a2a,
                                 ref.per_gpu_sync));

@@ -7,7 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -73,20 +72,19 @@ struct Artifacts {
 /// apart.
 Artifacts RunTraced(const std::string& tag) {
   ExperimentOptions o = ServingGoldenCell("multi-tenant", "flexmoe");
-  const std::string prefix = TempPath("obs_it_" + tag);
+  const std::string prefix = "obs_it_" + tag;
   o.observability.enabled = true;
-  o.observability.trace_out = prefix + "_trace.json";
-  o.observability.metrics_out = prefix + "_metrics.json";
-  o.observability.decisions_out = prefix + "_decisions.jsonl";
+  o.observability.trace_out = TempPath(prefix + "_trace.json");
+  o.observability.metrics_out = TempPath(prefix + "_metrics.json");
+  o.observability.decisions_out = TempPath(prefix + "_decisions.jsonl");
 
   const Result<ExperimentReport> report = RunExperiment(o);
   EXPECT_TRUE(report.ok()) << report.status().ToString();
 
-  // Reads and removes one artifact ("" when it is missing).
+  // Reads one artifact ("" when it is missing).
   auto take = [](const std::string& path) {
     const Result<std::string> contents = ReadFile(path);
     EXPECT_TRUE(contents.ok()) << contents.status().ToString();
-    std::remove(path.c_str());
     return contents.ok() ? *contents : std::string();
   };
   Artifacts a;

@@ -7,7 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
@@ -17,6 +16,7 @@
 #include "harness/experiment.h"
 #include "harness/golden.h"
 #include "test_env.h"
+#include "util/file_io.h"
 #include "util/thread_budget.h"
 
 namespace flexmoe {
@@ -32,17 +32,10 @@ class ExhaustedBudget {
   ExhaustedBudget& operator=(const ExhaustedBudget&) = delete;
 };
 
-std::string ReadAndRemove(const std::string& path) {
-  std::string contents;
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  EXPECT_NE(f, nullptr) << "missing artifact " << path;
-  if (f == nullptr) return contents;
-  char buf[4096];
-  size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) contents.append(buf, n);
-  std::fclose(f);
-  std::remove(path.c_str());
-  return contents;
+std::string ReadArtifact(const std::string& path) {
+  const Result<std::string> contents = ReadFile(path);
+  EXPECT_TRUE(contents.ok()) << contents.status().ToString();
+  return contents.ok() ? *contents : std::string();
 }
 
 struct CellBytes {
@@ -55,17 +48,17 @@ struct CellBytes {
 /// keeps the runs' artifact files apart.
 CellBytes RunCell(ExperimentOptions o, const std::string& label,
                   const std::string& tag) {
-  const std::string stem = TempPath("planner_conc_" + tag);
+  const std::string stem = "planner_conc_" + tag;
   o.observability.enabled = true;
-  o.observability.decisions_out = stem + "_decisions.jsonl";
-  o.observability.metrics_out = stem + "_metrics.json";
+  o.observability.decisions_out = TempPath(stem + "_decisions.jsonl");
+  o.observability.metrics_out = TempPath(stem + "_metrics.json");
   const Result<ExperimentReport> report = RunExperiment(o);
   CellBytes bytes;
   EXPECT_TRUE(report.ok()) << report.status().ToString();
   if (!report.ok()) return bytes;
   bytes.digest = FormatDigest(DigestFromReport(label, *report));
-  bytes.decisions = ReadAndRemove(o.observability.decisions_out);
-  bytes.metrics = ReadAndRemove(o.observability.metrics_out);
+  bytes.decisions = ReadArtifact(o.observability.decisions_out);
+  bytes.metrics = ReadArtifact(o.observability.metrics_out);
   return bytes;
 }
 

@@ -12,7 +12,6 @@
 
 #include <cstdio>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -66,18 +65,15 @@ struct TestEnv {
 /// do not pile up across runs.
 inline std::string TempPath(const std::string& name) {
   struct Handed {
-    std::mutex mu;
     std::vector<std::string> paths;
     ~Handed() {
       for (const std::string& path : paths) std::remove(path.c_str());
     }
   };
   static Handed handed;
-  std::string path = ::testing::TempDir() + "flexmoe_" +
-                     std::to_string(getpid()) + "_" + name;
-  std::lock_guard<std::mutex> lock(handed.mu);
-  handed.paths.push_back(path);
-  return path;
+  handed.paths.push_back(::testing::TempDir() + "flexmoe_" +
+                         std::to_string(getpid()) + "_" + name);
+  return handed.paths.back();
 }
 
 }  // namespace flexmoe

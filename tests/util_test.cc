@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
-#include <cstdio>
 #include <string>
 
 #include "test_env.h"
@@ -155,8 +154,8 @@ TEST(FileIoTest, WriteThenReadRoundTrips) {
   const Result<std::string> back = ReadFile(path);
   ASSERT_TRUE(back.ok()) << back.status().ToString();
   EXPECT_EQ(*back, bytes);
-  std::remove(path.c_str());
-  EXPECT_EQ(ReadFile(path).status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(ReadFile(TempPath("never_written.bin")).status().code(),
+            StatusCode::kNotFound);
 }
 
 TEST(FileIoTest, FailedWriteIsAnError) {
