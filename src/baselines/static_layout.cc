@@ -245,11 +245,7 @@ Result<Placement> FixedExpertParallelPlacement(int num_experts,
 Result<std::unique_ptr<StaticLayoutSystem>> StaticLayoutSystem::Create(
     const StaticLayoutOptions& options, const Topology* topo,
     const HardwareProfile* profile) {
-  FLEXMOE_CHECK(topo != nullptr && profile != nullptr);
-  FLEXMOE_RETURN_IF_ERROR(options.Validate());
-  if (topo->num_gpus() != options.num_gpus) {
-    return Status::InvalidArgument("topology GPU count mismatch");
-  }
+  FLEXMOE_RETURN_IF_ERROR(CheckCreate(options, topo, profile));
   FLEXMOE_ASSIGN_OR_RETURN(
       Placement placement,
       FixedExpertParallelPlacement(options.model.num_experts,
@@ -262,15 +258,10 @@ StaticLayoutSystem::StaticLayoutSystem(const StaticLayoutOptions& options,
                                        const Topology* topo,
                                        const HardwareProfile* profile,
                                        Placement placement)
-    : options_(options),
-      profile_(profile),
-      cluster_(topo),
-      elastic_(options.num_gpus, topo, RepairMode::kRestart),
-      placement_(std::move(placement)),
-      step_executor_(&cluster_, profile, options.model) {
-  step_executor_.set_cluster_health(&elastic_.health());
-  step_executor_.set_pipeline(options.pipeline);
-}
+    : SystemFrame(topo, profile, options.model, RepairMode::kRestart,
+                  options.pipeline),
+      options_(options),
+      placement_(std::move(placement)) {}
 
 std::string StaticLayoutSystem::name() const {
   // Indexed by StaticAdmission.
@@ -278,46 +269,15 @@ std::string StaticLayoutSystem::name() const {
   return kNames[static_cast<int>(options_.admission)];
 }
 
-void StaticLayoutSystem::SetObservability(obs::Observability* obs) {
-  obs_ = obs;
-  step_executor_.set_observability(obs);
-  elastic_.SetObservability(obs);
-  if (obs::Tracer* tr = obs::TracerOf(obs); tr != nullptr) {
-    tr->set_num_gpus(options_.num_gpus);
-  }
-}
-
-ElasticController::StepReport StaticLayoutSystem::FaultBoundary() {
-  if (!elastic_.active()) return {};
-  const ElasticController::StepReport report = elastic_.OnStepBoundary(
-      step_, {&placement_}, nullptr, options_.model.expert_state_bytes());
-  const double boundary = step_executor_.Frontier();
-  if (obs::Tracer* tr = obs::TracerOf(obs_); tr != nullptr) {
-    for (const FaultEvent& e : report.events) {
-      tr->Instant("fault_event", "recovery", obs::kControlLane, boundary,
-                  "gpu", static_cast<double>(e.gpu));
-    }
-    if (report.recovery_seconds > 0.0) {
-      tr->Span("recovery_block", "recovery", obs::kControlLane, boundary,
-               boundary + report.recovery_seconds, "faults",
-               static_cast<double>(report.events.size()));
-    }
-  }
-  if (report.recovery_seconds > 0.0) {
-    cluster_.BlockAll(boundary, report.recovery_seconds);
-  }
-  return report;
-}
-
-StepMetrics StaticLayoutSystem::RunStepImpl(
+StepMetrics StaticLayoutSystem::Step(
     const std::vector<Assignment>& layer_assignments, bool serving) {
-  FLEXMOE_CHECK(static_cast<int>(layer_assignments.size()) ==
-                options_.model.num_moe_layers);
   const int num_layers = static_cast<int>(layer_assignments.size());
-
-  const ElasticController::StepReport fault_report = FaultBoundary();
-  int64_t fault_dropped = 0;
-  const bool adjust = elastic_.NeedsAssignmentAdjustment();
+  StepMetrics metrics;
+  const Boundary boundary = OpenStep(&placement_, 1, nullptr, &metrics);
+  ChargeBoundary(boundary);
+  std::vector<Assignment> resharded;
+  const std::vector<Assignment>& assignments =
+      Reshard(layer_assignments, &resharded, &metrics);
 
   // A served response cannot use a wrong expert's output: SWIPE serves by
   // capping every expert at the uniform average (RebalanceStrict's cap)
@@ -332,18 +292,13 @@ StepMetrics StaticLayoutSystem::RunStepImpl(
   std::iota(all_gpus.begin(), all_gpus.end(), 0);
 
   StepAdmissions admitted;
-  int64_t total = 0;
   double balance_sum = 0.0;
   last_shadows_.assign(static_cast<size_t>(num_layers), {});
   std::vector<RoutedAssignment> routed;
   routed.reserve(static_cast<size_t>(serving ? 2 * num_layers : num_layers));
   for (int l = 0; l < num_layers; ++l) {
-    const Assignment& original = layer_assignments[static_cast<size_t>(l)];
-    total += original.Total();
-    const Assignment adjusted =
-        adjust ? elastic_.AdjustAssignment(original, &fault_dropped)
-               : Assignment();
-    const Assignment& assignment = adjust ? adjusted : original;
+    metrics.tokens_total += layer_assignments[static_cast<size_t>(l)].Total();
+    const Assignment& assignment = assignments[static_cast<size_t>(l)];
     std::vector<int>& shadows = last_shadows_[static_cast<size_t>(l)];
     switch (admission) {
       case StaticAdmission::kCapacity:
@@ -386,35 +341,14 @@ StepMetrics StaticLayoutSystem::RunStepImpl(
   const StepTiming timing = serving ? step_executor_.ExecuteForward(work)
                                     : step_executor_.ExecuteStep(work, nullptr);
 
+  metrics.balance_ratio = balance_sum / num_layers;
+  metrics.tokens_dropped += admitted.dropped;
+  metrics.tokens_recirculated = admitted.recirculated;
   // Re-assigned tokens ARE processed (expert efficiency is high) but by the
   // wrong experts, so they count against token efficiency like drops do —
   // Figure 7(a)'s trade-off.
-  const int64_t dropped = admitted.dropped + fault_dropped;
-  const double token_eff =
-      total > 0 ? static_cast<double>(total - dropped - admitted.reassigned) /
-                      static_cast<double>(total)
-                : 1.0;
-  StepMetrics metrics;
-  metrics.step = step_;
-  MetricsFromTiming(timing, fault_report.recovery_seconds,
-                    elastic_.active() ? elastic_.health().num_alive() : 0,
-                    &metrics);
-  metrics.balance_ratio = balance_sum / num_layers;
-  metrics.token_efficiency = token_eff;
-  metrics.tokens_total = total;
-  metrics.tokens_dropped = dropped;
-  metrics.tokens_recirculated = admitted.recirculated;
-  metrics.recovery_seconds = fault_report.recovery_seconds;
-  metrics.faults_applied = static_cast<int>(fault_report.events.size());
-  // Degraded mode is a state, not an event: recomputed from the current
-  // placement every step, not only on boundaries where events fired.
-  metrics.degraded =
-      elastic_.active() && !elastic_.health().AllHealthy() &&
-      ExpertsWithoutLiveReplica(placement_, elastic_.health()) > 0;
-  RecordStepObservability(obs_, serving, metrics);
-  ++step_;
-  stats_.Add(metrics);
-  return metrics;
+  return CloseStep(timing, boundary.blocking, admitted.reassigned, serving,
+                   &metrics);
 }
 
 }  // namespace flexmoe

@@ -14,9 +14,7 @@
 #include <string>
 #include <vector>
 
-#include "core/step_executor.h"
 #include "core/system.h"
-#include "elastic/elastic_controller.h"
 
 namespace flexmoe {
 
@@ -68,7 +66,7 @@ SwipeRebalance RebalanceStrict(const Assignment& assignment);
 Result<Placement> FixedExpertParallelPlacement(int num_experts, int num_gpus);
 
 /// \brief A fixed expert-parallel layout with one of three admissions.
-class StaticLayoutSystem : public MoESystem {
+class StaticLayoutSystem : public SystemFrame {
  public:
   static Result<std::unique_ptr<StaticLayoutSystem>> Create(
       const StaticLayoutOptions& options, const Topology* topo,
@@ -76,23 +74,6 @@ class StaticLayoutSystem : public MoESystem {
 
   /// "DeepSpeed", "SWIPE" or "FasterMoE", after the admission.
   std::string name() const override;
-  StepMetrics RunStep(
-      const std::vector<Assignment>& layer_assignments) override {
-    return RunStepImpl(layer_assignments, /*serving=*/false);
-  }
-  StepMetrics ServeMicrobatch(
-      const std::vector<Assignment>& layer_assignments) override {
-    return RunStepImpl(layer_assignments, /*serving=*/true);
-  }
-  const TrainingStats& stats() const override { return stats_; }
-  const ClusterState& cluster() const override { return cluster_; }
-  Status InstallFaultPlan(const FaultPlan& plan) override {
-    return elastic_.InstallPlan(plan);
-  }
-  const ClusterHealth* cluster_health() const override {
-    return &elastic_.health();
-  }
-  void SetObservability(obs::Observability* obs) override;
 
   /// Experts shadowed in the most recent step, per layer (all empty
   /// unless kShadow).
@@ -104,22 +85,15 @@ class StaticLayoutSystem : public MoESystem {
   StaticLayoutSystem(const StaticLayoutOptions& options, const Topology* topo,
                      const HardwareProfile* profile, Placement placement);
 
-  /// Fires the fault boundary: repairs the placement (restart + failover)
-  /// and blocks every stream for the recovery time. No-op without a plan.
-  ElasticController::StepReport FaultBoundary();
-  StepMetrics RunStepImpl(const std::vector<Assignment>& layer_assignments,
-                          bool serving);
+  /// Admits each layer's tokens onto the fixed layout and runs the step.
+  /// The fault boundary repairs the layout the static way: checkpoint
+  /// restart plus failover.
+  StepMetrics Step(const std::vector<Assignment>& layer_assignments,
+                   bool serving) override;
 
   StaticLayoutOptions options_;
-  const HardwareProfile* profile_;
-  ClusterState cluster_;
-  ElasticController elastic_;
   Placement placement_;
-  StepExecutor step_executor_;
-  TrainingStats stats_;
   std::vector<std::vector<int>> last_shadows_;
-  int64_t step_ = 0;
-  obs::Observability* obs_ = nullptr;
 };
 
 }  // namespace flexmoe

@@ -29,11 +29,7 @@ Status FlexMoEOptions::Validate() const {
 Result<std::unique_ptr<FlexMoESystem>> FlexMoESystem::Create(
     const FlexMoEOptions& options, const Topology* topo,
     const HardwareProfile* profile) {
-  FLEXMOE_CHECK(topo != nullptr && profile != nullptr);
-  FLEXMOE_RETURN_IF_ERROR(options.Validate());
-  if (topo->num_gpus() != options.num_gpus) {
-    return Status::InvalidArgument("topology GPU count mismatch");
-  }
+  FLEXMOE_RETURN_IF_ERROR(CheckCreate(options, topo, profile));
 
   PlacementOptions popt;
   popt.num_experts = options.model.num_experts;
@@ -57,15 +53,12 @@ FlexMoESystem::FlexMoESystem(const FlexMoEOptions& options,
                              const HardwareProfile* profile,
                              NcclGroupCache group_cache,
                              std::vector<Placement> initial)
-    : options_(options),
-      topo_(topo),
-      profile_(profile),
-      cluster_(topo),
-      elastic_(options.num_gpus, topo, RepairMode::kDrain),
+    : SystemFrame(topo, profile, options.model, RepairMode::kDrain,
+                  options.pipeline),
+      options_(options),
       cost_model_(profile, ShapeFromModel(options.model)),
       policy_maker_(&cost_model_, options.policy),
       group_cache_(std::move(group_cache)),
-      step_executor_(&cluster_, profile, options.model),
       live_(initial),
       target_(std::move(initial)) {
   policy_maker_.SetClusterHealth(&elastic_.health());
@@ -80,8 +73,6 @@ FlexMoESystem::FlexMoESystem(const FlexMoEOptions& options,
   next_plan_step_.assign(live_.size(), 0);
   plan_backoff_.assign(live_.size(), 1);
   layer_chunks_.assign(live_.size(), 0);
-  step_executor_.set_cluster_health(&elastic_.health());
-  step_executor_.set_pipeline(options.pipeline);
   // Placement planning always scores at K = 1 (the cost model holds no
   // depth of its own), whatever depth the executor runs: scoring at the
   // executed depth divides the wire terms by K, which compresses
@@ -102,19 +93,6 @@ FlexMoESystem::~FlexMoESystem() {
   helper_.join();
 }
 
-Status FlexMoESystem::InstallFaultPlan(const FaultPlan& plan) {
-  return elastic_.InstallPlan(plan);
-}
-
-void FlexMoESystem::SetObservability(obs::Observability* obs) {
-  obs_ = obs;
-  step_executor_.set_observability(obs);
-  elastic_.SetObservability(obs);
-  if (obs::Tracer* tr = obs::TracerOf(obs); tr != nullptr) {
-    tr->set_num_gpus(options_.num_gpus);
-  }
-}
-
 const Placement& FlexMoESystem::live_placement(int layer) const {
   FLEXMOE_CHECK(layer >= 0 && layer < static_cast<int>(live_.size()));
   return live_[static_cast<size_t>(layer)];
@@ -125,108 +103,58 @@ const Placement& FlexMoESystem::target_placement(int layer) const {
   return target_[static_cast<size_t>(layer)];
 }
 
-StepMetrics FlexMoESystem::RunStep(
-    const std::vector<Assignment>& layer_assignments) {
-  return RunStepImpl(layer_assignments, /*serving=*/false);
-}
-
-StepMetrics FlexMoESystem::ServeMicrobatch(
-    const std::vector<Assignment>& layer_assignments) {
-  return RunStepImpl(layer_assignments, /*serving=*/true);
-}
-
-StepMetrics FlexMoESystem::RunStepImpl(
+StepMetrics FlexMoESystem::Step(
     const std::vector<Assignment>& layer_assignments, bool serving) {
-  FLEXMOE_CHECK(static_cast<int>(layer_assignments.size()) ==
-                options_.model.num_moe_layers);
   const int num_layers = static_cast<int>(layer_assignments.size());
   StepMetrics metrics;
-  metrics.step = step_;
 
   // 0. Elastic boundary: fire due cluster events, drain placements off
   //    departed devices, invalidate their NCCL groups. A membership change
   //    obsoletes every queued plan — pending ops are dropped and the
   //    targets resync to the repaired live placements.
-  ElasticController::StepReport fault_report;
-  if (elastic_.active()) {
-    std::vector<Placement*> live_ptrs;
-    live_ptrs.reserve(live_.size());
-    for (Placement& p : live_) live_ptrs.push_back(&p);
-    fault_report = elastic_.OnStepBoundary(
-        step_, live_ptrs, &group_cache_, options_.model.expert_state_bytes());
-    if (fault_report.membership_changed) {
-      for (size_t l = 0; l < live_.size(); ++l) {
-        executors_[l].ClearPending();
-        for (const FaultEvent& e : fault_report.events) {
-          if (e.type == FaultType::kFailStop || e.type == FaultType::kLeave) {
-            executors_[l].DropOpsInvolving(e.gpu);
-          }
-        }
-        target_[l] = live_[l];
-      }
-    }
-    if (fault_report.membership_changed || fault_report.perf_changed) {
-      next_plan_step_.assign(live_.size(), 0);
-      plan_backoff_.assign(live_.size(), 1);
-      // The depth that overlapped best on the old membership need not on
-      // the new one — re-pick from the repaired placements this step.
-      layer_chunks_.assign(live_.size(), 0);
-    }
-    metrics.faults_applied = static_cast<int>(fault_report.events.size());
-    metrics.recovery_seconds = fault_report.recovery_seconds;
-    // Degraded mode is a state, not an event: flag every step on which
-    // some expert has no replica on a live device.
-    if (!elastic_.health().AllHealthy()) {
-      for (const Placement& p : live_) {
-        if (ExpertsWithoutLiveReplica(p, elastic_.health()) > 0) {
-          metrics.degraded = true;
-          break;
+  Boundary boundary =
+      OpenStep(live_.data(), live_.size(), &group_cache_, &metrics);
+  const ElasticController::StepReport& fault_report = boundary.faults;
+  if (fault_report.membership_changed) {
+    for (size_t l = 0; l < live_.size(); ++l) {
+      executors_[l].ClearPending();
+      for (const FaultEvent& e : fault_report.events) {
+        if (e.type == FaultType::kFailStop || e.type == FaultType::kLeave) {
+          executors_[l].DropOpsInvolving(e.gpu);
         }
       }
+      target_[l] = live_[l];
     }
+  }
+  if (fault_report.membership_changed || fault_report.perf_changed) {
+    next_plan_step_.assign(live_.size(), 0);
+    plan_backoff_.assign(live_.size(), 1);
+    // The depth that overlapped best on the old membership need not on
+    // the new one — re-pick from the repaired placements this step.
+    layer_chunks_.assign(live_.size(), 0);
   }
 
   // The assignments the system actually trains on this step: sources on
   // departed devices re-shard onto survivors; tokens resident on a device
   // that just fail-stopped are lost.
-  std::vector<Assignment> adjusted;
-  const std::vector<Assignment>* effective = &layer_assignments;
-  if (elastic_.NeedsAssignmentAdjustment()) {
-    adjusted.reserve(layer_assignments.size());
-    for (const Assignment& a : layer_assignments) {
-      adjusted.push_back(elastic_.AdjustAssignment(a, &metrics.tokens_dropped));
-    }
-    effective = &adjusted;
-  }
+  std::vector<Assignment> resharded;
+  const std::vector<Assignment>& effective =
+      Reshard(layer_assignments, &resharded, &metrics);
 
   // 1. Step boundary: completed background adjustments take effect on the
-  //    live placements; the next batches launch best-effort.
-  double boundary = step_executor_.Frontier();
-  double blocking = fault_report.recovery_seconds;
+  //    live placements; the next batches launch best-effort. A blocking
+  //    executor's transfers add to the recovery the step waits on.
   for (int l = 0; l < num_layers; ++l) {
     const PlacementExecutor::TickResult tick =
         executors_[static_cast<size_t>(l)].OnStepBoundary(
-            boundary, &cluster_, &live_[static_cast<size_t>(l)],
-            elastic_.active() ? &elastic_.health() : nullptr);
+            boundary.time, &cluster_, &live_[static_cast<size_t>(l)],
+            &elastic_.health());
     metrics.ops_applied += tick.ops_applied;
     metrics.ops_launched += tick.ops_launched;
-    blocking += tick.blocking_seconds;
+    metrics.adjust_block_seconds += tick.blocking_seconds;
+    boundary.blocking += tick.blocking_seconds;
   }
-  if (blocking > 0.0) {
-    cluster_.BlockAll(boundary, blocking);
-    metrics.adjust_block_seconds = blocking;
-  }
-  if (obs::Tracer* tr = obs::TracerOf(obs_); tr != nullptr) {
-    for (const FaultEvent& e : fault_report.events) {
-      tr->Instant("fault_event", "recovery", obs::kControlLane, boundary,
-                  "gpu", static_cast<double>(e.gpu));
-    }
-    if (blocking > 0.0) {
-      tr->Span("recovery_block", "recovery", obs::kControlLane, boundary,
-               boundary + blocking, "faults",
-               static_cast<double>(fault_report.events.size()));
-    }
-  }
+  ChargeBoundary(boundary);
 
   // 2. Route every layer on its live placement.
   std::vector<RoutedAssignment> routed;
@@ -234,7 +162,7 @@ StepMetrics FlexMoESystem::RunStepImpl(
   double balance_sum = 0.0;
   for (int l = 0; l < num_layers; ++l) {
     routed.push_back(FlexibleRouter::Route(
-        (*effective)[static_cast<size_t>(l)],
+        effective[static_cast<size_t>(l)],
         live_[static_cast<size_t>(l)]));
     balance_sum += BalanceRatio(routed.back().PerGpuComputeLoads());
     metrics.tokens_total += routed.back().Total();
@@ -271,7 +199,7 @@ StepMetrics FlexMoESystem::RunStepImpl(
   //    and re-plans from the fresh state next step. The backoff skips a
   //    layer whose last trigger found nothing to do.
   plan_.step = step_;
-  plan_.assignments = effective;
+  plan_.assignments = &effective;
   plan_.layers.clear();
   plan_.chunk_incumbents.clear();
   for (int l = 0; l < num_layers; ++l) {
@@ -321,8 +249,7 @@ StepMetrics FlexMoESystem::RunStepImpl(
   //    streams; the step executor below then always hits the warm cache.
   //    The LRU cache statistics still expose creation churn. Done after
   //    the plan job is posted, so the helper starts planning meanwhile.
-  const bool prune_dead_groups =
-      elastic_.active() && elastic_.health().AnyDead();
+  const bool prune_dead_groups = elastic_.health().AnyDead();
   if (!serving) {
     for (const Placement& placement : live_) {
       for (int e = 0; e < placement.num_experts(); ++e) {
@@ -358,19 +285,6 @@ StepMetrics FlexMoESystem::RunStepImpl(
   if (helper_failure_) {
     std::rethrow_exception(std::exchange(helper_failure_, nullptr));
   }
-
-  // Efficiency is relative to the devices that exist: departed GPUs are
-  // lost capacity, not inefficiency.
-  MetricsFromTiming(timing, blocking,
-                    elastic_.active() ? elastic_.health().num_alive() : 0,
-                    &metrics);
-  // FlexMoE never drops tokens by capacity; the only losses are tokens
-  // resident on a device at the instant it fail-stopped.
-  metrics.token_efficiency =
-      metrics.tokens_total > 0
-          ? static_cast<double>(metrics.tokens_total - metrics.tokens_dropped) /
-                static_cast<double>(metrics.tokens_total)
-          : 1.0;
 
   // 8. Apply the decisions in layer order: depth, enqueue for best-effort
   //    execution, audit, backoff.
@@ -451,10 +365,10 @@ StepMetrics FlexMoESystem::RunStepImpl(
     }
   }
 
-  RecordStepObservability(obs_, serving, metrics);
-  ++step_;
-  stats_.Add(metrics);
-  return metrics;
+  // FlexMoE never drops tokens by capacity nor re-assigns them; the only
+  // losses are tokens resident on a device at the instant it fail-stopped.
+  return CloseStep(timing, boundary.blocking, /*reassigned=*/0, serving,
+                   &metrics);
 }
 
 void FlexMoESystem::PlanLayers() {

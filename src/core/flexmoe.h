@@ -25,9 +25,7 @@
 #include "collective/nccl_group.h"
 #include "core/cost_model.h"
 #include "core/scheduler.h"
-#include "core/step_executor.h"
 #include "core/system.h"
-#include "elastic/elastic_controller.h"
 #include "placement/executor.h"
 
 namespace flexmoe {
@@ -53,7 +51,7 @@ struct FlexMoEOptions {
 };
 
 /// \brief The FlexMoE training system.
-class FlexMoESystem : public MoESystem {
+class FlexMoESystem : public SystemFrame {
  public:
   /// `topo` and `profile` must outlive the system.
   static Result<std::unique_ptr<FlexMoESystem>> Create(
@@ -63,21 +61,7 @@ class FlexMoESystem : public MoESystem {
   /// Stops the planner helper, if one started, and joins it.
   ~FlexMoESystem() override;
 
-  FlexMoESystem(const FlexMoESystem&) = delete;
-  FlexMoESystem& operator=(const FlexMoESystem&) = delete;
-
   std::string name() const override { return "FlexMoE"; }
-  StepMetrics RunStep(
-      const std::vector<Assignment>& layer_assignments) override;
-  StepMetrics ServeMicrobatch(
-      const std::vector<Assignment>& layer_assignments) override;
-  const TrainingStats& stats() const override { return stats_; }
-  const ClusterState& cluster() const override { return cluster_; }
-  Status InstallFaultPlan(const FaultPlan& plan) override;
-  const ClusterHealth* cluster_health() const override {
-    return &elastic_.health();
-  }
-  void SetObservability(obs::Observability* obs) override;
 
   const Placement& live_placement(int layer) const;
   const Placement& target_placement(int layer) const;
@@ -96,12 +80,11 @@ class FlexMoESystem : public MoESystem {
                 const HardwareProfile* profile, NcclGroupCache group_cache,
                 std::vector<Placement> initial);
 
-  /// Shared body of RunStep / ServeMicrobatch: the elastic boundary, the
-  /// placement-adjustment loop, routing, and the scheduler all behave
-  /// identically — only the engine pass differs (full training step vs
-  /// forward-only serving pass).
-  StepMetrics RunStepImpl(const std::vector<Assignment>& layer_assignments,
-                          bool serving);
+  /// The adjustment ticks, routing, planning and auto-K of one step; the
+  /// training step and the serving microbatch differ only in the engine
+  /// pass (full step vs forward-only).
+  StepMetrics Step(const std::vector<Assignment>& layer_assignments,
+                   bool serving) override;
 
   /// Claims layers of the current plan job from `next_plan_` and runs
   /// their scheduler invocations until none are left.
@@ -117,14 +100,9 @@ class FlexMoESystem : public MoESystem {
   void WaitForHelper();
 
   FlexMoEOptions options_;
-  const Topology* topo_;
-  const HardwareProfile* profile_;
-  ClusterState cluster_;
-  ElasticController elastic_;
   CostModel cost_model_;
   PolicyMaker policy_maker_;
   NcclGroupCache group_cache_;
-  StepExecutor step_executor_;
 
   std::vector<Placement> live_;
   std::vector<Placement> target_;
@@ -176,10 +154,6 @@ class FlexMoESystem : public MoESystem {
   bool helper_stop_ = false;
   std::exception_ptr helper_failure_;
   std::thread helper_;  ///< after every member the helper uses
-
-  TrainingStats stats_;
-  int64_t step_ = 0;
-  obs::Observability* obs_ = nullptr;
 };
 
 }  // namespace flexmoe

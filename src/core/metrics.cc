@@ -1,56 +1,8 @@
 #include "core/metrics.h"
 
-#include "core/step_executor.h"
-#include "obs/observability.h"
-#include "util/status.h"
 #include "util/string_util.h"
 
 namespace flexmoe {
-
-void MetricsFromTiming(const StepTiming& timing, double blocking_seconds,
-                       int num_alive_gpus, StepMetrics* m) {
-  FLEXMOE_CHECK(m != nullptr);
-  m->step_seconds = timing.StepSeconds() + blocking_seconds;
-  m->a2a_seconds = timing.a2a_seconds;
-  m->compute_seconds = timing.compute_seconds;
-  m->sync_seconds = timing.sync_seconds;
-  m->non_moe_seconds = timing.non_moe_seconds;
-  m->dp_sync_seconds = timing.dp_sync_seconds;
-
-  const std::vector<double>& per_gpu = timing.per_gpu_expert_compute;
-  double max_c = 0.0, mean_c = 0.0;
-  for (double v : per_gpu) {
-    max_c = v > max_c ? v : max_c;
-    mean_c += v;
-  }
-  const int denom =
-      num_alive_gpus > 0 ? num_alive_gpus : static_cast<int>(per_gpu.size());
-  if (denom > 0) mean_c /= static_cast<double>(denom);
-  m->expert_efficiency = max_c > 0.0 ? mean_c / max_c : 1.0;
-  m->gpu_utilization =
-      m->step_seconds > 0.0
-          ? (mean_c + m->non_moe_seconds) / m->step_seconds
-          : 0.0;
-}
-
-void RecordStepObservability(obs::Observability* obs, bool serving,
-                             const StepMetrics& metrics) {
-  obs::MetricsRegistry* m = obs::MetricsOf(obs);
-  if (m == nullptr) return;
-  m->Add(serving ? "serve.microbatches" : "train.steps");
-  m->Add("tokens.total", metrics.tokens_total);
-  if (metrics.tokens_dropped > 0) {
-    m->Add("tokens.dropped", metrics.tokens_dropped);
-  }
-  if (metrics.tokens_recirculated > 0) {
-    m->Add("tokens.recirculated", metrics.tokens_recirculated);
-  }
-  if (metrics.faults_applied > 0) {
-    m->Add("faults.applied", metrics.faults_applied);
-  }
-  m->Observe("step.seconds", metrics.step_seconds);
-  m->Observe("step.balance_ratio", metrics.balance_ratio);
-}
 
 void TrainingStats::Add(const StepMetrics& m) { steps_.push_back(m); }
 

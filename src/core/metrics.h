@@ -14,12 +14,6 @@
 
 namespace flexmoe {
 
-namespace obs {
-class Observability;
-}  // namespace obs
-
-struct StepTiming;
-
 /// \brief Metrics of one executed training step.
 struct StepMetrics {
   int64_t step = 0;
@@ -31,7 +25,10 @@ struct StepMetrics {
   double sync_seconds = 0.0;
   double non_moe_seconds = 0.0;  ///< non-MoE compute only
   double dp_sync_seconds = 0.0;  ///< the data-parallel AllReduce
-  double adjust_block_seconds = 0.0;  ///< blocking adjustments only
+  /// Blocking placement adjustments only (a blocking executor's
+  /// transfers); fault recovery on the same boundary is recovery_seconds.
+  /// step_seconds includes both.
+  double adjust_block_seconds = 0.0;
 
   /// Mean balance ratio over the step's MoE layers (Eq. 6).
   double balance_ratio = 1.0;
@@ -58,7 +55,8 @@ struct StepMetrics {
   // --- Elastic-cluster metrics (zero on a static, healthy cluster) -------
 
   /// Blocking fault-handling time on the critical path this step (restart
-  /// penalties, checkpoint reads, emergency drains).
+  /// penalties, checkpoint reads, emergency drains); in step_seconds, not
+  /// in adjust_block_seconds.
   double recovery_seconds = 0.0;
   /// Cluster events (fail-stop / slowdown / recover / join / leave)
   /// applied at this step's boundary.
@@ -66,26 +64,6 @@ struct StepMetrics {
   /// True when some expert had no replica on a live device this step.
   bool degraded = false;
 };
-
-/// \brief Fills the timing and efficiency fields of `m` from an executed
-/// step — the one derivation FlexMoE and every baseline system share.
-/// step_seconds is the executed span plus `blocking_seconds` (adjustments
-/// and recovery charged before the step). The non-MoE phase is non-MoE
-/// compute only, and the data-parallel AllReduce is its own phase; GPU
-/// utilization counts the non-MoE compute as useful work, next to the
-/// mean expert compute. `num_alive_gpus` (0 = all) is the efficiency
-/// denominator, so a rebalanced degraded cluster can still read as 100%
-/// efficient — departed devices are lost capacity, not inefficiency.
-void MetricsFromTiming(const StepTiming& timing, double blocking_seconds,
-                       int num_alive_gpus, StepMetrics* m);
-
-/// \brief Records one step's registry counters (train.steps or
-/// serve.microbatches, tokens.*, faults.applied, step.* histograms); a
-/// no-op without an enabled metrics registry. Every system calls it once
-/// per step, so the keys mean the same thing for FlexMoE and the
-/// baselines.
-void RecordStepObservability(obs::Observability* obs, bool serving,
-                             const StepMetrics& metrics);
 
 /// \brief Accumulates StepMetrics over a run.
 class TrainingStats {

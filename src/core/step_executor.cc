@@ -33,10 +33,12 @@ Status PipelineOptions::Validate() const {
 
 StepExecutor::StepExecutor(ClusterState* cluster,
                            const HardwareProfile* profile,
-                           const ModelConfig& model)
-    : cluster_(cluster), profile_(profile), model_(model) {
+                           const ModelConfig& model,
+                           const ClusterHealth* health)
+    : cluster_(cluster), profile_(profile), model_(model), health_(health) {
   FLEXMOE_CHECK(cluster != nullptr);
   FLEXMOE_CHECK(profile != nullptr);
+  FLEXMOE_CHECK(health != nullptr);
   FLEXMOE_CHECK_OK(model.Validate());
 }
 
@@ -49,7 +51,6 @@ double StepExecutor::Frontier() const {
 }
 
 const std::vector<double>* StepExecutor::BandwidthScales() const {
-  if (health_ == nullptr) return nullptr;
   // Refilled per phase (cheap O(G)); the engine stretches each port by its
   // own GPU's factor, so a straggler pays its slowdown exactly once, on
   // its own ports, and never leaks it onto healthy peers' ports (the old
@@ -306,11 +307,9 @@ double StepExecutor::RunLayerSyncs(const LayerWork& work, double earliest_base,
   // Dead members take no part; a group left with fewer than two live
   // members has nothing to reduce. Returns whether the op was kept.
   const auto add_op = [&](int logical_id, std::vector<GpuId> group) {
-    if (health_ != nullptr) {
-      group.erase(std::remove_if(group.begin(), group.end(),
-                                 [this](GpuId g) { return !Alive(g); }),
-                  group.end());
-    }
+    group.erase(std::remove_if(group.begin(), group.end(),
+                               [this](GpuId g) { return !Alive(g); }),
+                group.end());
     if (group.size() < 2) return false;
     ops.push_back({logical_id, std::move(group), model_.expert_grad_bytes()});
     return true;

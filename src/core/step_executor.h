@@ -103,8 +103,12 @@ struct StepTiming {
 /// \brief Executes steps on the discrete-event cluster.
 class StepExecutor {
  public:
+  /// `health` is the dynamic-membership view the steps run under (an
+  /// all-healthy view for a static cluster): dead devices take part in no
+  /// phase of the step; degraded devices run compute and move bytes at
+  /// their multipliers. All three pointers must outlive the executor.
   StepExecutor(ClusterState* cluster, const HardwareProfile* profile,
-               const ModelConfig& model);
+               const ModelConfig& model, const ClusterHealth* health);
 
   /// Executes one full step; `group_cache` may be nullptr (no group costs).
   StepTiming ExecuteStep(const std::vector<LayerWork>& layers,
@@ -124,12 +128,6 @@ class StepExecutor {
   /// of the next step.
   double Frontier() const;
 
-  /// Installs the dynamic-membership view (nullable; default: a static,
-  /// healthy cluster). Dead devices take part in no phase of the step;
-  /// degraded devices run compute and move bytes at their multipliers.
-  void set_cluster_health(const ClusterHealth* health) { health_ = health; }
-  const ClusterHealth* cluster_health() const { return health_; }
-
   /// Installs the pipelining configuration (chunks in
   /// [0, kMaxPipelineChunks]; chunks == 1 runs every leg at K = 1;
   /// chunks == 0 is auto-K — per-layer depths come from LayerWork::chunks).
@@ -144,14 +142,12 @@ class StepExecutor {
 
  private:
   obs::Tracer* trace() const { return obs::TracerOf(obs_); }
-  bool Alive(GpuId g) const { return health_ == nullptr || health_->alive(g); }
-  double ComputeScale(GpuId g) const {
-    return health_ == nullptr ? 1.0 : health_->compute_multiplier(g);
-  }
-  /// Per-GPU NIC-port stretch factors from the health view, or nullptr on
-  /// a static healthy cluster. Passed to every collective so a straggler
-  /// stretches exactly its own ports, exactly once — never the healthy
-  /// peers' (the engine-level port_scale contract, engine_ops.h).
+  bool Alive(GpuId g) const { return health_->alive(g); }
+  double ComputeScale(GpuId g) const { return health_->compute_multiplier(g); }
+  /// Per-GPU NIC-port stretch factors from the health view, passed to
+  /// every collective so a straggler stretches exactly its own ports,
+  /// exactly once — never the healthy peers' (the engine-level port_scale
+  /// contract, engine_ops.h).
   const std::vector<double>* BandwidthScales() const;
   /// All currently alive GPUs, ascending.
   std::vector<GpuId> AliveGpus() const;
@@ -242,7 +238,7 @@ class StepExecutor {
   ClusterState* cluster_;
   const HardwareProfile* profile_;
   ModelConfig model_;
-  const ClusterHealth* health_ = nullptr;
+  const ClusterHealth* health_;
   obs::Observability* obs_ = nullptr;
   PipelineOptions pipeline_;
   /// Per-call scratch owned by the executor (see DESIGN.md "Performance

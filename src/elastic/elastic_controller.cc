@@ -29,7 +29,8 @@ Status ElasticController::InstallPlan(const FaultPlan& plan) {
     }
   }
   health_ = ClusterHealth(num_gpus_);
-  scheduler_ = std::make_unique<FaultScheduler>(plan);
+  plan_ = plan;
+  next_event_ = 0;
   baseline_.clear();
   baseline_captured_ = false;
   newly_failed_.clear();
@@ -54,23 +55,30 @@ void ElasticController::RecordReport(const StepReport& report) {
 }
 
 ElasticController::StepReport ElasticController::OnStepBoundary(
-    int64_t step, const std::vector<Placement*>& placements,
+    int64_t step, Placement* placements, size_t num_placements,
     NcclGroupCache* group_cache, double expert_state_bytes) {
   StepReport report;
-  if (scheduler_ == nullptr) return report;
+  newly_failed_.clear();
+  const std::vector<FaultEvent>& events = plan_.events();
+  if (next_event_ == events.size() || events[next_event_].step > step) {
+    return report;
+  }
 
+  // Nothing repairs a placement before the first event fires, so this is
+  // the pre-fault layout.
   if (!baseline_captured_) {
-    baseline_.reserve(placements.size());
-    for (const Placement* p : placements) {
-      FLEXMOE_CHECK(p != nullptr);
-      baseline_.push_back(*p);
-    }
+    FLEXMOE_CHECK(placements != nullptr);
+    baseline_.assign(placements, placements + num_placements);
     baseline_captured_ = true;
   }
-  FLEXMOE_CHECK(placements.size() == baseline_.size());
+  FLEXMOE_CHECK(num_placements == baseline_.size());
 
-  newly_failed_.clear();
-  report.events = scheduler_->AdvanceTo(step, &health_);
+  for (; next_event_ < events.size() && events[next_event_].step <= step;
+       ++next_event_) {
+    if (health_.Apply(events[next_event_]).ok()) {
+      report.events.push_back(events[next_event_]);
+    }
+  }
   if (report.events.empty()) return report;
 
   for (const FaultEvent& e : report.events) {
@@ -106,9 +114,9 @@ ElasticController::StepReport ElasticController::OnStepBoundary(
     // elsewhere) must be re-read from the checkpoint store now.
     for (const FaultEvent& e : report.events) {
       if (e.type != FaultType::kJoin) continue;
-      for (Placement* p : placements) {
+      for (size_t i = 0; i < num_placements; ++i) {
         const int tombstones =
-            static_cast<int>(p->ExpertsOn(e.gpu).size());
+            static_cast<int>(placements[i].ExpertsOn(e.gpu).size());
         report.experts_restored += tombstones;
         report.recovery_seconds += tombstones * expert_state_bytes /
                                    kCheckpointBytesPerSec;
@@ -117,9 +125,9 @@ ElasticController::StepReport ElasticController::OnStepBoundary(
     // Elastic drain (best effort): replicas cover most losses; only
     // sole-replica experts cost a checkpoint read; experts the survivors
     // cannot host run orphaned. Training continues without a restart.
-    for (Placement* p : placements) {
+    for (size_t i = 0; i < num_placements; ++i) {
       const Result<DrainReport> drained =
-          DrainPlacement(health_, expert_state_bytes, p);
+          DrainPlacement(health_, expert_state_bytes, &placements[i]);
       FLEXMOE_CHECK_OK(drained);
       report.experts_restored += drained->experts_restored;
       report.orphaned_experts += drained->orphaned_experts;
@@ -131,23 +139,23 @@ ElasticController::StepReport ElasticController::OnStepBoundary(
     // dead device's experts reload onto its failover peer (or back onto
     // their home device once it rejoins).
     report.recovery_seconds += kRestartSeconds;
-    for (size_t i = 0; i < placements.size(); ++i) {
+    for (size_t i = 0; i < num_placements; ++i) {
       const Result<Placement> repaired =
           FailoverPlacement(baseline_[i], health_, *topo_);
       if (!repaired.ok()) {
         report.orphaned_experts +=
-            ExpertsWithoutLiveReplica(*placements[i], health_);
+            ExpertsWithoutLiveReplica(placements[i], health_);
         continue;
       }
       // Reload every expert that is not where the current placement has it.
       double moved_bytes = 0.0;
       for (int e = 0; e < repaired->num_experts(); ++e) {
-        if (!(repaired->Replicas(e) == placements[i]->Replicas(e))) {
+        if (!(repaired->Replicas(e) == placements[i].Replicas(e))) {
           moved_bytes += expert_state_bytes;
         }
       }
       report.recovery_seconds += moved_bytes / kCheckpointBytesPerSec;
-      *placements[i] = *repaired;
+      placements[i] = *repaired;
     }
   }
   RecordReport(report);
@@ -156,7 +164,6 @@ ElasticController::StepReport ElasticController::OnStepBoundary(
 
 Assignment ElasticController::AdjustAssignment(const Assignment& assignment,
                                                int64_t* tokens_dropped) const {
-  if (scheduler_ == nullptr) return assignment;
   Assignment adjusted = assignment;
   if (!newly_failed_.empty()) {
     // Tokens resident on a device that just fail-stopped are gone; their

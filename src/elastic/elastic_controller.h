@@ -1,6 +1,8 @@
 // ElasticController: the per-system fault-handling authority. It owns the
-// ClusterHealth view and the FaultScheduler, fires due events at each step
-// boundary, invalidates NCCL groups that include departed devices, repairs
+// ClusterHealth view and walks the installed FaultPlan: at each step
+// boundary it applies the due events (membership changes in real clusters
+// surface between steps: a NCCL error, a lost heartbeat, an elastic-agent
+// rendezvous), invalidates NCCL groups that include departed devices, repairs
 // the system's placements (elastic drain for FlexMoE, static failover for
 // the baselines), and prices the recovery work the system must block on.
 //
@@ -19,13 +21,11 @@
 #define FLEXMOE_ELASTIC_ELASTIC_CONTROLLER_H_
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "collective/nccl_group.h"
 #include "elastic/cluster_health.h"
 #include "elastic/fault_plan.h"
-#include "elastic/fault_scheduler.h"
 #include "elastic/recovery.h"
 #include "obs/observability.h"
 #include "topology/profile.h"
@@ -49,18 +49,8 @@ class ElasticController {
   /// forgets any previously captured placement baseline.
   Status InstallPlan(const FaultPlan& plan);
 
-  /// True once a plan is installed (even after its events are exhausted —
-  /// the cluster may be permanently degraded).
-  bool active() const { return scheduler_ != nullptr; }
-
+  /// The membership view: all-healthy until a plan's events change it.
   const ClusterHealth& health() const { return health_; }
-
-  /// True when gate assignments must be re-sharded before routing — i.e.
-  /// some device is dead. Stragglers keep their shard; only departed
-  /// devices' tokens move.
-  bool NeedsAssignmentAdjustment() const {
-    return active() && health_.AnyDead();
-  }
 
   struct StepReport {
     std::vector<FaultEvent> events;   ///< applied this boundary
@@ -75,31 +65,32 @@ class ElasticController {
     int orphaned_experts = 0;
   };
 
-  /// Fires events due at `step` and repairs `placements` in place. On the
-  /// first call the pre-fault placements are captured as the restore
-  /// baseline for static systems. `group_cache` (nullable) loses every
-  /// group containing a departed device. Placements passed here must keep
-  /// the same shape across calls.
-  StepReport OnStepBoundary(int64_t step,
-                            const std::vector<Placement*>& placements,
-                            NcclGroupCache* group_cache,
+  /// Applies, in plan order, every not-yet-fired event with
+  /// event.step <= step (a late boundary still delivers them all), and
+  /// repairs the `num_placements` placements at `placements` in place. An
+  /// event whose precondition no longer holds (a random plan's Recover for
+  /// a GPU a later fail-stop took down) is skipped, not fatal, as real
+  /// fault handlers must tolerate stale alerts. When the first events fire,
+  /// the pre-fault placements are captured as the restore baseline for
+  /// static systems. `group_cache` (nullable) loses every group containing
+  /// a departed device. Placements passed here must keep the same shape
+  /// across calls. A boundary with no event due touches nothing.
+  StepReport OnStepBoundary(int64_t step, Placement* placements,
+                            size_t num_placements, NcclGroupCache* group_cache,
                             double expert_state_bytes);
 
   /// Prepares one layer's gate assignment for the current membership:
   /// tokens sourced on devices that *fail-stopped at this boundary* are
   /// lost (added to `*tokens_dropped`); tokens sourced on previously
   /// departed devices were re-sharded onto survivors and are redistributed.
+  /// Only needed while some device is dead: stragglers keep their shard.
   Assignment AdjustAssignment(const Assignment& assignment,
                               int64_t* tokens_dropped) const;
-
-  int64_t skipped_events() const {
-    return scheduler_ == nullptr ? 0 : scheduler_->skipped_events();
-  }
 
   /// Installs the per-run observability handle (nullable): fault events,
   /// membership changes, restored/orphaned experts, and recovery time go
   /// into the metrics registry. The controller has no sim clock, so the
-  /// owning system emits the recovery trace spans.
+  /// system's frame (SystemFrame) emits the recovery trace events.
   void SetObservability(obs::Observability* obs) { obs_ = obs; }
 
  private:
@@ -110,7 +101,8 @@ class ElasticController {
   const Topology* topo_;
   RepairMode mode_;
   ClusterHealth health_;
-  std::unique_ptr<FaultScheduler> scheduler_;
+  FaultPlan plan_;
+  size_t next_event_ = 0;  ///< the first event of plan_ not yet fired
   std::vector<Placement> baseline_;  ///< pre-fault layouts (static repair)
   bool baseline_captured_ = false;
   std::vector<GpuId> newly_failed_;  ///< fail-stops at the current boundary

@@ -154,7 +154,8 @@ TEST(CostModelTest, EstimateTracksEngineWithinTolerance) {
   const double est = cost.EstimateLayer(routed, p).total_seconds;
 
   ClusterState cluster(&topo);
-  StepExecutor exec(&cluster, &profile, model);
+  const ClusterHealth health(topo.num_gpus());
+  StepExecutor exec(&cluster, &profile, model, &health);
   LayerWork work;
   work.routed = &routed;
   work.placement = &p;

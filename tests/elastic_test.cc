@@ -1,5 +1,5 @@
 // Tests for the elastic cluster subsystem: fault plans, the health
-// registry, the step-driven fault scheduler, placement
+// registry, the controller's step-driven walk of a plan, placement
 // repair (drain / failover), workload re-sharding, migrate-away planning,
 // and byte-for-byte replay determinism under a fixed seed.
 
@@ -13,7 +13,6 @@
 #include "core/policy_maker.h"
 #include "core/scheduler.h"
 #include "elastic/elastic_controller.h"
-#include "elastic/fault_scheduler.h"
 #include "elastic/recovery.h"
 #include "gate/trace_generator.h"
 #include "test_env.h"
@@ -175,7 +174,7 @@ TEST(ClusterHealthTest, SlowdownAndRecover) {
   EXPECT_FALSE(h.Apply(rec).ok());
 }
 
-// ---- FaultScheduler --------------------------------------------------------
+// ---- The controller walks its fault plan ----------------------------------
 
 TEST(FaultSchedulerTest, FiresEventsAtTheirStep) {
   FaultPlanOptions o;
@@ -184,19 +183,25 @@ TEST(FaultSchedulerTest, FiresEventsAtTheirStep) {
   o.fault_step = 5;
   o.gpu = 0;
   o.recover_step = 9;
-  FaultScheduler sched(*FaultPlan::Generate(o));
-  ClusterHealth health(8);
+  auto topo = *Topology::Create(AzureA100Options(8));
+  ElasticController controller(8, &topo, RepairMode::kRestart);
+  ASSERT_TRUE(controller.InstallPlan(*FaultPlan::Generate(o)).ok());
+  Placement placement = *FixedExpertParallelPlacement(8, 8);
+  const auto boundary = [&](int64_t step) {
+    return controller.OnStepBoundary(step, &placement, 1, nullptr, 1e6).events;
+  };
 
-  EXPECT_TRUE(sched.AdvanceTo(4, &health).empty());
-  EXPECT_TRUE(health.alive(0));
-  const std::vector<FaultEvent> fired = sched.AdvanceTo(5, &health);
+  EXPECT_TRUE(boundary(4).empty());
+  EXPECT_TRUE(controller.health().alive(0));
+  const std::vector<FaultEvent> fired = boundary(5);
   ASSERT_EQ(fired.size(), 1u);
-  EXPECT_FALSE(health.alive(0));
-  EXPECT_EQ(sched.remaining(), 1u);
+  EXPECT_EQ(fired[0].type, FaultType::kFailStop);
+  EXPECT_FALSE(controller.health().alive(0));
   // Jump past the join: late delivery still applies in order.
-  EXPECT_EQ(sched.AdvanceTo(50, &health).size(), 1u);
-  EXPECT_TRUE(health.alive(0));
-  EXPECT_TRUE(sched.done());
+  EXPECT_EQ(boundary(50).size(), 1u);
+  EXPECT_TRUE(controller.health().alive(0));
+  // The plan is spent.
+  EXPECT_TRUE(boundary(51).empty());
 }
 
 // ---- Workload re-sharding --------------------------------------------------

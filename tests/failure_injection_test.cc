@@ -11,7 +11,9 @@
 #include "baselines/static_layout.h"
 #include "core/flexmoe.h"
 #include "elastic/recovery.h"
+#include "harness/experiment.h"
 #include "harness/golden.h"
+#include "obs/observability.h"
 #include "test_env.h"
 
 namespace flexmoe {
@@ -119,7 +121,7 @@ TEST_P(AllSystemsTest, RejectsWrongLayerCount) {
   EXPECT_DEATH(sys->RunStep(wrong), "");
 }
 
-// ---- FaultScheduler end-to-end: every system must absorb a mid-run GPU
+// ---- Fault plans end-to-end: every system must absorb a mid-run GPU
 // failure without crashing, losing tokens silently, or violating placement
 // invariants (each expert keeps a live replica or the step reports
 // degraded mode).
@@ -216,6 +218,74 @@ TEST_P(AllSystemsTest, SurvivesChurn) {
   EXPECT_TRUE(health->AllHealthy());  // the device rejoined
 }
 
+// ---- The fault boundary's trace: every applied event is one fault_event
+// instant on the control lane at the boundary, and the recovery the step
+// blocks on is one recovery_block span from the boundary to the step's
+// start (non-blocking executor: the recovery is the whole charge).
+
+TEST_P(AllSystemsTest, TracesFaultBoundary) {
+  TestEnv env = TestEnv::Make();
+  const ModelConfig m = TinyModel();
+  auto sys = MakeSystem(&env, m);
+  obs::ObservabilityOptions oo;
+  oo.enabled = true;
+  obs::Observability observability(oo);
+  sys->SetObservability(&observability);
+
+  FaultPlanOptions fo;
+  fo.scenario = "failstop";
+  fo.num_gpus = 8;
+  fo.fault_step = 4;
+  fo.recover_step = 8;
+  fo.gpu = 2;
+  ASSERT_TRUE(sys->InstallFaultPlan(*FaultPlan::Generate(fo)).ok());
+
+  const obs::Tracer& tracer = observability.tracer();
+  int instants_seen = 0, spans_seen = 0;
+  for (int s = 0; s < 12; ++s) {
+    const size_t first = tracer.size();
+    const StepMetrics metrics = sys->RunStep(MakeStep(m, 8, 300));
+    std::vector<obs::TraceEvent> instants, spans;
+    const obs::TraceEvent* step_span = nullptr;
+    for (size_t i = first; i < tracer.size(); ++i) {
+      const obs::TraceEvent& e = tracer.at(i);
+      const std::string name = e.name;
+      if (name == "fault_event") instants.push_back(e);
+      if (name == "recovery_block") spans.push_back(e);
+      if (name == "train_step") step_span = &e;
+    }
+    ASSERT_NE(step_span, nullptr) << "step " << s;
+    ASSERT_EQ(static_cast<int>(instants.size()), metrics.faults_applied)
+        << "step " << s;
+    ASSERT_EQ(spans.size(), metrics.recovery_seconds > 0.0 ? 1u : 0u)
+        << "step " << s;
+    for (const obs::TraceEvent& e : spans) {
+      EXPECT_EQ(e.phase, 'X');
+      EXPECT_EQ(e.tid, obs::kControlLane);
+      EXPECT_DOUBLE_EQ(e.dur_seconds, metrics.recovery_seconds)
+          << "step " << s;
+      EXPECT_EQ(e.arg_val0, static_cast<double>(metrics.faults_applied));
+      // The step starts once the recovery it blocked on is over.
+      EXPECT_DOUBLE_EQ(e.ts_seconds + e.dur_seconds, step_span->ts_seconds)
+          << "step " << s;
+    }
+    for (const obs::TraceEvent& e : instants) {
+      EXPECT_EQ(e.phase, 'i');
+      EXPECT_EQ(e.tid, obs::kControlLane);
+      EXPECT_EQ(e.arg_val0, 2.0);  // the failing / rejoining GPU
+      if (spans.empty()) {
+        EXPECT_EQ(e.ts_seconds, step_span->ts_seconds) << "step " << s;
+      } else {
+        EXPECT_EQ(e.ts_seconds, spans.front().ts_seconds) << "step " << s;
+      }
+    }
+    instants_seen += static_cast<int>(instants.size());
+    spans_seen += static_cast<int>(spans.size());
+  }
+  EXPECT_EQ(instants_seen, 2);  // the fail-stop and the join
+  EXPECT_GE(spans_seen, 1);
+}
+
 INSTANTIATE_TEST_SUITE_P(Systems, AllSystemsTest,
                          testing::Values("flexmoe", "deepspeed", "fastermoe",
                                          "swipe"));
@@ -257,6 +327,36 @@ TEST(FlexMoEFailureTest, DrainsDeadDeviceAndKeepsInvariants) {
   // FlexMoE recovers without a full restart: the only recovery charge is
   // re-materializing sole-replica experts.
   EXPECT_LT(sys->stats().TotalRecoverySeconds(), 10.0);
+}
+
+// adjust_block_seconds is the blocking placement adjustments alone; the
+// fault recovery the same boundary charges is recovery_seconds, and is
+// never counted twice.
+TEST(FlexMoEFailureTest, AdjustBlockExcludesRecovery) {
+  ExperimentOptions o = WorkloadGoldenCell("pretrain-steady", "flexmoe");
+  o.faults.scenario = "failstop";
+  const auto report = RunExperiment(o);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  ASSERT_EQ(report->faults_applied, 1);
+  int recovery_steps = 0;
+  for (const StepMetrics& s : report->stats.steps()) {
+    EXPECT_EQ(s.adjust_block_seconds, 0.0) << "step " << s.step;
+    if (s.recovery_seconds > 0.0) ++recovery_steps;
+  }
+  EXPECT_EQ(recovery_steps, 1);
+
+  // The blocking executor charges its transfers to the step, and the field
+  // reads them on a healthy run.
+  o.faults.scenario = "none";
+  o.executor.blocking = true;
+  const auto blocking = RunExperiment(o);
+  ASSERT_TRUE(blocking.ok()) << blocking.status().ToString();
+  int blocked_steps = 0;
+  for (const StepMetrics& s : blocking->stats.steps()) {
+    EXPECT_EQ(s.recovery_seconds, 0.0);
+    if (s.adjust_block_seconds > 0.0) ++blocked_steps;
+  }
+  EXPECT_GT(blocked_steps, 0);
 }
 
 TEST(FlexMoEFailureTest, PlacementsSurviveAdversarialFlipFlop) {

@@ -78,8 +78,9 @@ struct ForwardRun {
 /// the exact call sequence the committed fingerprints were captured from.
 ForwardRun RunProbe(const TestEnv& env, int chunks) {
   ClusterState cluster(env.topo.get());
+  const ClusterHealth health(env.topo->num_gpus());
   const ModelConfig model = ProbeModel();
-  StepExecutor exec(&cluster, &env.profile, model);
+  StepExecutor exec(&cluster, &env.profile, model, &health);
   PipelineOptions pipeline;
   pipeline.chunks = chunks;
   exec.set_pipeline(pipeline);
@@ -107,7 +108,8 @@ double ExpertParallelForwardSeconds(const TestEnv& env, const Assignment& a,
   ModelConfig model = ProbeModel();
   model.num_experts = g;
   ClusterState cluster(env.topo.get());
-  StepExecutor exec(&cluster, &env.profile, model);
+  const ClusterHealth health(g);
+  StepExecutor exec(&cluster, &env.profile, model, &health);
   PipelineOptions pipeline;
   pipeline.chunks = chunks;
   exec.set_pipeline(pipeline);
@@ -285,7 +287,8 @@ TEST(PipelinedTimingTest, ExpertSyncLaunchPointFingerprints) {
   for (const Case& c : cases) {
     SCOPED_TRACE(::testing::Message() << "chunks=" << c.chunks);
     ClusterState cluster(env.topo.get());
-    StepExecutor exec(&cluster, &env.profile, ProbeModel());
+    const ClusterHealth health(env.topo->num_gpus());
+    StepExecutor exec(&cluster, &env.profile, ProbeModel(), &health);
     PipelineOptions pipeline;
     pipeline.chunks = c.chunks;
     exec.set_pipeline(pipeline);
@@ -915,8 +918,7 @@ TEST(StragglerPortScaleTest, ForwardA2aChargesTheSlowdownExactlyOnce) {
   ASSERT_TRUE(health.Apply(slow).ok());
 
   ClusterState degraded_cluster(env.topo.get());
-  StepExecutor degraded(&degraded_cluster, &env.profile, model);
-  degraded.set_cluster_health(&health);
+  StepExecutor degraded(&degraded_cluster, &env.profile, model, &health);
   const StepTiming fwd = degraded.ExecuteForward({work});
 
   const double d =
@@ -932,7 +934,8 @@ TEST(StragglerPortScaleTest, ForwardA2aChargesTheSlowdownExactlyOnce) {
   // Against the healthy run: the slowdown costs something, but strictly
   // less than the full 2x either leg would pay under double-stretching.
   ClusterState healthy_cluster(env.topo.get());
-  StepExecutor healthy(&healthy_cluster, &env.profile, model);
+  const ClusterHealth all_healthy(env.topo->num_gpus());
+  StepExecutor healthy(&healthy_cluster, &env.profile, model, &all_healthy);
   const StepTiming base = healthy.ExecuteForward({work});
   EXPECT_GT(fwd.a2a_seconds, base.a2a_seconds);
   EXPECT_LT(fwd.a2a_seconds, 2.0 * base.a2a_seconds);

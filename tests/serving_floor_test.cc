@@ -172,8 +172,7 @@ TEST(ServingFloorFailoverTest, RetargetedFloorBoundsDegradedForward) {
 
   for (const int chunks : {1, 4}) {
     ClusterState cluster(env.topo.get());
-    StepExecutor exec(&cluster, &env.profile, model);
-    exec.set_cluster_health(&health);
+    StepExecutor exec(&cluster, &env.profile, model, &health);
     PipelineOptions pipeline;
     pipeline.chunks = chunks;
     exec.set_pipeline(pipeline);

@@ -14,6 +14,7 @@ struct Fixture {
   std::unique_ptr<Topology> topo;
   HardwareProfile profile;
   ClusterState cluster;
+  ClusterHealth health;
   ModelConfig model;
   StepExecutor exec;
 
@@ -32,8 +33,9 @@ struct Fixture {
       : topo(std::move(t)),
         profile(topo.get(), GpuSpec{}),
         cluster(topo.get()),
+        health(topo->num_gpus()),
         model(std::move(m)),
-        exec(&cluster, &profile, model) {}
+        exec(&cluster, &profile, model, &health) {}
 };
 
 Placement MakePlacement(int slots = 1) {
