@@ -1376,7 +1376,6 @@ ExperimentOptions ElasticCell(const char* system, const ElasticShape& shape) {
   o.measure_steps = shape.measure_steps;
   o.warmup_steps = shape.warmup;
   o.seed = 17;
-  o.balance_coef = 0.001;
   // Capacity dropping disabled: with a capacity factor, DeepSpeed-EP masks
   // the overloaded failover peer by silently clipping its tokens — step
   // time stays flat while ~30% of the batch vanishes. Recovery has to show
@@ -1386,15 +1385,9 @@ ExperimentOptions ElasticCell(const char* system, const ElasticShape& shape) {
   // heavy-tail skew, one hot device dominates the step for every static
   // system and a dead device elsewhere hides in its shadow. The elastic
   // question — can the system re-absorb a lost device? — needs every
-  // device to matter.
-  o.use_trace_overrides = true;
-  o.trace.num_experts = o.model.num_experts;
-  o.trace.num_moe_layers = o.model.num_moe_layers;
-  o.trace.num_gpus = shape.num_gpus;
-  o.trace.tokens_per_gpu = o.model.tokens_per_gpu;
-  o.trace.top_k = o.model.top_k;
-  o.trace.logit_sigma = 0.3;
-  o.trace.seed = o.seed;
+  // device to matter. No balance-loss pressure shrinks it further.
+  o.workload.logit_sigma = 0.3;
+  o.balance_coef = 0.0;
   o.faults.scenario = "failstop";
   o.faults.fault_step = shape.fault_step;
   return o;

@@ -35,7 +35,7 @@ Status ServingOptions::Validate() const {
         "serving.admission_policy '%s' unknown (want edf|sjf)",
         admission_policy.c_str()));
   }
-  return size_mix.Validate();
+  return ValidateSizeMix(size_mix);
 }
 
 Assignment ScaleAssignmentTo(const Assignment& src, int64_t target_total) {

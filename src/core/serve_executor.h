@@ -36,6 +36,7 @@
 #define FLEXMOE_CORE_SERVE_EXECUTOR_H_
 
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "core/system.h"
@@ -68,9 +69,9 @@ struct ServingOptions {
   /// deadline is unreachable even at the cost model's best-case forward
   /// latency. Requires the executor's latency estimator.
   bool shed_unreachable = false;
-  /// Per-request token sizes (gate/request_source.h); "fixed" preserves
-  /// the legacy single-size stream byte-identically.
-  SizeMixOptions size_mix;
+  /// Per-request token sizes, "fixed" or "heavy" (gate/request_source.h);
+  /// "fixed" preserves the legacy single-size stream byte-identically.
+  std::string size_mix = "fixed";
 
   Status Validate() const;
 };

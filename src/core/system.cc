@@ -119,10 +119,17 @@ void SystemFrame::ChargeBoundary(const Boundary& boundary) {
       tr->Instant("fault_event", "recovery", obs::kControlLane, boundary.time,
                   "gpu", static_cast<double>(e.gpu));
     }
-    if (boundary.blocking > 0.0) {
+    // The charge is the recovery, then the blocking adjustments after it:
+    // one span each, so a trace tells the two apart.
+    const double recovered = boundary.time + boundary.faults.recovery_seconds;
+    if (boundary.faults.recovery_seconds > 0.0) {
       tr->Span("recovery_block", "recovery", obs::kControlLane, boundary.time,
-               boundary.time + boundary.blocking, "faults",
+               recovered, "faults",
                static_cast<double>(boundary.faults.events.size()));
+    }
+    if (boundary.blocking > boundary.faults.recovery_seconds) {
+      tr->Span("adjust_block", "placement", obs::kControlLane, recovered,
+               boundary.time + boundary.blocking);
     }
   }
 }

@@ -151,7 +151,8 @@ class SystemFrame : public MoESystem {
                     NcclGroupCache* groups, StepMetrics* metrics);
 
   /// Blocks every stream for `boundary.blocking` from the boundary and
-  /// traces the boundary's fault events and the blocking span.
+  /// traces the boundary's fault events, the recovery (`recovery_block`)
+  /// and the blocking adjustments after it (`adjust_block`).
   void ChargeBoundary(const Boundary& boundary);
 
   /// The assignments the step runs on: `layer_assignments` itself, or,

@@ -1,11 +1,7 @@
 // Top-K gate simulation: converts per-GPU expert logits into the routing
-// count matrix I[e][g]. Two sampling modes:
-//  * count-level multinomial (fast; used for full training runs): round 1
-//    draws Rng::MultinomialInto over the softmax, round 2 over the exact
-//    second-choice marginal of without-replacement top-k, and
-//  * exact per-token top-k (slow; used by tests to validate the
-//    multinomial approximation): alias-table Plackett-Luce sequential
-//    sampling, or a per-token Gumbel sweep when top_k > 8.
+// count matrix I[e][g] with one count-level multinomial per GPU: round 1
+// draws Rng::MultinomialInto over the softmax, round 2 over the exact
+// second-choice marginal of without-replacement top-k.
 //
 // The MoE system never inspects token values — only routing counts — so a
 // count-accurate gate exercises exactly the code paths the paper's system
@@ -15,8 +11,8 @@
 // scratch buffers are thread_local, so one gate can serve every thread
 // that samples a routing step (gate/trace_source.h runs several at once,
 // each on its own per-step Rng substream). gate_sampler_test.cc checks
-// both modes against the analytic top-2 marginal; the goldens' trace
-// hashes pin the multinomial stream bit-for-bit.
+// the sampler against the analytic top-2 marginal; the goldens' trace
+// hashes pin its stream bit-for-bit.
 
 #ifndef FLEXMOE_GATE_GATE_H_
 #define FLEXMOE_GATE_GATE_H_
@@ -43,8 +39,6 @@ struct TopKGateOptions {
   int num_gpus = 64;
   int top_k = 2;
   int64_t tokens_per_gpu = 8192;
-  /// Exact per-token top-k sampling instead of multinomial counts.
-  bool exact_sampling = false;
 
   Status Validate() const;
 };
@@ -69,11 +63,6 @@ class TopKGate {
   explicit TopKGate(const TopKGateOptions& options);
 
   void SampleMultinomial(const double* probs, int gpu, Rng* rng,
-                         Assignment* out) const;
-  void SampleExact(const double* logits, int gpu, Rng* rng,
-                   Assignment* out) const;
-  // Fallback for top_k > 8: the k largest Gumbel-perturbed logits.
-  void SampleExactGumbel(const double* logits, int gpu, Rng* rng,
                          Assignment* out) const;
 
   TopKGateOptions options_;

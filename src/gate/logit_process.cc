@@ -4,6 +4,7 @@
 #include <cmath>
 #include <numeric>
 
+#include "gate/trace_generator.h"
 #include "util/byte_io.h"
 #include "util/string_util.h"
 
@@ -17,8 +18,8 @@ Status ScenarioOptions::Validate() const {
   if (shift_step < 0) return Status::InvalidArgument("shift_step < 0");
   // NaN passes every range check below, and an infinity passes the
   // one-sided ones; either would reach the samplers.
-  for (const double v : {burst_rate, burst_boost, burst_decay, diurnal_period,
-                         diurnal_amplitude}) {
+  for (const double v :
+       {burst_rate, burst_boost, burst_decay, diurnal_period}) {
     if (!std::isfinite(v)) {
       return Status::InvalidArgument("scenario parameters must be finite");
     }
@@ -33,10 +34,6 @@ Status ScenarioOptions::Validate() const {
   if (diurnal_period <= 1.0) {
     return Status::InvalidArgument("diurnal_period must be > 1 step");
   }
-  if (diurnal_amplitude < 0.0) {
-    return Status::InvalidArgument("diurnal_amplitude < 0");
-  }
-  if (num_tenants <= 0) return Status::InvalidArgument("num_tenants <= 0");
   if (tenant_block_steps <= 0) {
     return Status::InvalidArgument("tenant_block_steps <= 0");
   }
@@ -69,8 +66,9 @@ void GaussianInit(double sigma, Rng* rng, std::vector<double>* out) {
 /// Byte-identity of pretrain-steady with the pre-catalog generator rests on
 /// this consuming the Rng exactly as that code did
 /// (workload_scenarios_test.cc pins it against an inline reference).
-void OuEvolve(double sigma0, double theta, double target_sigma, Rng* rng,
+void OuEvolve(double sigma0, double target_sigma, Rng* rng,
               std::vector<double>* z) {
+  constexpr double theta = TraceGenerator::kOuTheta;
   const double noise_sigma = sigma0 * std::sqrt(2.0 * theta);
   for (double& v : *z) {
     v += -theta * v + rng->Normal(0.0, noise_sigma);
@@ -86,8 +84,8 @@ void OuEvolve(double sigma0, double theta, double target_sigma, Rng* rng,
 
 class SteadyProcess : public LogitProcess {
  public:
-  SteadyProcess(std::string name, double sigma0, double theta)
-      : name_(std::move(name)), sigma0_(sigma0), theta_(theta) {}
+  SteadyProcess(std::string name, double sigma0)
+      : name_(std::move(name)), sigma0_(sigma0) {}
 
   void Init(Rng* rng, std::vector<double>* out) override {
     GaussianInit(sigma0_, rng, out);
@@ -95,7 +93,7 @@ class SteadyProcess : public LogitProcess {
 
   void Evolve(int64_t, double target_sigma, Rng* rng,
               std::vector<double>* out) override {
-    OuEvolve(sigma0_, theta_, target_sigma, rng, out);
+    OuEvolve(sigma0_, target_sigma, rng, out);
   }
 
   const std::string& name() const override { return name_; }
@@ -103,17 +101,14 @@ class SteadyProcess : public LogitProcess {
  protected:
   const std::string name_;
   const double sigma0_;
-  const double theta_;
 };
 
 /// Steady drift until `shift_step`, then the popularity distribution
 /// re-draws in one step — a fine-tuning task switch.
 class FinetuneShiftProcess : public SteadyProcess {
  public:
-  FinetuneShiftProcess(std::string name, double sigma0, double theta,
-                       int64_t shift_step)
-      : SteadyProcess(std::move(name), sigma0, theta),
-        shift_step_(shift_step) {}
+  FinetuneShiftProcess(std::string name, double sigma0, int64_t shift_step)
+      : SteadyProcess(std::move(name), sigma0), shift_step_(shift_step) {}
 
   void Evolve(int64_t step, double target_sigma, Rng* rng,
               std::vector<double>* out) override {
@@ -121,7 +116,7 @@ class FinetuneShiftProcess : public SteadyProcess {
       GaussianInit(target_sigma, rng, out);
       return;
     }
-    OuEvolve(sigma0_, theta_, target_sigma, rng, out);
+    OuEvolve(sigma0_, target_sigma, rng, out);
   }
 
  private:
@@ -133,9 +128,8 @@ class FinetuneShiftProcess : public SteadyProcess {
 /// multiplicatively — producing a heavy right tail of hot-expert shares.
 class BurstyProcess : public SteadyProcess {
  public:
-  BurstyProcess(std::string name, double sigma0, double theta,
-                const ScenarioOptions& s)
-      : SteadyProcess(std::move(name), sigma0, theta),
+  BurstyProcess(std::string name, double sigma0, const ScenarioOptions& s)
+      : SteadyProcess(std::move(name), sigma0),
         rate_(s.burst_rate),
         boost_(s.burst_boost),
         decay_(s.burst_decay) {}
@@ -149,7 +143,7 @@ class BurstyProcess : public SteadyProcess {
 
   void Evolve(int64_t, double target_sigma, Rng* rng,
               std::vector<double>* out) override {
-    OuEvolve(sigma0_, theta_, target_sigma, rng, &base_);
+    OuEvolve(sigma0_, target_sigma, rng, &base_);
     for (double& v : spikes_) v *= decay_;
     if (rng->Uniform() < rate_) {
       const size_t e = static_cast<size_t>(rng->UniformInt(spikes_.size()));
@@ -182,11 +176,8 @@ class BurstyProcess : public SteadyProcess {
 /// popularity rotates with period `diurnal_period`.
 class DiurnalProcess : public SteadyProcess {
  public:
-  DiurnalProcess(std::string name, double sigma0, double theta,
-                 const ScenarioOptions& s)
-      : SteadyProcess(std::move(name), sigma0, theta),
-        period_(s.diurnal_period),
-        amplitude_(s.diurnal_amplitude) {}
+  DiurnalProcess(std::string name, double sigma0, const ScenarioOptions& s)
+      : SteadyProcess(std::move(name), sigma0), period_(s.diurnal_period) {}
 
   void Init(Rng* rng, std::vector<double>* out) override {
     base_.resize(out->size());
@@ -198,7 +189,7 @@ class DiurnalProcess : public SteadyProcess {
 
   void Evolve(int64_t step, double target_sigma, Rng* rng,
               std::vector<double>* out) override {
-    OuEvolve(sigma0_, theta_, target_sigma, rng, &base_);
+    OuEvolve(sigma0_, target_sigma, rng, &base_);
     Compose(step, target_sigma, out);
   }
 
@@ -216,12 +207,12 @@ class DiurnalProcess : public SteadyProcess {
   void Compose(int64_t step, double scale, std::vector<double>* out) {
     const double t = kTwoPi * static_cast<double>(step) / period_;
     for (size_t e = 0; e < out->size(); ++e) {
-      (*out)[e] = base_[e] + amplitude_ * scale * std::sin(t + phase_[e]);
+      (*out)[e] = base_[e] + ScenarioOptions::kDiurnalAmplitude * scale *
+                                 std::sin(t + phase_[e]);
     }
   }
 
   const double period_;
-  const double amplitude_;
   std::vector<double> base_;
   std::vector<double> phase_;
 };
@@ -231,14 +222,13 @@ class DiurnalProcess : public SteadyProcess {
 /// reappearance shows genuine drift.
 class MultiTenantProcess : public SteadyProcess {
  public:
-  MultiTenantProcess(std::string name, double sigma0, double theta,
+  MultiTenantProcess(std::string name, double sigma0,
                      const ScenarioOptions& s)
-      : SteadyProcess(std::move(name), sigma0, theta),
-        num_tenants_(s.num_tenants),
+      : SteadyProcess(std::move(name), sigma0),
         block_steps_(s.tenant_block_steps) {}
 
   void Init(Rng* rng, std::vector<double>* out) override {
-    tenants_.assign(static_cast<size_t>(num_tenants_),
+    tenants_.assign(static_cast<size_t>(ScenarioOptions::kNumTenants),
                     std::vector<double>(out->size()));
     for (auto& tenant : tenants_) GaussianInit(sigma0_, rng, &tenant);
     *out = tenants_.front();
@@ -247,10 +237,10 @@ class MultiTenantProcess : public SteadyProcess {
   void Evolve(int64_t step, double target_sigma, Rng* rng,
               std::vector<double>* out) override {
     for (auto& tenant : tenants_) {
-      OuEvolve(sigma0_, theta_, target_sigma, rng, &tenant);
+      OuEvolve(sigma0_, target_sigma, rng, &tenant);
     }
     const size_t active = static_cast<size_t>(
-        (step / block_steps_) % num_tenants_);
+        (step / block_steps_) % ScenarioOptions::kNumTenants);
     *out = tenants_[active];
   }
 
@@ -267,7 +257,6 @@ class MultiTenantProcess : public SteadyProcess {
   }
 
  private:
-  const int num_tenants_;
   const int block_steps_;
   std::vector<std::vector<double>> tenants_;
 };
@@ -275,30 +264,29 @@ class MultiTenantProcess : public SteadyProcess {
 }  // namespace
 
 Result<std::unique_ptr<LogitProcess>> MakeLogitProcess(
-    const ScenarioOptions& scenario, int num_experts, double sigma0,
-    double ou_theta) {
+    const ScenarioOptions& scenario, int num_experts, double sigma0) {
   FLEXMOE_RETURN_IF_ERROR(scenario.Validate());
   if (num_experts <= 0) return Status::InvalidArgument("num_experts <= 0");
   const std::string& n = scenario.name;
   if (n == "pretrain-steady") {
     return std::unique_ptr<LogitProcess>(
-        new SteadyProcess(n, sigma0, ou_theta));
+        new SteadyProcess(n, sigma0));
   }
   if (n == "finetune-shift") {
     return std::unique_ptr<LogitProcess>(
-        new FinetuneShiftProcess(n, sigma0, ou_theta, scenario.shift_step));
+        new FinetuneShiftProcess(n, sigma0, scenario.shift_step));
   }
   if (n == "bursty") {
     return std::unique_ptr<LogitProcess>(
-        new BurstyProcess(n, sigma0, ou_theta, scenario));
+        new BurstyProcess(n, sigma0, scenario));
   }
   if (n == "diurnal") {
     return std::unique_ptr<LogitProcess>(
-        new DiurnalProcess(n, sigma0, ou_theta, scenario));
+        new DiurnalProcess(n, sigma0, scenario));
   }
   if (n == "multi-tenant") {
     return std::unique_ptr<LogitProcess>(
-        new MultiTenantProcess(n, sigma0, ou_theta, scenario));
+        new MultiTenantProcess(n, sigma0, scenario));
   }
   return Status::InvalidArgument(
       StrFormat("unknown workload scenario '%s'", n.c_str()));

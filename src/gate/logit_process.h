@@ -52,15 +52,16 @@ struct ScenarioOptions {
   double burst_boost = 5.0;
   double burst_decay = 0.80;
 
-  /// diurnal: wave length in steps and amplitude in units of the current
-  /// logit scale. Each expert gets a random phase, so popularity rotates.
+  /// diurnal: wave length in steps. The amplitude, in units of the current
+  /// logit scale, is kDiurnalAmplitude. Each expert gets a random phase, so
+  /// popularity rotates.
   double diurnal_period = 200.0;
-  double diurnal_amplitude = 1.5;
+  static constexpr double kDiurnalAmplitude = 1.5;
 
-  /// multi-tenant: number of independent tenants and the length of each
-  /// tenant's time slice in steps.
-  int num_tenants = 4;
+  /// multi-tenant: the length of each tenant's time slice in steps, over
+  /// kNumTenants independent tenants.
   int tenant_block_steps = 25;
+  static constexpr int kNumTenants = 4;
 
   Status Validate() const;
 };
@@ -109,10 +110,9 @@ const std::vector<std::string>& ScenarioCatalog();
 bool IsKnownScenario(const std::string& name);
 
 /// \brief Builds one layer's process. `sigma0` is the calibrated base
-/// logit scale, `ou_theta` the generator's mean-reversion rate.
+/// logit scale; the drift reverts at TraceGenerator::kOuTheta.
 Result<std::unique_ptr<LogitProcess>> MakeLogitProcess(
-    const ScenarioOptions& scenario, int num_experts, double sigma0,
-    double ou_theta);
+    const ScenarioOptions& scenario, int num_experts, double sigma0);
 
 }  // namespace flexmoe
 

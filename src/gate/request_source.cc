@@ -8,32 +8,23 @@
 
 namespace flexmoe {
 
-Status SizeMixOptions::Validate() const {
-  if (name != "fixed" && name != "heavy") {
-    return Status::InvalidArgument(
-        StrFormat("unknown size mix '%s' (want fixed|heavy)", name.c_str()));
-  }
-  if (name == "fixed") return Status::OK();
-  if (!std::isfinite(chat_fraction) || chat_fraction < 0.0 ||
-      chat_fraction > 1.0) {
-    return Status::InvalidArgument("size_mix.chat_fraction must be in [0,1]");
-  }
-  if (!std::isfinite(chat_median_factor) || chat_median_factor <= 0.0) {
-    return Status::InvalidArgument("size_mix.chat_median_factor must be > 0");
-  }
-  if (!std::isfinite(chat_log_sigma) || chat_log_sigma < 0.0) {
-    return Status::InvalidArgument("size_mix.chat_log_sigma must be >= 0");
-  }
-  if (!std::isfinite(batch_scale_factor) || batch_scale_factor <= 0.0) {
-    return Status::InvalidArgument("size_mix.batch_scale_factor must be > 0");
-  }
-  if (!std::isfinite(batch_pareto_alpha) || batch_pareto_alpha <= 1.0) {
-    // alpha <= 1 has an infinite mean: the stream's offered load would no
-    // longer concentrate, which breaks every load-sized serving cell.
-    return Status::InvalidArgument("size_mix.batch_pareto_alpha must be > 1");
-  }
-  if (!std::isfinite(max_factor) || max_factor < 1.0) {
-    return Status::InvalidArgument("size_mix.max_factor must be >= 1");
+namespace {
+
+// The heavy mix's shape, in multiples of tokens_per_request
+// (RequestSourceOptions::size_mix).
+constexpr double kChatFraction = 0.85;
+constexpr double kChatMedianFactor = 0.5;
+constexpr double kChatLogSigma = 0.6;
+constexpr double kBatchScaleFactor = 1.1;
+constexpr double kBatchParetoAlpha = 1.5;
+constexpr double kMaxFactor = 64.0;
+
+}  // namespace
+
+Status ValidateSizeMix(const std::string& size_mix) {
+  if (size_mix != "fixed" && size_mix != "heavy") {
+    return Status::InvalidArgument(StrFormat(
+        "unknown size mix '%s' (want fixed|heavy)", size_mix.c_str()));
   }
   return Status::OK();
 }
@@ -51,7 +42,7 @@ Status RequestSourceOptions::Validate() const {
   if (!std::isfinite(step_seconds) || step_seconds <= 0.0) {
     return Status::InvalidArgument("step_seconds must be finite and > 0");
   }
-  FLEXMOE_RETURN_IF_ERROR(size_mix.Validate());
+  FLEXMOE_RETURN_IF_ERROR(ValidateSizeMix(size_mix));
   return scenario.Validate();
 }
 
@@ -80,19 +71,17 @@ double RequestSource::NextWindowMultiplier(int64_t w) {
     // Sinusoidal traffic wave; amplitude capped below 1 so the rate never
     // vanishes (the logit amplitude is in logit-scale units, a fraction of
     // it makes a sensible rate swing).
-    const double amp = std::min(0.8, 0.5 * s.diurnal_amplitude);
+    const double amp = std::min(0.8, 0.5 * ScenarioOptions::kDiurnalAmplitude);
     constexpr double kTwoPi = 6.283185307179586476925286766559;
     mult = 1.0 + amp * std::sin(kTwoPi * static_cast<double>(w) /
                                 s.diurnal_period);
   } else if (s.name == "multi-tenant") {
     // Each tenant slice carries a distinct constant rate; the mean over a
     // full rotation is the base rate.
-    const int64_t tenant =
-        (w / s.tenant_block_steps) % static_cast<int64_t>(s.num_tenants);
-    mult = s.num_tenants > 1
-               ? 0.5 + static_cast<double>(tenant) /
-                           static_cast<double>(s.num_tenants - 1)
-               : 1.0;
+    const int64_t tenant = (w / s.tenant_block_steps) %
+                           static_cast<int64_t>(ScenarioOptions::kNumTenants);
+    mult = 0.5 + static_cast<double>(tenant) /
+                     static_cast<double>(ScenarioOptions::kNumTenants - 1);
   }
   // pretrain-steady and finetune-shift keep a flat rate: their dynamics
   // live entirely in the routing distribution.
@@ -101,26 +90,24 @@ double RequestSource::NextWindowMultiplier(int64_t w) {
 }
 
 int64_t RequestSource::MaxRequestTokens() const {
-  if (options_.size_mix.fixed()) return options_.tokens_per_request;
-  return static_cast<int64_t>(
-      std::llround(options_.size_mix.max_factor *
-                   static_cast<double>(options_.tokens_per_request)));
+  if (options_.size_mix == "fixed") return options_.tokens_per_request;
+  return static_cast<int64_t>(std::llround(
+      kMaxFactor * static_cast<double>(options_.tokens_per_request)));
 }
 
 int64_t RequestSource::NextRequestTokens(int64_t w, double mult) {
-  const SizeMixOptions& mix = options_.size_mix;
-  if (mix.fixed()) return options_.tokens_per_request;
+  if (options_.size_mix == "fixed") return options_.tokens_per_request;
 
   // Scenario-conditioned class share: flash crowds are interactive (chat)
   // traffic, so the chat share rises with the burst multiplier; alternate
   // multi-tenant slices are batch-inference tenants, inverting the mix.
-  double chat = mix.chat_fraction;
+  double chat = kChatFraction;
   const ScenarioOptions& s = options_.scenario;
   if (s.name == "bursty" && mult > 1.0) {
     chat = 1.0 - (1.0 - chat) / mult;
   } else if (s.name == "multi-tenant") {
-    const int64_t tenant =
-        (w / s.tenant_block_steps) % static_cast<int64_t>(s.num_tenants);
+    const int64_t tenant = (w / s.tenant_block_steps) %
+                           static_cast<int64_t>(ScenarioOptions::kNumTenants);
     if (tenant % 2 == 1) chat = 1.0 - chat;
   }
 
@@ -129,14 +116,13 @@ int64_t RequestSource::NextRequestTokens(int64_t w, double mult) {
   double tokens;
   if (rng_.Uniform() < chat) {
     // Chat turn: lognormal body around a sub-base median.
-    tokens = mix.chat_median_factor * base *
-             std::exp(mix.chat_log_sigma * rng_.Normal());
+    tokens = kChatMedianFactor * base * std::exp(kChatLogSigma * rng_.Normal());
   } else {
     // Batch-inference job: Pareto tail. 1 - u is in (0, 1], so the draw
     // is finite and >= the scale.
     const double u = rng_.Uniform();
-    tokens = mix.batch_scale_factor * base *
-             std::pow(1.0 - u, -1.0 / mix.batch_pareto_alpha);
+    tokens = kBatchScaleFactor * base *
+             std::pow(1.0 - u, -1.0 / kBatchParetoAlpha);
   }
   const int64_t rounded = static_cast<int64_t>(std::llround(tokens));
   return std::max<int64_t>(1, std::min(cap, rounded));
@@ -187,25 +173,17 @@ double RequestSource::WindowMultiplier(int64_t window) const {
 
 namespace {
 constexpr uint32_t kRequestCheckpointMagic = 0x464d5251;  // "FMRQ"
-constexpr uint32_t kRequestCheckpointVersion = 1;
+// Version 2: the fingerprint holds only the settable scenario parameters
+// (the size-mix shape and the diurnal amplitude and tenant count became
+// constants). A version 1 payload has a longer fingerprint, so it is
+// refused rather than misread.
+constexpr uint32_t kRequestCheckpointVersion = 2;
 }  // namespace
 
 std::vector<double> RequestSource::FingerprintParams() const {
   const ScenarioOptions& s = options_.scenario;
-  const SizeMixOptions& m = options_.size_mix;
-  return {s.burst_rate,
-          s.burst_boost,
-          s.burst_decay,
-          s.diurnal_period,
-          s.diurnal_amplitude,
-          static_cast<double>(s.num_tenants),
-          static_cast<double>(s.tenant_block_steps),
-          m.chat_fraction,
-          m.chat_median_factor,
-          m.chat_log_sigma,
-          m.batch_scale_factor,
-          m.batch_pareto_alpha,
-          m.max_factor};
+  return {s.burst_rate, s.burst_boost, s.burst_decay, s.diurnal_period,
+          static_cast<double>(s.tenant_block_steps)};
 }
 
 std::string RequestSource::SaveCheckpoint() const {
@@ -221,10 +199,10 @@ std::string RequestSource::SaveCheckpoint() const {
   PutPod<double>(options_.step_seconds, &out);
   PutPod<uint64_t>(options_.scenario.name.size(), &out);
   out.append(options_.scenario.name);
-  PutPod<uint64_t>(options_.size_mix.name.size(), &out);
-  out.append(options_.size_mix.name);
+  PutPod<uint64_t>(options_.size_mix.size(), &out);
+  out.append(options_.size_mix);
   // Numeric dynamics parameters: two sources whose names match but whose
-  // burst/diurnal/tenant clocks or size-mix shape differ would diverge
+  // burst rate or burst/diurnal/tenant clocks differ would diverge
   // after a restore, so they are part of the fingerprint too.
   for (const double param : FingerprintParams()) PutPod(param, &out);
 
@@ -277,7 +255,7 @@ Status RequestSource::RestoreCheckpoint(const std::string& bytes) {
   if (seed != options_.seed || rate != options_.arrival_rate_rps ||
       tpr != options_.tokens_per_request || slo != options_.slo_seconds ||
       step != options_.step_seconds || scenario != options_.scenario.name ||
-      mix != options_.size_mix.name || !params_match) {
+      mix != options_.size_mix || !params_match) {
     return Status::InvalidArgument(StrFormat(
         "checkpoint fingerprint [seed %llu, %.17g rps, %lld tok, %s/%s] "
         "does not match this request source",

@@ -6,12 +6,12 @@
 // multi-tenant regimes shape WHEN traffic lands, while the TraceSource
 // shapes WHERE the gate routes it.
 //
-// Request SIZES come from a configurable mix (SizeMixOptions): the legacy
-// "fixed" mix gives every request exactly tokens_per_request (and draws
-// nothing from the Rng, so pre-mix streams replay byte-identically), while
-// the "heavy" mix draws a two-class chat/batch-inference size per request
-// — a lognormal body with a Pareto tail — whose class share is conditioned
-// on the same scenario that modulates the rate.
+// Request SIZES come from a named mix: "fixed" gives every request exactly
+// tokens_per_request (and draws nothing from the Rng, so pre-mix streams
+// replay byte-identically), while "heavy" draws a two-class
+// chat/batch-inference size per request — a lognormal body with a Pareto
+// tail — whose class share is conditioned on the same scenario that
+// modulates the rate. The heavy mix's shape is fixed (request_source.cc).
 //
 // Determinism contract: arrivals and sizes are a pure function of the
 // options (rate windows are consumed strictly in order, each drawing from
@@ -25,6 +25,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <string>
 
 #include "gate/logit_process.h"
 #include "util/rng.h"
@@ -41,33 +42,8 @@ struct ServeRequest {
   int64_t tokens = 0;
 };
 
-/// \brief Request-size distribution. All size parameters are multiples of
-/// `tokens_per_request`, so one mix definition scales with the workload.
-struct SizeMixOptions {
-  /// "fixed"  every request is exactly tokens_per_request; no Rng draws,
-  ///          byte-identical to the pre-mix stream.
-  /// "heavy"  two-class mix per request: a CHAT turn (lognormal, median
-  ///          chat_median_factor x tokens_per_request, log-sigma
-  ///          chat_log_sigma) with probability chat_fraction, else a
-  ///          BATCH-INFERENCE job (Pareto(batch_pareto_alpha) with scale
-  ///          batch_scale_factor x tokens_per_request — the heavy tail).
-  ///          Defaults keep the mix mean near tokens_per_request while the
-  ///          tail reaches max_factor x tokens_per_request, so sized
-  ///          streams stress the serving token cap without changing the
-  ///          offered load of an equivalent fixed-size cell.
-  std::string name = "fixed";
-  double chat_fraction = 0.85;
-  double chat_median_factor = 0.5;
-  double chat_log_sigma = 0.6;
-  double batch_scale_factor = 1.1;
-  double batch_pareto_alpha = 1.5;
-  /// Hard per-request clamp: max_factor x tokens_per_request.
-  double max_factor = 64.0;
-
-  bool fixed() const { return name == "fixed"; }
-
-  Status Validate() const;
-};
+/// \brief Checks a request-size mix name: "fixed" or "heavy".
+Status ValidateSizeMix(const std::string& size_mix);
 
 /// \brief Arrival-process configuration.
 struct RequestSourceOptions {
@@ -88,8 +64,15 @@ struct RequestSourceOptions {
   ///   diurnal     sinusoidal rate, period diurnal_period steps
   ///   multi-tenant  tenant time slices with distinct per-tenant rates
   ScenarioOptions scenario;
-  /// Per-request token sizes (see SizeMixOptions).
-  SizeMixOptions size_mix;
+  /// Per-request token sizes, all multiples of tokens_per_request:
+  /// "fixed"  every request is exactly tokens_per_request;
+  /// "heavy"  with the chat share (0.85 at the base rate) a CHAT turn,
+  ///          lognormal with median 0.5 x and log-sigma 0.6, else a
+  ///          BATCH-INFERENCE job, Pareto(1.5) with scale 1.1 x, clamped
+  ///          at 64 x. The mix mean stays near tokens_per_request, so a
+  ///          sized stream stresses the serving token cap without changing
+  ///          the offered load of an equivalent fixed-size cell.
+  std::string size_mix = "fixed";
   uint64_t seed = 42;
 
   Status Validate() const;
@@ -128,7 +111,7 @@ class RequestSource {
  private:
   explicit RequestSource(const RequestSourceOptions& options);
 
-  /// The numeric scenario/size-mix parameters folded into the checkpoint
+  /// The settable numeric scenario parameters folded into the checkpoint
   /// fingerprint (names alone would accept a diverging restore).
   std::vector<double> FingerprintParams() const;
 

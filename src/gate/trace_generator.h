@@ -38,9 +38,9 @@
 
 namespace flexmoe {
 
-/// \brief Generator configuration. Calibration constants are documented at
-/// their defaults; DESIGN.md Section 4 explains how they map to the paper's
-/// reported numbers.
+/// \brief Generator configuration. The calibration constants that no
+/// workload varies are TraceGenerator's k* members; DESIGN.md Section 4
+/// explains how they map to the paper's reported numbers.
 struct TraceGeneratorOptions {
   int num_experts = 64;
   int num_moe_layers = 12;
@@ -48,37 +48,17 @@ struct TraceGeneratorOptions {
   int64_t tokens_per_gpu = 8192;
   int top_k = 2;
 
-  /// Skew calibration target: the `skew_top_count` most popular experts
-  /// capture `skew_top_share` of tokens (paper Fig. 3a: 10 of 64 -> 75%).
-  /// skew_top_count <= 0 selects round(num_experts * 10 / 64).
-  int skew_top_count = 0;
-  double skew_top_share = 0.75;
-
-  /// Explicit logit scale; 0 triggers auto-calibration from the skew target.
+  /// Explicit logit scale; 0 triggers auto-calibration from the skew target
+  /// (TraceGenerator::kSkewTopShare).
   double logit_sigma = 0.0;
-
-  /// OU mean-reversion rate per step; 1/ou_theta is the correlation time in
-  /// steps that produces the gradual drift of Fig. 3b.
-  double ou_theta = 0.01;
-
-  /// Std of the per-GPU logit jitter (data heterogeneity across ranks).
-  double gpu_jitter_sigma = 0.15;
-  double gpu_jitter_theta = 0.05;
 
   /// Balance-loss coefficient lambda (paper Fig. 2 sweeps 0 .. 0.05).
   double balance_coef = 0.0;
-  /// Equilibrium skew multiplier is 1/(1 + balance_strength*sqrt(lambda));
-  /// the default reproduces Fig. 2's utilization range (18.8% .. 63.3%).
-  double balance_strength = 10.5;
-  /// Time constant (steps) for approaching the balanced equilibrium
-  /// ("with training progressing, imbalance is getting better", Fig. 7a).
-  double balance_tau_steps = 400.0;
 
   /// Workload regime: which logit dynamics drive expert popularity. The
   /// default reproduces the pre-catalog generator byte-for-byte.
   ScenarioOptions scenario;
 
-  bool exact_sampling = false;
   uint64_t seed = 42;
 
   Status Validate() const;
@@ -93,6 +73,24 @@ double CalibrateLogitSigma(int num_experts, int top_count,
 /// \brief Streaming generator of per-step, per-layer routing assignments.
 class TraceGenerator {
  public:
+  /// Skew calibration target: the max(1, round(E * 10 / 64)) most popular
+  /// experts capture kSkewTopShare of tokens (paper Fig. 3a: 10 of 64 ->
+  /// 75%).
+  static constexpr double kSkewTopShare = 0.75;
+  /// OU mean-reversion rate per step; 1/kOuTheta is the correlation time in
+  /// steps that produces the gradual drift of Fig. 3b.
+  static constexpr double kOuTheta = 0.01;
+  /// Std and mean-reversion rate of the per-GPU logit jitter (data
+  /// heterogeneity across ranks).
+  static constexpr double kGpuJitterSigma = 0.15;
+  static constexpr double kGpuJitterTheta = 0.05;
+  /// Equilibrium skew multiplier is 1/(1 + kBalanceStrength*sqrt(lambda));
+  /// it reproduces Fig. 2's utilization range (18.8% .. 63.3%).
+  static constexpr double kBalanceStrength = 10.5;
+  /// Time constant (steps) for approaching the balanced equilibrium
+  /// ("with training progressing, imbalance is getting better", Fig. 7a).
+  static constexpr double kBalanceTauSteps = 400.0;
+
   static Result<TraceGenerator> Create(const TraceGeneratorOptions& options);
 
   /// One step's serial half: each layer's jittered [gpu][expert] logits

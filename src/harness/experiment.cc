@@ -42,19 +42,16 @@ FaultPlanOptions ResolveFaultOptions(const ExperimentOptions& options) {
 }
 
 Result<TraceGenerator> BuildTraceGenerator(const ExperimentOptions& options) {
-  TraceGeneratorOptions t = options.use_trace_overrides
-                                ? options.trace
-                                : TraceGeneratorOptions{};
-  if (!options.use_trace_overrides) {
-    t.num_experts = options.model.num_experts;
-    t.num_moe_layers = options.model.num_moe_layers;
-    t.num_gpus = options.num_gpus;
-    t.tokens_per_gpu = options.model.tokens_per_gpu;
-    t.top_k = options.model.top_k;
-    t.balance_coef = options.balance_coef;
-    t.seed = options.seed;
-    t.scenario = options.workload.scenario;
-  }
+  TraceGeneratorOptions t;
+  t.num_experts = options.model.num_experts;
+  t.num_moe_layers = options.model.num_moe_layers;
+  t.num_gpus = options.num_gpus;
+  t.tokens_per_gpu = options.model.tokens_per_gpu;
+  t.top_k = options.model.top_k;
+  t.logit_sigma = options.workload.logit_sigma;
+  t.balance_coef = options.balance_coef;
+  t.seed = options.seed;
+  t.scenario = options.workload.scenario;
   return TraceGenerator::Create(t);
 }
 

@@ -30,6 +30,10 @@ namespace flexmoe {
 struct WorkloadOptions {
   /// Logit-dynamics regime for the live generator (ignored on replay).
   ScenarioOptions scenario;
+  /// The live generator's base logit scale; 0 calibrates it from the
+  /// paper's skew target (TraceGenerator::kSkewTopShare). The generator
+  /// rejects a non-finite or negative value.
+  double logit_sigma = 0.0;
   /// When non-empty, replay this saved RoutingTrace instead of generating.
   /// The trace must cover measure_steps and match the model's shape.
   std::string replay_path;
@@ -93,11 +97,6 @@ struct ExperimentOptions {
   /// therefore pass the same scenario options as the recording run to see
   /// the identical request stream.
   ServingOptions serving;
-
-  /// Optional explicit trace generator overrides (<=0 fields are derived
-  /// from the model/num_gpus). Overrides win over `workload.scenario`.
-  TraceGeneratorOptions trace;
-  bool use_trace_overrides = false;
 
   /// Observability (DESIGN.md Section 9): when `observability.enabled`,
   /// the run records sim-time spans, registry counters, and policy

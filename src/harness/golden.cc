@@ -76,7 +76,7 @@ ExperimentOptions ServingSizeMixCell(const std::string& scenario,
   // goodput over arrived traffic.
   o.serving.tokens_per_request = 1024;
   o.serving.arrival_rate_rps = 7500.0;
-  o.serving.size_mix.name = "heavy";
+  o.serving.size_mix = "heavy";
   o.serving.shed_unreachable = true;
   o.serving.admission_policy = admission_policy;
   return o;

@@ -76,14 +76,6 @@ double Rng::Normal(double mean, double stddev) {
   return mean + stddev * Normal();
 }
 
-double Rng::Gumbel() {
-  double u;
-  do {
-    u = Uniform();
-  } while (u <= 0.0);
-  return -std::log(-std::log(u));
-}
-
 int64_t Rng::Poisson(double lambda) {
   FLEXMOE_CHECK(lambda >= 0.0);
   if (lambda == 0.0) return 0;

@@ -39,9 +39,6 @@ class Rng {
   /// Normal with the given mean and standard deviation.
   double Normal(double mean, double stddev);
 
-  /// Standard Gumbel(0, 1) variate; used for Gumbel-top-k routing draws.
-  double Gumbel();
-
   /// Poisson variate (Knuth for small lambda, normal approx for large).
   int64_t Poisson(double lambda);
 

@@ -171,18 +171,24 @@ TEST(ExperimentTest, BuildTraceGeneratorDerivesFromModel) {
   EXPECT_EQ(gen->options().top_k, 2);
 }
 
-// Bad trace overrides come back as the generator's InvalidArgument instead
-// of aborting inside calibration or the first step.
-TEST(ExperimentTest, BadTraceOverridesReturnStatus) {
+// workload.logit_sigma is the one trace value an experiment sets beyond
+// the model, seed, balance coefficient and scenario: a positive value is
+// the generator's base scale, 0 calibrates it, and a bad one comes back as
+// InvalidArgument instead of aborting inside calibration or the first step.
+TEST(ExperimentTest, WorkloadLogitSigmaSetsTheGeneratorScale) {
   ExperimentOptions o = SmallExperiment("flexmoe");
-  const auto gen = BuildTraceGenerator(o);
-  ASSERT_TRUE(gen.ok());
-  o.use_trace_overrides = true;
-  o.trace = gen->options();
-  o.trace.ou_theta = std::nan("");
-  const auto report = RunExperiment(o);
-  EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument)
-      << report.status().ToString();
+  o.workload.logit_sigma = 0.3;
+  EXPECT_EQ(BuildTraceGenerator(o)->sigma0(), 0.3);
+  o.workload.logit_sigma = 0.0;
+  const int top_count = std::max(1, (o.model.num_experts * 10 + 32) / 64);
+  EXPECT_EQ(BuildTraceGenerator(o)->sigma0(),
+            CalibrateLogitSigma(o.model.num_experts, top_count,
+                                TraceGenerator::kSkewTopShare, o.seed));
+  for (const double bad : {std::nan(""), HUGE_VAL, -HUGE_VAL, -0.3}) {
+    o.workload.logit_sigma = bad;
+    EXPECT_EQ(RunExperiment(o).status().code(), StatusCode::kInvalidArgument)
+        << bad;
+  }
 }
 
 // Non-finite scenario dynamics are rejected up front: NaN passes every
@@ -193,8 +199,7 @@ TEST(ExperimentTest, NonFiniteScenarioParametersReturnStatus) {
       {"bursty", &ScenarioOptions::burst_rate},
       {"bursty", &ScenarioOptions::burst_boost},
       {"bursty", &ScenarioOptions::burst_decay},
-      {"diurnal", &ScenarioOptions::diurnal_period},
-      {"diurnal", &ScenarioOptions::diurnal_amplitude}};
+      {"diurnal", &ScenarioOptions::diurnal_period}};
   for (const auto& [scenario, field] : fields) {
     for (const double bad : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
       ExperimentOptions o = SmallExperiment("flexmoe");

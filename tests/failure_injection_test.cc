@@ -359,6 +359,53 @@ TEST(FlexMoEFailureTest, AdjustBlockExcludesRecovery) {
   EXPECT_GT(blocked_steps, 0);
 }
 
+// A healthy run on the blocking executor recovers nothing: its transfer
+// ticks are traced as adjust_block spans (category placement), never as
+// recovery_block, and the spans add up to the adjustments it charged.
+TEST(FlexMoEFailureTest, BlockingAdjustmentsAreNotTracedAsRecovery) {
+  TestEnv env = TestEnv::Make();
+  const ModelConfig m = TinyModel();
+  FlexMoEOptions o;
+  o.model = m;
+  o.num_gpus = 8;
+  o.executor.blocking = true;
+  auto sys = *FlexMoESystem::Create(o, env.topo.get(), &env.profile);
+  obs::ObservabilityOptions oo;
+  oo.enabled = true;
+  obs::Observability observability(oo);
+  sys->SetObservability(&observability);
+
+  double adjust_seconds = 0.0;
+  for (int s = 0; s < 20; ++s) {
+    // Expert 0 is hot on every GPU, so the planner expands it.
+    std::vector<Assignment> step = MakeStep(m, 8, 100);
+    for (Assignment& a : step) {
+      for (int g = 0; g < 8; ++g) a.set(0, g, 3000);
+    }
+    const StepMetrics metrics = sys->RunStep(step);
+    ASSERT_EQ(metrics.recovery_seconds, 0.0) << "step " << s;
+    adjust_seconds += metrics.adjust_block_seconds;
+  }
+  ASSERT_GT(adjust_seconds, 0.0);
+
+  const obs::Tracer& tracer = observability.tracer();
+  int recovery_spans = 0;
+  double adjust_span_seconds = 0.0;
+  for (size_t i = 0; i < tracer.size(); ++i) {
+    const obs::TraceEvent& e = tracer.at(i);
+    const std::string name = e.name;
+    if (name == "recovery_block") ++recovery_spans;
+    if (name == "adjust_block") {
+      EXPECT_EQ(e.phase, 'X');
+      EXPECT_EQ(e.tid, obs::kControlLane);
+      EXPECT_EQ(std::string(e.category), "placement");
+      adjust_span_seconds += e.dur_seconds;
+    }
+  }
+  EXPECT_EQ(recovery_spans, 0);
+  EXPECT_NEAR(adjust_span_seconds, adjust_seconds, 1e-9 * adjust_seconds);
+}
+
 TEST(FlexMoEFailureTest, PlacementsSurviveAdversarialFlipFlop) {
   TestEnv env = TestEnv::Make();
   ModelConfig m = TinyModel();

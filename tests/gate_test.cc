@@ -64,19 +64,6 @@ TEST(TopKGateTest, ConservesTokenAssignments) {
   for (int g = 0; g < 4; ++g) EXPECT_EQ(a.GpuTotal(g), 1024 * 2);
 }
 
-TEST(TopKGateTest, ExactModeConservesToo) {
-  TopKGateOptions o;
-  o.num_experts = 8;
-  o.num_gpus = 2;
-  o.top_k = 2;
-  o.tokens_per_gpu = 256;
-  o.exact_sampling = true;
-  const TopKGate gate = *TopKGate::Create(o);
-  Rng rng(2);
-  const Assignment a = gate.Sample(UniformLogits(2, 8), &rng);
-  EXPECT_EQ(a.Total(), 2 * 256 * 2);
-}
-
 TEST(TopKGateTest, SkewedLogitsSkewCounts) {
   TopKGateOptions o;
   o.num_experts = 4;
@@ -89,35 +76,6 @@ TEST(TopKGateTest, SkewedLogitsSkewCounts) {
   const Assignment a = gate.Sample(logits, &rng);
   // Expert 0 has softmax probability e^2 / (e^2 + 3) ~ 0.711.
   EXPECT_NEAR(static_cast<double>(a.ExpertTotal(0)), 7110.0, 300.0);
-}
-
-TEST(TopKGateTest, MultinomialApproximatesExactTop2) {
-  // The count-level approximation must agree with exact Gumbel top-2 on
-  // aggregate expert shares at realistic skew.
-  TopKGateOptions base;
-  base.num_experts = 16;
-  base.num_gpus = 1;
-  base.top_k = 2;
-  base.tokens_per_gpu = 20000;
-
-  std::vector<std::vector<double>> logits(1);
-  Rng lrng(4);
-  logits[0].resize(16);
-  for (double& z : logits[0]) z = lrng.Normal(0.0, 1.2);
-
-  TopKGateOptions exact = base;
-  exact.exact_sampling = true;
-  Rng r1(5), r2(5);
-  const Assignment fast = (*TopKGate::Create(base)).Sample(logits, &r1);
-  const Assignment slow = (*TopKGate::Create(exact)).Sample(logits, &r2);
-
-  for (int e = 0; e < 16; ++e) {
-    const double pf = static_cast<double>(fast.ExpertTotal(e)) /
-                      static_cast<double>(fast.Total());
-    const double ps = static_cast<double>(slow.ExpertTotal(e)) /
-                      static_cast<double>(slow.Total());
-    EXPECT_NEAR(pf, ps, 0.035) << e;  // within 3.5 share points
-  }
 }
 
 // --- Capacity enforcement ------------------------------------------------

@@ -70,15 +70,6 @@ TEST(RngTest, NormalScaled) {
   EXPECT_NEAR(st.stddev(), 3.0, 0.05);
 }
 
-TEST(RngTest, GumbelMoments) {
-  // Gumbel(0,1): mean = Euler-Mascheroni, var = pi^2/6.
-  Rng rng(6);
-  RunningStat st;
-  for (int i = 0; i < 200000; ++i) st.Add(rng.Gumbel());
-  EXPECT_NEAR(st.mean(), 0.5772, 0.02);
-  EXPECT_NEAR(st.variance(), M_PI * M_PI / 6.0, 0.05);
-}
-
 TEST(RngTest, PoissonMean) {
   Rng rng(7);
   for (double lambda : {0.5, 5.0, 50.0, 200.0}) {

@@ -20,6 +20,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -278,7 +279,7 @@ TEST(RequestSourceTest, ScenarioModulationShapesTheRate) {
 RequestSourceOptions HeavyOptions(const std::string& scenario, double rate) {
   RequestSourceOptions o = ArrivalOptions(scenario, rate);
   o.tokens_per_request = 256;
-  o.size_mix.name = "heavy";
+  o.size_mix = "heavy";
   return o;
 }
 
@@ -287,7 +288,7 @@ TEST(RequestSizeMixTest, FixedMixIsByteIdenticalToLegacyStream) {
   // match the pre-mix stream exactly and every size is tokens_per_request.
   auto fixed = *RequestSource::Create(ArrivalOptions("bursty", 800.0));
   RequestSourceOptions explicit_fixed = ArrivalOptions("bursty", 800.0);
-  explicit_fixed.size_mix = SizeMixOptions{};  // default is "fixed"
+  explicit_fixed.size_mix = "fixed";  // the default
   auto dflt = *RequestSource::Create(explicit_fixed);
   for (int i = 0; i < 300; ++i) {
     const ServeRequest a = fixed.Next();
@@ -332,19 +333,7 @@ TEST(RequestSizeMixTest, HeavyMixIsDeterministicAndHeavyTailed) {
 
 TEST(RequestSizeMixTest, ValidationRejectsNonsense) {
   RequestSourceOptions o = HeavyOptions("bursty", 100.0);
-  o.size_mix.name = "zipf";
-  EXPECT_FALSE(RequestSource::Create(o).ok());
-  o = HeavyOptions("bursty", 100.0);
-  o.size_mix.chat_fraction = 1.5;
-  EXPECT_FALSE(RequestSource::Create(o).ok());
-  o = HeavyOptions("bursty", 100.0);
-  o.size_mix.batch_pareto_alpha = 0.9;  // infinite mean
-  EXPECT_FALSE(RequestSource::Create(o).ok());
-  o = HeavyOptions("bursty", 100.0);
-  o.size_mix.max_factor = 0.5;
-  EXPECT_FALSE(RequestSource::Create(o).ok());
-  o = HeavyOptions("bursty", 100.0);
-  o.size_mix.chat_fraction = std::nan("");
+  o.size_mix = "zipf";
   EXPECT_FALSE(RequestSource::Create(o).ok());
   o = HeavyOptions("bursty", 100.0);
   o.arrival_rate_rps = std::nan("");
@@ -384,15 +373,11 @@ TEST(RequestSourceCheckpointTest, RejectsMismatchAndCorruption) {
   auto other = *RequestSource::Create(HeavyOptions("diurnal", 1000.0));
   EXPECT_FALSE(other.RestoreCheckpoint(checkpoint).ok());
   RequestSourceOptions fixed_opts = HeavyOptions("bursty", 1000.0);
-  fixed_opts.size_mix = SizeMixOptions{};
+  fixed_opts.size_mix = "fixed";
   auto fixed = *RequestSource::Create(fixed_opts);
   EXPECT_FALSE(fixed.RestoreCheckpoint(checkpoint).ok());
-  // Same names, different NUMERIC parameters: the stream would diverge
-  // after a restore, so the fingerprint must reject these too.
-  RequestSourceOptions skewed_mix = HeavyOptions("bursty", 1000.0);
-  skewed_mix.size_mix.chat_fraction = 0.5;
-  auto mix_victim = *RequestSource::Create(skewed_mix);
-  EXPECT_FALSE(mix_victim.RestoreCheckpoint(checkpoint).ok());
+  // Same names, a different NUMERIC parameter: the stream would diverge
+  // after a restore, so the fingerprint must reject it too.
   RequestSourceOptions skewed_burst = HeavyOptions("bursty", 1000.0);
   skewed_burst.scenario.burst_boost = 9.0;
   auto burst_victim = *RequestSource::Create(skewed_burst);
@@ -406,6 +391,15 @@ TEST(RequestSourceCheckpointTest, RejectsMismatchAndCorruption) {
   EXPECT_FALSE(victim.RestoreCheckpoint("garbage").ok());
   std::string trailing = checkpoint + "x";
   EXPECT_FALSE(victim.RestoreCheckpoint(trailing).ok());
+  // A version-1 payload (the fingerprint that also held the size-mix
+  // shape) is refused, not misread: the version word follows the magic.
+  std::string v1 = checkpoint;
+  const uint32_t version_one = 1;
+  std::memcpy(&v1[sizeof(uint32_t)], &version_one, sizeof(version_one));
+  EXPECT_EQ(victim.RestoreCheckpoint(v1).code(),
+            StatusCode::kInvalidArgument);
+  // The unpatched payload still restores.
+  EXPECT_TRUE(victim.RestoreCheckpoint(checkpoint).ok());
 }
 
 // ---- Batcher invariants ---------------------------------------------------
@@ -778,14 +772,14 @@ TEST(ServeExecutorValidationTest, ServingOptionsValidateCatchesNewKnobs) {
   o.admission_policy = "lifo";
   EXPECT_FALSE(o.Validate().ok());
   o = RigServingOptions();
-  o.size_mix.name = "weird";
+  o.size_mix = "weird";
   EXPECT_FALSE(o.Validate().ok());
   o = RigServingOptions();
   o.slo_seconds = HUGE_VAL;
   EXPECT_FALSE(o.Validate().ok());
   o = RigServingOptions();
   o.admission_policy = "sjf";
-  o.size_mix.name = "heavy";
+  o.size_mix = "heavy";
   EXPECT_TRUE(o.Validate().ok());
 }
 
@@ -848,7 +842,7 @@ TEST(ServingExperimentTest, ReportCarriesServingMetrics) {
   bad.serving.admission_policy = "fifo";
   EXPECT_FALSE(RunExperiment(bad).ok());
   bad = o;
-  bad.serving.size_mix.name = "nope";
+  bad.serving.size_mix = "nope";
   EXPECT_FALSE(RunExperiment(bad).ok());
 }
 

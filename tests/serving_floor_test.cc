@@ -80,7 +80,7 @@ TEST_P(ServingFloorInvariantTest, FloorNeverExceedsMeasuredBatchLatency) {
   ro.step_seconds = 0.01;
   ro.scenario.name = scenario;
   ro.seed = 11;
-  if (sized) ro.size_mix.name = "heavy";
+  if (sized) ro.size_mix = "heavy";
   RequestSource requests = *RequestSource::Create(ro);
 
   ServingOptions opts;

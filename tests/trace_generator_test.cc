@@ -33,12 +33,6 @@ TraceGeneratorOptions SmallOptions() {
 TEST(TraceGeneratorOptionsTest, Validation) {
   TraceGeneratorOptions o = SmallOptions();
   EXPECT_TRUE(o.Validate().ok());
-  o.ou_theta = 0.0;
-  EXPECT_FALSE(o.Validate().ok());
-  o = SmallOptions();
-  o.skew_top_share = 1.5;
-  EXPECT_FALSE(o.Validate().ok());
-  o = SmallOptions();
   o.balance_coef = -0.1;
   EXPECT_FALSE(o.Validate().ok());
 
@@ -54,31 +48,16 @@ TEST(TraceGeneratorOptionsTest, Validation) {
            TraceGenerator::Create(bad).status().code() ==
                StatusCode::kInvalidArgument;
   };
-  EXPECT_TRUE(rejects([&](auto* b) { b->skew_top_share = nan; }));
-  EXPECT_TRUE(rejects([](auto* b) {
-    b->num_experts = 32;
-    b->skew_top_count = 40;
-  }));
   EXPECT_TRUE(rejects([&](auto* b) { b->logit_sigma = nan; }));
-  EXPECT_TRUE(rejects([&](auto* b) { b->ou_theta = nan; }));
-  EXPECT_TRUE(rejects([&](auto* b) { b->gpu_jitter_sigma = inf; }));
-  EXPECT_TRUE(rejects([](auto* b) { b->gpu_jitter_sigma = -0.1; }));
-  EXPECT_TRUE(rejects([](auto* b) { b->gpu_jitter_theta = -0.5; }));
-  EXPECT_TRUE(rejects([](auto* b) { b->gpu_jitter_theta = 1.5; }));
-  EXPECT_TRUE(rejects([&](auto* b) { b->gpu_jitter_theta = nan; }));
+  EXPECT_TRUE(rejects([](auto* b) { b->logit_sigma = -0.1; }));
   EXPECT_TRUE(rejects([&](auto* b) { b->balance_coef = inf; }));
-  EXPECT_TRUE(rejects([](auto* b) { b->balance_strength = -1.0; }));
-  EXPECT_TRUE(rejects([&](auto* b) { b->balance_strength = nan; }));
-  EXPECT_TRUE(rejects([&](auto* b) { b->balance_tau_steps = inf; }));
+  EXPECT_TRUE(rejects([](auto* b) { b->top_k = 65; }));
 
   // The closed ends of each range stay valid.
   o = SmallOptions();
-  o.skew_top_count = o.num_experts;
-  o.gpu_jitter_sigma = 0.0;
-  o.gpu_jitter_theta = 1.0;
-  o.balance_strength = 0.0;
-  EXPECT_TRUE(o.Validate().ok());
-  o.gpu_jitter_theta = 0.0;
+  o.logit_sigma = 0.0;
+  o.balance_coef = 0.0;
+  o.top_k = o.num_experts;
   EXPECT_TRUE(o.Validate().ok());
 }
 

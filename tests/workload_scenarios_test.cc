@@ -120,12 +120,12 @@ TEST(ScenarioCatalogTest, NamesAndValidation) {
   ScenarioOptions bad;
   bad.name = "nosuch";
   EXPECT_FALSE(bad.Validate().ok());
-  EXPECT_FALSE(MakeLogitProcess(bad, 8, 1.0, 0.01).ok());
+  EXPECT_FALSE(MakeLogitProcess(bad, 8, 1.0).ok());
   bad = ScenarioOptions{};
   bad.burst_decay = 1.5;
   EXPECT_FALSE(bad.Validate().ok());
   bad = ScenarioOptions{};
-  bad.num_tenants = 0;
+  bad.tenant_block_steps = 0;
   EXPECT_FALSE(bad.Validate().ok());
 }
 
@@ -157,7 +157,7 @@ TEST(PretrainSteadyTest, ByteIdenticalToPreCatalogGenerator) {
     jitter[l].assign(o.num_gpus, o.num_experts, 0.0);
     double* flat = jitter[l].data();
     for (size_t i = 0; i < jitter[l].element_count(); ++i) {
-      flat[i] = rng.Normal(0.0, o.gpu_jitter_sigma);
+      flat[i] = rng.Normal(0.0, TraceGenerator::kGpuJitterSigma);
     }
   }
   std::vector<Matrix<double>> gpu_logits(2);
@@ -168,8 +168,9 @@ TEST(PretrainSteadyTest, ByteIdenticalToPreCatalogGenerator) {
     // layer order.
     for (int l = 0; l < 2; ++l) {
       auto& z = logits[l];
-      const double noise_sigma = sigma0 * std::sqrt(2.0 * o.ou_theta);
-      for (double& v : z) v += -o.ou_theta * v + rng.Normal(0.0, noise_sigma);
+      const double theta = TraceGenerator::kOuTheta;
+      const double noise_sigma = sigma0 * std::sqrt(2.0 * theta);
+      for (double& v : z) v += -theta * v + rng.Normal(0.0, noise_sigma);
       double mean = std::accumulate(z.begin(), z.end(), 0.0) /
                     static_cast<double>(z.size());
       double var = 0.0;
@@ -178,8 +179,9 @@ TEST(PretrainSteadyTest, ByteIdenticalToPreCatalogGenerator) {
       const double sd = std::sqrt(std::max(var, 1e-12));
       for (double& v : z) v = (v - mean) * (sigma0 / sd);  // lambda = 0
 
-      const double jtheta = o.gpu_jitter_theta;
-      const double jnoise = o.gpu_jitter_sigma * std::sqrt(2.0 * jtheta);
+      const double jtheta = TraceGenerator::kGpuJitterTheta;
+      const double jnoise =
+          TraceGenerator::kGpuJitterSigma * std::sqrt(2.0 * jtheta);
       double* flat = jitter[l].data();
       for (size_t i = 0; i < jitter[l].element_count(); ++i) {
         flat[i] += -jtheta * flat[i] + rng.Normal(0.0, jnoise);
@@ -330,7 +332,6 @@ TEST(BurstyTest, HotExpertSharesAreHeavyTailed) {
 TEST(DiurnalTest, SharesArePeriodicAtConfiguredPeriod) {
   TraceGeneratorOptions o = BaseOptions("diurnal");
   o.scenario.diurnal_period = 64.0;
-  o.scenario.diurnal_amplitude = 2.0;
   auto gen = *TraceGenerator::Create(o);
   const int kSteps = 448;  // 7 full periods
   const auto series = ShareSeries(&gen, kSteps);
@@ -356,7 +357,6 @@ TEST(DiurnalTest, SharesArePeriodicAtConfiguredPeriod) {
 
 TEST(MultiTenantTest, PopularityJumpsAtTenantBoundaries) {
   TraceGeneratorOptions o = BaseOptions("multi-tenant");
-  o.scenario.num_tenants = 4;
   o.scenario.tenant_block_steps = 25;
   auto gen = *TraceGenerator::Create(o);
   const int kSteps = 400;
