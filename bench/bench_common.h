@@ -38,7 +38,6 @@
 #define FLEXMOE_BENCH_BENCH_COMMON_H_
 
 #include <algorithm>
-#include <cerrno>
 #include <climits>
 #include <cmath>
 #include <cstdio>
@@ -69,17 +68,8 @@ namespace bench {
 /// usage error, never a silent default.
 inline int IntFlagValue(const char* flag, const char* text, int lo = INT_MIN,
                         int hi = INT_MAX) {
-  bool ok = text[0] == '-' || text[0] == '+' ||
-            (text[0] >= '0' && text[0] <= '9');
-  long value = 0;
-  if (ok) {
-    char* end = nullptr;
-    errno = 0;
-    value = std::strtol(text, &end, 10);
-    ok = end != text && *end == '\0' && errno == 0 && value >= lo &&
-         value <= hi;
-  }
-  if (!ok) {
+  int64_t value = 0;
+  if (!ParseInt64(text, &value) || value < lo || value > hi) {
     if (lo == INT_MIN && hi == INT_MAX) {
       UsageError(StrFormat("%s expects an integer value, got '%s'", flag,
                            text));

@@ -68,11 +68,8 @@ void PrintBadValue(const char* flag, const char* expected,
 }
 
 bool ParseInt(const char* flag, const std::string& value, int* out) {
-  char* end = nullptr;
-  errno = 0;
-  const long long v = std::strtoll(value.c_str(), &end, 10);
-  if (value.empty() || *end != '\0' || errno != 0 || v < INT_MIN ||
-      v > INT_MAX) {
+  int64_t v = 0;
+  if (!ParseInt64(value, &v) || v < INT_MIN || v > INT_MAX) {
     PrintBadValue(flag, "an integer", value);
     return false;
   }

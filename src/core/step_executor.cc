@@ -2,13 +2,19 @@
 
 #include <algorithm>
 
-#include "collective/ordered_sync.h"
 #include "moe/transformer.h"
 #include "util/string_util.h"
 
 namespace flexmoe {
 
 namespace {
+
+/// One replica-group gradient AllReduce of a layer's sync phase.
+struct SyncOp {
+  int logical_id = 0;        ///< the expert's logical id
+  std::vector<GpuId> group;  ///< live GPUs holding replicas of the expert
+  double bytes = 0.0;        ///< gradient payload
+};
 
 /// Chunk k of K of a cell of v tokens: v*(k+1)/K - v*k/K. Integer-exact
 /// (the K pieces sum to v), and the last chunk is the ceil — the property

@@ -5,7 +5,6 @@
 #include <numeric>
 
 #include "gate/trace_generator.h"
-#include "util/byte_io.h"
 #include "util/string_util.h"
 
 namespace flexmoe {
@@ -154,16 +153,6 @@ class BurstyProcess : public SteadyProcess {
     }
   }
 
-  void SaveState(std::string* out) const override {
-    PutDoubleVec(base_, out);
-    PutDoubleVec(spikes_, out);
-  }
-
-  Status RestoreState(const char** cursor, const char* end) override {
-    FLEXMOE_RETURN_IF_ERROR(GetDoubleVec(cursor, end, base_.size(), &base_));
-    return GetDoubleVec(cursor, end, spikes_.size(), &spikes_);
-  }
-
  private:
   const double rate_;
   const double boost_;
@@ -191,16 +180,6 @@ class DiurnalProcess : public SteadyProcess {
               std::vector<double>* out) override {
     OuEvolve(sigma0_, target_sigma, rng, &base_);
     Compose(step, target_sigma, out);
-  }
-
-  void SaveState(std::string* out) const override {
-    PutDoubleVec(base_, out);
-    PutDoubleVec(phase_, out);
-  }
-
-  Status RestoreState(const char** cursor, const char* end) override {
-    FLEXMOE_RETURN_IF_ERROR(GetDoubleVec(cursor, end, base_.size(), &base_));
-    return GetDoubleVec(cursor, end, phase_.size(), &phase_);
   }
 
  private:
@@ -242,18 +221,6 @@ class MultiTenantProcess : public SteadyProcess {
     const size_t active = static_cast<size_t>(
         (step / block_steps_) % ScenarioOptions::kNumTenants);
     *out = tenants_[active];
-  }
-
-  void SaveState(std::string* out) const override {
-    for (const auto& tenant : tenants_) PutDoubleVec(tenant, out);
-  }
-
-  Status RestoreState(const char** cursor, const char* end) override {
-    for (auto& tenant : tenants_) {
-      FLEXMOE_RETURN_IF_ERROR(
-          GetDoubleVec(cursor, end, tenant.size(), &tenant));
-    }
-    return Status::OK();
   }
 
  private:

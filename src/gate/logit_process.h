@@ -87,20 +87,6 @@ class LogitProcess {
 
   /// Catalog name this process was built from.
   virtual const std::string& name() const = 0;
-
-  /// Appends the process's internal state (everything NOT living in the
-  /// caller-owned logits vector) to `out`. Processes whose whole state is
-  /// the logits vector append nothing. Pairs with RestoreState for the
-  /// generator checkpoint (ROADMAP: resume long-clock scenarios exactly).
-  virtual void SaveState(std::string* out) const { (void)out; }
-
-  /// Restores what SaveState wrote, advancing `*cursor`. Must be called
-  /// on a process built from identical options.
-  virtual Status RestoreState(const char** cursor, const char* end) {
-    (void)cursor;
-    (void)end;
-    return Status::OK();
-  }
 };
 
 /// \brief All scenario names, in catalog order.

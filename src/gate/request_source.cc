@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "util/byte_io.h"
 #include "util/string_util.h"
 
 namespace flexmoe {
@@ -169,131 +168,6 @@ double RequestSource::WindowMultiplier(int64_t window) const {
   FLEXMOE_CHECK(window >= 0 &&
                 window < static_cast<int64_t>(window_multipliers_.size()));
   return window_multipliers_[static_cast<size_t>(window)];
-}
-
-namespace {
-constexpr uint32_t kRequestCheckpointMagic = 0x464d5251;  // "FMRQ"
-// Version 2: the fingerprint holds only the settable scenario parameters
-// (the size-mix shape and the diurnal amplitude and tenant count became
-// constants). A version 1 payload has a longer fingerprint, so it is
-// refused rather than misread.
-constexpr uint32_t kRequestCheckpointVersion = 2;
-}  // namespace
-
-std::vector<double> RequestSource::FingerprintParams() const {
-  const ScenarioOptions& s = options_.scenario;
-  return {s.burst_rate, s.burst_boost, s.burst_decay, s.diurnal_period,
-          static_cast<double>(s.tenant_block_steps)};
-}
-
-std::string RequestSource::SaveCheckpoint() const {
-  std::string out;
-  PutPod(kRequestCheckpointMagic, &out);
-  PutPod(kRequestCheckpointVersion, &out);
-  // Options fingerprint: enough to reject a restore onto a source built
-  // from a different arrival process or size mix.
-  PutPod<uint64_t>(options_.seed, &out);
-  PutPod<double>(options_.arrival_rate_rps, &out);
-  PutPod<int64_t>(options_.tokens_per_request, &out);
-  PutPod<double>(options_.slo_seconds, &out);
-  PutPod<double>(options_.step_seconds, &out);
-  PutPod<uint64_t>(options_.scenario.name.size(), &out);
-  out.append(options_.scenario.name);
-  PutPod<uint64_t>(options_.size_mix.size(), &out);
-  out.append(options_.size_mix);
-  // Numeric dynamics parameters: two sources whose names match but whose
-  // burst rate or burst/diurnal/tenant clocks differ would diverge
-  // after a restore, so they are part of the fingerprint too.
-  for (const double param : FingerprintParams()) PutPod(param, &out);
-
-  PutPod(rng_.SaveState(), &out);
-  PutPod<int64_t>(next_window_, &out);
-  PutPod<int64_t>(next_id_, &out);
-  PutPod<double>(burst_level_, &out);
-  PutPod<uint64_t>(buffer_.size(), &out);
-  for (const ServeRequest& req : buffer_) PutPod(req, &out);
-  PutDoubleVec(window_multipliers_, &out);
-  return out;
-}
-
-Status RequestSource::RestoreCheckpoint(const std::string& bytes) {
-  const char* cursor = bytes.data();
-  const char* end = bytes.data() + bytes.size();
-  uint32_t magic = 0, version = 0;
-  FLEXMOE_RETURN_IF_ERROR(GetPod(&cursor, end, &magic));
-  FLEXMOE_RETURN_IF_ERROR(GetPod(&cursor, end, &version));
-  if (magic != kRequestCheckpointMagic ||
-      version != kRequestCheckpointVersion) {
-    return Status::InvalidArgument("not a request-source checkpoint");
-  }
-  uint64_t seed = 0;
-  double rate = 0.0, slo = 0.0, step = 0.0;
-  int64_t tpr = 0;
-  FLEXMOE_RETURN_IF_ERROR(GetPod(&cursor, end, &seed));
-  FLEXMOE_RETURN_IF_ERROR(GetPod(&cursor, end, &rate));
-  FLEXMOE_RETURN_IF_ERROR(GetPod(&cursor, end, &tpr));
-  FLEXMOE_RETURN_IF_ERROR(GetPod(&cursor, end, &slo));
-  FLEXMOE_RETURN_IF_ERROR(GetPod(&cursor, end, &step));
-  std::string scenario, mix;
-  for (std::string* name : {&scenario, &mix}) {
-    uint64_t len = 0;
-    FLEXMOE_RETURN_IF_ERROR(GetPod(&cursor, end, &len));
-    // Unsigned compare: a hostile length with the high bit set must not
-    // slip past as a negative ptrdiff_t and reach the string constructor.
-    if (len > static_cast<uint64_t>(end - cursor)) {
-      return Status::InvalidArgument("checkpoint truncated");
-    }
-    name->assign(cursor, static_cast<size_t>(len));
-    cursor += len;
-  }
-  bool params_match = true;
-  for (const double want : FingerprintParams()) {
-    double got = 0.0;
-    FLEXMOE_RETURN_IF_ERROR(GetPod(&cursor, end, &got));
-    params_match = params_match && got == want;
-  }
-  if (seed != options_.seed || rate != options_.arrival_rate_rps ||
-      tpr != options_.tokens_per_request || slo != options_.slo_seconds ||
-      step != options_.step_seconds || scenario != options_.scenario.name ||
-      mix != options_.size_mix || !params_match) {
-    return Status::InvalidArgument(StrFormat(
-        "checkpoint fingerprint [seed %llu, %.17g rps, %lld tok, %s/%s] "
-        "does not match this request source",
-        static_cast<unsigned long long>(seed), rate,
-        static_cast<long long>(tpr), scenario.c_str(), mix.c_str()));
-  }
-
-  Rng::State rng_state;
-  int64_t next_window = 0, next_id = 0;
-  double burst_level = 0.0;
-  uint64_t buffered = 0;
-  FLEXMOE_RETURN_IF_ERROR(GetPod(&cursor, end, &rng_state));
-  FLEXMOE_RETURN_IF_ERROR(GetPod(&cursor, end, &next_window));
-  FLEXMOE_RETURN_IF_ERROR(GetPod(&cursor, end, &next_id));
-  FLEXMOE_RETURN_IF_ERROR(GetPod(&cursor, end, &burst_level));
-  FLEXMOE_RETURN_IF_ERROR(GetPod(&cursor, end, &buffered));
-  if (buffered > static_cast<uint64_t>(end - cursor) / sizeof(ServeRequest)) {
-    return Status::InvalidArgument("checkpoint truncated");
-  }
-  std::deque<ServeRequest> buffer;
-  for (uint64_t i = 0; i < buffered; ++i) {
-    ServeRequest req;
-    FLEXMOE_RETURN_IF_ERROR(GetPod(&cursor, end, &req));
-    buffer.push_back(req);
-  }
-  std::vector<double> window_multipliers;
-  FLEXMOE_RETURN_IF_ERROR(GetDoubleVec(&cursor, end, &window_multipliers));
-  if (cursor != end) {
-    return Status::InvalidArgument("checkpoint has trailing bytes");
-  }
-
-  rng_.RestoreState(rng_state);
-  next_window_ = next_window;
-  next_id_ = next_id;
-  burst_level_ = burst_level;
-  buffer_ = std::move(buffer);
-  window_multipliers_ = std::move(window_multipliers);
-  return Status::OK();
 }
 
 }  // namespace flexmoe

@@ -16,9 +16,7 @@
 // Determinism contract: arrivals and sizes are a pure function of the
 // options (rate windows are consumed strictly in order, each drawing from
 // the source's own Rng), so a serving run and its replay see identical
-// request streams for a fixed seed. The full stream state checkpoints and
-// restores byte-identically (SaveCheckpoint/RestoreCheckpoint), like the
-// trace generator's.
+// request streams for a fixed seed.
 
 #ifndef FLEXMOE_GATE_REQUEST_SOURCE_H_
 #define FLEXMOE_GATE_REQUEST_SOURCE_H_
@@ -98,22 +96,8 @@ class RequestSource {
 
   const RequestSourceOptions& options() const { return options_; }
 
-  /// Serializes the complete stream state (options fingerprint, Rng words,
-  /// window/burst cursors, buffered requests) so a serving run can pause
-  /// and resume the arrival stream byte-identically — the request-side
-  /// twin of TraceGenerator::SaveCheckpoint.
-  std::string SaveCheckpoint() const;
-
-  /// Restores a SaveCheckpoint payload onto a source built from identical
-  /// options; rejects mismatched fingerprints and corrupt payloads.
-  Status RestoreCheckpoint(const std::string& bytes);
-
  private:
   explicit RequestSource(const RequestSourceOptions& options);
-
-  /// The settable numeric scenario parameters folded into the checkpoint
-  /// fingerprint (names alone would accept a diverging restore).
-  std::vector<double> FingerprintParams() const;
 
   /// Generates windows until at least one arrival is buffered.
   void FillBuffer();

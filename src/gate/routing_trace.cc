@@ -2,7 +2,6 @@
 
 #include <cstdio>
 
-#include "util/byte_io.h"
 #include "util/file_io.h"
 #include "util/stats.h"
 #include "util/string_util.h"
@@ -68,7 +67,9 @@ std::vector<std::vector<double>> RoutingTrace::ExpertShareSeries(
 
 Status RoutingTrace::Save(const std::string& path) const {
   std::string bytes;
-  auto write_u64 = [&](uint64_t v) { PutPod(v, &bytes); };
+  auto write_u64 = [&](uint64_t v) {
+    bytes.append(reinterpret_cast<const char*>(&v), sizeof(v));
+  };
   write_u64(kTraceMagic);
   write_u64(static_cast<uint64_t>(num_steps()));
   write_u64(static_cast<uint64_t>(num_layers()));

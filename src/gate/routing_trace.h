@@ -35,7 +35,9 @@ class RoutingTrace {
   /// Figure 3(b): per-step normalized expert shares, [step][expert].
   std::vector<std::vector<double>> ExpertShareSeries(int layer) const;
 
-  /// Serialization (little-endian binary; magic-checked).
+  /// Serialization: 64-bit words in the native byte order, magic-checked.
+  /// A file written on a machine with the other byte order fails Load's
+  /// magic check.
   Status Save(const std::string& path) const;
   static Result<RoutingTrace> Load(const std::string& path);
 

@@ -2,15 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <map>
 #include <mutex>
 #include <numeric>
 #include <tuple>
 #include <utility>
-
-#include "util/byte_io.h"
-#include "util/string_util.h"
 
 namespace flexmoe {
 
@@ -270,109 +266,6 @@ std::vector<Assignment> TraceGenerator::Sample(
     out.push_back(gate_.Sample(gpu_logits, &rng));
   }
   return out;
-}
-
-namespace {
-constexpr uint32_t kCheckpointMagic = 0x464d4743;  // "FMGC"
-// Version 2: per-step sampling substreams. A version 1 checkpoint was cut
-// from the single-stream layout, and resuming it here would make a stream
-// no generator ever produced.
-constexpr uint32_t kCheckpointVersion = 2;
-}  // namespace
-
-std::string TraceGenerator::SaveCheckpoint() const {
-  std::string out;
-  PutPod(kCheckpointMagic, &out);
-  PutPod(kCheckpointVersion, &out);
-  // Shape + scenario fingerprint: enough to reject a restore onto a
-  // generator built from different options.
-  PutPod<int32_t>(options_.num_moe_layers, &out);
-  PutPod<int32_t>(options_.num_experts, &out);
-  PutPod<int32_t>(options_.num_gpus, &out);
-  PutPod<uint64_t>(options_.seed, &out);
-  PutPod<uint64_t>(options_.scenario.name.size(), &out);
-  out.append(options_.scenario.name);
-
-  PutPod<int64_t>(step_, &out);
-  PutPod(rng_.SaveState(), &out);
-  for (int l = 0; l < options_.num_moe_layers; ++l) {
-    PutDoubleVec(logits_[static_cast<size_t>(l)], &out);
-    const auto& jitter = jitter_[static_cast<size_t>(l)];
-    PutPod<uint64_t>(jitter.element_count(), &out);
-    out.append(reinterpret_cast<const char*>(jitter.data()),
-               jitter.element_count() * sizeof(double));
-    processes_[static_cast<size_t>(l)]->SaveState(&out);
-  }
-  return out;
-}
-
-Status TraceGenerator::RestoreCheckpoint(const std::string& bytes) {
-  const char* cursor = bytes.data();
-  const char* end = bytes.data() + bytes.size();
-  uint32_t magic = 0, version = 0;
-  FLEXMOE_RETURN_IF_ERROR(GetPod(&cursor, end, &magic));
-  FLEXMOE_RETURN_IF_ERROR(GetPod(&cursor, end, &version));
-  if (magic != kCheckpointMagic) {
-    return Status::InvalidArgument("not a trace-generator checkpoint");
-  }
-  if (version != kCheckpointVersion) {
-    return Status::InvalidArgument(
-        StrFormat("trace-generator checkpoint version %u; this generator "
-                  "reads version %u",
-                  version, kCheckpointVersion));
-  }
-  int32_t layers = 0, experts = 0, gpus = 0;
-  uint64_t seed = 0, name_len = 0;
-  FLEXMOE_RETURN_IF_ERROR(GetPod(&cursor, end, &layers));
-  FLEXMOE_RETURN_IF_ERROR(GetPod(&cursor, end, &experts));
-  FLEXMOE_RETURN_IF_ERROR(GetPod(&cursor, end, &gpus));
-  FLEXMOE_RETURN_IF_ERROR(GetPod(&cursor, end, &seed));
-  FLEXMOE_RETURN_IF_ERROR(GetPod(&cursor, end, &name_len));
-  // Unsigned compare: a hostile length with the high bit set must not
-  // slip past as a negative ptrdiff_t and reach the string constructor.
-  if (name_len > static_cast<uint64_t>(end - cursor)) {
-    return Status::InvalidArgument("checkpoint truncated");
-  }
-  const std::string scenario(cursor, static_cast<size_t>(name_len));
-  cursor += name_len;
-  if (layers != options_.num_moe_layers || experts != options_.num_experts ||
-      gpus != options_.num_gpus || seed != options_.seed ||
-      scenario != options_.scenario.name) {
-    return Status::InvalidArgument(StrFormat(
-        "checkpoint fingerprint [%d layers x %d experts x %d gpus, seed "
-        "%llu, %s] does not match this generator",
-        layers, experts, gpus, static_cast<unsigned long long>(seed),
-        scenario.c_str()));
-  }
-
-  int64_t step = 0;
-  Rng::State rng_state;
-  FLEXMOE_RETURN_IF_ERROR(GetPod(&cursor, end, &step));
-  FLEXMOE_RETURN_IF_ERROR(GetPod(&cursor, end, &rng_state));
-  for (int l = 0; l < options_.num_moe_layers; ++l) {
-    auto& z = logits_[static_cast<size_t>(l)];
-    FLEXMOE_RETURN_IF_ERROR(GetDoubleVec(&cursor, end, z.size(), &z));
-    auto& jitter = jitter_[static_cast<size_t>(l)];
-    uint64_t count = 0;
-    FLEXMOE_RETURN_IF_ERROR(GetPod(&cursor, end, &count));
-    if (count != jitter.element_count()) {
-      return Status::InvalidArgument("checkpoint jitter size mismatch");
-    }
-    if (end - cursor < static_cast<ptrdiff_t>(count * sizeof(double))) {
-      return Status::InvalidArgument("checkpoint truncated");
-    }
-    std::memcpy(jitter.data(), cursor,
-                static_cast<size_t>(count) * sizeof(double));
-    cursor += count * sizeof(double);
-    FLEXMOE_RETURN_IF_ERROR(
-        processes_[static_cast<size_t>(l)]->RestoreState(&cursor, end));
-  }
-  if (cursor != end) {
-    return Status::InvalidArgument("checkpoint has trailing bytes");
-  }
-  step_ = step;
-  rng_.RestoreState(rng_state);
-  return Status::OK();
 }
 
 }  // namespace flexmoe

@@ -121,18 +121,6 @@ class TraceGenerator {
   /// Current target logit scale after `t` steps of balance-loss pressure.
   double TargetSigma(int64_t t) const;
 
-  /// Serializes the generator's complete evolution state — step index,
-  /// RNG state, per-layer latent logits, per-GPU jitter, and each layer's
-  /// LogitProcess internals — so a long-clock run can pause and resume
-  /// byte-identically (ROADMAP: checkpoint/restore of generator state).
-  /// Options are NOT serialized: RestoreCheckpoint must be called on a
-  /// generator created with identical options (a shape fingerprint in the
-  /// header rejects obvious mismatches). Native byte order; not a
-  /// portable interchange format. On a restore error the generator's
-  /// state is unspecified — recreate it before use.
-  std::string SaveCheckpoint() const;
-  Status RestoreCheckpoint(const std::string& bytes);
-
  private:
   TraceGenerator(const TraceGeneratorOptions& options, double sigma0,
                  TopKGate gate,

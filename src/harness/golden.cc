@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
+#include <utility>
 
 #include "util/file_io.h"
 #include "util/string_util.h"
@@ -151,6 +153,42 @@ std::string FormatDigest(const MetricsDigest& d) {
   return line;
 }
 
+namespace {
+
+// The numeric digest fields by key, one table per value type.
+template <typename T>
+using DigestField = std::pair<const char*, T MetricsDigest::*>;
+
+constexpr DigestField<int> kIntFields[] = {
+    {"gpus", &MetricsDigest::num_gpus}, {"steps", &MetricsDigest::steps}};
+
+constexpr DigestField<int64_t> kCountFields[] = {
+    {"ops", &MetricsDigest::ops_applied},
+    {"dropped", &MetricsDigest::tokens_dropped},
+    {"req", &MetricsDigest::requests_completed},
+    {"batches", &MetricsDigest::batches},
+    {"retries", &MetricsDigest::failed_batches},
+    {"recirc", &MetricsDigest::tokens_recirculated},
+    {"arrived", &MetricsDigest::requests_arrived},
+    {"shed", &MetricsDigest::requests_shed},
+    {"qpd", &MetricsDigest::requests_queued_past_deadline}};
+
+constexpr DigestField<double> kRealFields[] = {
+    {"step_s", &MetricsDigest::mean_step_seconds},
+    {"throughput", &MetricsDigest::throughput_tokens_per_sec},
+    {"balance", &MetricsDigest::mean_balance_ratio},
+    {"token_eff", &MetricsDigest::mean_token_efficiency},
+    {"expert_eff", &MetricsDigest::mean_expert_efficiency},
+    {"util", &MetricsDigest::mean_gpu_utilization},
+    {"hours", &MetricsDigest::hours_to_target},
+    {"attain", &MetricsDigest::slo_attainment},
+    {"p50", &MetricsDigest::p50_latency_seconds},
+    {"p99", &MetricsDigest::p99_latency_seconds},
+    {"lat", &MetricsDigest::mean_latency_seconds},
+    {"goodput", &MetricsDigest::goodput_tokens_per_sec}};
+
+}  // namespace
+
 Result<MetricsDigest> ParseDigest(const std::string& line) {
   MetricsDigest d;
   bool saw_label = false, saw_hash = false;
@@ -162,6 +200,42 @@ Result<MetricsDigest> ParseDigest(const std::string& line) {
     }
     const std::string key = token.substr(0, eq);
     const std::string value = token.substr(eq + 1);
+    // Every value parses whole: a malformed digest fails to load instead
+    // of reading as a default or as a prefix of itself.
+    bool numeric = false, parsed = false;
+    int64_t integer = 0;
+    for (const auto& [name, member] : kIntFields) {
+      if (key != name) continue;
+      numeric = true;
+      parsed = ParseInt64(value, &integer) &&
+               integer >= std::numeric_limits<int>::min() &&
+               integer <= std::numeric_limits<int>::max();
+      if (parsed) d.*member = static_cast<int>(integer);
+    }
+    for (const auto& [name, member] : kCountFields) {
+      if (key != name) continue;
+      numeric = true;
+      parsed = ParseInt64(value, &(d.*member));
+    }
+    for (const auto& [name, member] : kRealFields) {
+      if (key != name) continue;
+      numeric = true;
+      parsed = ParseDouble(value, &(d.*member));
+    }
+    // The hash is exactly the 16 hex digits FormatDigest writes.
+    if (key == "trace_hash") {
+      numeric = true;
+      parsed = value.size() == 16 &&
+               value.find_first_not_of("0123456789abcdefABCDEF") ==
+                   std::string::npos;
+      if (parsed) d.trace_hash = std::strtoull(value.c_str(), nullptr, 16);
+      saw_hash = true;
+    }
+    if (numeric) {
+      if (parsed) continue;
+      return Status::InvalidArgument(
+          StrFormat("bad value in digest token '%s'", token.c_str()));
+    }
     if (key == "label") {
       d.label = value;
       saw_label = true;
@@ -169,61 +243,12 @@ Result<MetricsDigest> ParseDigest(const std::string& line) {
       d.system = value;
     } else if (key == "workload") {
       d.workload = value;
-    } else if (key == "gpus") {
-      d.num_gpus = std::atoi(value.c_str());
-    } else if (key == "steps") {
-      d.steps = std::atoi(value.c_str());
-    } else if (key == "trace_hash") {
-      d.trace_hash = std::strtoull(value.c_str(), nullptr, 16);
-      saw_hash = true;
-    } else if (key == "step_s") {
-      d.mean_step_seconds = std::atof(value.c_str());
-    } else if (key == "throughput") {
-      d.throughput_tokens_per_sec = std::atof(value.c_str());
-    } else if (key == "balance") {
-      d.mean_balance_ratio = std::atof(value.c_str());
-    } else if (key == "token_eff") {
-      d.mean_token_efficiency = std::atof(value.c_str());
-    } else if (key == "expert_eff") {
-      d.mean_expert_efficiency = std::atof(value.c_str());
-    } else if (key == "util") {
-      d.mean_gpu_utilization = std::atof(value.c_str());
-    } else if (key == "hours") {
-      d.hours_to_target = std::atof(value.c_str());
-    } else if (key == "ops") {
-      d.ops_applied = std::atoll(value.c_str());
-    } else if (key == "dropped") {
-      d.tokens_dropped = std::atoll(value.c_str());
     } else if (key == "mode") {
       if (value != "serve") {
         return Status::InvalidArgument(
             StrFormat("unknown digest mode '%s'", value.c_str()));
       }
       d.serving = true;
-    } else if (key == "req") {
-      d.requests_completed = std::atoll(value.c_str());
-    } else if (key == "batches") {
-      d.batches = std::atoll(value.c_str());
-    } else if (key == "retries") {
-      d.failed_batches = std::atoll(value.c_str());
-    } else if (key == "recirc") {
-      d.tokens_recirculated = std::atoll(value.c_str());
-    } else if (key == "attain") {
-      d.slo_attainment = std::atof(value.c_str());
-    } else if (key == "p50") {
-      d.p50_latency_seconds = std::atof(value.c_str());
-    } else if (key == "p99") {
-      d.p99_latency_seconds = std::atof(value.c_str());
-    } else if (key == "lat") {
-      d.mean_latency_seconds = std::atof(value.c_str());
-    } else if (key == "arrived") {
-      d.requests_arrived = std::atoll(value.c_str());
-    } else if (key == "shed") {
-      d.requests_shed = std::atoll(value.c_str());
-    } else if (key == "qpd") {
-      d.requests_queued_past_deadline = std::atoll(value.c_str());
-    } else if (key == "goodput") {
-      d.goodput_tokens_per_sec = std::atof(value.c_str());
     } else {
       return Status::InvalidArgument(
           StrFormat("unknown digest key '%s'", key.c_str()));

@@ -1,8 +1,8 @@
 #include "obs/decision_log.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <limits>
+#include <type_traits>
 
 #include "util/string_util.h"
 
@@ -36,17 +36,16 @@ std::string DecisionLog::ToJsonl() const {
 
 namespace {
 
-/// Extracts the numeric value following "\"key\":" in `line`; false when
-/// the key is absent.
-bool FindNumber(const std::string& line, const char* key, double* out) {
+/// Extracts the text following "\"key\":" in `line`, up to the next ','
+/// or '}'; false when the key is absent.
+bool FindValue(const std::string& line, const char* key, std::string* out) {
   const std::string needle = StrFormat("\"%s\":", key);
   const size_t pos = line.find(needle);
   if (pos == std::string::npos) return false;
-  const char* start = line.c_str() + pos + needle.size();
-  char* end = nullptr;
-  const double v = std::strtod(start, &end);
-  if (end == start) return false;
-  *out = v;
+  const size_t begin = pos + needle.size();
+  const size_t end = line.find_first_of(",}", begin);
+  if (end == std::string::npos) return false;
+  *out = line.substr(begin, end - begin);
   return true;
 }
 
@@ -71,34 +70,43 @@ Result<std::vector<PolicyDecisionRecord>> ParseDecisionLog(
     ++line_no;
     if (line.empty()) continue;
     PolicyDecisionRecord r;
-    double v = 0.0;
+    std::string text;
+    const auto bad = [&](const char* key) {
+      return Status::InvalidArgument(
+          StrFormat("decision log line %zu: missing or malformed field '%s'",
+                    line_no, key));
+    };
     const auto need = [&](const char* key, double* slot) {
-      if (!FindNumber(line, key, slot)) {
-        return Status::InvalidArgument(StrFormat(
-            "decision log line %zu: missing field '%s'", line_no, key));
+      if (!FindValue(line, key, &text) || !ParseDouble(text, slot)) {
+        return bad(key);
       }
       return Status::OK();
     };
-    FLEXMOE_RETURN_IF_ERROR(need("step", &v));
-    r.step = static_cast<int64_t>(v);
-    FLEXMOE_RETURN_IF_ERROR(need("layer", &v));
-    r.layer = static_cast<int>(v);
+    // Every integer field is an index, a count or a flag: a base-10
+    // integer from 0 to its type's maximum (a flag's is 1).
+    const auto need_int = [&](const char* key, auto* slot) {
+      using T = std::remove_pointer_t<decltype(slot)>;
+      int64_t v = 0;
+      if (!FindValue(line, key, &text) || !ParseInt64(text, &v) || v < 0 ||
+          static_cast<uint64_t>(v) >
+              static_cast<uint64_t>(std::numeric_limits<T>::max())) {
+        return bad(key);
+      }
+      *slot = static_cast<T>(v);
+      return Status::OK();
+    };
+    FLEXMOE_RETURN_IF_ERROR(need_int("step", &r.step));
+    FLEXMOE_RETURN_IF_ERROR(need_int("layer", &r.layer));
     FLEXMOE_RETURN_IF_ERROR(need("trigger_metric", &r.trigger_metric));
     FLEXMOE_RETURN_IF_ERROR(need("threshold", &r.threshold));
-    FLEXMOE_RETURN_IF_ERROR(need("forced", &v));
-    r.forced = v != 0.0;
-    FLEXMOE_RETURN_IF_ERROR(need("triggered", &v));
-    r.triggered = v != 0.0;
-    FLEXMOE_RETURN_IF_ERROR(need("candidates_evaluated", &v));
-    r.candidates_evaluated = static_cast<int64_t>(v);
-    FLEXMOE_RETURN_IF_ERROR(need("plan_rounds", &v));
-    r.plan_rounds = static_cast<int>(v);
-    FLEXMOE_RETURN_IF_ERROR(need("migrations", &v));
-    r.migrations = static_cast<int>(v);
-    FLEXMOE_RETURN_IF_ERROR(need("evacuations", &v));
-    r.evacuations = static_cast<int>(v);
-    FLEXMOE_RETURN_IF_ERROR(need("ops_emitted", &v));
-    r.ops_emitted = static_cast<int>(v);
+    FLEXMOE_RETURN_IF_ERROR(need_int("forced", &r.forced));
+    FLEXMOE_RETURN_IF_ERROR(need_int("triggered", &r.triggered));
+    FLEXMOE_RETURN_IF_ERROR(
+        need_int("candidates_evaluated", &r.candidates_evaluated));
+    FLEXMOE_RETURN_IF_ERROR(need_int("plan_rounds", &r.plan_rounds));
+    FLEXMOE_RETURN_IF_ERROR(need_int("migrations", &r.migrations));
+    FLEXMOE_RETURN_IF_ERROR(need_int("evacuations", &r.evacuations));
+    FLEXMOE_RETURN_IF_ERROR(need_int("ops_emitted", &r.ops_emitted));
     FLEXMOE_RETURN_IF_ERROR(need("est_score_before", &r.est_score_before));
     FLEXMOE_RETURN_IF_ERROR(need("est_score_after", &r.est_score_after));
     FLEXMOE_RETURN_IF_ERROR(need("metric_after", &r.metric_after));

@@ -75,8 +75,10 @@ class DecisionLog {
 /// \brief Formats one record as a single JSON line (no trailing newline).
 std::string FormatDecisionRecord(const PolicyDecisionRecord& record);
 
-/// \brief Parses ToJsonl() output (blank lines skipped). Rejects lines
-/// missing required numeric fields.
+/// \brief Parses ToJsonl() output (blank lines skipped). Rejects, naming
+/// the line and field, a required numeric field that is missing or does
+/// not parse whole, and an integer field outside [0, its type's maximum]
+/// (a flag's maximum is 1).
 Result<std::vector<PolicyDecisionRecord>> ParseDecisionLog(
     const std::string& jsonl);
 

@@ -152,18 +152,4 @@ void Rng::MultinomialInto(int64_t n, const double* probs, int k,
   if (k > 0) counts[k - 1] += remaining;
 }
 
-Rng::State Rng::SaveState() const {
-  State state;
-  for (int i = 0; i < 4; ++i) state.s[i] = s_[i];
-  state.have_cached_normal = have_cached_normal_;
-  state.cached_normal = cached_normal_;
-  return state;
-}
-
-void Rng::RestoreState(const State& state) {
-  for (int i = 0; i < 4; ++i) s_[i] = state.s[i];
-  have_cached_normal_ = state.have_cached_normal;
-  cached_normal_ = state.cached_normal;
-}
-
 }  // namespace flexmoe

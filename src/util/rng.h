@@ -51,19 +51,6 @@ class Rng {
   /// conditional-binomial method: O(k) per call, allocation-free.
   void MultinomialInto(int64_t n, const double* probs, int k, int64_t* counts);
 
-  /// \brief Complete generator state (xoshiro words + the Box–Muller
-  /// cache), for checkpoint/restore of long-running streams.
-  struct State {
-    uint64_t s[4] = {0, 0, 0, 0};
-    bool have_cached_normal = false;
-    double cached_normal = 0.0;
-  };
-
-  /// Captures the state; RestoreState on any Rng instance resumes the
-  /// stream byte-identically from the capture point.
-  State SaveState() const;
-  void RestoreState(const State& state);
-
  private:
   uint64_t s_[4];
   bool have_cached_normal_ = false;

@@ -1,7 +1,11 @@
 #include "util/string_util.h"
 
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
+#include <cstdlib>
 
 namespace flexmoe {
 
@@ -59,6 +63,39 @@ std::vector<std::string> Split(const std::string& s, char delim) {
     start = pos + 1;
   }
   return out;
+}
+
+namespace {
+
+// strtoll and strtod skip leading whitespace and stop at the first byte
+// they cannot use; a whole-value parse allows neither.
+bool ParsedWhole(const std::string& s, const char* end) {
+  return !s.empty() && !std::isspace(static_cast<unsigned char>(s[0])) &&
+         end == s.c_str() + s.size();
+}
+
+}  // namespace
+
+bool ParseInt64(const std::string& s, int64_t* out) {
+  char* end = nullptr;
+  errno = 0;
+  const long long v = std::strtoll(s.c_str(), &end, 10);
+  if (!ParsedWhole(s, end) || errno != 0) return false;
+  *out = static_cast<int64_t>(v);
+  return true;
+}
+
+bool ParseDouble(const std::string& s, double* out) {
+  char* end = nullptr;
+  errno = 0;
+  const double v = std::strtod(s.c_str(), &end);
+  // Only overflow fails: ERANGE also flags underflow to a subnormal,
+  // which %.17g can print.
+  if (!ParsedWhole(s, end) || (errno == ERANGE && std::isinf(v))) {
+    return false;
+  }
+  *out = v;
+  return true;
 }
 
 std::string ToLower(const std::string& s) {

@@ -1,4 +1,4 @@
-// Small string formatting helpers shared by reporters and logging.
+// Small string formatting and parsing helpers shared across the library.
 
 #ifndef FLEXMOE_UTIL_STRING_UTIL_H_
 #define FLEXMOE_UTIL_STRING_UTIL_H_
@@ -25,6 +25,15 @@ bool StartsWith(const std::string& s, const std::string& prefix);
 
 /// \brief Splits on a delimiter character; keeps empty fields.
 std::vector<std::string> Split(const std::string& s, char delim);
+
+/// \brief Parses all of `s` as a base-10 integer. False on an empty
+/// string, leading whitespace, trailing characters or overflow.
+bool ParseInt64(const std::string& s, int64_t* out);
+
+/// \brief Parses all of `s` as a double in strtod syntax, so "inf" and
+/// "nan" too. False on an empty string, leading whitespace, trailing
+/// characters or overflow.
+bool ParseDouble(const std::string& s, double* out);
 
 /// \brief Lowercases ASCII.
 std::string ToLower(const std::string& s);

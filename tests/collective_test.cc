@@ -1,13 +1,11 @@
-// Tests for collective executors, analytic cost helpers, the NCCL group
-// LRU cache, and ordered-synchronization deadlock avoidance.
+// Tests for collective executors, analytic cost helpers and the NCCL group
+// LRU cache.
 
 #include <gtest/gtest.h>
 
 #include "collective/comm_cost.h"
 #include "collective/engine_ops.h"
 #include "collective/nccl_group.h"
-#include "collective/ordered_sync.h"
-#include "util/rng.h"
 
 namespace flexmoe {
 namespace {
@@ -214,64 +212,6 @@ TEST(NcclGroupCacheTest, LruEviction) {
 TEST(NcclGroupCacheTest, OptionsValidation) {
   EXPECT_FALSE(NcclGroupCache::Create({0, 0.1}).ok());
   EXPECT_FALSE(NcclGroupCache::Create({4, -1.0}).ok());
-}
-
-// --- Ordered synchronization --------------------------------------------
-
-std::vector<SyncOp> TwoOverlappingOps() {
-  // Op A: experts on GPUs {0, 1}; Op B: on GPUs {0, 1} as well.
-  return {{/*logical_id=*/7, {0, 1}, 1e6}, {/*logical_id=*/3, {0, 1}, 1e6}};
-}
-
-TEST(OrderedSyncTest, PlannerOrdersByLogicalId) {
-  const auto ops = TwoOverlappingOps();
-  const SyncSchedule schedule = PlanOrderedSync(ops, 2);
-  // Logical id 3 (op index 1) precedes id 7 (op index 0) on both GPUs.
-  EXPECT_EQ(schedule.per_gpu_order[0], (std::vector<int>{1, 0}));
-  EXPECT_EQ(schedule.per_gpu_order[1], (std::vector<int>{1, 0}));
-}
-
-TEST(OrderedSyncTest, PlannerScheduleNeverDeadlocks) {
-  const auto ops = TwoOverlappingOps();
-  const SyncSchedule schedule = PlanOrderedSync(ops, 2);
-  EXPECT_FALSE(ScheduleDeadlocks(ops, schedule, 2));
-}
-
-TEST(OrderedSyncTest, InconsistentOrderDeadlocks) {
-  const auto ops = TwoOverlappingOps();
-  SyncSchedule bad;
-  bad.per_gpu_order = {{0, 1}, {1, 0}};  // GPU 0 posts A first, GPU 1 posts B
-  EXPECT_TRUE(ScheduleDeadlocks(ops, bad, 2));
-}
-
-TEST(OrderedSyncTest, DisjointGroupsAnyOrderSafe) {
-  const std::vector<SyncOp> ops = {{5, {0, 1}, 1e6}, {1, {2, 3}, 1e6}};
-  SyncSchedule any;
-  any.per_gpu_order = {{0}, {0}, {1}, {1}};
-  EXPECT_FALSE(ScheduleDeadlocks(ops, any, 4));
-}
-
-TEST(OrderedSyncTest, RandomOverlappingOrdersPropertyCheck) {
-  // Property: the planner's schedule never deadlocks, for random op sets
-  // with heavily overlapping groups.
-  Rng rng(99);
-  for (int trial = 0; trial < 50; ++trial) {
-    const int num_gpus = 6;
-    const int num_ops = 8;
-    std::vector<SyncOp> ops;
-    for (int i = 0; i < num_ops; ++i) {
-      SyncOp op;
-      op.logical_id = static_cast<int>(rng.UniformInt(1000));
-      for (GpuId g = 0; g < num_gpus; ++g) {
-        if (rng.Uniform() < 0.5) op.group.push_back(g);
-      }
-      if (op.group.size() < 2) op.group = {0, 1};
-      op.bytes = 1e5;
-      ops.push_back(op);
-    }
-    const SyncSchedule schedule = PlanOrderedSync(ops, num_gpus);
-    EXPECT_FALSE(ScheduleDeadlocks(ops, schedule, num_gpus)) << trial;
-  }
 }
 
 }  // namespace

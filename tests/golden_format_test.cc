@@ -9,6 +9,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <string>
 
 #include "harness/golden.h"
@@ -113,6 +114,42 @@ TEST(GoldenParseTest, RejectsHostileTokens) {
   EXPECT_FALSE(ParseDigest("label=x").ok());            // no trace_hash
   // trace_hash alone (no label) is equally incomplete.
   EXPECT_FALSE(ParseDigest("trace_hash=0123456789abcdef").ok());
+}
+
+TEST(GoldenParseTest, RejectsValuesThatDoNotParseWhole) {
+  const std::string head = "label=x trace_hash=00000000000000ff";
+  EXPECT_TRUE(ParseDigest(head + " gpus=16 steps=4 step_s=1.5").ok());
+  for (const char* bad :
+       {"gpus=abc", "gpus=", "gpus=16x", "gpus= 16", "gpus=4294967297",
+        "steps=4x", "steps=1.5", "ops=9223372036854775808", "req=1e3",
+        "step_s=1.5junk", "step_s=", "throughput=abc", "p99=1e999"}) {
+    EXPECT_FALSE(ParseDigest(head + " " + bad).ok()) << bad;
+  }
+  for (const char* bad_hash :
+       {"trace_hash=zz", "trace_hash=ff", "trace_hash=00000000000000fg",
+        "trace_hash=000000000000000ff", "trace_hash=-0000000000000ff"}) {
+    EXPECT_FALSE(ParseDigest(std::string("label=x ") + bad_hash).ok())
+        << bad_hash;
+  }
+}
+
+TEST(GoldenParseTest, EveryFormattedValueParsesBack) {
+  // Extremes of every field type, infinities and NaNs included.
+  MetricsDigest d = BaseDigest();
+  d.serving = true;
+  d.num_gpus = std::numeric_limits<int>::max();
+  d.steps = std::numeric_limits<int>::min();
+  d.trace_hash = std::numeric_limits<uint64_t>::max();
+  d.ops_applied = std::numeric_limits<int64_t>::max();
+  d.tokens_dropped = std::numeric_limits<int64_t>::min();
+  d.mean_step_seconds = std::numeric_limits<double>::infinity();
+  d.throughput_tokens_per_sec = -std::numeric_limits<double>::infinity();
+  d.p99_latency_seconds = -std::nan("");
+  d.mean_balance_ratio = std::numeric_limits<double>::denorm_min();
+  d.mean_token_efficiency = std::numeric_limits<double>::max();
+  const auto parsed = ParseDigest(FormatDigest(d));
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(FormatDigest(*parsed), FormatDigest(d));
 }
 
 TEST(GoldenParseTest, LabelAndHashSufficeAndDefaultTheRest) {

@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/decision_log.h"
@@ -167,6 +169,45 @@ TEST(DecisionLogTest, ParseRejectsGarbage) {
   EXPECT_FALSE(ParseDecisionLog("not json at all").ok());
   // Blank lines are fine.
   EXPECT_TRUE(ParseDecisionLog("\n\n").ok());
+}
+
+TEST(DecisionLogTest, ParseRejectsOutOfTypeIntegers) {
+  const std::string good = FormatDecisionRecord(SampleRecord(7, true));
+  ASSERT_TRUE(ParseDecisionLog(good).ok());
+  // Swaps one field's value in the formatted record.
+  const auto with = [&](const std::string& field, const std::string& value) {
+    const std::string needle = "\"" + field + "\":";
+    const size_t begin = good.find(needle) + needle.size();
+    const size_t end = good.find_first_of(",}", begin);
+    return good.substr(0, begin) + value + good.substr(end);
+  };
+  const std::pair<const char*, const char*> bad[] = {
+      {"step", "1e300"},         {"step", "7x"},  {"step", "-1"},
+      {"layer", "2.5"},          {"layer", "4294967296"},
+      {"plan_rounds", "1e12"},   {"plan_rounds", "2147483648"},
+      {"candidates_evaluated", "-3"}, {"migrations", "-1"},
+      {"evacuations", "nan"},    {"ops_emitted", ""},
+      {"forced", "2"},           {"triggered", "-1"},
+      {"trigger_metric", "1.9junk"}};
+  for (const auto& [field, value] : bad) {
+    const auto parsed = ParseDecisionLog("\n" + with(field, value));
+    ASSERT_FALSE(parsed.ok()) << field << "=" << value;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+    // The error names the line and the field.
+    EXPECT_NE(parsed.status().message().find("line 2"), std::string::npos)
+        << parsed.status().ToString();
+    EXPECT_NE(parsed.status().message().find(std::string("'") + field + "'"),
+              std::string::npos)
+        << parsed.status().ToString();
+  }
+  // The ends of each range still parse.
+  const auto edge = ParseDecisionLog(
+      with("step", "9223372036854775807") + "\n" + with("layer", "0") +
+      "\n" + with("plan_rounds", "2147483647"));
+  ASSERT_TRUE(edge.ok()) << edge.status().ToString();
+  EXPECT_EQ((*edge)[0].step, std::numeric_limits<int64_t>::max());
+  EXPECT_EQ((*edge)[1].layer, 0);
+  EXPECT_EQ((*edge)[2].plan_rounds, std::numeric_limits<int>::max());
 }
 
 TEST(DecisionLogTest, PolicyAdoptionLags) {

@@ -14,13 +14,12 @@
 //     traffic, so a deeply backlogged run can no longer report ~1.0.
 // Plus the deterministic assignment rescaling the batcher feeds systems
 // (including the 128-bit overflow regression) and the request source's
-// size mix / checkpoint contracts.
+// size mix contract.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -338,68 +337,6 @@ TEST(RequestSizeMixTest, ValidationRejectsNonsense) {
   o = HeavyOptions("bursty", 100.0);
   o.arrival_rate_rps = std::nan("");
   EXPECT_FALSE(RequestSource::Create(o).ok());
-}
-
-TEST(RequestSourceCheckpointTest, PauseAndResumeIsByteIdentical) {
-  for (const char* scenario : {"bursty", "diurnal", "multi-tenant"}) {
-    auto reference = *RequestSource::Create(HeavyOptions(scenario, 1500.0));
-    auto paused = *RequestSource::Create(HeavyOptions(scenario, 1500.0));
-    for (int i = 0; i < 700; ++i) {
-      reference.Next();
-      paused.Next();
-    }
-    const std::string checkpoint = paused.SaveCheckpoint();
-    // Restore into a FRESH source built from the same options: it must
-    // continue the stream exactly where the paused one stopped.
-    auto resumed = *RequestSource::Create(HeavyOptions(scenario, 1500.0));
-    ASSERT_TRUE(resumed.RestoreCheckpoint(checkpoint).ok()) << scenario;
-    for (int i = 0; i < 700; ++i) {
-      const ServeRequest want = reference.Next();
-      const ServeRequest got = resumed.Next();
-      ASSERT_EQ(want.id, got.id) << scenario << " request " << i;
-      ASSERT_EQ(want.arrival_seconds, got.arrival_seconds) << scenario;
-      ASSERT_EQ(want.deadline_seconds, got.deadline_seconds) << scenario;
-      ASSERT_EQ(want.tokens, got.tokens) << scenario << " request " << i;
-    }
-  }
-}
-
-TEST(RequestSourceCheckpointTest, RejectsMismatchAndCorruption) {
-  auto src = *RequestSource::Create(HeavyOptions("bursty", 1000.0));
-  for (int i = 0; i < 100; ++i) src.Next();
-  const std::string checkpoint = src.SaveCheckpoint();
-
-  // Different options: fingerprint mismatch.
-  auto other = *RequestSource::Create(HeavyOptions("diurnal", 1000.0));
-  EXPECT_FALSE(other.RestoreCheckpoint(checkpoint).ok());
-  RequestSourceOptions fixed_opts = HeavyOptions("bursty", 1000.0);
-  fixed_opts.size_mix = "fixed";
-  auto fixed = *RequestSource::Create(fixed_opts);
-  EXPECT_FALSE(fixed.RestoreCheckpoint(checkpoint).ok());
-  // Same names, a different NUMERIC parameter: the stream would diverge
-  // after a restore, so the fingerprint must reject it too.
-  RequestSourceOptions skewed_burst = HeavyOptions("bursty", 1000.0);
-  skewed_burst.scenario.burst_boost = 9.0;
-  auto burst_victim = *RequestSource::Create(skewed_burst);
-  EXPECT_FALSE(burst_victim.RestoreCheckpoint(checkpoint).ok());
-
-  // Truncated and corrupted payloads are rejected, never crash.
-  auto victim = *RequestSource::Create(HeavyOptions("bursty", 1000.0));
-  EXPECT_FALSE(
-      victim.RestoreCheckpoint(checkpoint.substr(0, checkpoint.size() / 2))
-          .ok());
-  EXPECT_FALSE(victim.RestoreCheckpoint("garbage").ok());
-  std::string trailing = checkpoint + "x";
-  EXPECT_FALSE(victim.RestoreCheckpoint(trailing).ok());
-  // A version-1 payload (the fingerprint that also held the size-mix
-  // shape) is refused, not misread: the version word follows the magic.
-  std::string v1 = checkpoint;
-  const uint32_t version_one = 1;
-  std::memcpy(&v1[sizeof(uint32_t)], &version_one, sizeof(version_one));
-  EXPECT_EQ(victim.RestoreCheckpoint(v1).code(),
-            StatusCode::kInvalidArgument);
-  // The unpatched payload still restores.
-  EXPECT_TRUE(victim.RestoreCheckpoint(checkpoint).ok());
 }
 
 // ---- Batcher invariants ---------------------------------------------------

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <map>
 #include <memory>
+#include <vector>
 
 #include "core/step_executor.h"
 #include "moe/transformer.h"
@@ -209,6 +212,69 @@ TEST(StepExecutorTest, MoreLayersMoreTime) {
               one.a2a_seconds * 0.2);
   EXPECT_NEAR(two.compute_seconds, 2.0 * one.compute_seconds,
               one.compute_seconds * 0.2);
+}
+
+TEST(StepExecutorTest, SyncsPostInAscendingLogicalIdOrder) {
+  // Paper Section 4, "AllReduce Coordination": a GPU holding replicas of
+  // several experts joins several AllReduces, and all GPUs must post them
+  // in one order or the collectives deadlock. The executor posts each
+  // layer's syncs by ascending logical id: expert ids first, then the
+  // extra groups, numbered from the expert count.
+  Fixture f = Fixture::Make();
+  obs::ObservabilityOptions oo;
+  oo.enabled = true;
+  oo.trace_capacity = 4096;
+  obs::Observability o(oo);
+  f.exec.set_observability(&o);
+
+  // Replica groups that overlap on GPUs 0 and 1, added out of id order:
+  // e6 {0, 1, 6}, e2 {0, 1, 2}, e5 {1, 5}, e0 {0, 3}.
+  Placement p = MakePlacement(4);
+  for (const auto& [expert, gpu] :
+       std::vector<std::pair<int, GpuId>>{{6, 0}, {6, 1}, {2, 0}, {2, 1},
+                                          {5, 1}, {0, 3}}) {
+    ASSERT_TRUE(p.RemoveVExpert(gpu, gpu).ok());
+    ASSERT_TRUE(p.AddVExpert(expert, gpu).ok());
+  }
+  const RoutedAssignment r = FlexibleRouter::Route(UniformAssignment(), p);
+  const std::vector<GpuId> all = {0, 1, 2, 3, 4, 5, 6, 7};
+  // FasterMoE-style global shadow-gradient groups; a one-member group has
+  // nothing to reduce and takes no id.
+  LayerWork layer0{&r, &p, {all}, {}};
+  LayerWork layer1{&r, &p, {{2, 3, 4}, {7}, all}, {}};
+  f.exec.ExecuteStep({layer0, layer1}, nullptr);
+
+  // Attribute each expert_sync span to the layer whose backward leg
+  // launched it: the last preceding span with a "layer" arg.
+  std::map<int, std::vector<int>> ids;
+  std::map<int, std::vector<int>> sizes;
+  int layer = -1;
+  bool in_run = false;
+  const obs::Tracer& tr = o.tracer();
+  for (size_t i = 0; i < tr.size(); ++i) {
+    const obs::TraceEvent& ev = tr.at(i);
+    if (std::strcmp(ev.name, "expert_sync") == 0) {
+      // One layer's syncs are posted back to back.
+      if (!in_run) {
+        EXPECT_TRUE(ids[layer].empty()) << "layer " << layer;
+      }
+      in_run = true;
+      ids[layer].push_back(static_cast<int>(ev.arg_val0));
+      sizes[layer].push_back(static_cast<int>(ev.arg_val1));
+      continue;
+    }
+    in_run = false;
+    if (ev.arg_key0 != nullptr && std::strcmp(ev.arg_key0, "layer") == 0) {
+      layer = static_cast<int>(ev.arg_val0);
+    }
+  }
+  ASSERT_EQ(ids.count(-1), 0u);
+  const int num_experts = 8;
+  EXPECT_EQ(ids[0], (std::vector<int>{0, 2, 5, 6, num_experts}));
+  EXPECT_EQ(sizes[0], (std::vector<int>{2, 3, 2, 3, 8}));
+  EXPECT_EQ(ids[1],
+            (std::vector<int>{0, 2, 5, 6, num_experts, num_experts + 1}));
+  EXPECT_EQ(sizes[1], (std::vector<int>{2, 3, 2, 3, 3, 8}));
 }
 
 }  // namespace

@@ -6,9 +6,9 @@
 # links them with --gc-sections, and lists every flexmoe:: function that
 # libflexmoe.a defines and no program keeps. Each such function must be on
 # tools/link_audit_allowlist.txt (kept on purpose: test seams, functions
-# tests use to observe behaviour, checkpointing, ...); any other one is
-# dead code and fails the audit. Allowlist entries that are now linked or
-# gone are printed, so the list can shrink, but do not fail it.
+# tests use to observe behaviour, the goldens' digest parser); any other
+# one is dead code and fails the audit. An allowlist entry that is now
+# linked or gone fails it too, so the list shrinks with the code.
 #
 # usage: tools/link_audit.sh [build-dir]   (default: build-link-audit)
 set -euo pipefail
@@ -53,7 +53,9 @@ stale="$(comm -13 unlinked.txt allowed.txt)"
 if [ -n "${stale}" ]; then
   echo "link audit: allowlist entries now linked or gone (remove them):"
   echo "${stale}" | sed 's/^/  /'
+  status=1
 fi
 echo "link audit: $(wc -l < unlinked.txt) unlinked library functions," \
-  "$(echo -n "${unexpected}" | grep -c '^' || true) not on the allowlist"
+  "$(echo -n "${unexpected}" | grep -c '^' || true) not on the allowlist," \
+  "$(echo -n "${stale}" | grep -c '^' || true) stale allowlist entries"
 exit "${status}"

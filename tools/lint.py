@@ -181,8 +181,8 @@ def collect_status_names(paths):
     """Harvests names of functions declared to return Status/Result<T>.
 
     Names that are *also* declared with a non-Status return type anywhere in
-    the scanned set (e.g. Rng::RestoreState returning void next to
-    LogitProcess::RestoreState returning Status) are ambiguous for a
+    the scanned set (e.g. one class's `Reset` returning void next to
+    another's `Reset` returning Status) are ambiguous for a
     type-blind lint and are skipped — the compile-time [[nodiscard]] on
     Status/Result still catches drops through those names.
     """
