@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <climits>
 #include <cmath>
+#include <cstdlib>
 #include <map>
 
 #include "harness/experiment.h"
@@ -84,21 +85,43 @@ TEST(ExperimentTest, AllSystemsRun) {
   }
 }
 
+// The large-EP preset (one expert per GPU, two slots per GPU) through the
+// full engine path at G = 64, serial, K = 4 and auto-K, pinned against
+// tests/goldens/large_ep.golden (regenerate after an intentional change
+// with FLEXMOE_UPDATE_GOLDENS=1). The nightly runs the same preset at
+// G = 512.
 TEST(ExperimentTest, LargeEPPresetRunsEndToEnd) {
-  // Reduced-scale smoke of the large-EP preset (one expert per GPU,
-  // slots = 2, hierarchical Eq. 8 and so the cross-link expand order): same
-  // configuration the nightly runs at G = 512, sized for tier-1. The
-  // preset's knobs must survive the full engine path, not just the
-  // planner microbenchmarks.
-  ExperimentOptions o = LargeEPOptions(16);
-  o.measure_steps = 10;
-  o.warmup_steps = 2;
-  const auto report = RunExperiment(o);
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_GT(report->mean_step_seconds, 0.0);
-  EXPECT_GT(report->throughput_tokens_per_sec, 0.0);
-  EXPECT_GE(report->mean_balance_ratio, 1.0);
-  EXPECT_EQ(report->num_gpus, 16);
+  const std::string golden_path =
+      std::string(FLEXMOE_TEST_SOURCE_DIR) + "/goldens/large_ep.golden";
+  const char* env = std::getenv("FLEXMOE_UPDATE_GOLDENS");
+  const bool update = env != nullptr && env[0] != '\0' && env[0] != '0';
+
+  std::vector<MetricsDigest> fresh;
+  for (const int k : {1, 4, 0}) {
+    ExperimentOptions o = LargeEPOptions(64);
+    o.pipeline_chunks = k;
+    const auto report = RunExperiment(o);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_GT(report->mean_step_seconds, 0.0) << k;
+    EXPECT_GT(report->throughput_tokens_per_sec, 0.0) << k;
+    EXPECT_GE(report->mean_balance_ratio, 1.0) << k;
+    EXPECT_EQ(report->num_gpus, 64) << k;
+    fresh.push_back(
+        DigestFromReport(StrFormat("large-ep/g64/k%d", k), *report));
+  }
+
+  if (update) {
+    ASSERT_TRUE(SaveDigests(fresh, golden_path).ok());
+    GTEST_SKIP() << "goldens updated: " << golden_path;
+  }
+  const auto golden = LoadDigests(golden_path);
+  ASSERT_TRUE(golden.ok()) << "missing golden " << golden_path
+                           << " — run with FLEXMOE_UPDATE_GOLDENS=1";
+  ASSERT_EQ(golden->size(), fresh.size());
+  for (size_t i = 0; i < fresh.size(); ++i) {
+    const Status match = CompareDigests((*golden)[i], fresh[i], 1e-9);
+    EXPECT_TRUE(match.ok()) << match.ToString();
+  }
 }
 
 // The full G = E = 512 large-EP preset through the discrete-event
