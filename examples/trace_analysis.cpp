@@ -3,7 +3,9 @@
 // synthetic GPT-MoE gate, and shows the trace save/load API used to replay
 // identical workloads across system comparisons.
 //
-//   ./build/examples/trace_analysis
+//   ./build/trace_analysis
+
+#include <unistd.h>
 
 #include <cstdio>
 
@@ -64,13 +66,15 @@ int main() {
   std::printf("expert %d share over 600 steps (initially the hottest):\n%s\n",
               hottest, AsciiSeries(line, 64, 9).c_str());
 
-  // Persist and replay.
-  const std::string path = "/tmp/flexmoe_trace.bin";
+  // Persist and replay, through a file of this process's own (two copies
+  // run at once never share it), removed once reloaded.
+  const std::string path =
+      StrFormat("/tmp/flexmoe_trace_%d.bin", static_cast<int>(getpid()));
   FLEXMOE_CHECK_OK(trace.Save(path));
   const RoutingTrace replay = *RoutingTrace::Load(path);
-  std::printf("saved %d steps x %d layers to %s and reloaded %d steps\n",
-              trace.num_steps(), trace.num_layers(), path.c_str(),
-              replay.num_steps());
+  std::remove(path.c_str());
+  std::printf("saved %d steps x %d layers to a file and reloaded %d steps\n",
+              trace.num_steps(), trace.num_layers(), replay.num_steps());
   FLEXMOE_CHECK(replay.at(123, 1).Total() == trace.at(123, 1).Total());
   std::printf("replayed step 123 matches the recording. done.\n");
   return 0;

@@ -117,7 +117,6 @@ double CostModel::ComputeSeconds(int64_t tokens) const {
 }
 
 double CostModel::A2ASeconds(const RoutedAssignment& routed, GpuId dst) const {
-  if (profile_->hierarchical_a2a()) return A2ASecondsHierarchical(routed, dst);
   // Eq. 8: pure bandwidth serialization at the receiving port; chunked
   // flows overlap per-message latencies, so latency enters once per phase.
   double seconds = 0.0;
@@ -130,57 +129,6 @@ double CostModel::A2ASeconds(const RoutedAssignment& routed, GpuId dst) const {
     max_lat = std::max(max_lat, profile_->LatencySeconds(src, dst));
   }
   // Dispatch + combine, forward + backward: 4 crossings per step (Eq. 8).
-  return 4.0 * (seconds + 2.0 * max_lat);
-}
-
-double CostModel::A2ASecondsHierarchical(const RoutedAssignment& routed,
-                                         GpuId dst) const {
-  // Per-node aggregated Eq. 8 (DESIGN.md Section 10): token counts fold
-  // per source node in integer arithmetic, then one bandwidth term per
-  // remote node (ascending), one intra-node term, and the loopback term —
-  // a fixed canonical order, so incremental maintenance reproduces this
-  // from-scratch evaluation bitwise.
-  const Topology& topo = profile_->topology();
-  const int num_nodes = topo.num_nodes();
-  const int gpus_per_node = topo.gpus_per_node();
-  const NodeId dst_node = topo.NodeOf(dst);
-  const int64_t local = routed.dispatch(dst, dst);
-  const bool aggregated = !routed.node_of.empty();
-
-  double seconds = 0.0;
-  double max_lat = 0.0;
-  int64_t intra = 0;
-  for (NodeId n = 0; n < num_nodes; ++n) {
-    int64_t node_tokens;
-    if (aggregated) {
-      node_tokens = routed.node_dispatch(n, dst);
-    } else {
-      node_tokens = 0;
-      const GpuId first = n * gpus_per_node;
-      for (GpuId src = first; src < first + gpus_per_node; ++src) {
-        node_tokens += routed.dispatch(src, dst);
-      }
-    }
-    if (n == dst_node) {
-      intra = node_tokens - local;
-      continue;
-    }
-    if (node_tokens <= 0) continue;
-    const double bytes =
-        static_cast<double>(node_tokens) * shape_.token_bytes;
-    seconds += bytes / profile_->NodeBandwidthBytesPerSec(n, dst);
-    max_lat = std::max(max_lat, profile_->NodeLatencySeconds(n, dst));
-  }
-  if (intra > 0) {
-    const double bytes = static_cast<double>(intra) * shape_.token_bytes;
-    seconds += bytes / profile_->NodeBandwidthBytesPerSec(dst_node, dst);
-    max_lat = std::max(max_lat, profile_->NodeLatencySeconds(dst_node, dst));
-  }
-  if (local > 0) {
-    const double bytes = static_cast<double>(local) * shape_.token_bytes;
-    seconds += bytes / profile_->BandwidthBytesPerSec(dst, dst);
-    max_lat = std::max(max_lat, profile_->LatencySeconds(dst, dst));
-  }
   return 4.0 * (seconds + 2.0 * max_lat);
 }
 

@@ -112,13 +112,9 @@ class CostModel {
   /// Eq. 7: compute seconds for `tokens` tokens on one expert replica.
   double ComputeSeconds(int64_t tokens) const;
 
-  /// Eq. 8 for one receiving GPU: 4 x sum over sources of bytes/Bw.
-  ///
-  /// With profile().hierarchical_a2a() set, cross-node traffic folds per
-  /// source node first (integer token sums — consumes the routing's
-  /// node_dispatch aggregates when present, identical otherwise), then one
-  /// bandwidth term per remote node, one intra-node term, and the loopback
-  /// term, in that canonical order. O(nodes) float terms instead of O(G).
+  /// Eq. 8 for one receiving GPU: 4 x (sum over sources of bytes/Bw, in
+  /// ascending source order, plus twice the largest per-source latency).
+  /// O(G).
   double A2ASeconds(const RoutedAssignment& routed, GpuId dst) const;
 
   /// Eq. 9 for one expert under `placement`.
@@ -150,9 +146,6 @@ class CostModel {
                               const Placement& placement) const;
 
  private:
-  double A2ASecondsHierarchical(const RoutedAssignment& routed,
-                                GpuId dst) const;
-
   const HardwareProfile* profile_;
   ExpertShape shape_;
 };

@@ -81,17 +81,6 @@ void LayerCostState::Route(const Assignment& assignment,
     placement_.emplace(placement);
   }
   const int num_experts = assignment.num_experts();
-
-  // With per-node A2A aggregation active, routing maintains the per-node
-  // dispatch sums the hierarchical Eq. 8 path consumes, so RefreshGpu's
-  // A2A recompute is O(nodes) float terms instead of O(G).
-  if (cost_model_->profile().hierarchical_a2a()) {
-    if (routed_.node_of.empty()) {
-      routed_.EnableNodeAggregation(cost_model_->profile().topology());
-    }
-  } else if (!routed_.node_of.empty()) {
-    routed_.DisableNodeAggregation();
-  }
   routed_.Clear(num_experts, assignment.num_gpus());
 
   // The memo holds contributions of the previous assignment: drop it.
@@ -112,7 +101,6 @@ void LayerCostState::Route(const Assignment& assignment,
 
   undo_records_.clear();
   gpu_saves_.clear();
-  link_saves_.clear();
   costs_built_ = false;
 }
 
@@ -121,7 +109,6 @@ void LayerCostState::BuildCosts() {
   FLEXMOE_CHECK(undo_records_.empty());
   const int num_experts = assignment_->num_experts();
   const int num_gpus = assignment_->num_gpus();
-  const Topology& topo = cost_model_->profile().topology();
 
   gpu_experts_.resize(static_cast<size_t>(num_gpus));
   for (std::vector<int>& hosted : gpu_experts_) {
@@ -147,19 +134,6 @@ void LayerCostState::BuildCosts() {
   per_gpu_sync_.assign(static_cast<size_t>(num_gpus), 0.0);
   per_gpu_total_.assign(static_cast<size_t>(num_gpus), 0.0);
   gpu_tokens_.assign(static_cast<size_t>(num_gpus), 0);
-  cross_in_.assign(static_cast<size_t>(num_gpus), 0);
-  node_inflow_.assign(static_cast<size_t>(topo.num_nodes()), 0);
-  gpu_link_in_.assign(
-      static_cast<size_t>(num_gpus) * static_cast<size_t>(topo.num_nodes()),
-      0);
-  link_load_.assign(static_cast<size_t>(topo.num_nodes()) *
-                        static_cast<size_t>(topo.num_nodes()),
-                    0);
-  link_scratch_.assign(static_cast<size_t>(topo.num_nodes()), 0);
-  node_of_gpu_.resize(static_cast<size_t>(num_gpus));
-  for (GpuId g = 0; g < num_gpus; ++g) {
-    node_of_gpu_[static_cast<size_t>(g)] = topo.NodeOf(g);
-  }
 
   tourney_cap_ = PowerOfTwoAtLeast(num_gpus);
   tourney_.assign(static_cast<size_t>(2 * tourney_cap_), kNegInf);
@@ -285,38 +259,6 @@ void LayerCostState::RefreshGpu(GpuId g) {
     if (include_sync_) sync += sync_of_expert_[static_cast<size_t>(e)];
   }
   const double a2a = cost_model_->A2ASeconds(routed_, g);
-
-  const NodeId node = node_of_gpu_[static_cast<size_t>(g)];
-  const int num_nodes = static_cast<int>(node_inflow_.size());
-  // Per-source-node inflow: sums and deltas are pure integers, so the
-  // link_load_ matrix tracks a from-scratch recount exactly (and Undo's
-  // restore of saved rows cancels the deltas bitwise).
-  if (!routed_.node_of.empty()) {
-    for (NodeId n = 0; n < num_nodes; ++n) {
-      link_scratch_[static_cast<size_t>(n)] = routed_.node_dispatch(n, g);
-    }
-  } else {
-    std::fill(link_scratch_.begin(), link_scratch_.end(), int64_t{0});
-    const int64_t* inflow = routed_.dispatch_to.row(g);
-    for (GpuId src = 0; src < routed_.num_gpus; ++src) {
-      const NodeId n = node_of_gpu_[static_cast<size_t>(src)];
-      link_scratch_[static_cast<size_t>(n)] += inflow[src];
-    }
-  }
-  int64_t cross = 0;
-  const size_t row = static_cast<size_t>(g) * static_cast<size_t>(num_nodes);
-  for (NodeId n = 0; n < num_nodes; ++n) {
-    if (n == node) continue;
-    const int64_t v = link_scratch_[static_cast<size_t>(n)];
-    cross += v;
-    link_load_[static_cast<size_t>(n) * num_nodes + node] +=
-        v - gpu_link_in_[row + static_cast<size_t>(n)];
-    gpu_link_in_[row + static_cast<size_t>(n)] = v;
-  }
-  node_inflow_[static_cast<size_t>(node)] +=
-      cross - cross_in_[static_cast<size_t>(g)];
-  cross_in_[static_cast<size_t>(g)] = cross;
-
   gpu_tokens_[static_cast<size_t>(g)] = tokens_total;
   per_gpu_compute_[static_cast<size_t>(g)] = compute;
   per_gpu_a2a_[static_cast<size_t>(g)] = a2a;
@@ -339,44 +281,22 @@ void LayerCostState::SaveGpu(GpuId g) {
   GpuSave s;
   s.gpu = g;
   s.tokens = gpu_tokens_[i];
-  s.cross_in = cross_in_[i];
   s.compute = per_gpu_compute_[i];
   s.a2a = per_gpu_a2a_[i];
   s.sync = per_gpu_sync_[i];
   s.total = per_gpu_total_[i];
   gpu_saves_.push_back(s);
-  const size_t num_nodes = node_inflow_.size();
-  const auto row = gpu_link_in_.begin() +
-                   static_cast<std::ptrdiff_t>(i * num_nodes);
-  link_saves_.insert(link_saves_.end(), row,
-                     row + static_cast<std::ptrdiff_t>(num_nodes));
 }
 
 void LayerCostState::RestoreLastGpu() {
   const GpuSave& s = gpu_saves_.back();
   const GpuId g = s.gpu;
   const size_t i = static_cast<size_t>(g);
-  const int num_nodes = static_cast<int>(node_inflow_.size());
-  const NodeId node = node_of_gpu_[i];
-  // The integer link bookkeeping is restored through the same deltas
-  // RefreshGpu applies, so link_load_ and node_inflow_ cancel exactly.
-  const int64_t* saved = link_saves_.data() + link_saves_.size() -
-                         static_cast<size_t>(num_nodes);
-  const size_t row = i * static_cast<size_t>(num_nodes);
-  for (NodeId n = 0; n < num_nodes; ++n) {
-    if (n == node) continue;
-    link_load_[static_cast<size_t>(n) * num_nodes + node] +=
-        saved[n] - gpu_link_in_[row + static_cast<size_t>(n)];
-    gpu_link_in_[row + static_cast<size_t>(n)] = saved[n];
-  }
-  node_inflow_[static_cast<size_t>(node)] += s.cross_in - cross_in_[i];
-  cross_in_[i] = s.cross_in;
   gpu_tokens_[i] = s.tokens;
   per_gpu_compute_[i] = s.compute;
   per_gpu_a2a_[i] = s.a2a;
   per_gpu_sync_[i] = s.sync;
   SetLeaf(g, s.total);
-  link_saves_.resize(link_saves_.size() - static_cast<size_t>(num_nodes));
   gpu_saves_.pop_back();
 }
 

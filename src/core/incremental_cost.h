@@ -157,31 +157,6 @@ class LayerCostState {
                                        per_gpu_sync_, incumbent);
   }
 
-  /// Tokens entering `node` from other nodes (sum of cross-node dispatch
-  /// into the node's GPUs) — the cross-link load the topology-aware
-  /// expand tie-break minimizes (SNIPPETS.md Snippets 2-3).
-  int64_t cross_node_inflow(NodeId node) const {
-    return node_inflow_[static_cast<size_t>(node)];
-  }
-
-  /// The heaviest single cross-node link into `node`: max over source
-  /// nodes src != node of the tokens flowing src -> node. The aggregate
-  /// inflow above can hide one saturated link behind several idle ones;
-  /// the planner's hierarchical-profile expand tie-break ranks by this
-  /// first.
-  /// O(nodes).
-  int64_t max_cross_link_into(NodeId node) const {
-    const int num_nodes = static_cast<int>(node_inflow_.size());
-    int64_t worst = 0;
-    for (NodeId src = 0; src < num_nodes; ++src) {
-      if (src == node) continue;
-      worst = std::max(
-          worst,
-          link_load_[static_cast<size_t>(src) * num_nodes + node]);
-    }
-    return worst;
-  }
-
   /// Memo lookups Apply served without a routing walk / with one, since
   /// construction (diagnostics for tests and benches).
   int64_t memo_hits() const { return memo_hits_; }
@@ -204,11 +179,9 @@ class LayerCostState {
   };
 
   /// One affected GPU's pre-op values — everything RefreshGpu writes.
-  /// Its gpu_link_in_ row follows in link_saves_ (nodes entries).
   struct GpuSave {
     GpuId gpu = -1;
     int64_t tokens = 0;
-    int64_t cross_in = 0;
     double compute = 0.0;
     double a2a = 0.0;
     double sync = 0.0;
@@ -326,21 +299,6 @@ class LayerCostState {
   /// Host-list scratch for the sync term of a memo miss.
   std::vector<GpuId> hosts_scratch_;
 
-  // Cross-node inbound token bookkeeping for the topology tie-break.
-  std::vector<int64_t> cross_in_;     ///< per destination GPU
-  std::vector<int64_t> node_inflow_;  ///< per destination node
-  /// Inflow into each destination GPU split by source node (G x nodes,
-  /// row-major) — the per-GPU terms behind link_load_, kept so RefreshGpu
-  /// can delta-update link loads exactly (integer arithmetic cancels).
-  std::vector<int64_t> gpu_link_in_;
-  /// Tokens on each directed cross-node link (nodes x nodes, row-major:
-  /// [src * nodes + dst_node]); diagonal unused.
-  std::vector<int64_t> link_load_;
-  /// Per-RefreshGpu scratch of per-source-node sums (non-aggregated path).
-  std::vector<int64_t> link_scratch_;
-  /// Topology::NodeOf per GPU, hoisted out of the refresh loops.
-  std::vector<NodeId> node_of_gpu_;
-
   /// Flat binary tournament over per-GPU totals: leaves at
   /// [cap, cap + G) padded with -inf, root at index 1. A leaf update is
   /// O(log G); the root IS the Eq. 5 max (max is truly associative).
@@ -351,7 +309,6 @@ class LayerCostState {
   /// are plain stacks whose capacity survives Undo/Reset).
   std::vector<UndoRecord> undo_records_;
   std::vector<GpuSave> gpu_saves_;
-  std::vector<int64_t> link_saves_;
 
   // Scratch for the affected-GPU set (dedup via per-GPU marks).
   std::vector<GpuId> affected_;

@@ -110,9 +110,6 @@ std::vector<ModOp> PolicyMaker::PlanOnState(LayerCostState* state,
   // at entry depth; the shrinks below touch only cold experts, and cold
   // != hot for every candidate, so the hot experts' hosts never change.
   const Topology& topo = cost_model_->profile().topology();
-  // Hierarchical A2A estimation (the large-EP regime) selects the
-  // cross-link tie-break on expand destinations (header comment).
-  const bool hierarchical = cost_model_->profile().hierarchical_a2a();
   std::vector<std::set<NodeId>> hot_nodes(hots.size());
   for (size_t hi = 0; hi < hots.size(); ++hi) {
     for (GpuId h : placement.HostGpus(hots[hi])) {
@@ -181,46 +178,14 @@ std::vector<ModOp> PolicyMaker::PlanOnState(LayerCostState* state,
         // Node-local to the hot expert's replicas first, then cheapest
         // loads.
         candidates = free_gpus;
-        if (hierarchical) {
-          std::sort(candidates.begin(), candidates.end(),
-                    [&](GpuId a, GpuId b) {
-                      const bool la = local_nodes.count(topo.NodeOf(a)) > 0;
-                      const bool lb = local_nodes.count(topo.NodeOf(b)) > 0;
-                      if (la != lb) return la;
-                      // The heaviest single inbound link ranks first: one
-                      // saturated link bounds the A2A phase even when the
-                      // node's aggregate inflow is moderate.
-                      const int64_t ma =
-                          state->max_cross_link_into(topo.NodeOf(a));
-                      const int64_t mb =
-                          state->max_cross_link_into(topo.NodeOf(b));
-                      if (ma != mb) return ma < mb;
-                      // Prefer the node with the lightest cross-link
-                      // inbound load: the new replica will pull remote
-                      // tokens onto its node, so land it where the
-                      // inter-node links have headroom.
-                      const int64_t ia =
-                          state->cross_node_inflow(topo.NodeOf(a));
-                      const int64_t ib =
-                          state->cross_node_inflow(topo.NodeOf(b));
-                      if (ia != ib) return ia < ib;
-                      if (gpu_loads[static_cast<size_t>(a)] !=
-                          gpu_loads[static_cast<size_t>(b)]) {
-                        return gpu_loads[static_cast<size_t>(a)] <
-                               gpu_loads[static_cast<size_t>(b)];
-                      }
-                      return a < b;
-                    });
-        } else {
-          std::sort(candidates.begin(), candidates.end(),
-                    [&](GpuId a, GpuId b) {
-                      const bool la = local_nodes.count(topo.NodeOf(a)) > 0;
-                      const bool lb = local_nodes.count(topo.NodeOf(b)) > 0;
-                      if (la != lb) return la;
-                      return gpu_loads[static_cast<size_t>(a)] <
-                             gpu_loads[static_cast<size_t>(b)];
-                    });
-        }
+        std::sort(candidates.begin(), candidates.end(),
+                  [&](GpuId a, GpuId b) {
+                    const bool la = local_nodes.count(topo.NodeOf(a)) > 0;
+                    const bool lb = local_nodes.count(topo.NodeOf(b)) > 0;
+                    if (la != lb) return la;
+                    return gpu_loads[static_cast<size_t>(a)] <
+                           gpu_loads[static_cast<size_t>(b)];
+                  });
         if (options_.max_expand_candidates > 0 &&
             static_cast<int>(candidates.size()) >
                 options_.max_expand_candidates) {

@@ -14,12 +14,9 @@
 //  * which GPU receives the hot expert's new vExpert — every GPU with a
 //    free slot is evaluated through the cost model and the best one wins
 //    (GPUs already hosting the expert cost nothing to expand onto);
-//  * the order bounded expand candidates are tried in — node-local to the
-//    hot expert first. The hardware profile selects the tie-break: with
-//    hierarchical A2A estimation (the large-EP regime, DESIGN.md Section
-//    10) node-local ties rank by the heaviest single inbound cross-node
-//    link, then the node's aggregate cross-node inflow, then GPU load
-//    (SNIPPETS.md Snippets 2-3); on a flat profile by GPU load alone.
+//  * the order bounded expand candidates are tried in — GPUs on a node
+//    already hosting the hot expert first (its replica group stays
+//    node-local), then ascending GPU load.
 
 #ifndef FLEXMOE_CORE_POLICY_MAKER_H_
 #define FLEXMOE_CORE_POLICY_MAKER_H_

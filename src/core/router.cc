@@ -7,40 +7,11 @@
 
 namespace flexmoe {
 
-void RoutedAssignment::EnableNodeAggregation(const Topology& topo) {
-  FLEXMOE_CHECK(num_gpus == 0 || num_gpus == topo.num_gpus());
-  node_of.resize(static_cast<size_t>(topo.num_gpus()));
-  for (GpuId g = 0; g < topo.num_gpus(); ++g) {
-    node_of[static_cast<size_t>(g)] = topo.NodeOf(g);
-  }
-  num_nodes = topo.num_nodes();
-  node_dispatch_to.assign(topo.num_gpus(), num_nodes, 0);
-  // Rebuild from an already-populated dispatch matrix so enabling after
-  // routing is equivalent to enabling before.
-  for (GpuId dst = 0; dst < num_gpus; ++dst) {
-    const int64_t* row = dispatch_to.row(dst);
-    int64_t* agg = node_dispatch_to.row(dst);
-    for (GpuId src = 0; src < num_gpus; ++src) {
-      agg[node_of[static_cast<size_t>(src)]] += row[src];
-    }
-  }
-}
-
-void RoutedAssignment::DisableNodeAggregation() {
-  node_of.clear();
-  num_nodes = 0;
-  node_dispatch_to.assign(0, 0, 0);
-}
-
 void RoutedAssignment::Clear(int experts, int gpus) {
   num_experts = experts;
   num_gpus = gpus;
   expert_gpu_tokens.assign(experts, gpus, 0);
   dispatch_to.assign(gpus, gpus, 0);
-  if (!node_of.empty()) {
-    FLEXMOE_CHECK(static_cast<int>(node_of.size()) == gpus);
-    node_dispatch_to.assign(gpus, num_nodes, 0);
-  }
 }
 
 void RoutedAssignment::AddEntries(int expert, const RouteEntry* begin,
@@ -48,14 +19,10 @@ void RoutedAssignment::AddEntries(int expert, const RouteEntry* begin,
   FLEXMOE_CHECK(expert >= 0 && expert < num_experts);
   FLEXMOE_CHECK(sign == 1 || sign == -1);
   int64_t* expert_row = expert_gpu_tokens.row(expert);
-  const bool aggregate = !node_of.empty();
   for (const RouteEntry* it = begin; it != end; ++it) {
     const int64_t t = sign * it->take;
     expert_row[it->dst] += t;
     dispatch_to(it->dst, it->src) += t;
-    if (aggregate) {
-      node_dispatch_to(it->dst, node_of[static_cast<size_t>(it->src)]) += t;
-    }
   }
 }
 
@@ -140,24 +107,16 @@ RouteScratch& Scratch() {
 class AccumulateSink {
  public:
   AccumulateSink(int expert, RoutedAssignment* out)
-      : expert_row_(out->expert_gpu_tokens.row(expert)),
-        out_(out),
-        aggregate_(!out->node_of.empty()) {}
+      : expert_row_(out->expert_gpu_tokens.row(expert)), out_(out) {}
 
   void Add(GpuId dst, GpuId src, int64_t take) {
     expert_row_[dst] += take;
     out_->dispatch_to(dst, src) += take;
-    // Per-node aggregation rides along when enabled (integer adds only).
-    if (aggregate_) {
-      out_->node_dispatch_to(dst, out_->node_of[static_cast<size_t>(src)]) +=
-          take;
-    }
   }
 
  private:
   int64_t* expert_row_;
   RoutedAssignment* out_;
-  bool aggregate_;
 };
 
 /// RouteExpertInto's sink: accumulates each cell and records it.

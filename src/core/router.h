@@ -53,28 +53,8 @@ struct RoutedAssignment {
   int64_t dispatch(GpuId src, GpuId dst) const { return dispatch_to(dst, src); }
   int64_t& dispatch(GpuId src, GpuId dst) { return dispatch_to(dst, src); }
 
-  /// Optional hierarchical aggregation (DESIGN.md Section 10): when
-  /// `node_of` is non-empty (size num_gpus), routing additionally
-  /// maintains node_dispatch_to[dst][n] == sum of dispatch(src, dst) over
-  /// the sources on node n. Pure integer bookkeeping, so it commutes
-  /// exactly with AddEntries — the aggregates always equal a from-scratch
-  /// fold of the dispatch matrix.
-  std::vector<int> node_of;
-  int num_nodes = 0;
-  Matrix<int64_t> node_dispatch_to;
-
-  int64_t node_dispatch(NodeId node, GpuId dst) const {
-    return node_dispatch_to(dst, node);
-  }
-
-  /// Turns per-node aggregation on for this routing. If a dispatch matrix
-  /// is already populated, the aggregates are rebuilt from it; otherwise
-  /// the next RouteInto sizes and fills them.
-  void EnableNodeAggregation(const Topology& topo);
-  void DisableNodeAggregation();
-
   /// Sizes the matrices for an (experts x gpus) routing and zeroes them,
-  /// reusing their allocations and keeping the node aggregation setting.
+  /// reusing their allocations.
   void Clear(int experts, int gpus);
 
   /// Adds (`sign` = +1) or retracts (`sign` = -1) one expert's recorded
@@ -104,8 +84,7 @@ class FlexibleRouter {
 
   /// Routes into caller-owned scratch, reusing its matrix allocations —
   /// the allocation-free steady-state form of Route (scratch-ownership
-  /// rules: DESIGN.md "Performance architecture"). Preserves `out`'s node
-  /// aggregation setting.
+  /// rules: DESIGN.md "Performance architecture").
   static void RouteInto(const Assignment& assignment,
                         const Placement& placement, RoutedAssignment* out);
 

@@ -143,10 +143,6 @@ ExperimentOptions LargeEPOptions(int num_gpus) {
   options.slots_per_gpu = 2;
   options.measure_steps = 30;
   options.warmup_steps = 5;
-  // Large-EP planning mode: per-node aggregated Eq. 8 estimation, which
-  // also selects the planner's cross-link-load tie-break on expand
-  // destinations (core/policy_maker.h).
-  options.hierarchical_a2a = true;
   return options;
 }
 
@@ -163,10 +159,6 @@ Result<ExperimentReport> RunExperiment(const ExperimentOptions& options) {
         profile,
         profiler.Calibrate(options.model.expert_fwdbwd_flops_per_token()));
   }
-  // After calibration: Calibrate returns a fresh profile, and the flag
-  // only redirects the cost model's Eq. 8 estimate (the engine stays
-  // pair-exact), so calibration itself is unaffected by it.
-  if (options.hierarchical_a2a) profile.set_hierarchical_a2a(true);
 
   FLEXMOE_ASSIGN_OR_RETURN(std::unique_ptr<TraceSource> source,
                            BuildTraceSource(options));

@@ -80,11 +80,10 @@ struct ExperimentOptions {
   /// At most kMaxPipelineChunks. (bench --pipeline-chunks.)
   int pipeline_chunks = 1;
 
-  /// Per-node aggregated A2A estimation (DESIGN.md Section 10): the
-  /// planner's Eq. 8 terms fold cross-node traffic per source node, which
-  /// keeps candidate scoring O(nodes) in the large-EP regime. The
-  /// discrete-event engine stays pair-exact either way.
-  bool hierarchical_a2a = false;
+  /// Compile-only stub: perfbench/runner.cc:394 still reads this flag,
+  /// and it is its only reason to exist. The per-node A2A estimation mode
+  /// it once selected is gone; no caller can set it.
+  static constexpr bool hierarchical_a2a = false;
 
   /// Workload regime / replay / record selection.
   WorkloadOptions workload;
@@ -157,8 +156,9 @@ struct ExperimentReport {
 
 /// \brief Large-EP preset (DESIGN.md Section 10): one expert per GPU
 /// (E = G = num_gpus, the Pangu-Ultra-MoE/FSMoE regime from PAPERS.md),
-/// hierarchical per-node A2A estimation, and the topology-aware expand
-/// tie-break. `num_gpus` must be a multiple of 8 (AzureA100Options).
+/// two slots per GPU and a short two-layer stack, planned by the same
+/// Eq. 5/8/9 cost model and expand order as every other cell. `num_gpus`
+/// must be a multiple of 8 (AzureA100Options).
 ExperimentOptions LargeEPOptions(int num_gpus);
 
 /// \brief Resolves the experiment's fault options (inherited num_gpus /

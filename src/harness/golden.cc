@@ -1,7 +1,6 @@
 #include "harness/golden.h"
 
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
@@ -268,26 +267,14 @@ Status SaveDigests(const std::vector<MetricsDigest>& digests,
 }
 
 Result<std::vector<MetricsDigest>> LoadDigests(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  if (f == nullptr) {
-    return Status::NotFound(StrFormat("cannot open '%s'", path.c_str()));
-  }
+  FLEXMOE_ASSIGN_OR_RETURN(const std::string text, ReadFile(path));
   std::vector<MetricsDigest> digests;
-  char buf[1024];
-  while (std::fgets(buf, sizeof(buf), f) != nullptr) {
-    std::string line(buf);
-    while (!line.empty() && (line.back() == '\n' || line.back() == '\r')) {
-      line.pop_back();
-    }
+  for (std::string& line : Split(text, '\n')) {
+    while (!line.empty() && line.back() == '\r') line.pop_back();
     if (line.empty() || line[0] == '#') continue;
-    Result<MetricsDigest> d = ParseDigest(line);
-    if (!d.ok()) {
-      std::fclose(f);
-      return d.status();
-    }
-    digests.push_back(*std::move(d));
+    FLEXMOE_ASSIGN_OR_RETURN(MetricsDigest d, ParseDigest(line));
+    digests.push_back(std::move(d));
   }
-  std::fclose(f);
   return digests;
 }
 

@@ -112,22 +112,4 @@ const LinearCost* HardwareProfile::FindAllReduceCalibration(
   return it == allreduce_calibration_.end() ? nullptr : &it->second;
 }
 
-GpuId HardwareProfile::NodeRepresentative(NodeId node, GpuId dst) const {
-  GpuId rep = node * topo_->gpus_per_node();
-  // When dst sits first on its own node, the next member represents the
-  // intra-node tier. (A 1-GPU node never carries intra-node traffic, so
-  // this branch is only ever read when a distinct member exists.)
-  if (rep == dst) ++rep;
-  return rep;
-}
-
-double HardwareProfile::NodeBandwidthBytesPerSec(NodeId src_node,
-                                                 GpuId dst) const {
-  return bandwidth_cache_(NodeRepresentative(src_node, dst), dst);
-}
-
-double HardwareProfile::NodeLatencySeconds(NodeId src_node, GpuId dst) const {
-  return latency_cache_(NodeRepresentative(src_node, dst), dst);
-}
-
 }  // namespace flexmoe

@@ -94,22 +94,10 @@ class HardwareProfile {
     return latency_cache_(src, dst);
   }
 
-  // --- Hierarchical A2A mode (DESIGN.md Section 10) ---------------------
-
-  /// Opt-in large-EP estimation mode: CostModel::A2ASeconds aggregates
-  /// cross-node traffic per source NODE (token counts folded in integer
-  /// arithmetic, one bandwidth term per remote node) instead of per source
-  /// GPU. The discrete-event engine stays pair-exact — only the planner's
-  /// Eq. 8 estimate coarsens. Off by default: the flat path is
-  /// byte-identical to the pre-hierarchical cost model.
-  void set_hierarchical_a2a(bool enabled) { hierarchical_a2a_ = enabled; }
-  bool hierarchical_a2a() const { return hierarchical_a2a_; }
-
-  /// Effective bandwidth of the src_node -> dst tier. The cluster is
-  /// homogeneous per link class, so any member of src_node other than dst
-  /// itself carries the class-exact value.
-  double NodeBandwidthBytesPerSec(NodeId src_node, GpuId dst) const;
-  double NodeLatencySeconds(NodeId src_node, GpuId dst) const;
+  /// Compile-only stub: perfbench/runner.cc:394 still calls this setter,
+  /// and it is its only reason to exist. The per-node A2A estimation mode
+  /// it once enabled is gone, so only `false` is accepted.
+  void set_hierarchical_a2a(bool enabled) { FLEXMOE_CHECK(!enabled); }
 
   // --- AllReduce (paper's BPS) ------------------------------------------
 
@@ -141,10 +129,6 @@ class HardwareProfile {
   GroupSignature SignatureOf(const std::vector<GpuId>& group) const;
 
  private:
-  /// A GPU on `node` whose link to `dst` represents the node's tier
-  /// (never dst itself, which would read the loopback class).
-  GpuId NodeRepresentative(NodeId node, GpuId dst) const;
-
   double RingAllReduceSeconds(double bytes,
                               const std::vector<GpuId>& group) const;
 
@@ -154,7 +138,6 @@ class HardwareProfile {
 
   const Topology* topo_;
   GpuSpec spec_;
-  bool hierarchical_a2a_ = false;
   double sec_per_flop_;
   double compute_overhead_sec_;
   std::map<LinkClass, double> link_efficiency_;

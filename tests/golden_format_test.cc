@@ -90,12 +90,16 @@ TEST(GoldenFileTest, SaveLoadRoundTripsExactly) {
   b.label = "bursty/deepspeed";
   b.system = "DeepSpeed";
   b.tokens_dropped = 123456789;
-  ASSERT_TRUE(SaveDigests({a, b}, path).ok());
+  // A line far longer than any fixed read buffer loads whole.
+  MetricsDigest c = BaseDigest();
+  c.label = std::string(2000, 'x') + "/flexmoe";
+  ASSERT_TRUE(SaveDigests({a, b, c}, path).ok());
   const auto loaded = LoadDigests(path);
-  ASSERT_TRUE(loaded.ok());
-  ASSERT_EQ(loaded->size(), 2u);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ASSERT_EQ(loaded->size(), 3u);
   EXPECT_TRUE(CompareDigests(a, (*loaded)[0], 0.0).ok());
   EXPECT_TRUE(CompareDigests(b, (*loaded)[1], 0.0).ok());
+  EXPECT_TRUE(CompareDigests(c, (*loaded)[2], 0.0).ok());
 }
 
 TEST(GoldenFileTest, SaveToAFullDeviceFails) {

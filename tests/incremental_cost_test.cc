@@ -1,13 +1,10 @@
 // Property tests for LayerCostState (DESIGN.md Section 10): randomized
 // Apply/Undo walks must agree with a from-scratch EstimateLayer evaluation
 // EXACTLY (== on doubles, not near) at every depth, for both objectives
-// (include_sync on/off) and both Eq. 8 estimation modes (flat pairwise and
-// hierarchical per-node). Exact agreement is the contract the planner's
+// (include_sync on/off). Exact agreement is the contract the planner's
 // byte-identity guarantee rests on.
 
 #include <gtest/gtest.h>
-
-#include <algorithm>
 
 #include "allocation_count.h"
 #include "core/incremental_cost.h"
@@ -99,40 +96,15 @@ void ExpectMatchesScratch(const CostModel& cost, const Assignment& a,
                                   ref.per_gpu_sync, incumbent))
         << "incumbent " << incumbent;
   }
-
-  // The integer cross-node link bookkeeping (restored, not recomputed, by
-  // Undo) against a from-scratch recount of the dispatch matrix.
-  const Topology& topo = cost.profile().topology();
-  const int nodes = topo.num_nodes();
-  std::vector<int64_t> link(static_cast<size_t>(nodes * nodes), 0);
-  for (GpuId src = 0; src < routed.num_gpus; ++src) {
-    for (GpuId dst = 0; dst < routed.num_gpus; ++dst) {
-      link[static_cast<size_t>(topo.NodeOf(src) * nodes + topo.NodeOf(dst))] +=
-          routed.dispatch(src, dst);
-    }
-  }
-  for (NodeId node = 0; node < nodes; ++node) {
-    int64_t inflow = 0;
-    int64_t worst = 0;
-    for (NodeId from = 0; from < nodes; ++from) {
-      if (from == node) continue;
-      inflow += link[static_cast<size_t>(from * nodes + node)];
-      worst = std::max(worst, link[static_cast<size_t>(from * nodes + node)]);
-    }
-    ASSERT_EQ(state.cross_node_inflow(node), inflow) << "node " << node;
-    ASSERT_EQ(state.max_cross_link_into(node), worst) << "node " << node;
-  }
 }
 
 /// One randomized walk: Apply random ops (feasible and not), Undo at
 /// random, compare against the oracle at every step, then unwind to depth
 /// zero and require bitwise restoration of the reset point.
-void RunRandomWalk(bool include_sync, bool hierarchical, uint64_t seed) {
+void RunRandomWalk(bool include_sync, uint64_t seed) {
   SCOPED_TRACE(testing::Message()
-               << "include_sync=" << include_sync
-               << " hierarchical=" << hierarchical << " seed=" << seed);
+               << "include_sync=" << include_sync << " seed=" << seed);
   TestEnv env = TestEnv::MakeGrid(2, 4);
-  env.profile.set_hierarchical_a2a(hierarchical);
   ModelConfig model = GptMoES();
   model.num_experts = 12;
   const CostModel cost(&env.profile, ShapeFromModel(model));
@@ -188,22 +160,13 @@ void RunRandomWalk(bool include_sync, bool hierarchical, uint64_t seed) {
   ExpectMatchesScratch(cost, a, mirror.front(), include_sync, state);
 }
 
-TEST(LayerCostStateTest, RandomWalkTrainingObjectiveFlat) {
-  RunRandomWalk(/*include_sync=*/true, /*hierarchical=*/false, 1);
-  RunRandomWalk(/*include_sync=*/true, /*hierarchical=*/false, 2);
+TEST(LayerCostStateTest, RandomWalkTrainingObjective) {
+  RunRandomWalk(/*include_sync=*/true, 1);
+  RunRandomWalk(/*include_sync=*/true, 2);
 }
 
-TEST(LayerCostStateTest, RandomWalkServeObjectiveFlat) {
-  RunRandomWalk(/*include_sync=*/false, /*hierarchical=*/false, 3);
-}
-
-TEST(LayerCostStateTest, RandomWalkTrainingObjectiveHierarchical) {
-  RunRandomWalk(/*include_sync=*/true, /*hierarchical=*/true, 4);
-  RunRandomWalk(/*include_sync=*/true, /*hierarchical=*/true, 5);
-}
-
-TEST(LayerCostStateTest, RandomWalkServeObjectiveHierarchical) {
-  RunRandomWalk(/*include_sync=*/false, /*hierarchical=*/true, 6);
+TEST(LayerCostStateTest, RandomWalkServeObjective) {
+  RunRandomWalk(/*include_sync=*/false, 3);
 }
 
 /// The planner's access pattern, which is what the contribution memo
@@ -211,12 +174,10 @@ TEST(LayerCostStateTest, RandomWalkServeObjectiveHierarchical) {
 /// re-apply ops just undone; reach the same expand from different shrinks.
 /// Every step is checked against the from-scratch oracle, and the walk
 /// must actually have hit the memo.
-void RunMemoWalk(bool include_sync, bool hierarchical, uint64_t seed) {
+void RunMemoWalk(bool include_sync, uint64_t seed) {
   SCOPED_TRACE(testing::Message()
-               << "include_sync=" << include_sync
-               << " hierarchical=" << hierarchical << " seed=" << seed);
+               << "include_sync=" << include_sync << " seed=" << seed);
   TestEnv env = TestEnv::MakeGrid(2, 4);
-  env.profile.set_hierarchical_a2a(hierarchical);
   ModelConfig model = GptMoES();
   model.num_experts = 12;
   const CostModel cost(&env.profile, ShapeFromModel(model));
@@ -280,14 +241,9 @@ void RunMemoWalk(bool include_sync, bool hierarchical, uint64_t seed) {
   ExpectMatchesScratch(cost, a, start, include_sync, state);
 }
 
-TEST(LayerCostStateTest, MemoHitsMatchScratchFlat) {
-  RunMemoWalk(/*include_sync=*/true, /*hierarchical=*/false, 21);
-  RunMemoWalk(/*include_sync=*/false, /*hierarchical=*/false, 22);
-}
-
-TEST(LayerCostStateTest, MemoHitsMatchScratchHierarchical) {
-  RunMemoWalk(/*include_sync=*/true, /*hierarchical=*/true, 23);
-  RunMemoWalk(/*include_sync=*/false, /*hierarchical=*/true, 24);
+TEST(LayerCostStateTest, MemoHitsMatchScratch) {
+  RunMemoWalk(/*include_sync=*/true, 21);
+  RunMemoWalk(/*include_sync=*/false, 22);
 }
 
 // Reset onto a new assignment with the SAME placement: every memoized
@@ -332,7 +288,6 @@ TEST(LayerCostStateTest, ResetOntoNewAssignmentDropsMemo) {
 // from-scratch state.
 TEST(LayerCostStateTest, RouteThenBuildCostsEqualsReset) {
   TestEnv env = TestEnv::MakeGrid(2, 4);
-  env.profile.set_hierarchical_a2a(true);
   ModelConfig model = GptMoES();
   model.num_experts = 12;
   const CostModel cost(&env.profile, ShapeFromModel(model));
@@ -398,101 +353,35 @@ TEST(LayerCostStateTest, ExpandScoreLowerBoundNeverExceedsScore) {
 // lists), a Reset keeps their capacity and the same search allocates
 // nothing — memo misses included.
 TEST(LayerCostStateTest, SteadyStateApplyUndoIsAllocationFree) {
-  for (const bool hierarchical : {false, true}) {
-    SCOPED_TRACE(testing::Message() << "hierarchical=" << hierarchical);
-    TestEnv env = TestEnv::MakeGrid(2, 4);
-    env.profile.set_hierarchical_a2a(hierarchical);
-    ModelConfig model = GptMoES();
-    model.num_experts = 12;
-    const CostModel cost(&env.profile, ShapeFromModel(model));
-    Rng rng(61);
-    const Assignment a = RandomAssignment(rng, model.num_experts, 8);
-    const Placement p = MakePlacement(model.num_experts, 8, /*slots=*/3);
-    std::vector<ModOp> ops;
-    for (int i = 0; i < 400; ++i) ops.push_back(RandomOp(rng, p));
-
-    LayerCostState state(&cost, /*include_sync=*/true);
-    const auto search = [&]() {
-      for (size_t i = 0; i + 1 < ops.size(); i += 2) {
-        if (!state.Apply(ops[i])) continue;
-        if (state.Apply(ops[i + 1])) state.Undo();
-        state.Undo();
-      }
-    };
-    // The first pass grows the pools — and proves the counter counts.
-    const int64_t warmup_before = AllocationCount();
-    state.Reset(a, p);
-    search();
-    EXPECT_GT(AllocationCount() - warmup_before, 0);
-    state.Reset(a, p);
-    const int64_t misses_before = state.memo_misses();
-    const int64_t allocs_before = AllocationCount();
-    search();
-    EXPECT_EQ(AllocationCount() - allocs_before, 0);
-    EXPECT_GT(state.memo_misses() - misses_before, 0);
-  }
-}
-
-TEST(LayerCostStateTest, CrossNodeInflowCountsOnlyCrossNodeTraffic) {
-  TestEnv env = TestEnv::MakeGrid(2, 2);
-  ModelConfig model = GptMoES();
-  model.num_experts = 4;
-  const CostModel cost(&env.profile, ShapeFromModel(model));
-
-  // One expert per GPU; every GPU emits 100 tokens to each expert, so each
-  // destination receives 400 tokens of which 200 originate off-node.
-  Assignment a(4, 4);
-  for (int e = 0; e < 4; ++e) {
-    for (int g = 0; g < 4; ++g) a.set(e, g, 100);
-  }
-  const Placement p = MakePlacement(4, 4, /*slots=*/2);
-  LayerCostState state(&cost, /*include_sync=*/true);
-  state.Reset(a, p);
-  EXPECT_EQ(state.cross_node_inflow(0), 400);
-  EXPECT_EQ(state.cross_node_inflow(1), 400);
-}
-
-// Hierarchical Eq. 8 semantics: with one GPU per node the per-node folding
-// degenerates to the pairwise sum — same terms, possibly reordered, so the
-// two modes agree to rounding.
-TEST(CostModelHierarchicalTest, SingleGpuNodesMatchFlat) {
-  TestEnv env = TestEnv::MakeGrid(8, 1);
-  ModelConfig model = GptMoES();
-  model.num_experts = 8;
-  const CostModel cost(&env.profile, ShapeFromModel(model));
-
-  Rng rng(7);
-  const Assignment a = RandomAssignment(rng, 8, 8);
-  const Placement p = MakePlacement(8, 8, /*slots=*/2);
-  const RoutedAssignment routed = FlexibleRouter::Route(a, p);
-  for (GpuId g = 0; g < 8; ++g) {
-    env.profile.set_hierarchical_a2a(false);
-    const double flat = cost.A2ASeconds(routed, g);
-    env.profile.set_hierarchical_a2a(true);
-    const double hier = cost.A2ASeconds(routed, g);
-    EXPECT_NEAR(hier, flat, 1e-12 * std::max(1.0, flat)) << "g" << g;
-  }
-}
-
-// The router's optional per-node aggregates are integer bookkeeping, so
-// hierarchical estimates are bitwise identical with and without them.
-TEST(CostModelHierarchicalTest, AggregatedRoutingMatchesUnaggregated) {
   TestEnv env = TestEnv::MakeGrid(2, 4);
-  env.profile.set_hierarchical_a2a(true);
   ModelConfig model = GptMoES();
   model.num_experts = 12;
   const CostModel cost(&env.profile, ShapeFromModel(model));
+  Rng rng(61);
+  const Assignment a = RandomAssignment(rng, model.num_experts, 8);
+  const Placement p = MakePlacement(model.num_experts, 8, /*slots=*/3);
+  std::vector<ModOp> ops;
+  for (int i = 0; i < 400; ++i) ops.push_back(RandomOp(rng, p));
 
-  Rng rng(11);
-  const Assignment a = RandomAssignment(rng, 12, 8);
-  const Placement p = MakePlacement(12, 8, /*slots=*/3);
-  const RoutedAssignment plain = FlexibleRouter::Route(a, p);
-  RoutedAssignment aggregated;
-  aggregated.EnableNodeAggregation(env.profile.topology());
-  FlexibleRouter::RouteInto(a, p, &aggregated);
-  for (GpuId g = 0; g < 8; ++g) {
-    EXPECT_EQ(cost.A2ASeconds(aggregated, g), cost.A2ASeconds(plain, g));
-  }
+  LayerCostState state(&cost, /*include_sync=*/true);
+  const auto search = [&]() {
+    for (size_t i = 0; i + 1 < ops.size(); i += 2) {
+      if (!state.Apply(ops[i])) continue;
+      if (state.Apply(ops[i + 1])) state.Undo();
+      state.Undo();
+    }
+  };
+  // The first pass grows the pools — and proves the counter counts.
+  const int64_t warmup_before = AllocationCount();
+  state.Reset(a, p);
+  search();
+  EXPECT_GT(AllocationCount() - warmup_before, 0);
+  state.Reset(a, p);
+  const int64_t misses_before = state.memo_misses();
+  const int64_t allocs_before = AllocationCount();
+  search();
+  EXPECT_EQ(AllocationCount() - allocs_before, 0);
+  EXPECT_GT(state.memo_misses() - misses_before, 0);
 }
 
 // The memoized serving floor must be a pure cache: bitwise-identical

@@ -18,9 +18,7 @@
 //     scaling used to charge the slowdown twice);
 //  5. ForwardFloorEstimator invalidates its memo when the GPU count
 //     changes (the stale-floor-after-failover regression);
-//  6. LayerCostState's max_cross_link_into matches a brute-force
-//     per-node recount along an Apply/Undo walk;
-//  7. auto-K (pipeline_chunks = 0) matches the best static depth end to
+//  6. auto-K (pipeline_chunks = 0) matches the best static depth end to
 //     end through RunExperiment.
 
 #include <gtest/gtest.h>
@@ -32,7 +30,7 @@
 #include <map>
 #include <vector>
 
-#include "core/incremental_cost.h"
+#include "core/cost_model.h"
 #include "core/step_executor.h"
 #include "harness/experiment.h"
 #include "test_env.h"
@@ -131,7 +129,7 @@ double PerGpuComputeSum(const StepTiming& t) {
 // The expected doubles were printed (%.17g) by the UNMODIFIED executor
 // before the pipelining change landed. chunks == 1 must reproduce every
 // one of them bitwise — on the flat 8-GPU topology and on a 2x4 grid
-// (cross-node links exercise the hierarchical byte paths).
+// (whose cross-node links take the inter-node byte paths).
 TEST(PipelinedTimingTest, SerialPathMatchesPrePipeliningFingerprintsFlat8) {
   const TestEnv env = TestEnv::Make(8);
   const ForwardRun run = RunProbe(env, /*chunks=*/1);
@@ -939,118 +937,6 @@ TEST(StragglerPortScaleTest, ForwardA2aChargesTheSlowdownExactlyOnce) {
   const StepTiming base = healthy.ExecuteForward({work});
   EXPECT_GT(fwd.a2a_seconds, base.a2a_seconds);
   EXPECT_LT(fwd.a2a_seconds, 2.0 * base.a2a_seconds);
-}
-
-// ---- 6. incremental cost under the pipelined combiner ---------------------
-
-Placement MakePlacement(int experts, int gpus, int slots) {
-  PlacementOptions o;
-  o.num_experts = experts;
-  o.num_gpus = gpus;
-  o.slots_per_gpu = slots;
-  return *Placement::ExpertParallel(o);
-}
-
-Assignment RandomAssignment(Rng& rng, int experts, int gpus) {
-  Assignment a(experts, gpus);
-  for (int e = 0; e < experts; ++e) {
-    if (rng.UniformInt(8) == 0) continue;
-    const int64_t scale = 1 + rng.UniformInt(4000);
-    for (int g = 0; g < gpus; ++g) {
-      a.set(e, g, static_cast<int64_t>(rng.UniformInt(scale)));
-    }
-  }
-  return a;
-}
-
-ModOp RandomOp(Rng& rng, const Placement& p) {
-  const int experts = p.num_experts();
-  const int gpus = p.num_gpus();
-  const int e = static_cast<int>(rng.UniformInt(experts));
-  switch (rng.UniformInt(3)) {
-    case 0:
-      return MakeShrink(e, static_cast<GpuId>(rng.UniformInt(gpus)));
-    case 1: {
-      const GpuId dst = static_cast<GpuId>(rng.UniformInt(gpus));
-      const GpuId src = rng.UniformInt(2) == 0
-                            ? -1
-                            : static_cast<GpuId>(rng.UniformInt(gpus));
-      return MakeExpand(e, src, dst);
-    }
-    default:
-      return MakeMigrate(e, static_cast<GpuId>(rng.UniformInt(gpus)),
-                         static_cast<int>(rng.UniformInt(experts)),
-                         static_cast<GpuId>(rng.UniformInt(gpus)));
-  }
-}
-
-/// Brute-force twin of max_cross_link_into: fold the dispatch matrix by
-/// (source node, destination node) and take the max inbound link.
-int64_t BruteForceMaxLink(const Topology& topo, const RoutedAssignment& routed,
-                          NodeId node) {
-  std::vector<int64_t> per_src(static_cast<size_t>(topo.num_nodes()), 0);
-  for (GpuId dst = 0; dst < routed.num_gpus; ++dst) {
-    if (topo.NodeOf(dst) != node) continue;
-    for (GpuId src = 0; src < routed.num_gpus; ++src) {
-      if (topo.NodeOf(src) == node) continue;
-      per_src[static_cast<size_t>(topo.NodeOf(src))] +=
-          routed.dispatch(src, dst);
-    }
-  }
-  int64_t worst = 0;
-  for (int64_t v : per_src) worst = std::max(worst, v);
-  return worst;
-}
-
-void ExpectLinkLoadsMatch(const Topology& topo, const Assignment& a,
-                          const Placement& p, const LayerCostState& state) {
-  const RoutedAssignment routed = FlexibleRouter::Route(a, p);
-  for (NodeId n = 0; n < topo.num_nodes(); ++n) {
-    ASSERT_EQ(state.max_cross_link_into(n), BruteForceMaxLink(topo, routed, n))
-        << "max cross link diverged at node " << n;
-  }
-}
-
-// The per-link load bookkeeping matches a brute-force per-node recount at
-// every depth of an Apply/Undo walk. (The walk's bitwise agreement with a
-// from-scratch EstimateLayer is LayerCostStateTest.RandomWalk*'s check.)
-TEST(LayerCostStateOverlapTest, RandomWalkLinkLoadsExact) {
-  for (const bool hierarchical : {false, true}) {
-    SCOPED_TRACE(testing::Message() << "hierarchical=" << hierarchical);
-    TestEnv env = TestEnv::MakeGrid(2, 4);
-    env.profile.set_hierarchical_a2a(hierarchical);
-    ModelConfig model = GptMoES();
-    model.num_experts = 12;
-    CostModel cost(&env.profile, ShapeFromModel(model));
-
-    Rng rng(17);
-    const Assignment a = RandomAssignment(rng, model.num_experts, 8);
-    Placement start = MakePlacement(model.num_experts, 8, /*slots=*/3);
-    for (int i = 0; i < 16; ++i) {
-      const Status ignored = ApplyOp(RandomOp(rng, start), &start);
-      (void)ignored;
-    }
-
-    LayerCostState state(&cost, /*include_sync=*/true);
-    state.Reset(a, start);
-    ExpectLinkLoadsMatch(*env.topo, a, start, state);
-
-    std::vector<Placement> mirror{start};
-    for (int it = 0; it < 400; ++it) {
-      if (state.depth() > 0 && rng.UniformInt(4) == 0) {
-        state.Undo();
-        mirror.pop_back();
-        ExpectLinkLoadsMatch(*env.topo, a, mirror.back(), state);
-        continue;
-      }
-      const ModOp op = RandomOp(rng, mirror.back());
-      Placement trial = mirror.back();
-      if (!ApplyOp(op, &trial).ok()) continue;
-      ASSERT_TRUE(state.Apply(op)) << op.ToString();
-      mirror.push_back(std::move(trial));
-      ExpectLinkLoadsMatch(*env.topo, a, mirror.back(), state);
-    }
-  }
 }
 
 }  // namespace

@@ -219,32 +219,31 @@ TEST(PolicyMakerTest, CandidateCountAtG64) {
   EXPECT_EQ(stats.candidates_evaluated, 9);
 }
 
-// The profile selects the expand order (core/policy_maker.h): with
-// hierarchical A2A estimation, node-local ties rank by the heaviest
-// inbound cross-node link, then the node's aggregate cross-node inflow,
-// then GPU load; on a flat profile by GPU load alone. Four nodes of two
-// GPUs: the hot expert 0 lives on GPUs 2 and 4 (nodes 1 and 2), so its
-// node-local free slots are GPUs 3 and 5, where feeder experts 4 and 5
-// shape each node's inbound links. With one expand candidate per search,
-// the plan's destination is the head of the order.
-TEST(PolicyMakerTest, ProfileSelectsExpandOrder) {
+// The expand order (core/policy_maker.h): GPUs on a node already hosting
+// the hot expert first, then ascending GPU load, whatever the cross-node
+// traffic into each node. Four nodes of two GPUs: the hot expert 0 lives
+// on GPUs 2 and 4 (nodes 1 and 2), so its node-local free slots are GPUs
+// 3 and 5, where feeder experts 4 and 5 set each GPU's load and each
+// node's inbound links. With one expand candidate per search, the plan's
+// destination is the head of the order.
+TEST(PolicyMakerTest, ExpandOrderIsNodeLocalThenGpuLoad) {
   struct Case {
     const char* name;
     // Expert 4 (on GPU 3) tokens from GPU 0, GPU 6 and GPU 3 itself;
     // expert 5 (on GPU 5) tokens from GPU 0 and GPU 5 itself.
     int64_t e4_from0, e4_from6, e4_local, e5_from0, e5_local;
-    GpuId hierarchical_dst, flat_dst;
+    GpuId dst;
   };
   const Case cases[] = {
-      // Node 1: two 100-token links (inflow 200, GPU 3 load 200); node 2:
-      // one 150-token link (inflow 150, GPU 5 load 150).
-      {"max-link", 100, 100, 0, 150, 0, 3, 5},
-      // Both nodes' heaviest link carries 100; node 2's inflow is 100
-      // against node 1's 200, though GPU 5 (400) outweighs GPU 3 (200).
-      {"inflow", 100, 100, 0, 100, 300, 5, 3},
+      // GPU 5 (150) is lighter than GPU 3 (200), though node 2's one
+      // inbound link carries more than either of node 1's two.
+      {"max-link", 100, 100, 0, 150, 0, 5},
+      // GPU 3 (200) is lighter than GPU 5 (400), though node 1's
+      // cross-node inflow is twice node 2's.
+      {"inflow", 100, 100, 0, 100, 300, 3},
       // Links and inflow tie at 100; GPU 5 (100) is lighter than GPU 3
       // (150).
-      {"load", 100, 0, 50, 100, 0, 5, 5},
+      {"load", 100, 0, 50, 100, 0, 5},
   };
   TopologyOptions topt;
   topt.num_nodes = 4;
@@ -254,7 +253,8 @@ TEST(PolicyMakerTest, ProfileSelectsExpandOrder) {
   topt.inter_node_bytes_per_sec = topt.intra_node_bytes_per_sec;
   ModelConfig model = GptMoES();
   model.num_experts = 8;
-  Fixture f(std::make_unique<Topology>(*Topology::Create(topt)), model);
+  const Fixture f(std::make_unique<Topology>(*Topology::Create(topt)),
+                  model);
   PlacementOptions po;
   po.num_experts = 8;
   po.num_gpus = 8;
@@ -278,32 +278,27 @@ TEST(PolicyMakerTest, ProfileSelectsExpandOrder) {
     a.set(4, 3, c.e4_local);
     a.set(5, 0, c.e5_from0);
     a.set(5, 5, c.e5_local);
-    for (const bool hierarchical : {true, false}) {
-      SCOPED_TRACE(testing::Message()
-                   << c.name << " hierarchical=" << hierarchical);
-      f.profile.set_hierarchical_a2a(hierarchical);
-      const PolicyMaker pm(&f.cost, options);
-      const std::vector<ModOp> plan = pm.MakeSchedulingPlan(a, p);
-      ASSERT_EQ(plan.size(), 2u);
-      ASSERT_EQ(plan[1].type, ModOpType::kExpand);
-      EXPECT_EQ(plan[1].expert, 0);
-      EXPECT_EQ(plan[1].dst, hierarchical ? c.hierarchical_dst : c.flat_dst);
-    }
+    SCOPED_TRACE(c.name);
+    const PolicyMaker pm(&f.cost, options);
+    const std::vector<ModOp> plan = pm.MakeSchedulingPlan(a, p);
+    ASSERT_EQ(plan.size(), 2u);
+    ASSERT_EQ(plan[1].type, ModOpType::kExpand);
+    EXPECT_EQ(plan[1].expert, 0);
+    EXPECT_EQ(plan[1].dst, c.dst);
   }
 }
 
 // Re-planning must stay off the step's critical path at large EP: on one
-// live LayerCostState at G = E = 512 (two slots per GPU, hierarchical
-// Eq. 8 and so the cross-link expand order, as the large-EP preset ships),
-// the median PlanOnState call takes under 1 ms (about 0.06 ms today). The
-// only wall-clock bound in the suite: optimized builds only, and a median
-// of 31 calls so one preempted call cannot fail it.
+// live LayerCostState at G = E = 512 (two slots per GPU, as the large-EP
+// preset ships), the median PlanOnState call takes under 1 ms (0.07 to
+// 0.10 ms on a 4-vCPU host). The only wall-clock bound in the suite:
+// optimized builds only, and a median of 31 calls so one preempted call
+// cannot fail it.
 TEST(PolicyMakerTest, PlanOnStateUnderOneMillisecondAtG512) {
 #ifndef NDEBUG
   GTEST_SKIP() << "wall-clock bound is for optimized (NDEBUG) builds";
 #endif
-  Fixture f = Fixture::ExpertPerGpu(512);
-  f.profile.set_hierarchical_a2a(true);
+  const Fixture f = Fixture::ExpertPerGpu(512);
   const Assignment a = GeneratedAssignment(512, 1024);
   LayerCostState state(&f.cost, /*include_sync=*/true);
   state.Reset(a, MakePlacement(512, 512, /*slots=*/2));
