@@ -66,8 +66,8 @@ int main() {
   std::printf("expert %d share over 600 steps (initially the hottest):\n%s\n",
               hottest, AsciiSeries(line, 64, 9).c_str());
 
-  // Persist and replay, through a file of this process's own (two copies
-  // run at once never share it), removed once reloaded.
+  // Persist and replay through a per-process file (two copies run at once
+  // never share it), removed after the reload.
   const std::string path =
       StrFormat("/tmp/flexmoe_trace_%d.bin", static_cast<int>(getpid()));
   FLEXMOE_CHECK_OK(trace.Save(path));
